@@ -33,7 +33,7 @@ from .existence import (
     solve_in_box,
 )
 from .exponents import ExponentField
-from .expressions import state_expression
+from .expressions import coordinate_expression, state_expression
 from .mesh import (
     GridFunction,
     build_interval_mesh,
@@ -152,6 +152,17 @@ def default_config() -> RunConfig:
     return RunConfig({k: d for k, (_, d, _) in _SCHEMA.items()})
 
 
+def _probe_points(v: dict, dim: int) -> np.ndarray:
+    """A 9-point (1D) or 9x9 (2D) grid over the configured domain, on which
+    every expression is evaluated once during validation."""
+    if dim == 1:
+        return np.linspace(v["mesh.a"], v["mesh.b"], 9)[:, None]
+    gx, gy = np.meshgrid(
+        np.linspace(v["mesh.ax"], v["mesh.bx"], 9), np.linspace(v["mesh.ay"], v["mesh.by"], 9)
+    )
+    return np.column_stack([gx.ravel(), gy.ravel()])
+
+
 def _validate(cfg: RunConfig) -> list:
     errors = []
     v = cfg.values
@@ -167,19 +178,27 @@ def _validate(cfg: RunConfig) -> list:
     if not 0.0 < v["homotopy.J_fraction"] < 1.0:
         errors.append("homotopy.J_fraction must lie in (0, 1)")
     dim = 1 if v["mesh.kind"] == "interval" else 2
-    for key in ("p1.expr", "p2.expr"):
+    # evaluate every expression once: an exponent must be finite on the
+    # domain, an f expression must at least not raise
+    pts = _probe_points(v, dim)
+    probes = [(key, coordinate_expression, (pts,), True) for key in ("p1.expr", "p2.expr")]
+    probes += [
+        (key, state_expression, (pts, 1.0, 1.0), False)
+        for key in ("f1.expr", "f2.expr")
+        if v[key]
+    ]
+    for key, build, args, need_finite in probes:
         try:
-            from .expressions import coordinate_expression
-
-            coordinate_expression(v[key], dim)
+            fn = build(v[key], dim)
+            with np.errstate(all="ignore"):
+                values = fn(*args)
         except ConfigError as exc:
             errors.extend(f"{key}: {e}" for e in exc.errors)
-    for key in ("f1.expr", "f2.expr"):
-        if v[key]:
-            try:
-                state_expression(v[key], dim)
-            except ConfigError as exc:
-                errors.extend(f"{key}: {e}" for e in exc.errors)
+        except (ArithmeticError, TypeError, ValueError) as exc:
+            errors.append(f"{key}: evaluation failed: {exc}")
+        else:
+            if need_finite and not np.all(np.isfinite(values)):
+                errors.append(f"{key}: not finite at every probe point of the domain")
     if (v["f1.expr"] == "") != (v["f2.expr"] == ""):
         errors.append("f1.expr and f2.expr must be given together")
     if v["f1.expr"] and v["f.benchmark"]:
@@ -340,8 +359,6 @@ def cmd_norm(cfg: RunConfig, outdir: Path, quiet: bool, input_csv: str) -> int:
 
 def cmd_solve(cfg: RunConfig, outdir: Path, quiet: bool, rhs_expr: str) -> int:
     mesh, ctx1, _ = build_contexts(cfg)
-    from .expressions import coordinate_expression
-
     rhs = coordinate_expression(rhs_expr, mesh.dimension)
     rep = dirichlet_solve(ctx1, rhs)
     payload = {

@@ -32,7 +32,10 @@ class Nonlinearity:
     """Right-hand-side pair f1(x, s1, s2), f2(x, s1, s2).
 
     The callables take a flat point array (n, dim) and state arrays of
-    length n.  eta1/eta2 are the declared small-argument growth constants;
+    length n, and must be pointwise: output entry j depends only on row j of
+    the points and on entry j of each state array.  The probes rely on this
+    to evaluate many constant states in one call.  eta1/eta2 are the
+    declared small-argument growth constants;
     they certify a lower bound on f_i / s_i^(p_i_min - 1) near zero and must
     beat the eigenvalue threshold for the construction to work.
     """
@@ -180,21 +183,41 @@ def _x_samples(ctx: OperatorContext, n: int) -> np.ndarray:
     return pts[::step]
 
 
+# state pairs per f call in the probes; larger batches cost memory
+# (len(x) points per pair) without saving much more time
+_BATCH_STATES = 100
+
+
+def _f_on_states(fi, x, own, part) -> np.ndarray:
+    """fi at every sample point for each constant state pair, shape (k, len(x)).
+
+    Row j equals ``fi(x, full(own[j]), full(part[j]))``: the pairs are
+    stacked into calls of at most ``_BATCH_STATES`` pairs, which relies on
+    fi being pointwise.
+    """
+    own = np.asarray(own, dtype=float)
+    part = np.asarray(part, dtype=float)
+    n = len(x)
+    rows = []
+    for lo in range(0, len(own), _BATCH_STATES):
+        o, p = own[lo:lo + _BATCH_STATES], part[lo:lo + _BATCH_STATES]
+        vals = np.asarray(fi(np.tile(x, (len(o), 1)), np.repeat(o, n), np.repeat(p, n)))
+        rows.append(np.broadcast_to(vals, (len(o) * n,)).reshape(len(o), n))
+    return rows[0] if len(rows) == 1 else np.concatenate(rows)
+
+
 def _min_ratio_small(fi, x, s_own_grid, partner_grid, pmin, sign):
     """min over probes of f_i / (|s_i|^(p-2) s_i) near zero, on one branch."""
+    pairs = [(sign * s, sign * sp) for s in s_own_grid for sp in partner_grid]
+    own, part = zip(*pairs)
+    denom = np.array([np.abs(s) ** (pmin - 2.0) * s for s in own])
+    row_min = np.min(_f_on_states(fi, x, own, part) / denom[:, None], axis=1)
     worst = np.inf
     witness = None
-    for s in s_own_grid:
-        s_own = sign * s
-        for sp in partner_grid:
-            s_part = sign * sp
-            own = np.full(len(x), s_own)
-            part = np.full(len(x), s_part)
-            denom = np.abs(s_own) ** (pmin - 2.0) * s_own
-            vals = np.asarray(fi(x, own, part)) / denom
-            m = float(np.min(vals))
-            if m < worst:
-                worst, witness = m, {"s_own": s_own, "s_partner": s_part, "ratio": m}
+    for (s_own, s_part), m in zip(pairs, row_min):
+        m = float(m)
+        if m < worst:  # a NaN row never wins
+            worst, witness = m, {"s_own": s_own, "s_partner": s_part, "ratio": m}
     return worst, witness
 
 
@@ -243,49 +266,44 @@ def check_hypotheses(
         partner_large = np.array([-1e4, -1.0, 1e-2, 1.0, 1e4])
         decade_max = []
         for s in plan.large_s:
+            signed = (s, -s)
+            own = np.repeat(signed, len(partner_large))
+            part = np.tile(partner_large, 2)
+            denom = np.repeat(
+                [np.abs(v) ** (pmin - 2.0) * v for v in signed], len(partner_large)
+            )
+            row_max = np.max(np.abs(_f_on_states(fi, x, own, part) / denom[:, None]), axis=1)
             worst = 0.0
-            for sgn in (+1.0, -1.0):
-                for sp in partner_large:
-                    own = np.full(len(x), sgn * s)
-                    part = np.full(len(x), sp)
-                    denom = np.abs(sgn * s) ** (pmin - 2.0) * (sgn * s)
-                    vals = np.asarray(fi(x, own, part)) / denom
-                    worst = max(worst, float(np.max(np.abs(vals))))
+            for m in row_max:
+                worst = max(worst, float(m))  # a NaN row is skipped
             decade_max.append(worst)
         witnesses[f"H3_decades_{i}"] = decade_max
         decay_ok &= all(b < a for a, b in zip(decade_max, decade_max[1:]))
         decay_ok &= decade_max[-1] <= plan.h3_decay_factor * max(decade_max[0], 1e-300)
 
         box = np.array([-max(plan.large_s), -1.0, 0.0, 1.0, max(plan.large_s)])
-        for sa in box:
-            for sb in box:
-                vals = np.asarray(fi(x, np.full(len(x), sa), np.full(len(x), sb)))
-                if not np.all(np.isfinite(vals)):
-                    bounded_ok = False
-                    witnesses["H1_violation"] = {"s_own": sa, "s_partner": sb}
+        own, part = np.repeat(box, len(box)), np.tile(box, len(box))
+        finite = np.all(np.isfinite(_f_on_states(fi, x, own, part)), axis=1)
+        for sa, sb in zip(own[~finite], part[~finite]):
+            bounded_ok = False
+            witnesses["H1_violation"] = {"s_own": sa, "s_partner": sb}
+
+    grid = np.asarray(plan.rho_hat_grid)
+    floor1 = np.array([f.eta1 * s ** (ctx1.p.p_min - 1.0) for s in plan.rho_hat_grid])
+    floor2 = np.array([f.eta2 * s ** (ctx2.p.p_min - 1.0) for s in plan.rho_hat_grid])
 
     def rho_hat_for(g1, g2):
+        """Largest r whose square [grid <= r]^2 has g_i >= eta_i s_i^(p_i_min - 1)
+        everywhere; the square grows one border (row k and column k) at a time."""
         best = None
-        for r in plan.rho_hat_grid:
-            grid = [s for s in plan.rho_hat_grid if s <= r]
-            ok = True
-            for s1 in grid:
-                for s2 in grid:
-                    a1 = np.full(len(x), s1)
-                    a2 = np.full(len(x), s2)
-                    lhs1 = np.asarray(g1(x, a1, a2))
-                    lhs2 = np.asarray(g2(x, a1, a2))
-                    if np.any(lhs1 < f.eta1 * s1 ** (ctx1.p.p_min - 1.0)) or np.any(
-                        lhs2 < f.eta2 * s2 ** (ctx2.p.p_min - 1.0)
-                    ):
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if ok:
-                best = float(r)
-            else:
+        for k, r in enumerate(plan.rho_hat_grid):
+            i1 = np.r_[np.full(k + 1, k), np.arange(k)]
+            i2 = np.r_[np.arange(k + 1), np.full(k, k)]
+            lhs1 = _f_on_states(g1, x, grid[i1], grid[i2])
+            lhs2 = _f_on_states(g2, x, grid[i1], grid[i2])
+            if np.any(lhs1 < floor1[i1, None]) or np.any(lhs2 < floor2[i2, None]):
                 break
+            best = float(r)
         return best
 
     rf = f.reflected()
@@ -324,6 +342,48 @@ class SupersolutionResult:
     enlarged2: EnlargedEigenResult
 
 
+def _tail_constants(f: Nonlinearity, x, eta_bar: float, pmin) -> tuple[float, float]:
+    """Tail threshold rho and the bound c_rho of |f_i| on the box |s| <= rho.
+
+    rho is the first scan value s0 such that |f_i| <= eta_bar |s_i|^(p_min - 1)
+    at every sampled state with |s_i| = s >= s0 (partner over a fixed set);
+    the scan runs downward from the top and stops at the first violation.
+    """
+    scan = np.logspace(-2, 8, 81)
+    partner = np.array([-1e8, -1.0, 0.0, 1.0, 1e8])
+    own_fns = (f.f1, lambda xx, own, part: f.f2(xx, part, own))
+
+    def violated(s):
+        own = np.repeat([s, -s], len(partner))
+        part = np.tile(partner, 2)
+        return any(
+            np.any(np.abs(_f_on_states(fi, x, own, part)) > eta_bar * s ** (pm - 1.0))
+            for fi, pm in zip(own_fns, pmin)
+        )
+
+    k = len(scan)
+    while k > 0 and not violated(scan[k - 1]):
+        k -= 1
+    if k == len(scan):
+        raise ConstructionError(
+            "no tail threshold found: |f_i| is not eventually dominated by "
+            "eta_bar |s_i|^(p_min - 1) on the scanned range (decay hypothesis "
+            "fails numerically)"
+        )
+    rho = float(scan[k])
+
+    box = np.concatenate([-scan[scan <= rho][::-1], [0.0], scan[scan <= rho]])
+    box = box[np.abs(box) <= rho]
+    c_rho = 0.0
+    for sa in box:
+        row = np.full(len(box), sa)
+        m1 = np.max(np.abs(_f_on_states(f.f1, x, row, box)), axis=1)
+        m2 = np.max(np.abs(_f_on_states(f.f2, x, row, box)), axis=1)
+        for a, b in zip(m1, m2):
+            c_rho = max(c_rho, float(a), float(b))  # NaN entries are skipped
+    return rho, c_rho
+
+
 def construct_supersolution(
     f: Nonlinearity,
     ctx1: OperatorContext,
@@ -356,54 +416,8 @@ def construct_supersolution(
         for i in range(2)
     )
 
-    # scan for the tail threshold rho: beyond it |f_i| is dominated by
-    # eta_bar |s_i|^(p_min - 1) at every sampled state
     x = _x_samples(ctx1, plan.n_x_samples)
-    scan = np.logspace(-2, 8, 81)
-    partner = np.array([-1e8, -1.0, 0.0, 1.0, 1e8])
-
-    def tail_ok(fi, pm, lo):
-        for s in scan[scan >= lo]:
-            for sgn in (1.0, -1.0):
-                for sp in partner:
-                    vals = np.asarray(
-                        fi(x, np.full(len(x), sgn * s), np.full(len(x), sp))
-                    )
-                    if np.any(np.abs(vals) > eta_bar * s ** (pm - 1.0)):
-                        return False
-        return True
-
-    def f1_own(xx, own, part):
-        return f.f1(xx, own, part)
-
-    def f2_own(xx, own, part):
-        return f.f2(xx, part, own)
-
-    rho = None
-    for candidate in scan:
-        if tail_ok(f1_own, pmin[0], candidate) and tail_ok(f2_own, pmin[1], candidate):
-            rho = float(candidate)
-            break
-    if rho is None:
-        raise ConstructionError(
-            "no tail threshold found: |f_i| is not eventually dominated by "
-            "eta_bar |s_i|^(p_min - 1) on the scanned range (decay hypothesis "
-            "fails numerically)"
-        )
-
-    box = np.concatenate([-scan[scan <= rho][::-1], [0.0], scan[scan <= rho]])
-    box = box[np.abs(box) <= rho]
-    c_rho = 0.0
-    for sa in box:
-        for sb in box:
-            a1 = np.full(len(x), sa)
-            a2 = np.full(len(x), sb)
-            c_rho = max(
-                c_rho,
-                float(np.max(np.abs(f.f1(x, a1, a2)))),
-                float(np.max(np.abs(f.f2(x, a1, a2)))),
-            )
-
+    rho, c_rho = _tail_constants(f, x, eta_bar, pmin)
     eps = 0.5
     while True:
         if all(
@@ -744,8 +758,7 @@ def solve_in_box(
         u1 = box.u_sub1.with_values(box.u_sub1.values.copy(), dirichlet_zero=True)
         u2 = box.u_sub2.with_values(box.u_sub2.values.copy(), dirichlet_zero=True)
     else:
-        u1 = GridFunction(mesh, np.clip(box.u_sup1.values, None, None).copy())
-        vals1 = u1.values.copy()
+        vals1 = box.u_sup1.values.copy()
         vals1[mesh.boundary_nodes] = 0.0
         u1 = GridFunction(mesh, box.clip(1, vals1), dirichlet_zero=True)
         vals2 = box.u_sup2.values.copy()

@@ -3,7 +3,9 @@
 Config files describe exponents and nonlinearities as plain arithmetic in
 ``x`` (and ``y`` in 2D) plus, for nonlinearities, the state values ``s1`` and
 ``s2``.  Expressions are parsed once, name-checked against a whitelist and
-evaluated with numpy broadcasting.
+evaluated with numpy broadcasting.  Integer literals are read as floats, so
+constant arithmetic such as ``9**9**8`` overflows at once instead of building
+an unbounded Python integer.
 """
 
 from __future__ import annotations
@@ -51,6 +53,13 @@ def compile_expression(expr: str, variables: tuple[str, ...]):
     for node in ast.walk(tree):
         if isinstance(node, (ast.Attribute, ast.Subscript, ast.Lambda)):
             raise ConfigError([f"disallowed construct in expression {expr!r}"])
+        if isinstance(node, ast.Constant) and type(node.value) is int:
+            try:
+                node.value = float(node.value)
+            except OverflowError as exc:
+                raise ConfigError(
+                    [f"integer literal too large in expression {expr!r}"]
+                ) from exc
     code = compile(tree, "<pxlap-expr>", "eval")
     base = dict(_FUNCS)
     base.update(_CONSTS)

@@ -12,7 +12,7 @@ from pxlap.cli import default_config, main, parse_config
 from pxlap.errors import ConfigError
 
 
-def run_cli(args, cwd):
+def run_cli(args, cwd, timeout=None):
     # The child runs from cwd, where a relative PYTHONPATH (such as "src")
     # no longer resolves; lead with the directory that holds the pxlap this
     # process imported, and keep the other entries, made absolute.
@@ -26,6 +26,7 @@ def run_cli(args, cwd):
         env=env,
         capture_output=True,
         text=True,
+        timeout=timeout,
     )
 
 
@@ -107,6 +108,29 @@ def test_cli_bad_config_exit_code(tmp_path):
     rc = run_cli(["theorem1", "--config", str(cfg)], cwd=tmp_path)
     assert rc.returncode == 3
     assert "mesch.n" in rc.stderr
+
+
+def test_cli_constant_power_overflow_is_config_error(tmp_path):
+    # 9**9**8 as an integer would take minutes to build; as floats it
+    # overflows at once, and validation reports it before any mesh work
+    cfg = tmp_path / "huge.cfg"
+    cfg.write_text("p1.expr = 2 + 0*x + 9**9**8\n")
+    rc = run_cli(["eig", "--config", str(cfg), "--quiet"], cwd=tmp_path, timeout=10)
+    assert rc.returncode == 3
+    assert "p1.expr" in rc.stderr
+
+
+def test_parse_rejects_expressions_that_fail_to_evaluate(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text(
+        "p1.expr = 2 + log(x)\np2.expr = 1e308 * 1e308\nf.benchmark = false\n"
+        "f1.expr = s1 + 1/0\nf2.expr = s2\neta1 = 1\neta2 = 1\n"
+    )
+    with pytest.raises(ConfigError) as err:
+        parse_config(path)
+    text = "; ".join(err.value.errors)
+    assert "p1.expr" in text and "p2.expr" in text and "f1.expr" in text
+    assert "f2.expr" not in text
 
 
 def test_cli_verify_small(tmp_path):

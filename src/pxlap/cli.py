@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import dataclass, field
@@ -360,7 +359,16 @@ def cmd_norm(cfg: RunConfig, outdir: Path, quiet: bool, input_csv: str) -> int:
 def cmd_solve(cfg: RunConfig, outdir: Path, quiet: bool, rhs_expr: str) -> int:
     mesh, ctx1, _ = build_contexts(cfg)
     rhs = coordinate_expression(rhs_expr, mesh.dimension)
-    rep = dirichlet_solve(ctx1, rhs)
+    # evaluated once where the solve uses it: a rhs that raises or is not
+    # finite at a quadrature point is a config error, not a NaN load
+    try:
+        with np.errstate(all="ignore"):
+            rhs_qp = rhs(mesh.quad_points.reshape(-1, mesh.dimension))
+    except (ArithmeticError, TypeError, ValueError) as exc:
+        raise ConfigError([f"--rhs {rhs_expr!r}: evaluation failed: {exc}"]) from exc
+    if not np.all(np.isfinite(rhs_qp)):
+        raise ConfigError([f"--rhs {rhs_expr!r}: not finite at every quadrature point"])
+    rep = dirichlet_solve(ctx1, rhs_qp.reshape(mesh.n_elements, mesh.n_qp))
     payload = {
         "solve": {
             "converged": rep.converged,
@@ -662,8 +670,6 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    if "PXLAP_THREADS" in os.environ:
-        os.environ.setdefault("OMP_NUM_THREADS", os.environ["PXLAP_THREADS"])
     args = _build_parser().parse_args(argv)
     try:
         cfg = parse_config(args.config) if args.config else default_config()

@@ -16,7 +16,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
 from .eigen import EigenPair
 from .errors import ConfigError, NumericalError
@@ -26,9 +25,10 @@ from .modular import sobolev_norm
 from .operator import (
     OperatorContext,
     assemble_jacobian,
+    assembly_plan,
     dual_norm,
 )
-from .operator import _residual_full  # shared assembly core
+from .operator import _residual_full, _sparse_solve  # shared assembly and solve core
 
 DEDUP_DISTANCE = 1e-4
 
@@ -161,6 +161,12 @@ def _state_qp(mesh, values):
     return np.einsum("qa,ea->eq", mesh.basis, values[mesh.elements]).ravel()
 
 
+def _mass_block(mesh, coeff_qp):
+    """Interior mass matrix weighted by ``coeff_qp`` at quadrature points."""
+    w = mesh.quad_weights * coeff_qp
+    return assembly_plan(mesh).csr(np.einsum("eq,qa,qb->eab", w, mesh.basis, mesh.basis))
+
+
 def _coupled_newton_once(
     ctx1, ctx2, g1, g2, v1, v2, eps, tol, max_iter, max_halvings, fd_step=1e-6
 ):
@@ -196,18 +202,6 @@ def _coupled_newton_once(
                 out[name + arg] = ((up - dn) / (2.0 * h)).reshape(shape)
         return out
 
-    def mass_block(ctx, coeff_qp):
-        w = ctx.mesh.quad_weights * coeff_qp
-        M = np.einsum("eq,qa,qb->eab", w, ctx.mesh.basis, ctx.mesh.basis)
-        conn = ctx.mesh.elements
-        nloc = conn.shape[1]
-        rows = np.repeat(conn, nloc, axis=1).ravel()
-        cols = np.tile(conn, (1, nloc)).ravel()
-        mat = sp.coo_matrix(
-            (M.ravel(), (rows, cols)), shape=(ctx.mesh.n_nodes, ctx.mesh.n_nodes)
-        ).tocsr()
-        return mat[interior][:, interior]
-
     r1, r2 = residuals(v1, v2)
     rn = combined_norm(r1, r2)
     converged = rn <= tol
@@ -217,15 +211,10 @@ def _coupled_newton_once(
         sl = slopes(v1, v2)
         J11 = assemble_jacobian(ctx1, v1, eps=max(eps, 1e-12), rhs_slope_qp=sl["11"])
         J22 = assemble_jacobian(ctx2, v2, eps=max(eps, 1e-12), rhs_slope_qp=sl["22"])
-        J12 = -mass_block(ctx1, sl["12"])
-        J21 = -mass_block(ctx2, sl["21"])
+        J12 = -_mass_block(mesh, sl["12"])
+        J21 = -_mass_block(mesh, sl["21"])
         J = sp.bmat([[J11, J12], [J21, J22]], format="csc")
-        try:
-            delta = spla.spsolve(J, -np.concatenate([r1, r2]))
-        except RuntimeError as exc:
-            raise NumericalError(f"coupled Newton linear solve failed: {exc}") from exc
-        if not np.all(np.isfinite(delta)):
-            raise NumericalError("coupled Newton step is not finite")
+        delta = _sparse_solve(J, -np.concatenate([r1, r2]), "coupled Newton")
         d1, d2 = delta[:n_int], delta[n_int:]
 
         step, accepted = 1.0, False

@@ -18,7 +18,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import HypothesisError, MeshMismatchError, NumericalError
 from .exponents import ExponentField
-from .mesh import GridFunction, Mesh, integrate
+from .mesh import GridFunction, Mesh, _freeze, integrate
 
 
 @dataclass
@@ -65,7 +65,69 @@ class SolveReport:
 
 def dual_norm(mesh: Mesh, r: np.ndarray) -> float:
     """Discrete dual norm: Euclidean norm scaled by sqrt(mean element measure)."""
-    return float(np.sqrt(mesh.element_measures.mean()) * np.linalg.norm(r))
+    # einsum, not np.linalg.norm: the BLAS dot wakes a second OpenBLAS thread
+    # on large residuals, which busy-waits and makes the sum depend on the
+    # thread count
+    return float(np.sqrt(mesh.element_measures.mean()) * np.sqrt(np.einsum("i,i->", r, r)))
+
+
+@dataclass(frozen=True)
+class AssemblyPlan:
+    """Interior CSR pattern of the P1 element matrices of one mesh.
+
+    ``keep`` lists the flat positions ``(e, a, b)`` of an element-matrix
+    array of shape (n_elements, nloc, nloc) whose two nodes are interior, and
+    ``scatter`` gives the slot in ``data`` that each of them adds into.
+    """
+
+    n: int
+    indptr: np.ndarray
+    indices: np.ndarray
+    keep: np.ndarray
+    scatter: np.ndarray
+
+    @classmethod
+    def build(cls, mesh: Mesh) -> "AssemblyPlan":
+        n = len(mesh.interior_nodes)
+        dof = np.full(mesh.n_nodes, -1)
+        dof[mesh.interior_nodes] = np.arange(n)
+        local = dof[mesh.elements]  # -1 marks a boundary node
+        inside = (local[:, :, None] >= 0) & (local[:, None, :] >= 0)
+        keep = np.flatnonzero(inside)
+        key = (local[:, :, None] * n + local[:, None, :]).ravel()[keep]
+        slots = np.unique(key)  # (row, col) of the pattern in CSR order
+        scatter = np.searchsorted(slots, key)
+        pattern = sp.csr_matrix(
+            (np.ones(len(slots)), (slots // n, slots % n)), shape=(n, n)
+        )
+        return cls(n, _freeze(pattern.indptr), _freeze(pattern.indices), _freeze(keep), _freeze(scatter))
+
+    def csr(self, K: np.ndarray) -> sp.csr_matrix:
+        """Interior matrix of the element matrices ``K`` (n_elements, nloc, nloc)."""
+        data = np.bincount(self.scatter, weights=K.ravel()[self.keep], minlength=len(self.indices))
+        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+
+def assembly_plan(mesh: Mesh) -> AssemblyPlan:
+    """The mesh's assembly plan, built at its first assembly and kept on the mesh."""
+    plan = getattr(mesh, "_assembly_plan", None)
+    if plan is None:
+        plan = mesh._assembly_plan = AssemblyPlan.build(mesh)
+    return plan
+
+
+def _sparse_solve(A: sp.spmatrix, rhs: np.ndarray, what: str) -> np.ndarray:
+    """SuperLU solve with minimum-degree ordering on A^T + A.
+
+    A singular factor and a non-finite solution are both NumericalErrors.
+    """
+    try:
+        x = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs)
+    except RuntimeError as exc:  # singular factorization
+        raise NumericalError(f"{what} linear solve failed: {exc}") from exc
+    if not np.all(np.isfinite(x)):
+        raise NumericalError(f"{what} linear solve gave a non-finite solution")
+    return x
 
 
 def _flux_factor(grad_sq: np.ndarray, p_qp: np.ndarray, eps: float) -> np.ndarray:
@@ -109,9 +171,7 @@ def _residual_full(ctx: OperatorContext, values: np.ndarray, rhs_qp: np.ndarray,
     d = np.einsum("ead,ed->ea", mesh.basis_grads, grads)  # grad u . grad phi_a
     r_el = awsum[:, None] * d
     r_el -= np.einsum("eq,qa->ea", mesh.quad_weights * rhs_qp, mesh.basis)
-    r = np.zeros(mesh.n_nodes)
-    np.add.at(r, ctx._conn, r_el)
-    return r
+    return np.bincount(ctx._conn.ravel(), weights=r_el.ravel(), minlength=mesh.n_nodes)
 
 
 def assemble_residual(ctx: OperatorContext, u: GridFunction, rhs=None, eps_reg=None) -> np.ndarray:
@@ -158,22 +218,13 @@ def assemble_jacobian(
     K += bw[:, None, None] * d[:, :, None] * d[:, None, :]
     if rhs_slope_qp is not None:
         K -= np.einsum("eq,qa,qb->eab", mesh.quad_weights * rhs_slope_qp, mesh.basis, mesh.basis)
-
-    nloc = ctx._conn.shape[1]
-    rows = np.repeat(ctx._conn, nloc, axis=1).ravel()
-    cols = np.tile(ctx._conn, (1, nloc)).ravel()
-    mat = sp.coo_matrix(
-        (K.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)
-    ).tocsr()
-    idx = mesh.interior_nodes
-    return mat[idx][:, idx].tocsr()
+    return assembly_plan(mesh).csr(K)
 
 
 def load_vector(mesh: Mesh, rhs_qp: np.ndarray) -> np.ndarray:
     """Interior load vector of a per-quadrature-point rhs."""
     l_el = np.einsum("eq,qa->ea", mesh.quad_weights * rhs_qp, mesh.basis)
-    l = np.zeros(mesh.n_nodes)
-    np.add.at(l, mesh.elements, l_el)
+    l = np.bincount(mesh.elements.ravel(), weights=l_el.ravel(), minlength=mesh.n_nodes)
     return l[mesh.interior_nodes]
 
 
@@ -183,7 +234,7 @@ def linear_poisson_solve(mesh: Mesh, rhs) -> GridFunction:
     ctx2 = OperatorContext(mesh, p2, eps_reg=0.0)
     K = assemble_jacobian(ctx2, np.zeros(mesh.n_nodes), eps=0.0)
     rhs_qp = _rhs_at_qp(mesh, rhs)
-    sol = spla.spsolve(K.tocsc(), load_vector(mesh, rhs_qp))
+    sol = _sparse_solve(K, load_vector(mesh, rhs_qp), "Poisson")
     vals = np.zeros(mesh.n_nodes)
     vals[mesh.interior_nodes] = sol
     return GridFunction(mesh, vals, dirichlet_zero=True)
@@ -214,12 +265,7 @@ def _newton_at_eps(
         it += 1
         slope = rhs_slope_fn(u) if rhs_slope_fn is not None else None
         J = assemble_jacobian(ctx, u, eps=max(eps, 1e-12), rhs_slope_qp=slope)
-        try:
-            delta = spla.spsolve(J.tocsc(), -r)
-        except RuntimeError as exc:  # singular factorization
-            raise NumericalError(f"Newton linear solve failed: {exc}") from exc
-        if not np.all(np.isfinite(delta)):
-            raise NumericalError("Newton step is not finite")
+        delta = _sparse_solve(J, -r, "Newton")
 
         step = 1.0
         accepted = False

@@ -120,6 +120,29 @@ def test_cli_constant_power_overflow_is_config_error(tmp_path):
     assert "p1.expr" in rc.stderr
 
 
+@pytest.mark.parametrize("rhs", ["9**9**8", "log(x-2)"])
+def test_cli_solve_rhs_that_fails_to_evaluate_is_config_error(tmp_path, rhs):
+    # the --rhs expression is not part of the config, so cmd_solve checks it:
+    # an overflow and a NaN load both fail before any Newton step
+    rc = run_cli(
+        ["solve", "--p", "3", "--rhs", rhs, "--mesh", "n=32", "--quiet"],
+        cwd=tmp_path,
+        timeout=30,
+    )
+    assert rc.returncode == 3
+    assert "--rhs" in rc.stderr and "Traceback" not in rc.stderr
+
+
+def test_cli_solve_rhs_checked_at_quadrature_points(tmp_path):
+    # 1/sqrt(x) is infinite at the node x = 0 but finite where the load is
+    # integrated, so the solve runs
+    rc = main([
+        "solve", "--p", "2", "--rhs", "1/sqrt(x)", "--mesh", "n=32",
+        "--output-dir", str(tmp_path), "--quiet",
+    ])
+    assert rc == 0
+
+
 def test_parse_rejects_expressions_that_fail_to_evaluate(tmp_path):
     path = tmp_path / "run.cfg"
     path.write_text(

@@ -1,18 +1,26 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
+import scipy.sparse.linalg as spla
 
 from oracles import torsion_exact
-from pxlap.errors import HypothesisError
+from pxlap.errors import HypothesisError, NumericalError
 from pxlap.exponents import ExponentField
-from pxlap.mesh import GridFunction, build_interval_mesh, build_rectangle_mesh
+from pxlap.mesh import GridFunction, build_interval_mesh, build_rectangle_mesh, dilate_domain
+from pxlap.multiplicity import _mass_block
 from pxlap.operator import (
     OperatorContext,
+    _flux_factor,
+    _residual_full,
+    _sparse_solve,
     assemble_jacobian,
     assemble_residual,
+    assembly_plan,
     comparison_check,
     dirichlet_solve,
     dual_norm,
     linear_poisson_solve,
+    load_vector,
     mean_value_constant,
     picone,
 )
@@ -234,3 +242,158 @@ def test_dual_norm_scaling(mesh64):
     assert dual_norm(mesh64, r) == pytest.approx(
         np.sqrt(1.0 / 64) * np.linalg.norm(r)
     )
+
+
+# -- assembly plan and sparse solve against the COO / np.add.at reference ----
+
+
+def _coo_interior(mesh, K):
+    """Reference scatter: COO -> CSR, then the interior rows and columns."""
+    conn = mesh.elements
+    nloc = conn.shape[1]
+    rows = np.repeat(conn, nloc, axis=1).ravel()
+    cols = np.tile(conn, (1, nloc)).ravel()
+    mat = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+    idx = mesh.interior_nodes
+    return mat[idx][:, idx].tocsr()
+
+
+def _reference_jacobian(ctx, values, eps, rhs_slope_qp=None):
+    mesh = ctx.mesh
+    grads = np.einsum("ead,ea->ed", mesh.basis_grads, values[mesh.elements])
+    grad_sq = np.einsum("ed,ed->e", grads, grads)
+    p_qp = ctx.p_qp()
+    g = grad_sq[:, None] + eps * eps
+    with np.errstate(divide="ignore", invalid="ignore"):
+        a = g ** ((p_qp - 2.0) / 2.0)
+        b = (p_qp - 2.0) * g ** ((p_qp - 4.0) / 2.0)
+    a = np.where(np.isfinite(a), a, 0.0)
+    b = np.where(np.isfinite(b), b, 0.0)
+    aw = np.sum(mesh.quad_weights * a, axis=1)
+    bw = np.sum(mesh.quad_weights * b, axis=1)
+    d = np.einsum("ead,ed->ea", mesh.basis_grads, grads)
+    K = aw[:, None, None] * np.einsum("ead,ebd->eab", mesh.basis_grads, mesh.basis_grads)
+    K += bw[:, None, None] * d[:, :, None] * d[:, None, :]
+    if rhs_slope_qp is not None:
+        K -= np.einsum("eq,qa,qb->eab", mesh.quad_weights * rhs_slope_qp, mesh.basis, mesh.basis)
+    return _coo_interior(mesh, K)
+
+
+def _reference_residual(ctx, values, rhs_qp, eps):
+    mesh = ctx.mesh
+    grads = np.einsum("ead,ea->ed", mesh.basis_grads, values[mesh.elements])
+    grad_sq = np.einsum("ed,ed->e", grads, grads)
+    awsum = np.sum(mesh.quad_weights * _flux_factor(grad_sq, ctx.p_qp(), eps), axis=1)
+    r_el = awsum[:, None] * np.einsum("ead,ed->ea", mesh.basis_grads, grads)
+    r_el -= np.einsum("eq,qa->ea", mesh.quad_weights * rhs_qp, mesh.basis)
+    r = np.zeros(mesh.n_nodes)
+    np.add.at(r, mesh.elements, r_el)
+    return r
+
+
+def _reference_load(mesh, rhs_qp):
+    l_el = np.einsum("eq,qa->ea", mesh.quad_weights * rhs_qp, mesh.basis)
+    l = np.zeros(mesh.n_nodes)
+    np.add.at(l, mesh.elements, l_el)
+    return l[mesh.interior_nodes]
+
+
+_PLAN_MESHES = {
+    "interval64": lambda: build_interval_mesh(0.0, 1.0, 64),
+    "rect16x12": lambda: build_rectangle_mesh(0.0, 0.0, 1.0, 0.75, 16, 12),
+    "dilated": lambda: dilate_domain(build_rectangle_mesh(0.0, 0.0, 1.0, 1.0, 8, 6), 0.25),
+}
+
+
+def _assert_same_csr(A, B, rtol):
+    assert np.array_equal(A.indptr, B.indptr)
+    assert np.array_equal(A.indices, B.indices)
+    assert np.max(np.abs(A.data - B.data)) <= rtol * np.max(np.abs(B.data))
+
+
+@pytest.mark.parametrize("mesh_name", list(_PLAN_MESHES))
+@pytest.mark.parametrize("p_expr", ["1.6 + 0.2*x", "2.5 + 0.5*x"])
+@pytest.mark.parametrize("eps", [1e-2, 1e-12])
+@pytest.mark.parametrize("with_slope", [False, True])
+def test_plan_jacobian_matches_coo_reference(mesh_name, p_expr, eps, with_slope):
+    mesh = _PLAN_MESHES[mesh_name]()
+    ctx = OperatorContext(mesh, ExponentField(mesh, p_expr))
+    rng = np.random.default_rng(7)
+    values = random_dirichlet_field(mesh, rng).values
+    slope = rng.standard_normal((mesh.n_elements, mesh.n_qp)) if with_slope else None
+    J = assemble_jacobian(ctx, values, eps=eps, rhs_slope_qp=slope)
+    assert isinstance(J, sp.csr_matrix)
+    _assert_same_csr(J, _reference_jacobian(ctx, values, eps, slope), 1e-14)
+
+
+@pytest.mark.parametrize("mesh_name", list(_PLAN_MESHES))
+def test_plan_scatter_and_mass_block_match_coo_reference(mesh_name):
+    mesh = _PLAN_MESHES[mesh_name]()
+    rng = np.random.default_rng(3)
+    # a nonsymmetric element array catches a transposed pattern
+    nloc = mesh.elements.shape[1]
+    K = rng.standard_normal((mesh.n_elements, nloc, nloc))
+    _assert_same_csr(assembly_plan(mesh).csr(K), _coo_interior(mesh, K), 1e-14)
+    coeff = rng.standard_normal((mesh.n_elements, mesh.n_qp))
+    M = np.einsum("eq,qa,qb->eab", mesh.quad_weights * coeff, mesh.basis, mesh.basis)
+    _assert_same_csr(_mass_block(mesh, coeff), _coo_interior(mesh, M), 1e-14)
+
+
+@pytest.mark.parametrize("mesh_name", list(_PLAN_MESHES))
+@pytest.mark.parametrize("eps", [1e-2, 0.0])
+def test_bincount_scatter_is_bit_identical_to_add_at(mesh_name, eps):
+    mesh = _PLAN_MESHES[mesh_name]()
+    ctx = OperatorContext(mesh, ExponentField(mesh, "1.6 + 0.8*x"))
+    rng = np.random.default_rng(11)
+    values = random_dirichlet_field(mesh, rng).values
+    values[mesh.elements[0]] = 0.0  # one element with zero gradient
+    rhs_qp = rng.standard_normal((mesh.n_elements, mesh.n_qp))
+    r = _residual_full(ctx, values, rhs_qp, eps)
+    assert np.array_equal(r, _reference_residual(ctx, values, rhs_qp, eps))
+    assert np.array_equal(load_vector(mesh, rhs_qp), _reference_load(mesh, rhs_qp))
+
+
+def _coupled_jacobian(mesh, rng):
+    ctx1 = OperatorContext(mesh, ExponentField(mesh, "2.5 + 0.5*x"))
+    ctx2 = OperatorContext(mesh, ExponentField(mesh, "1.6 + 0.2*x"))
+    shape = (mesh.n_elements, mesh.n_qp)
+    J11 = assemble_jacobian(ctx1, random_dirichlet_field(mesh, rng).values, 1e-2, rng.random(shape))
+    J22 = assemble_jacobian(ctx2, random_dirichlet_field(mesh, rng).values, 1e-2, rng.random(shape))
+    J12 = -_mass_block(mesh, rng.random(shape))
+    J21 = -_mass_block(mesh, 2.0 * rng.random(shape))
+    return sp.bmat([[J11, J12], [J21, J22]], format="csc")
+
+
+def test_sparse_solve_matches_spsolve():
+    rng = np.random.default_rng(5)
+    mesh = build_rectangle_mesh(0.0, 0.0, 1.0, 1.0, 24, 20)
+    ctx = OperatorContext(mesh, ExponentField(mesh, "2.5 + 0.5*x"))
+    scalar = assemble_jacobian(ctx, random_dirichlet_field(mesh, rng).values, eps=1e-4)
+    for A in (scalar, _coupled_jacobian(mesh, rng)):
+        b = rng.standard_normal(A.shape[0])
+        x = _sparse_solve(A, b, "test")
+        ref = spla.spsolve(A.tocsc(), b)
+        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_sparse_solve_failures_are_numerical_errors():
+    singular = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    with pytest.raises(NumericalError, match="linear solve failed"):
+        _sparse_solve(singular, np.ones(2), "test")
+    with pytest.raises(NumericalError, match="non-finite"):
+        _sparse_solve(sp.identity(2, format="csr"), np.array([1.0, np.nan]), "test")
+
+
+def test_contexts_on_one_mesh_share_one_plan():
+    mesh = build_rectangle_mesh(0.0, 0.0, 1.0, 1.0, 8, 8)
+    ctx1 = OperatorContext(mesh, ExponentField(mesh, 2.0))
+    ctx2 = OperatorContext(mesh, ExponentField(mesh, "2 + x"))
+    # building a context does not build the plan; the first assembly does
+    assert getattr(mesh, "_assembly_plan", None) is None
+    values = np.zeros(mesh.n_nodes)
+    assemble_jacobian(ctx1, values, eps=1e-2)
+    plan = assembly_plan(mesh)
+    assemble_jacobian(ctx2, values, eps=1e-2)
+    _mass_block(mesh, np.ones((mesh.n_elements, mesh.n_qp)))
+    assert assembly_plan(ctx2.mesh) is plan
+    assert assembly_plan(dilate_domain(mesh, 0.25)) is not plan

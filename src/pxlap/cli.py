@@ -434,7 +434,7 @@ def _homotopy_config(cfg: RunConfig, ctx1, ctx2, eig1, eig2) -> HomotopyConfig:
     }
     if v["homotopy.family"] == "delta" or v["homotopy.delta"] > 0:
         kwargs["delta"] = v["homotopy.delta"]
-    for key, name in (("homotopy.R", "R"), ("homotopy.R_tilde", "R_tilde"), ("homotopy.R_hat", "R_hat")):
+    for key, name in (("homotopy.R", "R"), ("homotopy.R_hat", "R_hat")):
         if v[key] > 0:
             kwargs[name] = v[key]
     return HomotopyConfig.for_problem(

@@ -15,20 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse as sp
 
 from .eigen import EigenPair
 from .errors import ConfigError, NumericalError
 from .existence import Nonlinearity, OrderedBox
 from .mesh import GridFunction
 from .modular import sobolev_norm
-from .operator import (
-    OperatorContext,
-    assemble_jacobian,
-    assembly_plan,
-    dual_norm,
-)
-from .operator import _residual_full, _sparse_solve  # shared assembly and solve core
+from .operator import OperatorContext, semilinear_solve
+from .operator import _newton, _state_loads  # the damped-Newton driver shared with the scalar solves
 
 DEDUP_DISTANCE = 1e-4
 
@@ -49,7 +43,6 @@ class HomotopyConfig:
     delta: float | None = None
     t_grid: tuple = tuple(np.round(np.linspace(0.0, 1.0, 11), 12))
     R: float | None = None
-    R_tilde: float | None = None
     R_hat: float | None = None
     rng_seed: int = 42
 
@@ -157,85 +150,6 @@ class CoupledReport:
     converged: bool
 
 
-def _state_qp(mesh, values):
-    return np.einsum("qa,ea->eq", mesh.basis, values[mesh.elements]).ravel()
-
-
-def _mass_block(mesh, coeff_qp):
-    """Interior mass matrix weighted by ``coeff_qp`` at quadrature points."""
-    w = mesh.quad_weights * coeff_qp
-    return assembly_plan(mesh).csr(np.einsum("eq,qa,qb->eab", w, mesh.basis, mesh.basis))
-
-
-def _coupled_newton_once(
-    ctx1, ctx2, g1, g2, v1, v2, eps, tol, max_iter, max_halvings, fd_step=1e-6
-):
-    mesh = ctx1.mesh
-    pts = mesh.quad_points.reshape(-1, mesh.dimension)
-    shape = (mesh.n_elements, mesh.n_qp)
-    interior = mesh.interior_nodes
-    n_int = len(interior)
-
-    def residuals(a1, a2):
-        s1, s2 = _state_qp(mesh, a1), _state_qp(mesh, a2)
-        rhs1 = np.asarray(g1(pts, s1, s2)).reshape(shape)
-        rhs2 = np.asarray(g2(pts, s1, s2)).reshape(shape)
-        r1 = _residual_full(ctx1, a1, rhs1, eps)[interior]
-        r2 = _residual_full(ctx2, a2, rhs2, eps)[interior]
-        return r1, r2
-
-    def combined_norm(r1, r2):
-        return float(np.hypot(dual_norm(mesh, r1), dual_norm(mesh, r2)))
-
-    def slopes(a1, a2):
-        s1, s2 = _state_qp(mesh, a1), _state_qp(mesh, a2)
-        out = {}
-        for (name, g) in (("1", g1), ("2", g2)):
-            for (arg, sa, sb_fixed) in (("1", s1, s2), ("2", s2, s1)):
-                h = fd_step * (1.0 + np.abs(sa))
-                if arg == "1":
-                    up = np.asarray(g(pts, sa + h, sb_fixed))
-                    dn = np.asarray(g(pts, sa - h, sb_fixed))
-                else:
-                    up = np.asarray(g(pts, sb_fixed, sa + h))
-                    dn = np.asarray(g(pts, sb_fixed, sa - h))
-                out[name + arg] = ((up - dn) / (2.0 * h)).reshape(shape)
-        return out
-
-    r1, r2 = residuals(v1, v2)
-    rn = combined_norm(r1, r2)
-    converged = rn <= tol
-    it = 0
-    while not converged and it < max_iter:
-        it += 1
-        sl = slopes(v1, v2)
-        J11 = assemble_jacobian(ctx1, v1, eps=max(eps, 1e-12), rhs_slope_qp=sl["11"])
-        J22 = assemble_jacobian(ctx2, v2, eps=max(eps, 1e-12), rhs_slope_qp=sl["22"])
-        J12 = -_mass_block(mesh, sl["12"])
-        J21 = -_mass_block(mesh, sl["21"])
-        J = sp.bmat([[J11, J12], [J21, J22]], format="csc")
-        delta = _sparse_solve(J, -np.concatenate([r1, r2]), "coupled Newton")
-        d1, d2 = delta[:n_int], delta[n_int:]
-
-        step, accepted = 1.0, False
-        for _ in range(max_halvings + 1):
-            t1, t2 = v1.copy(), v2.copy()
-            t1[interior] += step * d1
-            t2[interior] += step * d2
-            tr1, tr2 = residuals(t1, t2)
-            trn = combined_norm(tr1, tr2)
-            if trn <= (1.0 - 1e-4 * step) * rn:
-                v1, v2, r1, r2, rn = t1, t2, tr1, tr2, trn
-                accepted = True
-                break
-            step *= 0.5
-        if not accepted:
-            break
-        if rn <= tol:
-            converged = True
-    return v1, v2, rn, it, converged
-
-
 def solve_coupled(
     ctx1: OperatorContext,
     ctx2: OperatorContext,
@@ -248,40 +162,16 @@ def solve_coupled(
     """Damped Newton on the coupled pair system with state-dependent rhs."""
     mesh = ctx1.mesh
     tol = tol if tol is not None else max(ctx1.newton_tol, ctx2.newton_tol)
-    v1 = seed1.values.copy()
-    v2 = seed2.values.copy()
-    v1[mesh.boundary_nodes] = 0.0
-    v2[mesh.boundary_nodes] = 0.0
-
-    ladder = [e for e in (1e-2, 1e-4, 1e-6) if e > max(ctx1.eps_reg, ctx2.eps_reg)]
-    total = 0
-    for eps in ladder:
-        v1, v2, _, it, _ = _coupled_newton_once(
-            ctx1, ctx2, g1, g2, v1, v2, eps, max(tol, 1e-9),
-            max_iter=ctx1.newton_max_iter, max_halvings=ctx1.max_halvings,
-        )
-        total += it
-    v1, v2, rn, it, converged = _coupled_newton_once(
-        ctx1, ctx2, g1, g2, v1, v2, max(ctx1.eps_reg, ctx2.eps_reg), tol,
-        max_iter=ctx1.newton_max_iter, max_halvings=ctx1.max_halvings,
+    (v1, v2), residual, iterations, converged, _ = _newton(
+        [ctx1, ctx2], *_state_loads(mesh, [g1, g2]), [seed1.values, seed2.values], tol
     )
-    total += it
-
-    # unregularized recheck
-    pts = mesh.quad_points.reshape(-1, mesh.dimension)
-    shape = (mesh.n_elements, mesh.n_qp)
-    s1, s2 = _state_qp(mesh, v1), _state_qp(mesh, v2)
-    r1 = _residual_full(ctx1, v1, np.asarray(g1(pts, s1, s2)).reshape(shape), 0.0)
-    r2 = _residual_full(ctx2, v2, np.asarray(g2(pts, s1, s2)).reshape(shape), 0.0)
-    interior = mesh.interior_nodes
-    rn0 = float(np.hypot(dual_norm(mesh, r1[interior]), dual_norm(mesh, r2[interior])))
     return CoupledReport(
         u1=GridFunction(mesh, v1, dirichlet_zero=True),
         u2=GridFunction(mesh, v2, dirichlet_zero=True),
-        residual=rn0,
-        iterations=total,
+        residual=residual,
+        iterations=iterations,
         picard_sweeps=0,
-        converged=bool(converged and rn0 <= tol),
+        converged=converged,
     )
 
 
@@ -578,8 +468,6 @@ def _scalar_reference_rhs(ctx, eig, J, delta, den):
 
 
 def _solve_scalar_reference(ctx, eig, J, delta, seed, picard_max=20, picard_rtol=1e-8):
-    from .operator import semilinear_solve
-
     u = seed
     rep = None
     prev = sobolev_norm_or_zero(u, ctx)

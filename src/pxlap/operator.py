@@ -240,99 +240,128 @@ def linear_poisson_solve(mesh: Mesh, rhs) -> GridFunction:
     return GridFunction(mesh, vals, dirichlet_zero=True)
 
 
-def _newton_at_eps(
-    ctx: OperatorContext,
-    rhs_fn,
-    rhs_slope_fn,
-    u: np.ndarray,
-    eps: float,
-    tol: float,
-    max_iter: int,
-):
-    """One damped-Newton run at fixed regularization; returns (values, norm, iters, ok, history)."""
-    mesh = ctx.mesh
-    interior = mesh.interior_nodes
-
-    def res_norm(vals):
-        return dual_norm(mesh, _residual_full(ctx, vals, rhs_fn(vals), eps)[interior])
-
-    r = _residual_full(ctx, u, rhs_fn(u), eps)[interior]
-    rn = dual_norm(mesh, r)
-    history = [rn]
-    converged = rn <= tol
-    it = 0
-    while not converged and it < max_iter:
-        it += 1
-        slope = rhs_slope_fn(u) if rhs_slope_fn is not None else None
-        J = assemble_jacobian(ctx, u, eps=max(eps, 1e-12), rhs_slope_qp=slope)
-        delta = _sparse_solve(J, -r, "Newton")
-
-        step = 1.0
-        accepted = False
-        for _ in range(ctx.max_halvings + 1):
-            trial = u.copy()
-            trial[interior] += step * delta
-            trial_rn = res_norm(trial)
-            if trial_rn <= (1.0 - 1e-4 * step) * rn:
-                u, rn = trial, trial_rn
-                accepted = True
-                break
-            step *= 0.5
-        history.append(rn)
-        if not accepted:
-            break
-        r = _residual_full(ctx, u, rhs_fn(u), eps)[interior]
-        rn = dual_norm(mesh, r)
-        if rn <= tol:
-            converged = True
-    return u, rn, it, converged, history
-
-
 # regularization ladder: Newton is run at decreasing eps, each rung
 # warm-starting the next, which keeps the Jacobian well conditioned far from
 # the solution of the degenerate problem
 _EPS_LADDER = (1e-2, 1e-4, 1e-6)
+# relative step of the central differences that differentiate a
+# state-dependent load: h = _FD_STEP * (1 + |s|)
+_FD_STEP = 1e-6
 
 
-def _newton(
-    ctx: OperatorContext,
-    rhs_fn,
-    rhs_slope_fn,
-    initial_values: np.ndarray,
-    tol: float,
-    max_iter: int,
-) -> SolveReport:
-    """Damped Newton with eps continuation; rhs_fn maps nodal values -> rhs at qp."""
-    mesh = ctx.mesh
-    u = initial_values.copy()
-    u[mesh.boundary_nodes] = 0.0
+def _mass_block(mesh: Mesh, coeff_qp: np.ndarray) -> sp.csr_matrix:
+    """Interior mass matrix weighted by ``coeff_qp`` at quadrature points."""
+    w = mesh.quad_weights * coeff_qp
+    return assembly_plan(mesh).csr(np.einsum("eq,qa,qb->eab", w, mesh.basis, mesh.basis))
+
+
+def _state_loads(mesh: Mesh, loads):
+    """(rhs_fn, slope_fn) of state-dependent loads g_i(points, *states).
+
+    rhs_fn maps the nodal values of every block to the loads at the
+    quadrature points; slope_fn gives the grid d g_i / d s_j by central
+    differences.
+    """
+    pts = mesh.quad_points.reshape(-1, mesh.dimension)
+    shape = (mesh.n_elements, mesh.n_qp)
+
+    def states(values):
+        return [np.einsum("qa,ea->eq", mesh.basis, v[mesh.elements]).ravel() for v in values]
+
+    def rhs_fn(values):
+        s = states(values)
+        return [np.asarray(g(pts, *s), dtype=float).reshape(shape) for g in loads]
+
+    def slope_fn(values):
+        s = states(values)
+        steps = [_FD_STEP * (1.0 + np.abs(sj)) for sj in s]
+
+        def slope(g, j, h):
+            up = np.asarray(g(pts, *s[:j], s[j] + h, *s[j + 1:]), dtype=float)
+            dn = np.asarray(g(pts, *s[:j], s[j] - h, *s[j + 1:]), dtype=float)
+            return ((up - dn) / (2.0 * h)).reshape(shape)
+
+        # the load calls run g_0 first and each g_i's arguments in order,
+        # up before down, as the solvers this replaced did
+        return [[slope(g, j, h) for j, h in enumerate(steps)] for g in loads]
+
+    return rhs_fn, slope_fn
+
+
+def _newton(ctxs, rhs_fn, slope_fn, values, tol: float):
+    """Damped Newton with eps continuation on k Dirichlet problems on one mesh.
+
+    rhs_fn maps the nodal values of every block to their rhs at the
+    quadrature points; slope_fn returns the k x k grid of d rhs_i / d u_j
+    there, or is None for one block whose rhs does not depend on u.  Settings
+    other than the regularization come from the first context.  Returns
+    (values, residual, iterations, converged, history), the residual being
+    the unregularized one.
+    """
+    mesh = ctxs[0].mesh
+    interior = mesh.interior_nodes
+    k = len(ctxs)
+    eps_reg = max(ctx.eps_reg for ctx in ctxs)
+    max_iter, max_halvings = ctxs[0].newton_max_iter, ctxs[0].max_halvings
+    values = [v.copy() for v in values]
+    for v in values:
+        v[mesh.boundary_nodes] = 0.0
+
+    def residual(vals, eps):
+        r = [_residual_full(ctx, v, g, eps)[interior] for ctx, v, g in zip(ctxs, vals, rhs_fn(vals))]
+        return r, float(np.hypot.reduce([dual_norm(mesh, ri) for ri in r]))
+
+    def jacobian(vals, eps):
+        slopes = slope_fn(vals) if slope_fn is not None else [[None]]
+        blocks = [
+            [
+                assemble_jacobian(ctx, v, eps=max(eps, 1e-12), rhs_slope_qp=slopes[i][i])
+                if i == j
+                else -_mass_block(mesh, slopes[i][j])
+                for j in range(k)
+            ]
+            for i, (ctx, v) in enumerate(zip(ctxs, vals))
+        ]
+        return blocks[0][0] if k == 1 else sp.bmat(blocks, format="csc")
 
     total_iters = 0
     history = []
-    for eps in (e for e in _EPS_LADDER if e > ctx.eps_reg):
-        u, _, it, _, hist = _newton_at_eps(
-            ctx, rhs_fn, rhs_slope_fn, u, eps, max(tol, 1e-9), max_iter
-        )
+    rungs = [(eps, max(tol, 1e-9)) for eps in _EPS_LADDER if eps > eps_reg] + [(eps_reg, tol)]
+    for eps, rung_tol in rungs:
+        r, rn = residual(values, eps)
+        history.append(rn)
+        converged = rn <= rung_tol
+        it = 0
+        while not converged and it < max_iter:
+            it += 1
+            delta = np.split(_sparse_solve(jacobian(values, eps), -np.concatenate(r), "Newton"), k)
+            step = 1.0
+            accepted = False
+            for _ in range(max_halvings + 1):
+                trial = [v.copy() for v in values]
+                for t, d in zip(trial, delta):
+                    t[interior] += step * d
+                trial_r, trial_rn = residual(trial, eps)
+                if trial_rn <= (1.0 - 1e-4 * step) * rn:
+                    values, r, rn = trial, trial_r, trial_rn
+                    accepted = True
+                    break
+                step *= 0.5
+            history.append(rn)
+            if not accepted:
+                break
+            converged = rn <= rung_tol
         total_iters += it
-        history.extend(hist)
-
-    u, rn, it, converged, hist = _newton_at_eps(
-        ctx, rhs_fn, rhs_slope_fn, u, ctx.eps_reg, tol, max_iter
-    )
-    total_iters += it
-    history.extend(hist)
 
     # converged residuals are re-checked without regularization; the flag
     # honors the invariant converged => residual <= tolerance
-    rn0 = dual_norm(mesh, _residual_full(ctx, u, rhs_fn(u), 0.0)[mesh.interior_nodes])
-    gf = GridFunction(mesh, u, dirichlet_zero=True)
-    return SolveReport(
-        u=gf,
-        residual=rn0,
-        iterations=total_iters,
-        converged=bool(converged and rn0 <= tol),
-        history=history,
-    )
+    _, rn0 = residual(values, 0.0)
+    return values, rn0, total_iters, bool(converged and rn0 <= tol), history
+
+
+def _scalar_report(ctx: OperatorContext, rhs_fn, slope_fn, initial: GridFunction) -> SolveReport:
+    (u,), *outcome = _newton([ctx], rhs_fn, slope_fn, [initial.values], ctx.newton_tol)
+    return SolveReport(GridFunction(ctx.mesh, u, dirichlet_zero=True), *outcome)
 
 
 def dirichlet_solve(ctx: OperatorContext, rhs, initial: GridFunction | None = None) -> SolveReport:
@@ -345,53 +374,15 @@ def dirichlet_solve(ctx: OperatorContext, rhs, initial: GridFunction | None = No
     rhs_qp = _rhs_at_qp(ctx.mesh, rhs)
     if initial is None:
         initial = linear_poisson_solve(ctx.mesh, rhs_qp)
-    return _newton(
-        ctx,
-        rhs_fn=lambda vals: rhs_qp,
-        rhs_slope_fn=None,
-        initial_values=initial.values,
-        tol=ctx.newton_tol,
-        max_iter=ctx.newton_max_iter,
-    )
+    return _scalar_report(ctx, lambda values: [rhs_qp], None, initial)
 
 
-def semilinear_solve(
-    ctx: OperatorContext,
-    rhs_state,
-    initial: GridFunction,
-    fd_step: float = 1e-6,
-) -> SolveReport:
+def semilinear_solve(ctx: OperatorContext, rhs_state, initial: GridFunction) -> SolveReport:
     """Solve -Delta_p(x) u = g(x, u) with g differentiated by finite differences.
 
     rhs_state(points, s) evaluates g at flat coordinate/state arrays.
     """
-    mesh = ctx.mesh
-    pts = mesh.quad_points.reshape(-1, mesh.dimension)
-    shape = (mesh.n_elements, mesh.n_qp)
-
-    def values_at_qp(vals):
-        local = vals[mesh.elements]
-        return np.einsum("qa,ea->eq", mesh.basis, local)
-
-    def rhs_fn(vals):
-        s = values_at_qp(vals).ravel()
-        return np.asarray(rhs_state(pts, s), dtype=float).reshape(shape)
-
-    def slope_fn(vals):
-        s = values_at_qp(vals).ravel()
-        h = fd_step * (1.0 + np.abs(s))
-        up = np.asarray(rhs_state(pts, s + h), dtype=float)
-        dn = np.asarray(rhs_state(pts, s - h), dtype=float)
-        return ((up - dn) / (2.0 * h)).reshape(shape)
-
-    return _newton(
-        ctx,
-        rhs_fn=rhs_fn,
-        rhs_slope_fn=slope_fn,
-        initial_values=initial.values,
-        tol=ctx.newton_tol,
-        max_iter=ctx.newton_max_iter,
-    )
+    return _scalar_report(ctx, *_state_loads(ctx.mesh, [rhs_state]), initial)
 
 
 @dataclass

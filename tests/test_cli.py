@@ -233,6 +233,23 @@ def test_cli_theorem2_pipeline(tmp_path):
     assert len(trace_csv) == 4
 
 
+def test_cli_theorem2_trace_radius_sets_boundedness(tmp_path):
+    # homotopy.R_tilde is the radius of the boundedness probe on the trace
+    cfg = tmp_path / "t2.cfg"
+    cfg.write_text(
+        "mesh.n = 32\nhomotopy.t_steps = 2\nhomotopy.seeds = 1\nhomotopy.R_tilde = 1e-3\n"
+    )
+    rc = main(["theorem2", "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"])
+    assert rc == 0
+    data = json.loads((tmp_path / "summary.json").read_text())
+    assert data["effective_config"]["homotopy.R_tilde"] == 1e-3
+    bnd = data["boundedness"]
+    assert bnd["radius"] == 1e-3
+    assert bnd["max_pair_norm"] > 1e-3
+    assert not bnd["passed"]
+    assert bnd["witness_t"] is not None
+
+
 def test_cli_nonconvergence_exit_code(tmp_path):
     cfg = tmp_path / "nc.cfg"
     cfg.write_text("mesh.n = 32\nsolver.max_iter = 0\np1.expr = 3\np2.expr = 3\n")

@@ -1,3 +1,6 @@
+import math
+from collections import Counter
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -6,12 +9,17 @@ import scipy.sparse.linalg as spla
 from oracles import torsion_exact
 from pxlap.errors import HypothesisError, NumericalError
 from pxlap.exponents import ExponentField
+from pxlap.existence import benchmark_family
 from pxlap.mesh import GridFunction, build_interval_mesh, build_rectangle_mesh, dilate_domain
-from pxlap.multiplicity import _mass_block
+from pxlap.multiplicity import CoupledReport, _scalar_reference_rhs, solve_coupled
+from pxlap import operator as operator_module
 from pxlap.operator import (
     OperatorContext,
+    SolveReport,
     _flux_factor,
+    _mass_block,
     _residual_full,
+    _rhs_at_qp,
     _sparse_solve,
     assemble_jacobian,
     assemble_residual,
@@ -23,6 +31,7 @@ from pxlap.operator import (
     load_vector,
     mean_value_constant,
     picone,
+    semilinear_solve,
 )
 from conftest import random_dirichlet_field
 
@@ -397,3 +406,348 @@ def test_contexts_on_one_mesh_share_one_plan():
     _mass_block(mesh, np.ones((mesh.n_elements, mesh.n_qp)))
     assert assembly_plan(ctx2.mesh) is plan
     assert assembly_plan(dilate_domain(mesh, 0.25)) is not plan
+
+
+# -- the damped-Newton driver against the two solvers it replaced -----------
+#
+# The _ref_* functions are the scalar and the coupled Newton solvers as they
+# stood before one driver served both.  ``stats`` counts their eps rungs and
+# line-search trials, which fixes how many residuals the driver may assemble.
+
+
+def _ref_newton_at_eps(ctx, rhs_fn, rhs_slope_fn, u, eps, tol, max_iter, stats):
+    mesh = ctx.mesh
+    interior = mesh.interior_nodes
+    stats["rungs"] += 1
+
+    def res_norm(vals):
+        return dual_norm(mesh, _residual_full(ctx, vals, rhs_fn(vals), eps)[interior])
+
+    r = _residual_full(ctx, u, rhs_fn(u), eps)[interior]
+    rn = dual_norm(mesh, r)
+    history = [rn]
+    converged = rn <= tol
+    it = 0
+    while not converged and it < max_iter:
+        it += 1
+        slope = rhs_slope_fn(u) if rhs_slope_fn is not None else None
+        J = assemble_jacobian(ctx, u, eps=max(eps, 1e-12), rhs_slope_qp=slope)
+        delta = _sparse_solve(J, -r, "Newton")
+
+        step = 1.0
+        accepted = False
+        for _ in range(ctx.max_halvings + 1):
+            stats["trials"] += 1
+            trial = u.copy()
+            trial[interior] += step * delta
+            trial_rn = res_norm(trial)
+            if trial_rn <= (1.0 - 1e-4 * step) * rn:
+                u, rn = trial, trial_rn
+                accepted = True
+                break
+            step *= 0.5
+        history.append(rn)
+        if not accepted:
+            break
+        r = _residual_full(ctx, u, rhs_fn(u), eps)[interior]
+        rn = dual_norm(mesh, r)
+        if rn <= tol:
+            converged = True
+    return u, rn, it, converged, history
+
+
+def _ref_newton(ctx, rhs_fn, rhs_slope_fn, initial_values, tol, max_iter, stats):
+    mesh = ctx.mesh
+    u = initial_values.copy()
+    u[mesh.boundary_nodes] = 0.0
+    total_iters = 0
+    history = []
+    for eps in (e for e in (1e-2, 1e-4, 1e-6) if e > ctx.eps_reg):
+        u, _, it, _, hist = _ref_newton_at_eps(
+            ctx, rhs_fn, rhs_slope_fn, u, eps, max(tol, 1e-9), max_iter, stats
+        )
+        total_iters += it
+        history.extend(hist)
+    u, rn, it, converged, hist = _ref_newton_at_eps(
+        ctx, rhs_fn, rhs_slope_fn, u, ctx.eps_reg, tol, max_iter, stats
+    )
+    total_iters += it
+    history.extend(hist)
+    rn0 = dual_norm(mesh, _residual_full(ctx, u, rhs_fn(u), 0.0)[mesh.interior_nodes])
+    return SolveReport(
+        u=GridFunction(mesh, u, dirichlet_zero=True),
+        residual=rn0,
+        iterations=total_iters,
+        converged=bool(converged and rn0 <= tol),
+        history=history,
+    )
+
+
+def _ref_dirichlet_solve(ctx, rhs, stats):
+    rhs_qp = _rhs_at_qp(ctx.mesh, rhs)
+    initial = linear_poisson_solve(ctx.mesh, rhs_qp)
+    return _ref_newton(
+        ctx, lambda vals: rhs_qp, None, initial.values, ctx.newton_tol, ctx.newton_max_iter, stats
+    )
+
+
+def _ref_semilinear_solve(ctx, rhs_state, initial, stats):
+    mesh = ctx.mesh
+    pts = mesh.quad_points.reshape(-1, mesh.dimension)
+    shape = (mesh.n_elements, mesh.n_qp)
+
+    def values_at_qp(vals):
+        return np.einsum("qa,ea->eq", mesh.basis, vals[mesh.elements])
+
+    def rhs_fn(vals):
+        s = values_at_qp(vals).ravel()
+        return np.asarray(rhs_state(pts, s), dtype=float).reshape(shape)
+
+    def slope_fn(vals):
+        s = values_at_qp(vals).ravel()
+        h = 1e-6 * (1.0 + np.abs(s))
+        up = np.asarray(rhs_state(pts, s + h), dtype=float)
+        dn = np.asarray(rhs_state(pts, s - h), dtype=float)
+        return ((up - dn) / (2.0 * h)).reshape(shape)
+
+    return _ref_newton(
+        ctx, rhs_fn, slope_fn, initial.values, ctx.newton_tol, ctx.newton_max_iter, stats
+    )
+
+
+def _ref_state_qp(mesh, values):
+    return np.einsum("qa,ea->eq", mesh.basis, values[mesh.elements]).ravel()
+
+
+def _ref_coupled_newton_once(ctx1, ctx2, g1, g2, v1, v2, eps, tol, max_iter, max_halvings, stats):
+    mesh = ctx1.mesh
+    pts = mesh.quad_points.reshape(-1, mesh.dimension)
+    shape = (mesh.n_elements, mesh.n_qp)
+    interior = mesh.interior_nodes
+    n_int = len(interior)
+    stats["rungs"] += 1
+
+    def residuals(a1, a2):
+        s1, s2 = _ref_state_qp(mesh, a1), _ref_state_qp(mesh, a2)
+        rhs1 = np.asarray(g1(pts, s1, s2)).reshape(shape)
+        rhs2 = np.asarray(g2(pts, s1, s2)).reshape(shape)
+        r1 = _residual_full(ctx1, a1, rhs1, eps)[interior]
+        r2 = _residual_full(ctx2, a2, rhs2, eps)[interior]
+        return r1, r2
+
+    def combined_norm(r1, r2):
+        return float(np.hypot(dual_norm(mesh, r1), dual_norm(mesh, r2)))
+
+    def slopes(a1, a2):
+        s1, s2 = _ref_state_qp(mesh, a1), _ref_state_qp(mesh, a2)
+        out = {}
+        for (name, g) in (("1", g1), ("2", g2)):
+            for (arg, sa, sb_fixed) in (("1", s1, s2), ("2", s2, s1)):
+                h = 1e-6 * (1.0 + np.abs(sa))
+                if arg == "1":
+                    up = np.asarray(g(pts, sa + h, sb_fixed))
+                    dn = np.asarray(g(pts, sa - h, sb_fixed))
+                else:
+                    up = np.asarray(g(pts, sb_fixed, sa + h))
+                    dn = np.asarray(g(pts, sb_fixed, sa - h))
+                out[name + arg] = ((up - dn) / (2.0 * h)).reshape(shape)
+        return out
+
+    r1, r2 = residuals(v1, v2)
+    rn = combined_norm(r1, r2)
+    converged = rn <= tol
+    it = 0
+    while not converged and it < max_iter:
+        it += 1
+        sl = slopes(v1, v2)
+        J11 = assemble_jacobian(ctx1, v1, eps=max(eps, 1e-12), rhs_slope_qp=sl["11"])
+        J22 = assemble_jacobian(ctx2, v2, eps=max(eps, 1e-12), rhs_slope_qp=sl["22"])
+        J12 = -_mass_block(mesh, sl["12"])
+        J21 = -_mass_block(mesh, sl["21"])
+        J = sp.bmat([[J11, J12], [J21, J22]], format="csc")
+        delta = _sparse_solve(J, -np.concatenate([r1, r2]), "coupled Newton")
+        d1, d2 = delta[:n_int], delta[n_int:]
+
+        step, accepted = 1.0, False
+        for _ in range(max_halvings + 1):
+            stats["trials"] += 1
+            t1, t2 = v1.copy(), v2.copy()
+            t1[interior] += step * d1
+            t2[interior] += step * d2
+            tr1, tr2 = residuals(t1, t2)
+            trn = combined_norm(tr1, tr2)
+            if trn <= (1.0 - 1e-4 * step) * rn:
+                v1, v2, r1, r2, rn = t1, t2, tr1, tr2, trn
+                accepted = True
+                break
+            step *= 0.5
+        if not accepted:
+            break
+        if rn <= tol:
+            converged = True
+    return v1, v2, rn, it, converged
+
+
+def _ref_solve_coupled(ctx1, ctx2, g1, g2, seed1, seed2, stats):
+    mesh = ctx1.mesh
+    tol = max(ctx1.newton_tol, ctx2.newton_tol)
+    v1 = seed1.values.copy()
+    v2 = seed2.values.copy()
+    v1[mesh.boundary_nodes] = 0.0
+    v2[mesh.boundary_nodes] = 0.0
+    ladder = [e for e in (1e-2, 1e-4, 1e-6) if e > max(ctx1.eps_reg, ctx2.eps_reg)]
+    total = 0
+    for eps in ladder:
+        v1, v2, _, it, _ = _ref_coupled_newton_once(
+            ctx1, ctx2, g1, g2, v1, v2, eps, max(tol, 1e-9),
+            ctx1.newton_max_iter, ctx1.max_halvings, stats,
+        )
+        total += it
+    v1, v2, rn, it, converged = _ref_coupled_newton_once(
+        ctx1, ctx2, g1, g2, v1, v2, max(ctx1.eps_reg, ctx2.eps_reg), tol,
+        ctx1.newton_max_iter, ctx1.max_halvings, stats,
+    )
+    total += it
+    pts = mesh.quad_points.reshape(-1, mesh.dimension)
+    shape = (mesh.n_elements, mesh.n_qp)
+    s1, s2 = _ref_state_qp(mesh, v1), _ref_state_qp(mesh, v2)
+    r1 = _residual_full(ctx1, v1, np.asarray(g1(pts, s1, s2)).reshape(shape), 0.0)
+    r2 = _residual_full(ctx2, v2, np.asarray(g2(pts, s1, s2)).reshape(shape), 0.0)
+    interior = mesh.interior_nodes
+    rn0 = float(np.hypot(dual_norm(mesh, r1[interior]), dual_norm(mesh, r2[interior])))
+    return CoupledReport(
+        u1=GridFunction(mesh, v1, dirichlet_zero=True),
+        u2=GridFunction(mesh, v2, dirichlet_zero=True),
+        residual=rn0,
+        iterations=total,
+        picard_sweeps=0,
+        converged=bool(converged and rn0 <= tol),
+    )
+
+
+@pytest.fixture
+def residual_calls(monkeypatch):
+    """Count the driver's residual assemblies; the references call the original."""
+    calls = []
+
+    def counted(*args):
+        calls.append(args[-1])
+        return _residual_full(*args)
+
+    monkeypatch.setattr(operator_module, "_residual_full", counted)
+    return calls
+
+
+def _logged(name, g, log):
+    """g, recording the order of its calls and the bits of its state arguments."""
+
+    def wrapped(points, *states):
+        log.append((name, tuple(np.asarray(s).tobytes() for s in states)))
+        return g(points, *states)
+
+    return wrapped
+
+
+def _without_repeats(log):
+    return [entry for k, entry in enumerate(log) if k == 0 or entry != log[k - 1]]
+
+
+def _assert_same_solve(rep, ref):
+    assert np.array_equal(rep.u.values, ref.u.values)
+    assert rep.residual == ref.residual
+    assert rep.iterations == ref.iterations
+    assert rep.converged == ref.converged
+    assert rep.history == ref.history
+
+
+def _dirichlet_rhs(pts):
+    return 1.0 + np.sin(3.0 * pts[:, 0]) ** 2
+
+
+_DRIVER_CASES = {
+    "interval-p1.6": (lambda: build_interval_mesh(0.0, 1.0, 64), 1.6, {}),
+    "interval-p2.5": (lambda: build_interval_mesh(0.0, 1.0, 64), 2.5, {}),
+    "rect16x12": (lambda: build_rectangle_mesh(0.0, 0.0, 1.0, 0.75, 16, 12), "2.5 + 0.5*x", {}),
+    "capped": (lambda: build_interval_mesh(0.0, 1.0, 64), 1.3, {"newton_max_iter": 2}),
+    "no-halving": (lambda: build_interval_mesh(0.0, 1.0, 64), 1.3, {"max_halvings": 0}),
+}
+
+
+@pytest.mark.parametrize("case", list(_DRIVER_CASES))
+def test_dirichlet_solve_matches_reference_newton(case, residual_calls):
+    build, p, settings = _DRIVER_CASES[case]
+    mesh = build()
+    ctx = OperatorContext(mesh, ExponentField(mesh, p), **settings)
+    stats = Counter()
+    ref = _ref_dirichlet_solve(ctx, _dirichlet_rhs, stats)
+    rep = dirichlet_solve(ctx, _dirichlet_rhs)
+    _assert_same_solve(rep, ref)
+    # one residual per rung and per line-search trial, one for the recheck
+    assert len(residual_calls) == stats["rungs"] + stats["trials"] + 1
+    assert residual_calls[-1] == 0.0
+    if case == "capped":
+        assert not rep.converged
+    if case == "no-halving":
+        # a rejected step ends its rung and repeats the residual in the history
+        assert any(a == b for a, b in zip(rep.history, rep.history[1:]))
+    else:
+        assert case == "capped" or rep.converged
+
+
+def test_semilinear_solve_matches_reference_newton(ctxvar_64, eig2_64, residual_calls):
+    g = _scalar_reference_rhs(ctxvar_64, eig2_64, J=0.5 * eig2_64.lambda1, delta=1e-2, den=1.0)
+    seed = eig2_64.phi.with_values(0.5 * eig2_64.phi.values)
+    stats, ref_log, log = Counter(), [], []
+    ref = _ref_semilinear_solve(ctxvar_64, _logged("g", g, ref_log), seed, stats)
+    rep = semilinear_solve(ctxvar_64, _logged("g", g, log), seed)
+    _assert_same_solve(rep, ref)
+    assert rep.converged and rep.iterations > 0
+    assert len(residual_calls) == stats["rungs"] + stats["trials"] + 1
+    # g runs once per residual and twice per slope, in the reference's order;
+    # the reference also ran it again on every accepted trial state
+    assert len(log) == len(residual_calls) + 2 * rep.iterations
+    assert _without_repeats(log) == _without_repeats(ref_log)
+
+
+@pytest.mark.parametrize("seed_scale", [0.0, 1.0])
+def test_solve_coupled_matches_reference_newton(ctx2_64, ctxvar_64, eig2_64, seed_scale, residual_calls):
+    f = benchmark_family(ctx2_64, ctxvar_64, eig2_64, eig2_64)
+    seed = eig2_64.phi.with_values(seed_scale * eig2_64.phi.values)
+    stats, ref_log, log = Counter(), [], []
+    ref = _ref_solve_coupled(
+        ctx2_64, ctxvar_64, _logged("f1", f.f1, ref_log), _logged("f2", f.f2, ref_log), seed, seed, stats
+    )
+    rep = solve_coupled(ctx2_64, ctxvar_64, _logged("f1", f.f1, log), _logged("f2", f.f2, log), seed, seed)
+    assert np.array_equal(rep.u1.values, ref.u1.values)
+    assert np.array_equal(rep.u2.values, ref.u2.values)
+    assert (rep.residual, rep.iterations, rep.converged) == (ref.residual, ref.iterations, ref.converged)
+    assert rep.converged
+    assert (rep.iterations > 0) == (seed_scale > 0)
+    assert log == ref_log
+    # two residual blocks per evaluation
+    assert len(residual_calls) == 2 * (stats["rungs"] + stats["trials"] + 1)
+
+
+def test_block_norm_is_numpy_hypot(monkeypatch, mesh64, ctx2_64):
+    # block-norm pairs, led by those on which math.hypot rounds differently
+    # from np.hypot (115 of these 20,000 with glibc on x86-64)
+    a, b = np.random.default_rng(0).random((2, 20_000))
+    target = np.hypot(a, b)
+    odd = [k for k in range(len(a)) if math.hypot(a[k], b[k]) != target[k]]
+    odd = (odd + list(range(5)))[:5]
+    norms = iter(x for k in odd for x in (a[k], b[k]))
+    monkeypatch.setattr(operator_module, "dual_norm", lambda mesh, r: float(next(norms)))
+    ctx = OperatorContext(mesh64, ctx2_64.p, newton_max_iter=0)
+    zeros = np.zeros(mesh64.n_nodes)
+    rhs = np.zeros((mesh64.n_elements, mesh64.n_qp))
+    # no iterations: four rungs (eps 1e-2, 1e-4, 1e-6, 1e-10) and the recheck
+    _, residual, _, _, history = operator_module._newton(
+        [ctx, ctx], lambda values: [rhs, rhs], None, [zeros, zeros], 1e-10
+    )
+    assert history == [float(target[k]) for k in odd[:4]]
+    assert residual == float(target[odd[4]])
+    # one block: the norm is the block's dual norm itself
+    norms = iter(a[:5])
+    _, residual, _, _, history = operator_module._newton([ctx], lambda values: [rhs], None, [zeros], 1e-10)
+    assert history == [float(x) for x in a[:4]]
+    assert residual == float(a[4])

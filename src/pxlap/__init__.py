@@ -27,7 +27,7 @@ from .existence import (
     solve_in_box,
     verify_ordered_box,
 )
-from .exponents import ExponentField, bounds, check_Hp, check_Hp_rays
+from .exponents import ExponentField, check_Hp, check_Hp_rays
 from .mesh import (
     GridFunction,
     Mesh,

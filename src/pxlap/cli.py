@@ -363,7 +363,7 @@ def cmd_solve(cfg: RunConfig, outdir: Path, quiet: bool, rhs_expr: str) -> int:
     # finite at a quadrature point is a config error, not a NaN load
     try:
         with np.errstate(all="ignore"):
-            rhs_qp = rhs(mesh.quad_points.reshape(-1, mesh.dimension))
+            rhs_qp = rhs(mesh.quad_points_flat)
     except (ArithmeticError, TypeError, ValueError) as exc:
         raise ConfigError([f"--rhs {rhs_expr!r}: evaluation failed: {exc}"]) from exc
     if not np.all(np.isfinite(rhs_qp)):

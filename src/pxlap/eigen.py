@@ -32,6 +32,17 @@ from .operator import (
 EIGEN_RESIDUAL_TOL = 1e-7
 
 
+def _signed_power(c, s: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """c |s|^(p-2) s, exactly 0 where s = 0.
+
+    Where p < 2 the power alone is 0^(p-2) = inf at s = 0, and inf * 0 is
+    NaN; every other entry is the plain expression, bit for bit.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        out = c * np.abs(s) ** (p - 2.0) * s
+    return np.where(s == 0.0, 0.0, out)
+
+
 def rayleigh_quotient(ctx: OperatorContext, u: GridFunction) -> float:
     """int |grad u|^p(x) / int |u|^p(x) with the unregularized gradient."""
     p_qp = ctx.p_qp()
@@ -122,7 +133,7 @@ def first_eigenpair(
     it = 0
     for it in range(1, max_outer + 1):
         u_qp = u.at_qp()
-        rhs_qp = R * np.abs(u_qp) ** (p_qp - 2.0) * u_qp
+        rhs_qp = _signed_power(R, u_qp, p_qp)
         rep = dirichlet_solve(ctx, rhs_qp, initial=u)
         if not rep.converged:
             raise NumericalError(
@@ -157,7 +168,7 @@ def first_eigenpair(
 
     def equation_residual(field, value):
         f_qp = field.at_qp()
-        rhs = value * np.abs(f_qp) ** (p_qp - 2.0) * f_qp
+        rhs = _signed_power(value, f_qp, p_qp)
         return dual_norm(mesh, assemble_residual(ctx, field, rhs, eps_reg=0.0))
 
     # polish: the quotient settles before the equation residual does; keep
@@ -166,7 +177,7 @@ def first_eigenpair(
     res = equation_residual(u, R)
     while res > 0.5 * EIGEN_RESIDUAL_TOL and it < max_outer:
         u_qp = u.at_qp()
-        rhs_qp = R * np.abs(u_qp) ** (p_qp - 2.0) * u_qp
+        rhs_qp = _signed_power(R, u_qp, p_qp)
         rep = dirichlet_solve(ctx, rhs_qp, initial=u)
         if not rep.converged:
             break

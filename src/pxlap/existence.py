@@ -178,7 +178,7 @@ class HypothesesReport:
 
 
 def _x_samples(ctx: OperatorContext, n: int) -> np.ndarray:
-    pts = ctx.mesh.quad_points.reshape(-1, ctx.mesh.dimension)
+    pts = ctx.mesh.quad_points_flat
     step = max(1, len(pts) // n)
     return pts[::step]
 
@@ -472,7 +472,7 @@ def construct_subsolution(
     eigs = (eig1, eig2)
     ctxs = (ctx1, ctx2)
     mesh = ctx1.mesh
-    pts = mesh.quad_points.reshape(-1, mesh.dimension)
+    pts = mesh.quad_points_flat
     eps = 0.5
     while True:
         ok = True
@@ -594,7 +594,7 @@ class OrderedBox:
 
 def _box_extrema_qp(box: OrderedBox, f: Nonlinearity, mesh, subgrid: int):
     """min/max of each f_i over the frozen box section at every quadrature point."""
-    pts = mesh.quad_points.reshape(-1, mesh.dimension)
+    pts = mesh.quad_points_flat
     lo1, hi1 = box.u_sub1.at_qp().ravel(), box.u_sup1.at_qp().ravel()
     lo2, hi2 = box.u_sub2.at_qp().ravel(), box.u_sup2.at_qp().ravel()
     fracs = np.linspace(0.0, 1.0, subgrid)
@@ -717,7 +717,7 @@ class BoxSolveResult:
 
 
 def _f_at_state(fi, mesh, u1: GridFunction, u2: GridFunction) -> np.ndarray:
-    pts = mesh.quad_points.reshape(-1, mesh.dimension)
+    pts = mesh.quad_points_flat
     vals = np.asarray(fi(pts, u1.at_qp().ravel(), u2.at_qp().ravel()))
     return vals.reshape(mesh.n_elements, mesh.n_qp)
 

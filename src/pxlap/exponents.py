@@ -77,7 +77,7 @@ class ExponentField:
     def at_qp(self, mesh: Mesh | None = None) -> np.ndarray:
         """Exponent values at quadrature points, shape (n_elements, n_qp)."""
         mesh = mesh or self.mesh
-        flat = self.evaluate(mesh.quad_points.reshape(-1, mesh.dimension))
+        flat = self.evaluate(mesh.quad_points_flat)
         return flat.reshape(mesh.n_elements, mesh.n_qp)
 
     def on_mesh(self, mesh: Mesh) -> "ExponentField":
@@ -106,17 +106,6 @@ class ExponentField:
             f"ExponentField({self.description}, bounds=({self.p_min:.6g}, "
             f"{self.p_max:.6g}))"
         )
-
-
-def bounds(p: ExponentField, mesh: Mesh) -> tuple[float, float]:
-    """(min, max) of p over all quadrature points and nodes of ``mesh``."""
-    qp = p.at_qp(mesh)
-    nodal = p.evaluate(mesh.nodes)
-    lo = float(min(qp.min(), nodal.min()))
-    hi = float(max(qp.max(), nodal.max()))
-    if not lo > 1.0:
-        raise HypothesisError(f"exponent bound violation: sampled minimum {lo} <= 1")
-    return lo, hi
 
 
 @dataclass

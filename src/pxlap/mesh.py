@@ -64,6 +64,9 @@ class Mesh:
         Index sets partitioning the nodes.
     quad_points : ndarray, shape (n_elements, n_qp, dimension)
         Physical quadrature point coordinates.
+    quad_points_flat : ndarray, shape (n_elements * n_qp, dimension)
+        The same coordinates as one point list; point-wise loads are
+        evaluated on this very array, so builders may recognize it.
     quad_weights : ndarray, shape (n_elements, n_qp)
         Quadrature weights, element measure included.
     basis : ndarray, shape (n_qp, nodes_per_element)
@@ -90,6 +93,7 @@ class Mesh:
             raise DomainError("mesh must have at least one interior node")
 
         self._build_quadrature()
+        self.quad_points_flat = _freeze(self.quad_points.reshape(-1, self.dimension))
 
         if np.any(self.element_measures <= 0):
             raise DomainError("mesh contains an element with non-positive measure")

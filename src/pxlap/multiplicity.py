@@ -109,27 +109,30 @@ def homotopy_rhs(
     callables then depend on fresh state values only, which is exactly what
     the outer-Picard / inner-Newton split needs.
     """
-    family = family or cfg.family
     dens = (
         max(1.0, sobolev_norm(u1, ctx1.p)),
         max(1.0, sobolev_norm(u2, ctx2.p)),
     )
+    return _homotopy_loads(cfg, t, dens, f, ctx1, ctx2, eig1, eig2, family)
+
+
+def _homotopy_loads(cfg, t, dens, f, ctx1, ctx2, eig1, eig2, family=None):
+    """:func:`homotopy_rhs` with the denominators ``dens`` given.
+
+    Component i is t f_i + (1 - t) times the scalar reference load of
+    :func:`_scalar_reference_rhs`, shifted in the delta family.
+    """
+    family = family or cfg.family
+    delta = cfg.delta if family == "delta" else None
 
     def make(i, ctx, eig, J):
         fi = f.component(i)
-        phi = eig.phi
-        lam = eig.lambda1
-        p = ctx.p
-        den = dens[i - 1]
+        core = _scalar_reference_rhs(ctx, eig, J, delta, dens[i - 1])
 
         def g(points, s1, s2):
             points = np.atleast_2d(points)
-            p_vals = p.evaluate(points)
-            s_own = np.asarray((s1, s2)[i - 1], dtype=float)
-            core = J * np.clip(s_own, 0.0, None) ** (p_vals - 1.0) / den ** (p_vals - 1.0)
-            if family == "delta":
-                core = core + cfg.delta * lam * phi.eval(points) ** (p_vals - 1.0)
-            return t * np.asarray(fi(points, s1, s2)) + (1.0 - t) * core
+            c = core(points, (s1, s2)[i - 1])
+            return t * np.asarray(fi(points, s1, s2)) + (1.0 - t) * c
 
         return g
 
@@ -148,6 +151,8 @@ class CoupledReport:
     iterations: int
     picard_sweeps: int
     converged: bool
+    # component Sobolev norms of (u1, u2), when the Picard loop computed them
+    norms: tuple | None = None
 
 
 def solve_coupled(
@@ -189,13 +194,18 @@ def solve_homotopy_system(
     picard_max: int = 20,
     picard_rtol: float = 1e-8,
 ) -> CoupledReport:
-    """Outer Picard on the norm denominators, inner coupled Newton."""
+    """Outer Picard on the norm denominators, inner coupled Newton.
+
+    The norms of each sweep's solution freeze the next sweep's denominators
+    and end up in the report's ``norms``.
+    """
     u1, u2 = seed1, seed2
     sweeps = 0
     rep = None
-    prev = (sobolev_norm_or_zero(u1, ctx1), sobolev_norm_or_zero(u2, ctx2))
+    prev = (sobolev_norm(u1, ctx1.p), sobolev_norm(u2, ctx2.p))
     for sweeps in range(1, picard_max + 1):
-        g1, g2 = homotopy_rhs(cfg, t, u1, u2, f, ctx1, ctx2, eig1, eig2, family)
+        dens = (max(1.0, prev[0]), max(1.0, prev[1]))
+        g1, g2 = _homotopy_loads(cfg, t, dens, f, ctx1, ctx2, eig1, eig2, family)
         rep = solve_coupled(ctx1, ctx2, g1, g2, u1, u2)
         u1, u2 = rep.u1, rep.u2
         cur = (sobolev_norm(u1, ctx1.p), sobolev_norm(u2, ctx2.p))
@@ -207,6 +217,7 @@ def solve_homotopy_system(
         if change <= picard_rtol:
             break
     rep.picard_sweeps = sweeps
+    rep.norms = prev
     return rep
 
 
@@ -343,10 +354,7 @@ def continuation(
             flags.append(rep.converged)
             if rep.converged and rep.residual <= tol:
                 pairs.append((rep.u1, rep.u2))
-                norms.append(
-                    sobolev_norm_or_zero(rep.u1, ctx1)
-                    + sobolev_norm_or_zero(rep.u2, ctx2)
-                )
+                norms.append(rep.norms[0] + rep.norms[1])
                 residuals.append(rep.residual)
                 tags.append(tag)
         pairs, norms, residuals, tags = _dedup(
@@ -452,28 +460,48 @@ class NonexistenceReport:
         }
 
 
-def _scalar_reference_rhs(ctx, eig, J, delta, den):
-    phi = eig.phi
-    lam = eig.lambda1
-    p = ctx.p
+def _shift_at_qp(ctx, eig, delta):
+    """delta * lambda1 * phi1^(p-1) at the mesh's quadrature points, flat."""
+    phi_qp = eig.phi.eval(ctx.mesh.quad_points_flat)
+    return delta * eig.lambda1 * phi_qp ** (ctx.p_qp().ravel() - 1.0)
+
+
+def _scalar_reference_rhs(ctx, eig, J, delta, den, shift_qp=None):
+    """Load s -> J (s+)^(p-1) / den^(p-1) + delta lambda1 phi1^(p-1).
+
+    ``delta`` None drops the shift.  On the mesh's ``quad_points_flat`` the
+    exponent comes from the context and the shift is ``shift_qp``, built
+    here when not given; at any other points both are evaluated afresh.
+    """
+    qp = ctx.mesh.quad_points_flat
+    pm1_qp = ctx.p_qp().ravel() - 1.0
+    den_qp = den**pm1_qp
+    if delta is not None and shift_qp is None:
+        shift_qp = _shift_at_qp(ctx, eig, delta)
 
     def g(points, s):
-        points = np.atleast_2d(points)
-        p_vals = p.evaluate(points)
-        s = np.asarray(s, dtype=float)
-        out = J * np.clip(s, 0.0, None) ** (p_vals - 1.0) / den ** (p_vals - 1.0)
-        return out + delta * lam * phi.eval(points) ** (p_vals - 1.0)
+        if points is qp:
+            pm1, den_pm1, shift = pm1_qp, den_qp, shift_qp
+        else:
+            points = np.atleast_2d(points)
+            pm1 = ctx.p.evaluate(points) - 1.0
+            den_pm1 = den**pm1
+            shift = None if delta is None else delta * eig.lambda1 * eig.phi.eval(points) ** pm1
+        out = J * np.clip(np.asarray(s, dtype=float), 0.0, None) ** pm1 / den_pm1
+        return out if shift is None else out + shift
 
     return g
 
 
-def _solve_scalar_reference(ctx, eig, J, delta, seed, picard_max=20, picard_rtol=1e-8):
+def _solve_scalar_reference(ctx, eig, J, delta, seed, shift_qp, picard_max=20, picard_rtol=1e-8):
+    """Picard on the denominator of the reference problem; returns the last
+    report and the Sobolev norm of its solution."""
     u = seed
     rep = None
     prev = sobolev_norm_or_zero(u, ctx)
     for _ in range(picard_max):
         den = max(1.0, prev)
-        g = _scalar_reference_rhs(ctx, eig, J, delta, den)
+        g = _scalar_reference_rhs(ctx, eig, J, delta, den, shift_qp)
         rep = semilinear_solve(ctx, g, initial=u)
         u = rep.u
         cur = sobolev_norm_or_zero(u, ctx)
@@ -481,7 +509,7 @@ def _solve_scalar_reference(ctx, eig, J, delta, seed, picard_max=20, picard_rtol
             prev = cur
             break
         prev = cur
-    return rep
+    return rep, prev
 
 
 def nonexistence_probe(
@@ -544,15 +572,16 @@ def nonexistence_probe(
         J=J,
         delta=delta,
     )
+    shift_qp = _shift_at_qp(ctx, eig, delta)
     for seed, tag in seeds[:attempts]:
-        rep = _solve_scalar_reference(ctx, eig, J, delta, seed)
+        rep, norm = _solve_scalar_reference(ctx, eig, J, delta, seed, shift_qp)
         res = rep.residual if rep is not None else np.inf
         conv = bool(rep is not None and rep.converged and res <= tolerance)
         record = AttemptRecord(
             tag=tag,
             converged=conv,
             residual=float(res),
-            norm=sobolev_norm_or_zero(rep.u, ctx) if rep is not None else np.nan,
+            norm=norm if rep is not None else np.nan,
         )
         report.attempts.append(record)
         report.min_residual = min(report.min_residual, record.residual)

@@ -78,6 +78,8 @@ class AssemblyPlan:
     ``keep`` lists the flat positions ``(e, a, b)`` of an element-matrix
     array of shape (n_elements, nloc, nloc) whose two nodes are interior, and
     ``scatter`` gives the slot in ``data`` that each of them adds into.
+    ``block_csc`` stacks k x k blocks on this pattern into one CSC matrix
+    that the plan keeps per k.
     """
 
     n: int
@@ -85,6 +87,7 @@ class AssemblyPlan:
     indices: np.ndarray
     keep: np.ndarray
     scatter: np.ndarray
+    _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def build(cls, mesh: Mesh) -> "AssemblyPlan":
@@ -106,6 +109,34 @@ class AssemblyPlan:
         """Interior matrix of the element matrices ``K`` (n_elements, nloc, nloc)."""
         data = np.bincount(self.scatter, weights=K.ravel()[self.keep], minlength=len(self.indices))
         return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+
+    def block_csc(self, blocks) -> sp.csc_matrix:
+        """CSC matrix of the k x k grid ``blocks`` of matrices on this pattern.
+
+        It equals what ``scipy.sparse.bmat(blocks, format="csc")`` builds,
+        entry for entry and explicit zeros included, but no sparse
+        constructor runs after the first call: the plan keeps one
+        matrix per k, with int32 indices and the permutation from the
+        row-major concatenation of the blocks' data to CSC order, and
+        overwrites its ``data``.  The result is valid until the next call
+        with the same k.
+        """
+        k = len(blocks)
+        if k not in self._blocks:
+            rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
+            block_rows = np.concatenate([rows + i * self.n for i in range(k) for _ in range(k)])
+            block_cols = np.concatenate([self.indices + j * self.n for _ in range(k) for j in range(k)])
+            order = np.lexsort((block_rows, block_cols))  # by column, then row
+            indptr = np.zeros(k * self.n + 1, dtype=np.int32)
+            np.cumsum(np.bincount(block_cols, minlength=k * self.n), out=indptr[1:])
+            matrix = sp.csc_matrix(
+                (np.zeros(len(order)), block_rows[order].astype(np.int32), indptr),
+                shape=(k * self.n, k * self.n),
+            )
+            self._blocks[k] = (matrix, _freeze(order))
+        matrix, order = self._blocks[k]
+        matrix.data[:] = np.concatenate([b.data for row in blocks for b in row])[order]
+        return matrix
 
 
 def assembly_plan(mesh: Mesh) -> AssemblyPlan:
@@ -153,7 +184,7 @@ def _rhs_at_qp(mesh: Mesh, rhs) -> np.ndarray:
     if isinstance(rhs, GridFunction):
         return rhs.at_qp()
     if callable(rhs):
-        flat = rhs(mesh.quad_points.reshape(-1, mesh.dimension))
+        flat = rhs(mesh.quad_points_flat)
         return np.broadcast_to(np.asarray(flat, dtype=float), (shape[0] * shape[1],)).reshape(shape)
     arr = np.asarray(rhs, dtype=float)
     if arr.shape != shape:
@@ -262,7 +293,7 @@ def _state_loads(mesh: Mesh, loads):
     quadrature points; slope_fn gives the grid d g_i / d s_j by central
     differences.
     """
-    pts = mesh.quad_points.reshape(-1, mesh.dimension)
+    pts = mesh.quad_points_flat
     shape = (mesh.n_elements, mesh.n_qp)
 
     def states(values):
@@ -294,7 +325,8 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float):
     rhs_fn maps the nodal values of every block to their rhs at the
     quadrature points; slope_fn returns the k x k grid of d rhs_i / d u_j
     there, or is None for one block whose rhs does not depend on u.  Settings
-    other than the regularization come from the first context.  Returns
+    other than the regularization come from the first context.  Each step's
+    Jacobian is the plan's block matrix, refilled and factored at once.  Returns
     (values, residual, iterations, converged, history), the residual being
     the unregularized one.
     """
@@ -322,7 +354,7 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float):
             ]
             for i, (ctx, v) in enumerate(zip(ctxs, vals))
         ]
-        return blocks[0][0] if k == 1 else sp.bmat(blocks, format="csc")
+        return assembly_plan(mesh).block_csc(blocks)
 
     total_iters = 0
     history = []

@@ -167,18 +167,20 @@ def test_cli_verify_small(tmp_path):
 
 
 def test_cli_determinism(tmp_path):
+    # theorem2 runs the coupled Newton solves on the mesh's reused block matrix
     cfg = tmp_path / "d.cfg"
     cfg.write_text("mesh.n = 32\nhomotopy.seeds = 6\n")
-    outs = []
-    for name in ("a", "b"):
-        out = tmp_path / name
-        rc = main([
-            "probe-L9", "--config", str(cfg), "--output-dir", str(out),
-            "--quiet", "--seed", "42",
-        ])
-        assert rc == 0
-        outs.append((out / "summary.json").read_bytes())
-    assert outs[0] == outs[1]
+    for command in ("probe-L9", "theorem2"):
+        outs = []
+        for name in ("a", "b"):
+            out = tmp_path / command / name
+            rc = main([
+                command, "--config", str(cfg), "--output-dir", str(out),
+                "--quiet", "--seed", "42",
+            ])
+            assert rc == 0
+            outs.append((out / "summary.json").read_bytes())
+        assert outs[0] == outs[1]
 
 
 def test_cli_theorem1_artifacts(tmp_path):

@@ -1,11 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from oracles import constant_p_eigenvalue
 from pxlap.errors import HypothesisError
-from pxlap.eigen import enlarged_eigenpair, first_eigenpair, rayleigh_quotient
+from pxlap.eigen import _signed_power, enlarged_eigenpair, first_eigenpair, rayleigh_quotient
 from pxlap.exponents import ExponentField
-from pxlap.mesh import build_interval_mesh
+from pxlap.mesh import build_interval_mesh, build_rectangle_mesh
 from pxlap.operator import OperatorContext, assemble_residual, dual_norm
 from conftest import random_dirichlet_field
 
@@ -103,3 +105,27 @@ def test_mesh_refinement_consistency():
     # both approximations above the continuum value and tightening
     assert lams[1] - np.pi**2 < lams[0] - np.pi**2
     assert lams[1] > np.pi**2 - 1e-10
+
+
+def test_first_eigenpair_p_below_two_has_no_nan_warnings():
+    # boundary-only corner triangles have u = 0 at their quadrature points,
+    # where |u|^(p-2) u is 0^(-0.2) * 0 = NaN unless the zero is kept exact
+    mesh = build_rectangle_mesh(0.0, 0.0, 1.0, 1.0, 8, 8)
+    ctx = OperatorContext(mesh, ExponentField(mesh, 1.8))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        pair = first_eigenpair(ctx)
+    assert pair.converged and np.isfinite(pair.lambda1)
+
+
+def test_signed_power_is_the_plain_expression_off_zero():
+    rng = np.random.default_rng(2)
+    s = rng.standard_normal((40, 7))
+    s[::3, 2] = 0.0
+    p = 1.5 + rng.random((40, 7))
+    out = _signed_power(2.5, s, p)
+    nonzero = s != 0.0
+    assert np.all(out[~nonzero] == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        plain = 2.5 * np.abs(s) ** (p - 2.0) * s
+    assert out[nonzero].tobytes() == plain[nonzero].tobytes()

@@ -2,18 +2,18 @@ import numpy as np
 import pytest
 
 from pxlap.errors import HypothesisError
-from pxlap.exponents import ExponentField, bounds, check_Hp
+from pxlap.exponents import ExponentField, check_Hp
 from pxlap.mesh import build_interval_mesh, build_rectangle_mesh
 
 
 def test_bounds_constant(mesh64):
     p = ExponentField(mesh64, 2.0)
-    assert bounds(p, mesh64) == (2.0, 2.0)
+    assert (p.p_min, p.p_max) == (2.0, 2.0)
 
 
 def test_bounds_linear(mesh64):
     p = ExponentField(mesh64, "2 + x")
-    lo, hi = bounds(p, mesh64)
+    lo, hi = p.p_min, p.p_max
     assert lo == pytest.approx(2.0, abs=1e-12)
     assert hi == pytest.approx(3.0, abs=1e-12)
 
@@ -112,7 +112,7 @@ def test_bounds_on_larger_mesh_can_violate(mesh64):
     p = ExponentField(mesh64, "1.5 + x")
     big = dilate_domain(mesh64, 0.75)
     with pytest.raises(HypothesisError):
-        bounds(p, big)
+        p.on_mesh(big)
 
 
 def test_nodal_table_exponent(mesh64):

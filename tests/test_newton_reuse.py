@@ -1,0 +1,183 @@
+"""Work the Newton and Picard loops build once: the plan's block matrix, the
+point fields of the reference loads and the norms of the Picard sweeps.
+
+Each test keeps the straightforward construction as its reference and asks
+for bit-identical results.
+"""
+
+import numpy as np
+import pytest
+import scipy.sparse as sp
+
+from pxlap.eigen import first_eigenpair
+from pxlap.exponents import ExponentField
+from pxlap.existence import benchmark_family
+from pxlap.mesh import Mesh, build_interval_mesh, build_rectangle_mesh, dilate_domain
+from pxlap.modular import sobolev_norm
+from pxlap.multiplicity import (
+    HomotopyConfig,
+    _scalar_reference_rhs,
+    homotopy_rhs,
+    nonexistence_probe,
+    solve_coupled,
+    solve_homotopy_system,
+)
+from pxlap.operator import (
+    OperatorContext,
+    _mass_block,
+    assemble_jacobian,
+    assembly_plan,
+    dirichlet_solve,
+    semilinear_solve,
+)
+from conftest import random_dirichlet_field
+
+_MESHES = {
+    "interval64": lambda: build_interval_mesh(0.0, 1.0, 64),
+    "rect16x12": lambda: build_rectangle_mesh(0.0, 0.0, 1.0, 0.75, 16, 12),
+    "dilated": lambda: dilate_domain(build_rectangle_mesh(0.0, 0.0, 1.0, 0.75, 16, 12), 0.25),
+}
+
+
+def _same_csc(a, b):
+    return all(
+        np.asarray(getattr(a, name)).tobytes() == np.asarray(getattr(b, name)).tobytes()
+        for name in ("indptr", "indices", "data")
+    ) and a.shape == b.shape
+
+
+@pytest.mark.parametrize("case", list(_MESHES))
+def test_block_csc_equals_bmat_and_tocsc(case):
+    mesh = _MESHES[case]()
+    ctx = OperatorContext(mesh, ExponentField(mesh, "2.5 + 0.5*x"))
+    rng = np.random.default_rng(3)
+    shape = (mesh.n_elements, mesh.n_qp)
+    v = random_dirichlet_field(mesh, rng).values
+    J11 = assemble_jacobian(ctx, v, eps=1e-4, rhs_slope_qp=rng.standard_normal(shape))
+    J22 = assemble_jacobian(ctx, -v, eps=1e-2, rhs_slope_qp=rng.standard_normal(shape))
+    J12 = -_mass_block(mesh, rng.standard_normal(shape))
+    J21 = -_mass_block(mesh, np.zeros(shape))  # explicit zeros stay in the pattern
+    plan = assembly_plan(mesh)
+    blocks = [[J11, J12], [J21, J22]]
+    assert _same_csc(plan.block_csc(blocks), sp.bmat(blocks, format="csc"))
+    assert _same_csc(plan.block_csc([[J11]]), J11.tocsc())
+    # the kept matrices are refilled, not rebuilt, and keep int32 indices
+    again = plan.block_csc([[J22, J21], [J12, J11]])
+    assert again is plan.block_csc(blocks)
+    assert _same_csc(again, sp.bmat(blocks, format="csc"))
+    assert again.indices.dtype == again.indptr.dtype == np.int32
+
+
+def _interval_problem():
+    mesh = build_interval_mesh(0.0, 1.0, 64)
+    return OperatorContext(mesh, ExponentField(mesh, "1.8 + 0.6*x"))
+
+
+def _scalar_solve(ctx):
+    return dirichlet_solve(ctx, lambda pts: 1.0 + np.sin(3.0 * pts[:, 0]) ** 2)
+
+
+def _coupled_solve(ctx):
+    seed = random_dirichlet_field(ctx.mesh, np.random.default_rng(5), scale=0.05)
+
+    def g1(pts, s1, s2):
+        return 1.0 + 0.5 * np.tanh(s2)
+
+    def g2(pts, s1, s2):
+        return 2.0 + 0.3 * np.tanh(s1) * pts[:, 0]
+
+    return solve_coupled(ctx, ctx, g1, g2, seed, seed)
+
+
+def _outcome(rep):
+    fields = [rep.u] if hasattr(rep, "u") else [rep.u1, rep.u2]
+    return [f.values.tobytes() for f in fields], rep.residual, rep.iterations, rep.converged
+
+
+def test_interleaved_block_counts_match_fresh_meshes():
+    shared = _interval_problem()
+    for solve in (_scalar_solve, _coupled_solve, _scalar_solve, _coupled_solve):
+        rep = solve(shared)
+        assert rep.converged and rep.iterations > 0
+        assert _outcome(rep) == _outcome(solve(_interval_problem()))
+    assert set(assembly_plan(shared.mesh)._blocks) == {1, 2}
+
+
+@pytest.fixture(scope="module")
+def var_problem():
+    mesh = build_interval_mesh(0.0, 1.0, 64)
+    ctx = OperatorContext(mesh, ExponentField(mesh, "2 + 0.1*x"))
+    return ctx, first_eigenpair(ctx)
+
+
+def _count_calls(monkeypatch, owner, name):
+    calls = []
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("family", ["tilde", "delta"])
+def test_homotopy_loads_cached_equal_fallback(var_problem, family, monkeypatch):
+    ctx, eig = var_problem
+    mesh = ctx.mesh
+    f = benchmark_family(ctx, ctx, eig, eig)
+    cfg = HomotopyConfig.for_problem(ctx, ctx, eig, eig, family=family, delta=1e-2)
+    rng = np.random.default_rng(11)
+    u1 = random_dirichlet_field(mesh, rng, scale=0.3)
+    u2 = u1.with_values(np.abs(u1.values))
+    g1, g2 = homotopy_rhs(cfg, 0.4, u1, u2, f, ctx, ctx, eig, eig)
+    s1, s2 = u1.at_qp().ravel(), u2.at_qp().ravel()
+    qp = mesh.quad_points_flat
+    evaluations = _count_calls(monkeypatch, ExponentField, "evaluate")
+    cached = [g(qp, s1, s2) for g in (g1, g2)]
+    assert evaluations == []  # the mesh's own array takes the cached fields
+    fallback = [g(qp.copy(), s1, s2) for g in (g1, g2)]
+    assert len(evaluations) == 2
+    for a, b in zip(cached, fallback):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_scalar_reference_cached_equal_fallback(var_problem, monkeypatch):
+    ctx, eig = var_problem
+    g = _scalar_reference_rhs(ctx, eig, J=0.5 * eig.lambda1, delta=1e-2, den=1.7)
+    s = np.linspace(-1.0, 2.0, ctx.mesh.quad_points_flat.shape[0])
+    locates = _count_calls(monkeypatch, Mesh, "locate")
+    cached = g(ctx.mesh.quad_points_flat, s)
+    assert locates == []
+    fallback = g(ctx.mesh.quad_points_flat.copy(), s)
+    assert locates == ["locate"]
+    assert cached.tobytes() == fallback.tobytes()
+
+
+def test_scalar_reference_solve_same_on_both_paths(var_problem):
+    ctx, eig = var_problem
+    g = _scalar_reference_rhs(ctx, eig, J=0.5 * eig.lambda1, delta=1e-2, den=1.0)
+    seed = eig.phi.with_values(0.5 * eig.phi.values)
+    cached = semilinear_solve(ctx, g, seed)
+    fallback = semilinear_solve(ctx, lambda pts, s: g(pts.copy(), s), seed)
+    assert _outcome(cached) == _outcome(fallback)
+    assert cached.history == fallback.history
+
+
+def test_nonexistence_probe_locates_a_few_times(var_problem, monkeypatch):
+    ctx, eig = var_problem
+    locates = _count_calls(monkeypatch, Mesh, "locate")
+    report = nonexistence_probe(ctx, eig, J=0.3 * eig.lambda1, delta=1e-3, attempts=10)
+    assert report.applicable and len(report.attempts) == 10
+    assert len(locates) <= 5
+
+
+def test_homotopy_system_reports_the_norms_of_its_solution(var_problem):
+    ctx, eig = var_problem
+    f = benchmark_family(ctx, ctx, eig, eig)
+    cfg = HomotopyConfig.for_problem(ctx, ctx, eig, eig, family="tilde")
+    seed = eig.phi.with_values(2.0 * eig.phi.values)
+    rep = solve_homotopy_system(cfg, 0.5, f, ctx, ctx, eig, eig, seed, seed)
+    assert rep.picard_sweeps > 1
+    assert rep.norms == (sobolev_norm(rep.u1, ctx.p), sobolev_norm(rep.u2, ctx.p))

@@ -80,9 +80,9 @@ _SCHEMA = {
     "solver.eps_reg": (float, 1e-10, "gradient regularization"),
     "tol.increment": (float, 1e-9, "monotone-iteration increment tolerance"),
     "tol.residual": (float, 1e-8, "system residual tolerance"),
-    "homotopy.family": (str, "tilde", "tilde | delta"),
+    "homotopy.family": (str, "tilde", "tilde (the only family the trace runs)"),
     "homotopy.J_fraction": (float, 0.5, "J_i as a fraction of the spectral bound"),
-    "homotopy.delta": (float, 1e-3, "delta for the shifted family / probe"),
+    "homotopy.delta": (float, 1e-3, "shift of the nonexistence probe"),
     "homotopy.t_steps": (int, 11, "number of t-grid points"),
     "homotopy.R": (float, 0.0, "outer radius; 0 = auto"),
     "homotopy.R_tilde": (float, 0.0, "trace radius; 0 = auto"),
@@ -90,7 +90,7 @@ _SCHEMA = {
     "homotopy.seeds": (int, 50, "multi-start attempt count"),
     "homotopy.rng_seed": (int, 42, "random seed recorded in reports"),
     "output.dir": (str, ".", "artifact directory"),
-    "output.formats": (str, "json,csv", "emitted artifact kinds"),
+    "output.formats": (str, "json,csv", "emitted artifact kinds: json, optionally csv"),
     "verify.samples": (int, 100, "random samples per lemma in `verify`"),
 }
 
@@ -170,8 +170,18 @@ def _validate(cfg: RunConfig) -> list:
     for key in ("solver.tol", "tol.increment", "tol.residual"):
         if v[key] <= 0:
             errors.append(f"{key} must be positive")
-    if v["homotopy.family"] not in ("tilde", "delta"):
-        errors.append(f"homotopy.family must be tilde or delta, got {v['homotopy.family']!r}")
+    if v["homotopy.family"] != "tilde":
+        errors.append(
+            f"homotopy.family must be tilde, got {v['homotopy.family']!r}: the "
+            "trivial_at_t0 witness needs the tilde family, and the delta shift "
+            "enters only through the nonexistence probe (homotopy.delta)"
+        )
+    formats = {entry.strip() for entry in v["output.formats"].split(",")}
+    if "json" not in formats or not formats <= {"json", "csv"}:
+        errors.append(
+            f"output.formats must list json and optionally csv, got "
+            f"{v['output.formats']!r}: summary.json is always written"
+        )
     if v["homotopy.t_steps"] < 2:
         errors.append("homotopy.t_steps must be at least 2")
     if not 0.0 < v["homotopy.J_fraction"] < 1.0:
@@ -432,8 +442,6 @@ def _homotopy_config(cfg: RunConfig, ctx1, ctx2, eig1, eig2) -> HomotopyConfig:
         "t_grid": tuple(np.round(np.linspace(0.0, 1.0, v["homotopy.t_steps"]), 12)),
         "rng_seed": v["homotopy.rng_seed"],
     }
-    if v["homotopy.family"] == "delta" or v["homotopy.delta"] > 0:
-        kwargs["delta"] = v["homotopy.delta"]
     for key, name in (("homotopy.R", "R"), ("homotopy.R_hat", "R_hat")):
         if v[key] > 0:
             kwargs[name] = v[key]
@@ -459,7 +467,7 @@ def cmd_theorem2(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
         return 2
 
     hcfg = _homotopy_config(cfg, ctx1, ctx2, eig1, eig2)
-    trace = continuation(hcfg, f, ctx1, ctx2, eig1, eig2, family="tilde")
+    trace = continuation(hcfg, f, ctx1, ctx2, eig1, eig2)
     bnd = boundedness_probe(trace, R=v["homotopy.R_tilde"] if v["homotopy.R_tilde"] > 0 else None)
     probe = nonexistence_probe(
         ctx1, eig1,

@@ -30,6 +30,8 @@ from .operator import (
 )
 
 EIGEN_RESIDUAL_TOL = 1e-7
+_RAYLEIGH_RTOL = 1e-9  # relative change of the quotient that ends the sweeps
+_MAX_SWEEPS = 500
 
 
 def _signed_power(c, s: np.ndarray, p: np.ndarray) -> np.ndarray:
@@ -95,20 +97,14 @@ def _normalize_modular(u: GridFunction, p: ExponentField) -> GridFunction:
 def first_eigenpair(
     ctx: OperatorContext,
     initial: GridFunction | None = None,
-    rtol: float = 1e-9,
-    max_outer: int = 500,
-    hp_check=None,
     allow_unchecked_exponent: bool = False,
 ) -> EigenPair:
     """Minimize the Rayleigh quotient over Dirichlet-zero fields.
 
     The direction-monotonicity hypothesis guards the spectral property; it is
-    checked up front (coordinate directions) unless a previous report or an
-    explicit override is supplied.
+    checked up front (coordinate directions) unless explicitly overridden.
     """
-    if hp_check is None and not allow_unchecked_exponent:
-        hp_check = check_Hp(ctx.p, ctx.mesh)
-    if hp_check is not None and not hp_check.passed:
+    if not allow_unchecked_exponent and not check_Hp(ctx.p, ctx.mesh).passed:
         raise HypothesisError(
             "exponent failed the direction-monotonicity check; pass "
             "allow_unchecked_exponent=True to proceed anyway"
@@ -131,7 +127,7 @@ def first_eigenpair(
     converged = False
     stagnant = 0
     it = 0
-    for it in range(1, max_outer + 1):
+    for it in range(1, _MAX_SWEEPS + 1):
         u_qp = u.at_qp()
         rhs_qp = _signed_power(R, u_qp, p_qp)
         rep = dirichlet_solve(ctx, rhs_qp, initial=u)
@@ -147,7 +143,7 @@ def first_eigenpair(
         u = _normalize_modular(v, ctx.p)
         R_new = rayleigh_quotient(ctx, u)
         history.append(R_new)
-        if abs(R_new - R) <= rtol * abs(R_new):
+        if abs(R_new - R) <= _RAYLEIGH_RTOL * abs(R_new):
             R = R_new
             converged = True
             break
@@ -163,7 +159,7 @@ def first_eigenpair(
         R = R_new
     if not converged:
         raise NumericalError(
-            f"eigen iteration did not settle within {max_outer} sweeps"
+            f"eigen iteration did not settle within {_MAX_SWEEPS} sweeps"
         )
 
     def equation_residual(field, value):
@@ -175,7 +171,7 @@ def first_eigenpair(
     # sweeping while the residual still improves (variable exponents plateau
     # at a nonzero value, which the consistency flag reports)
     res = equation_residual(u, R)
-    while res > 0.5 * EIGEN_RESIDUAL_TOL and it < max_outer:
+    while res > 0.5 * EIGEN_RESIDUAL_TOL and it < _MAX_SWEEPS:
         u_qp = u.at_qp()
         rhs_qp = _signed_power(R, u_qp, p_qp)
         rep = dirichlet_solve(ctx, rhs_qp, initial=u)
@@ -237,14 +233,12 @@ class EnlargedEigenResult:
 def enlarged_eigenpair(
     ctx: OperatorContext,
     margin: float | None = None,
-    snap_to_grid: bool = True,
-    **eigen_kwargs,
 ) -> EnlargedEigenResult:
     """First eigenpair on the box-dilated domain, restricted back to the base mesh.
 
-    ``margin`` defaults to a quarter of the domain diameter.  With
-    ``snap_to_grid`` the margin is rounded up to whole cells so the inner
-    grid nests in the outer one and restriction is exact nodal pickup.
+    ``margin`` defaults to a quarter of the domain diameter and is rounded up
+    to whole cells, so the inner grid nests in the outer one and restriction
+    is exact nodal pickup.
     Returns tau = half the minimum of the restricted eigenfunction over all
     base-mesh nodes; tau > 0 certifies the strict interior bound.
     """
@@ -253,8 +247,7 @@ def enlarged_eigenpair(
         margin = 0.25 * mesh.diameter
     if margin <= 0:
         raise DomainError(f"margin must be positive, got {margin}")
-    if snap_to_grid:
-        margin = snap_margin(mesh, margin)
+    margin = snap_margin(mesh, margin)
     mesh_tilde = dilate_domain(mesh, margin)
     p_tilde = ctx.p.on_mesh(mesh_tilde)
     ctx_tilde = OperatorContext(
@@ -265,7 +258,7 @@ def enlarged_eigenpair(
         newton_tol=ctx.newton_tol,
         max_halvings=ctx.max_halvings,
     )
-    pair = first_eigenpair(ctx_tilde, **eigen_kwargs)
+    pair = first_eigenpair(ctx_tilde)
     phi_r = restrict(pair.phi, mesh)
     tau = 0.5 * float(np.min(phi_r.values))
     if tau <= 0:

@@ -11,6 +11,7 @@ comes from solving the reflected system in the same box and negating.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -119,14 +120,16 @@ def benchmark_family(
 # hypothesis probing
 
 
-@dataclass
-class ProbePlan:
-    small_s: tuple = (1e-2, 1e-3, 1e-4)
-    large_s: tuple = (1e2, 1e3, 1e4)
-    partner_grid: tuple = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
-    rho_hat_grid: tuple = tuple(np.logspace(-4, 2, 49))
-    n_x_samples: int = 64
-    h3_decay_factor: float = 0.1
+# probe grids of the growth hypotheses: own states near zero (H2) and at
+# infinity (H3, one per decade), partner states near zero, the radii tried
+# for rho_hat, the sample-point count, and the factor by which the H3 decade
+# maxima must fall from the first decade to the last
+_SMALL_S = (1e-2, 1e-3, 1e-4)
+_LARGE_S = (1e2, 1e3, 1e4)
+_PARTNER_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+_RHO_HAT_GRID = tuple(np.logspace(-4, 2, 49))
+_N_X_SAMPLES = 64
+_H3_DECAY_FACTOR = 0.1
 
 
 @dataclass
@@ -227,18 +230,16 @@ def check_hypotheses(
     ctx2: OperatorContext,
     eig1: EigenPair,
     eig2: EigenPair,
-    plan: ProbePlan | None = None,
 ) -> HypothesesReport:
     """Numerically probe the growth hypotheses on both components.
 
-    Small-argument growth is sampled on both sign branches at the plan's
-    probe points (the ratio must stay above the declared eta_i, which in
-    turn must exceed the eigenvalue threshold); decay at infinity is
-    accepted when the per-decade ratio maxima shrink by the plan's factor;
-    boundedness is checked for finite values on the sampled boxes.
+    Small-argument growth is sampled on both sign branches at the probe
+    points (the ratio must stay above the declared eta_i, which in turn must
+    exceed the eigenvalue threshold); decay at infinity is accepted when the
+    per-decade ratio maxima shrink by ``_H3_DECAY_FACTOR``; boundedness is
+    checked for finite values on the sampled boxes.
     """
-    plan = plan or ProbePlan()
-    x = _x_samples(ctx1, plan.n_x_samples)
+    x = _x_samples(ctx1, _N_X_SAMPLES)
     thr = (eta_threshold(eig1, ctx1.p), eta_threshold(eig2, ctx2.p))
     etas = (f.eta1, f.eta2)
     eta_ok = etas[0] > thr[0] and etas[1] > thr[1]
@@ -256,8 +257,8 @@ def check_hypotheses(
                 return f.f1(xx, own, part)
             return f.f2(xx, part, own)
 
-        m_pos, w_pos = _min_ratio_small(fi, x, plan.small_s, plan.partner_grid, pmin, +1.0)
-        m_neg, w_neg = _min_ratio_small(fi, x, plan.small_s, plan.partner_grid, pmin, -1.0)
+        m_pos, w_pos = _min_ratio_small(fi, x, _SMALL_S, _PARTNER_GRID, pmin, +1.0)
+        m_neg, w_neg = _min_ratio_small(fi, x, _SMALL_S, _PARTNER_GRID, pmin, -1.0)
         witnesses[f"H2_positive_{i}"] = w_pos
         witnesses[f"H2_negative_{i}"] = w_neg
         pos_ok &= m_pos >= eta
@@ -265,7 +266,7 @@ def check_hypotheses(
 
         partner_large = np.array([-1e4, -1.0, 1e-2, 1.0, 1e4])
         decade_max = []
-        for s in plan.large_s:
+        for s in _LARGE_S:
             signed = (s, -s)
             own = np.repeat(signed, len(partner_large))
             part = np.tile(partner_large, 2)
@@ -279,24 +280,24 @@ def check_hypotheses(
             decade_max.append(worst)
         witnesses[f"H3_decades_{i}"] = decade_max
         decay_ok &= all(b < a for a, b in zip(decade_max, decade_max[1:]))
-        decay_ok &= decade_max[-1] <= plan.h3_decay_factor * max(decade_max[0], 1e-300)
+        decay_ok &= decade_max[-1] <= _H3_DECAY_FACTOR * max(decade_max[0], 1e-300)
 
-        box = np.array([-max(plan.large_s), -1.0, 0.0, 1.0, max(plan.large_s)])
+        box = np.array([-max(_LARGE_S), -1.0, 0.0, 1.0, max(_LARGE_S)])
         own, part = np.repeat(box, len(box)), np.tile(box, len(box))
         finite = np.all(np.isfinite(_f_on_states(fi, x, own, part)), axis=1)
         for sa, sb in zip(own[~finite], part[~finite]):
             bounded_ok = False
             witnesses["H1_violation"] = {"s_own": sa, "s_partner": sb}
 
-    grid = np.asarray(plan.rho_hat_grid)
-    floor1 = np.array([f.eta1 * s ** (ctx1.p.p_min - 1.0) for s in plan.rho_hat_grid])
-    floor2 = np.array([f.eta2 * s ** (ctx2.p.p_min - 1.0) for s in plan.rho_hat_grid])
+    grid = np.asarray(_RHO_HAT_GRID)
+    floor1 = np.array([f.eta1 * s ** (ctx1.p.p_min - 1.0) for s in _RHO_HAT_GRID])
+    floor2 = np.array([f.eta2 * s ** (ctx2.p.p_min - 1.0) for s in _RHO_HAT_GRID])
 
     def rho_hat_for(g1, g2):
         """Largest r whose square [grid <= r]^2 has g_i >= eta_i s_i^(p_i_min - 1)
         everywhere; the square grows one border (row k and column k) at a time."""
         best = None
-        for k, r in enumerate(plan.rho_hat_grid):
+        for k, r in enumerate(_RHO_HAT_GRID):
             i1 = np.r_[np.full(k + 1, k), np.arange(k)]
             i2 = np.r_[np.arange(k + 1), np.full(k, k)]
             lhs1 = _f_on_states(g1, x, grid[i1], grid[i2])
@@ -323,7 +324,7 @@ def check_hypotheses(
         witnesses=witnesses,
         note=(
             "limits probed on finite grids: small |s| in "
-            f"{plan.small_s}, large |s| in {plan.large_s}; a pass certifies "
+            f"{_SMALL_S}, large |s| in {_LARGE_S}; a pass certifies "
             "the sampled range only"
         ),
     )
@@ -391,7 +392,6 @@ def construct_supersolution(
     eig1: EigenPair,
     eig2: EigenPair,
     margin: float | None = None,
-    plan: ProbePlan | None = None,
 ) -> SupersolutionResult:
     """Supersolution pair eps^-1 * (restricted enlarged eigenfunctions).
 
@@ -402,7 +402,6 @@ def construct_supersolution(
     """
     if ctx1.mesh is not ctx2.mesh:
         raise MeshMismatchError("both components must share one mesh")
-    plan = plan or ProbePlan()
     enl1 = enlarged_eigenpair(ctx1, margin)
     enl2 = enlarged_eigenpair(ctx2, margin)
     tau = min(enl1.tau, enl2.tau)
@@ -416,7 +415,7 @@ def construct_supersolution(
         for i in range(2)
     )
 
-    x = _x_samples(ctx1, plan.n_x_samples)
+    x = _x_samples(ctx1, _N_X_SAMPLES)
     rho, c_rho = _tail_constants(f, x, eta_bar, pmin)
     eps = 0.5
     while True:
@@ -507,9 +506,7 @@ def construct_subsolution(
                 np.minimum(fmin, np.asarray(fi(pts, *args)), out=fmin)
             lhs = assemble_residual(ctx, cand, rhs=None, eps_reg=0.0)
             rhs_f = load_vector(mesh, fmin.reshape(mesh.n_elements, mesh.n_qp))
-            noise = eps ** (ctx.p.p_min - 1.0) * 10.0 * eig.residual / np.sqrt(
-                mesh.element_measures.mean()
-            )
+            noise = eps ** (ctx.p.p_min - 1.0) * 10.0 * eig.residual / mesh.dual_scale
             if np.any(lhs > rhs_f + noise + 1e-14):
                 ok = False
                 break
@@ -592,12 +589,18 @@ class OrderedBox:
         return np.clip(values, lo, hi)
 
 
-def _box_extrema_qp(box: OrderedBox, f: Nonlinearity, mesh, subgrid: int):
+# states per component at which the box verification samples f, and the sign
+# violation of a weak inequality it tolerates
+_BOX_SUBGRID = 5
+_BOX_SLACK = 1e-10
+
+
+def _box_extrema_qp(box: OrderedBox, f: Nonlinearity, mesh):
     """min/max of each f_i over the frozen box section at every quadrature point."""
     pts = mesh.quad_points_flat
     lo1, hi1 = box.u_sub1.at_qp().ravel(), box.u_sup1.at_qp().ravel()
     lo2, hi2 = box.u_sub2.at_qp().ravel(), box.u_sup2.at_qp().ravel()
-    fracs = np.linspace(0.0, 1.0, subgrid)
+    fracs = np.linspace(0.0, 1.0, _BOX_SUBGRID)
     shape = (mesh.n_elements, mesh.n_qp)
     mins = [np.full(len(pts), np.inf), np.full(len(pts), np.inf)]
     maxs = [np.full(len(pts), -np.inf), np.full(len(pts), -np.inf)]
@@ -620,18 +623,16 @@ def verify_ordered_box(
     f: Nonlinearity,
     ctx1: OperatorContext,
     ctx2: OperatorContext,
-    subgrid: int = 5,
-    slack: float = 1e-10,
 ) -> BoxVerification:
     """Re-check the weak sub/super inequalities by direct assembly.
 
     For every interior hat function the subsolution flux pairing must not
     exceed the load of the boxwise f-minimum, and the supersolution pairing
-    must not fall below the load of the boxwise f-maximum; ``slack`` is the
-    tolerated sign violation.
+    must not fall below the load of the boxwise f-maximum, both up to
+    ``_BOX_SLACK``.
     """
     mesh = ctx1.mesh
-    mins, maxs = _box_extrema_qp(box, f, mesh, subgrid)
+    mins, maxs = _box_extrema_qp(box, f, mesh)
     worst_sub = []
     worst_sup = []
     for i, ctx in enumerate((ctx1, ctx2)):
@@ -641,11 +642,11 @@ def verify_ordered_box(
         sup_margin = assemble_residual(ctx, sup_u, rhs=maxs[i], eps_reg=0.0)
         worst_sub.append(float(np.max(sub_margin)))  # must be <= 0 (+slack)
         worst_sup.append(float(np.min(sup_margin)))  # must be >= 0 (-slack)
-    passed = max(worst_sub) <= slack and min(worst_sup) >= -slack
+    passed = max(worst_sub) <= _BOX_SLACK and min(worst_sup) >= -_BOX_SLACK
     verification = BoxVerification(
         worst_sub_margin=tuple(worst_sub),
         worst_sup_margin=tuple(worst_sup),
-        slack=slack,
+        slack=_BOX_SLACK,
         passed=bool(passed),
     )
     box.verification = verification
@@ -660,13 +661,11 @@ def build_ordered_box(
     eig2: EigenPair,
     margin: float | None = None,
     hyp: HypothesesReport | None = None,
-    verify: bool = True,
-    allow_failed_hypotheses: bool = False,
 ) -> OrderedBox:
     """Full construction: probe hypotheses, build both sides, verify."""
     if hyp is None:
         hyp = check_hypotheses(f, ctx1, ctx2, eig1, eig2)
-    if not hyp.passed and not allow_failed_hypotheses:
+    if not hyp.passed:
         raise HypothesisError(
             f"hypothesis probe failed: {hyp.summary()}"
         )
@@ -685,8 +684,7 @@ def build_ordered_box(
                 "constructed box lost positivity (subsolution interior / "
                 "supersolution everywhere)"
             )
-    if verify:
-        verify_ordered_box(box, f, ctx1, ctx2)
+    verify_ordered_box(box, f, ctx1, ctx2)
     return box
 
 
@@ -735,13 +733,15 @@ def system_residuals(
     return dual_norm(ctx1.mesh, r1), dual_norm(ctx2.mesh, r2)
 
 
+_BOX_MAX_SWEEPS = 200
+
+
 def solve_in_box(
     box: OrderedBox,
     f: Nonlinearity,
     ctx1: OperatorContext,
     ctx2: OperatorContext,
     start: str = "sub",
-    max_outer: int = 200,
     increment_tol: float = 1e-9,
     residual_tol: float = 1e-8,
 ) -> BoxSolveResult:
@@ -770,7 +770,7 @@ def solve_in_box(
     pretrunc = 0.0
     converged = False
     it = 0
-    for it in range(1, max_outer + 1):
+    for it in range(1, _BOX_MAX_SWEEPS + 1):
         rep1 = dirichlet_solve(ctx1, _f_at_state(f.f1, mesh, u1, u2), initial=u1)
         raw1 = rep1.u.values
         pretrunc = max(
@@ -835,23 +835,9 @@ def negative_solutions(
         raise HypothesisError(
             "the negative small-argument growth branch failed its probe"
         )
-    reflected = f.reflected()
-    res = solve_in_box(box, reflected, ctx1, ctx2, **solve_kwargs)
-    u1 = res.u1.with_values(-res.u1.values)
-    u2 = res.u2.with_values(-res.u2.values)
-    mesh = ctx1.mesh
-    interior_negative = bool(
-        np.all(u1.values[mesh.interior_nodes] < 0)
-        and np.all(u2.values[mesh.interior_nodes] < 0)
-    )
-    return BoxSolveResult(
-        u1=u1,
-        u2=u2,
-        converged=res.converged,
-        iterations=res.iterations,
-        residuals=res.residuals,
-        increment_history=res.increment_history,
-        residual_history=res.residual_history,
-        pretruncation_violation=res.pretruncation_violation,
-        interior_positive=interior_negative,
+    res = solve_in_box(box, f.reflected(), ctx1, ctx2, **solve_kwargs)
+    # the reflected pair is interior-positive exactly when the negated pair
+    # is strictly negative inside, so ``interior_positive`` carries over
+    return dataclasses.replace(
+        res, u1=res.u1.with_values(-res.u1.values), u2=res.u2.with_values(-res.u2.values)
     )

@@ -15,6 +15,9 @@ from .errors import HypothesisError
 from .expressions import coordinate_expression
 from .mesh import GridFunction, Mesh
 
+_SAMPLES_PER_LINE = 64  # points on each sampled line of the monotonicity checks
+_MONOTONE_TOL = 1e-12  # a step of p against the trend up to this still counts as monotone
+
 
 class ExponentField:
     """A continuous exponent p(x) with cached bounds on a mesh.
@@ -53,7 +56,7 @@ class ExponentField:
             self.description = repr(value)
         self._rule = rule
 
-        qp = self.at_qp(mesh)
+        qp = self.at_qp()
         nodal = self.evaluate(mesh.nodes)
         self.p_min = float(min(qp.min(), nodal.min()))
         self.p_max = float(max(qp.max(), nodal.max()))
@@ -74,11 +77,10 @@ class ExponentField:
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(self._evaluate(points), dtype=float)
 
-    def at_qp(self, mesh: Mesh | None = None) -> np.ndarray:
-        """Exponent values at quadrature points, shape (n_elements, n_qp)."""
-        mesh = mesh or self.mesh
-        flat = self.evaluate(mesh.quad_points_flat)
-        return flat.reshape(mesh.n_elements, mesh.n_qp)
+    def at_qp(self) -> np.ndarray:
+        """Exponent values at the mesh's quadrature points, shape (n_elements, n_qp)."""
+        flat = self.evaluate(self.mesh.quad_points_flat)
+        return flat.reshape(self.mesh.n_elements, self.mesh.n_qp)
 
     def on_mesh(self, mesh: Mesh) -> "ExponentField":
         """Re-bind the same rule to another mesh (e.g. the enlarged domain).
@@ -141,7 +143,7 @@ class HpReport:
         }
 
 
-def _line_monotone(p, mesh, x0, direction, samples, tol):
+def _line_monotone(p, mesh, x0, direction):
     """Sample p along the in-box segment through x0; None if degenerate."""
     lo, hi = mesh.bbox
     tmin, tmax = -np.inf, np.inf
@@ -154,12 +156,12 @@ def _line_monotone(p, mesh, x0, direction, samples, tol):
         tmax = min(tmax, max(t1, t2))
     if not tmax > tmin:
         return None
-    ts = np.linspace(tmin, tmax, samples)
+    ts = np.linspace(tmin, tmax, _SAMPLES_PER_LINE)
     pts = x0[None, :] + ts[:, None] * direction[None, :]
     pts = np.clip(pts, lo[None, :], hi[None, :])
     vals = p.evaluate(pts)
     diffs = np.diff(vals)
-    monotone = bool(np.all(diffs >= -tol) or np.all(diffs <= tol))
+    monotone = bool(np.all(diffs >= -_MONOTONE_TOL) or np.all(diffs <= _MONOTONE_TOL))
     witness = None
     if not monotone:
         k = int(np.argmax(np.abs(np.diff(np.sign(diffs)))))
@@ -176,18 +178,12 @@ def _base_points(mesh) -> np.ndarray:
     return mesh.nodes[::step]
 
 
-def check_Hp(
-    p: ExponentField,
-    mesh: Mesh,
-    directions=None,
-    samples_per_line: int = 64,
-    tol: float = 1e-12,
-) -> HpReport:
+def check_Hp(p: ExponentField, mesh: Mesh, directions=None) -> HpReport:
     """Sample p along lines through the domain and test monotonicity.
 
     For each direction l, lines x0 + t*l through a grid of base points are
     sampled inside the bounding box; a direction passes when every sampled
-    restriction is monotone (non-increasing or non-decreasing within ``tol``).
+    restriction is monotone (non-increasing or non-decreasing up to _MONOTONE_TOL).
     """
     dim = mesh.dimension
     if directions is None:
@@ -206,7 +202,7 @@ def check_Hp(
         witness = None
         n_lines = 0
         for x0 in _base_points(mesh):
-            result = _line_monotone(p, mesh, x0, l, samples_per_line, tol)
+            result = _line_monotone(p, mesh, x0, l)
             if result is None:
                 continue
             n_lines += 1
@@ -218,13 +214,7 @@ def check_Hp(
     return report
 
 
-def check_Hp_rays(
-    p: ExponentField,
-    mesh: Mesh,
-    exterior_point,
-    samples_per_line: int = 64,
-    tol: float = 1e-12,
-) -> HpReport:
+def check_Hp_rays(p: ExponentField, mesh: Mesh, exterior_point) -> HpReport:
     """Ray variant: monotonicity along every sampled ray from an exterior
     point through the domain.  All rays must be monotone for a pass."""
     x_ext = np.asarray(exterior_point, dtype=float)
@@ -239,7 +229,7 @@ def check_Hp_rays(
         norm = np.linalg.norm(w)
         if norm == 0:
             continue
-        result = _line_monotone(p, mesh, x_ext, w / norm, samples_per_line, tol)
+        result = _line_monotone(p, mesh, x_ext, w / norm)
         if result is None:
             continue
         n_lines += 1

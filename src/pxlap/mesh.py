@@ -19,6 +19,9 @@ import numpy as np
 
 from .errors import DomainError, MeshMismatchError
 
+_CONTAINS_TOL = 1e-12  # bounding-box padding of Mesh.contains, relative to the diameter
+_COORD_TOL = 1e-9  # node-coordinate mismatch that load_grid_function_csv accepts
+
 # degree-5 Gauss-Legendre rule on [0, 1]
 _GL3_X, _GL3_W = np.polynomial.legendre.leggauss(3)
 _GL3_X = (_GL3_X + 1.0) / 2.0
@@ -73,6 +76,8 @@ class Mesh:
         P1 shape function values at the quadrature points.
     basis_grads : ndarray, shape (n_elements, nodes_per_element, dimension)
         Elementwise-constant shape function gradients.
+    dual_scale : float
+        sqrt of the mean element measure, the scale of the discrete dual norm.
     """
 
     def __init__(self, dimension, nodes, elements, boundary_nodes, structure):
@@ -97,6 +102,7 @@ class Mesh:
 
         if np.any(self.element_measures <= 0):
             raise DomainError("mesh contains an element with non-positive measure")
+        self.dual_scale = np.sqrt(self.element_measures.mean())
 
     # -- construction helpers -------------------------------------------------
 
@@ -172,10 +178,10 @@ class Mesh:
             return float(self.element_measures.mean())
         return float(np.sqrt(2.0 * self.element_measures.mean()))
 
-    def contains(self, points: np.ndarray, tol: float = 1e-12) -> bool:
+    def contains(self, points: np.ndarray) -> bool:
         points = np.atleast_2d(np.asarray(points, dtype=float))
         lo, hi = self.bbox
-        pad = tol * max(self.diameter, 1.0)
+        pad = _CONTAINS_TOL * max(self.diameter, 1.0)
         return bool(
             np.all(points >= lo[None, :] - pad) and np.all(points <= hi[None, :] + pad)
         )
@@ -350,12 +356,9 @@ class GridFunction:
         return cls(mesh, np.zeros(mesh.n_nodes), dirichlet_zero=True)
 
     @classmethod
-    def from_callable(cls, mesh: Mesh, fn, dirichlet_zero: bool = False) -> "GridFunction":
+    def from_callable(cls, mesh: Mesh, fn) -> "GridFunction":
         vals = np.asarray(fn(mesh.nodes), dtype=float)
-        vals = np.broadcast_to(vals, (mesh.n_nodes,)).copy()
-        if dirichlet_zero:
-            vals[mesh.boundary_nodes] = 0.0
-        return cls(mesh, vals, dirichlet_zero=dirichlet_zero)
+        return cls(mesh, np.broadcast_to(vals, (mesh.n_nodes,)).copy())
 
     def with_values(self, values, dirichlet_zero=None) -> "GridFunction":
         if dirichlet_zero is None:
@@ -398,7 +401,7 @@ class GridFunction:
         np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
 
 
-def load_grid_function_csv(path, mesh: Mesh, coord_tol: float = 1e-9) -> GridFunction:
+def load_grid_function_csv(path, mesh: Mesh) -> GridFunction:
     """Read a nodal CSV written by :meth:`GridFunction.save_csv`."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape != (mesh.n_nodes, mesh.dimension + 1):
@@ -406,7 +409,7 @@ def load_grid_function_csv(path, mesh: Mesh, coord_tol: float = 1e-9) -> GridFun
             f"CSV shape {data.shape} does not match mesh "
             f"({mesh.n_nodes} nodes, {mesh.dimension}D)"
         )
-    if np.max(np.abs(data[:, : mesh.dimension] - mesh.nodes)) > coord_tol:
+    if np.max(np.abs(data[:, : mesh.dimension] - mesh.nodes)) > _COORD_TOL:
         raise MeshMismatchError("CSV node coordinates do not match the mesh")
     vals = data[:, -1]
     dz = bool(np.all(vals[mesh.boundary_nodes] == 0.0))

@@ -12,6 +12,7 @@ an error.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +26,14 @@ from .operator import OperatorContext, semilinear_solve
 from .operator import _newton, _state_loads  # the damped-Newton driver shared with the scalar solves
 
 DEDUP_DISTANCE = 1e-4
+_PICARD_RTOL = 1e-8
+_PICARD_MAX = 20
+# residual a continuation or annulus solution must reach to be recorded
+_SOLUTION_TOL = 1e-8
+# seeds of the continuation steps and of the annulus search
+_CONTINUATION_EIG_SCALES = (0.5, 2.0)
+_ANNULUS_EIG_SEEDS = 12
+_ANNULUS_RANDOM_SEEDS = 8
 
 
 @dataclass
@@ -100,7 +109,6 @@ def homotopy_rhs(
     ctx2: OperatorContext,
     eig1: EigenPair,
     eig2: EigenPair,
-    family: str | None = None,
 ):
     """Per-point callables (g1, g2) of the homotopy at parameter t.
 
@@ -113,17 +121,16 @@ def homotopy_rhs(
         max(1.0, sobolev_norm(u1, ctx1.p)),
         max(1.0, sobolev_norm(u2, ctx2.p)),
     )
-    return _homotopy_loads(cfg, t, dens, f, ctx1, ctx2, eig1, eig2, family)
+    return _homotopy_loads(cfg, t, dens, f, ctx1, ctx2, eig1, eig2)
 
 
-def _homotopy_loads(cfg, t, dens, f, ctx1, ctx2, eig1, eig2, family=None):
+def _homotopy_loads(cfg, t, dens, f, ctx1, ctx2, eig1, eig2):
     """:func:`homotopy_rhs` with the denominators ``dens`` given.
 
     Component i is t f_i + (1 - t) times the scalar reference load of
     :func:`_scalar_reference_rhs`, shifted in the delta family.
     """
-    family = family or cfg.family
-    delta = cfg.delta if family == "delta" else None
+    delta = cfg.delta if cfg.family == "delta" else None
 
     def make(i, ctx, eig, J):
         fi = f.component(i)
@@ -149,9 +156,10 @@ class CoupledReport:
     u2: GridFunction
     residual: float
     iterations: int
-    picard_sweeps: int
     converged: bool
-    # component Sobolev norms of (u1, u2), when the Picard loop computed them
+    # Picard sweeps and component Sobolev norms of (u1, u2), when the Picard
+    # loop ran
+    picard_sweeps: int = 0
     norms: tuple | None = None
 
 
@@ -175,9 +183,30 @@ def solve_coupled(
         u2=GridFunction(mesh, v2, dirichlet_zero=True),
         residual=residual,
         iterations=iterations,
-        picard_sweeps=0,
         converged=converged,
     )
+
+
+def _picard(ctxs, solve, seeds):
+    """Outer Picard on the frozen norm denominators max{1, ||u_i||}.
+
+    ``solve(dens, fields)`` runs one inner solve from ``fields`` with the
+    denominators ``dens`` and returns its report and solution fields; the
+    norms of each sweep's solutions freeze the next sweep's denominators.
+    Stops when every norm moves by at most _PICARD_RTOL relative to
+    max{1, new norm}, or after _PICARD_MAX sweeps.  Returns the last report,
+    the sweep count and the norms of its solutions.
+    """
+    fields = seeds
+    prev = [sobolev_norm_or_zero(u, ctx) for u, ctx in zip(fields, ctxs)]
+    for sweeps in range(1, _PICARD_MAX + 1):
+        rep, fields = solve([max(1.0, n) for n in prev], fields)
+        cur = [sobolev_norm_or_zero(u, ctx) for u, ctx in zip(fields, ctxs)]
+        change = max(abs(c - p) / max(1.0, c) for c, p in zip(cur, prev))
+        prev = cur
+        if change <= _PICARD_RTOL:
+            break
+    return rep, sweeps, tuple(prev)
 
 
 def solve_homotopy_system(
@@ -190,35 +219,17 @@ def solve_homotopy_system(
     eig2: EigenPair,
     seed1: GridFunction,
     seed2: GridFunction,
-    family: str | None = None,
-    picard_max: int = 20,
-    picard_rtol: float = 1e-8,
 ) -> CoupledReport:
-    """Outer Picard on the norm denominators, inner coupled Newton.
+    """Outer Picard on the norm denominators, inner coupled Newton; the
+    report carries the sweep count and the norms of its solutions."""
 
-    The norms of each sweep's solution freeze the next sweep's denominators
-    and end up in the report's ``norms``.
-    """
-    u1, u2 = seed1, seed2
-    sweeps = 0
-    rep = None
-    prev = (sobolev_norm(u1, ctx1.p), sobolev_norm(u2, ctx2.p))
-    for sweeps in range(1, picard_max + 1):
-        dens = (max(1.0, prev[0]), max(1.0, prev[1]))
-        g1, g2 = _homotopy_loads(cfg, t, dens, f, ctx1, ctx2, eig1, eig2, family)
-        rep = solve_coupled(ctx1, ctx2, g1, g2, u1, u2)
-        u1, u2 = rep.u1, rep.u2
-        cur = (sobolev_norm(u1, ctx1.p), sobolev_norm(u2, ctx2.p))
-        change = max(
-            abs(cur[0] - prev[0]) / max(1.0, cur[0]),
-            abs(cur[1] - prev[1]) / max(1.0, cur[1]),
-        )
-        prev = cur
-        if change <= picard_rtol:
-            break
-    rep.picard_sweeps = sweeps
-    rep.norms = prev
-    return rep
+    def sweep(dens, fields):
+        g1, g2 = _homotopy_loads(cfg, t, dens, f, ctx1, ctx2, eig1, eig2)
+        rep = solve_coupled(ctx1, ctx2, g1, g2, *fields)
+        return rep, (rep.u1, rep.u2)
+
+    rep, sweeps, norms = _picard((ctx1, ctx2), sweep, (seed1, seed2))
+    return dataclasses.replace(rep, picard_sweeps=sweeps, norms=norms)
 
 
 def sobolev_norm_or_zero(u: GridFunction, ctx: OperatorContext) -> float:
@@ -313,9 +324,6 @@ def continuation(
     ctx2: OperatorContext,
     eig1: EigenPair,
     eig2: EigenPair,
-    family: str | None = None,
-    extra_seed_scales: tuple = (0.5, 2.0),
-    tol: float = 1e-8,
 ) -> HomotopyTrace:
     """March the t-grid recording every converged, deduplicated solution.
 
@@ -325,10 +333,9 @@ def continuation(
     what pick up nontrivial branches).  Per-step non-convergence is recorded
     in the trace, never fatal.
     """
-    family = family or cfg.family
     cfg.validate_spectral_gate(ctx1, ctx2, eig1, eig2)
     mesh = ctx1.mesh
-    trace = HomotopyTrace(family=family, rng_seed=cfg.rng_seed)
+    trace = HomotopyTrace(family=cfg.family, rng_seed=cfg.rng_seed)
 
     def eig_seed(scale):
         return (
@@ -340,19 +347,17 @@ def continuation(
     for t in cfg.t_grid:
         seeds = [(GridFunction.zeros(mesh), GridFunction.zeros(mesh), "zero")]
         seeds += [(s1, s2, "continued") for (s1, s2) in previous]
-        seeds += [(*eig_seed(c), f"eig x{c}") for c in extra_seed_scales]
+        seeds += [(*eig_seed(c), f"eig x{c}") for c in _CONTINUATION_EIG_SCALES]
 
         pairs, norms, residuals, tags, flags = [], [], [], [], []
         for s1, s2, tag in seeds:
             try:
-                rep = solve_homotopy_system(
-                    cfg, t, f, ctx1, ctx2, eig1, eig2, s1, s2, family
-                )
+                rep = solve_homotopy_system(cfg, t, f, ctx1, ctx2, eig1, eig2, s1, s2)
             except NumericalError:
                 flags.append(False)
                 continue
             flags.append(rep.converged)
-            if rep.converged and rep.residual <= tol:
+            if rep.converged and rep.residual <= _SOLUTION_TOL:
                 pairs.append((rep.u1, rep.u2))
                 norms.append(rep.norms[0] + rep.norms[1])
                 residuals.append(rep.residual)
@@ -493,25 +498,6 @@ def _scalar_reference_rhs(ctx, eig, J, delta, den, shift_qp=None):
     return g
 
 
-def _solve_scalar_reference(ctx, eig, J, delta, seed, shift_qp, picard_max=20, picard_rtol=1e-8):
-    """Picard on the denominator of the reference problem; returns the last
-    report and the Sobolev norm of its solution."""
-    u = seed
-    rep = None
-    prev = sobolev_norm_or_zero(u, ctx)
-    for _ in range(picard_max):
-        den = max(1.0, prev)
-        g = _scalar_reference_rhs(ctx, eig, J, delta, den, shift_qp)
-        rep = semilinear_solve(ctx, g, initial=u)
-        u = rep.u
-        cur = sobolev_norm_or_zero(u, ctx)
-        if abs(cur - prev) <= picard_rtol * max(1.0, cur):
-            prev = cur
-            break
-        prev = cur
-    return rep, prev
-
-
 def nonexistence_probe(
     ctx: OperatorContext,
     eig: EigenPair,
@@ -573,16 +559,16 @@ def nonexistence_probe(
         delta=delta,
     )
     shift_qp = _shift_at_qp(ctx, eig, delta)
+
+    def sweep(dens, fields):
+        g = _scalar_reference_rhs(ctx, eig, J, delta, dens[0], shift_qp)
+        rep = semilinear_solve(ctx, g, initial=fields[0])
+        return rep, (rep.u,)
+
     for seed, tag in seeds[:attempts]:
-        rep, norm = _solve_scalar_reference(ctx, eig, J, delta, seed, shift_qp)
-        res = rep.residual if rep is not None else np.inf
-        conv = bool(rep is not None and rep.converged and res <= tolerance)
-        record = AttemptRecord(
-            tag=tag,
-            converged=conv,
-            residual=float(res),
-            norm=norm if rep is not None else np.nan,
-        )
+        rep, _, (norm,) = _picard((ctx,), sweep, (seed,))
+        conv = bool(rep.converged and rep.residual <= tolerance)
+        record = AttemptRecord(tag=tag, converged=conv, residual=float(rep.residual), norm=norm)
         report.attempts.append(record)
         report.min_residual = min(report.min_residual, record.residual)
         if conv:
@@ -636,9 +622,6 @@ def annulus_search(
     u_plus: tuple[GridFunction, GridFunction],
     eig1: EigenPair,
     eig2: EigenPair,
-    n_eig_seeds: int = 12,
-    n_random_seeds: int = 8,
-    tolerance: float = 1e-8,
     seed_order: list | None = None,
 ) -> AnnulusReport:
     """Multi-start damped Newton on the original (t = 1) system from seeds
@@ -668,7 +651,7 @@ def annulus_search(
     eig_pair_norm = sobolev_norm(eig1.phi, ctx1.p) + sobolev_norm(eig2.phi, ctx2.p)
     rng = np.random.default_rng(cfg.rng_seed)
     seeds = []
-    for target in np.geomspace(R_hat * 1.05, R * 0.95, n_eig_seeds):
+    for target in np.geomspace(R_hat * 1.05, R * 0.95, _ANNULUS_EIG_SEEDS):
         c = target / eig_pair_norm
         seeds.append(
             (
@@ -677,7 +660,7 @@ def annulus_search(
                 f"eig@{target:.3g}",
             )
         )
-    for _ in range(n_random_seeds):
+    for _ in range(_ANNULUS_RANDOM_SEEDS):
         target = float(rng.uniform(R_hat * 1.05, R * 0.95))
         comps = []
         for ctx in (ctx1, ctx2):
@@ -710,10 +693,10 @@ def annulus_search(
     pairs, norms, residuals, tags = [], [], [], []
     for s1, s2, tag in seeds:
         try:
-            rep = solve_coupled(ctx1, ctx2, f.f1, f.f2, s1, s2, tol=tolerance * 1e-2)
+            rep = solve_coupled(ctx1, ctx2, f.f1, f.f2, s1, s2, tol=_SOLUTION_TOL * 1e-2)
         except NumericalError:
             continue
-        if rep.converged and rep.residual <= tolerance:
+        if rep.converged and rep.residual <= _SOLUTION_TOL:
             pairs.append((rep.u1, rep.u2))
             norms.append(
                 sobolev_norm_or_zero(rep.u1, ctx1) + sobolev_norm_or_zero(rep.u2, ctx2)

@@ -20,6 +20,9 @@ from .errors import HypothesisError, MeshMismatchError, NumericalError
 from .exponents import ExponentField
 from .mesh import GridFunction, Mesh, _freeze, integrate
 
+_COMPARISON_TOL = 1e-8  # nodal excess u_low - u_high that comparison_check passes
+_PICONE_FLOOR = 1e-14  # picone needs w2 above this at every quadrature point
+
 
 @dataclass
 class OperatorContext:
@@ -42,7 +45,7 @@ class OperatorContext:
             raise ValueError("eps_reg must be >= 0 and newton_tol > 0")
         if self.p.mesh is not self.mesh:
             raise MeshMismatchError("exponent field lives on a different mesh")
-        self._p_qp = self.p.at_qp(self.mesh)
+        self._p_qp = self.p.at_qp()
         conn = self.mesh.elements
         grads = self.mesh.basis_grads  # (n_el, nloc, dim)
         self._grad_dots = np.einsum("ead,ebd->eab", grads, grads)
@@ -68,7 +71,7 @@ def dual_norm(mesh: Mesh, r: np.ndarray) -> float:
     # einsum, not np.linalg.norm: the BLAS dot wakes a second OpenBLAS thread
     # on large residuals, which busy-waits and makes the sum depend on the
     # thread count
-    return float(np.sqrt(mesh.element_measures.mean()) * np.sqrt(np.einsum("i,i->", r, r)))
+    return float(mesh.dual_scale * np.sqrt(np.einsum("i,i->", r, r)))
 
 
 @dataclass(frozen=True)
@@ -428,7 +431,7 @@ class ComparisonReport:
     report_high: SolveReport
 
 
-def comparison_check(ctx: OperatorContext, h1, h2, tol: float = 1e-8) -> ComparisonReport:
+def comparison_check(ctx: OperatorContext, h1, h2) -> ComparisonReport:
     """Solve with ordered right-hand sides and check nodal ordering u1 <= u2."""
     h1_qp = _rhs_at_qp(ctx.mesh, h1)
     h2_qp = _rhs_at_qp(ctx.mesh, h2)
@@ -440,7 +443,7 @@ def comparison_check(ctx: OperatorContext, h1, h2, tol: float = 1e-8) -> Compari
     viol = float(np.max(rep1.u.values - rep2.u.values))
     return ComparisonReport(
         max_violation=viol,
-        passed=bool(conclusive and viol <= tol),
+        passed=bool(conclusive and viol <= _COMPARISON_TOL),
         conclusive=conclusive,
         report_low=rep1,
         report_high=rep2,
@@ -501,7 +504,6 @@ def picone(
     w2: GridFunction,
     p: ExponentField,
     include_grad_p: bool = False,
-    floor: float = 1e-14,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both Picone fields at every quadrature point.
 
@@ -518,7 +520,7 @@ def picone(
         raise HypothesisError("picone requires w1 >= 0")
     w1_qp = w1.at_qp()
     w2_qp = w2.at_qp()
-    if np.min(w2_qp) <= floor:
+    if np.min(w2_qp) <= _PICONE_FLOOR:
         raise HypothesisError("picone requires w2 bounded away from zero")
 
     p_qp = p.at_qp()

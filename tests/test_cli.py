@@ -12,14 +12,14 @@ from pxlap.cli import default_config, main, parse_config
 from pxlap.errors import ConfigError
 
 
-def run_cli(args, cwd, timeout=None):
+def run_cli(args, cwd, timeout=None, **env_vars):
     # The child runs from cwd, where a relative PYTHONPATH (such as "src")
     # no longer resolves; lead with the directory that holds the pxlap this
     # process imported, and keep the other entries, made absolute.
     entries = [str(Path(pxlap.__file__).resolve().parents[1])]
     inherited = os.environ.get("PYTHONPATH", "").split(os.pathsep)
     entries += [os.path.abspath(e) for e in inherited if e]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(entries))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(entries), **env_vars)
     return subprocess.run(
         [sys.executable, "-m", "pxlap.cli", *args],
         cwd=cwd,
@@ -58,6 +58,36 @@ def test_parse_rejects_bad_values(tmp_path):
         parse_config(path)
     text = "; ".join(err.value.errors)
     assert "solver.tol" in text and "waffle" in text and "name(s) q" in text
+
+
+def test_cli_delta_family_exit_code(tmp_path, capsys):
+    # the trace runs the tilde family only; a delta config used to run it
+    # anyway and report "delta" in its summary
+    cfg = tmp_path / "delta.cfg"
+    cfg.write_text("mesh.n = 32\nhomotopy.t_steps = 2\nhomotopy.seeds = 1\nhomotopy.family = delta\n")
+    rc = main(["theorem2", "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert "homotopy.family must be tilde" in err and "trivial_at_t0" in err
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize("formats", ["xml", "csv", "json,xml", "json,"])
+def test_cli_rejects_bad_output_formats(tmp_path, formats, capsys):
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text(f"mesh.n = 16\noutput.formats = {formats}\n")
+    rc = main(["eig", "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"])
+    assert rc == 3
+    assert "output.formats" in capsys.readouterr().err
+
+
+def test_cli_json_only_writes_no_csv(tmp_path):
+    cfg = tmp_path / "f.cfg"
+    cfg.write_text("mesh.n = 16\noutput.formats = json\n")
+    rc = main(["eig", "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"])
+    assert rc == 0
+    assert (tmp_path / "summary.json").exists()
+    assert not list(tmp_path.glob("*.csv"))
 
 
 def test_missing_config_file():
@@ -193,6 +223,27 @@ def test_cli_theorem1_artifacts(tmp_path):
     assert data["box_verification"]["passed"]
     for name in ("u1_positive", "u2_positive", "u1_negative", "u2_negative"):
         assert (tmp_path / f"{name}.csv").exists()
+
+
+def test_cli_theorem1_2d_p_below_two_raises_no_runtime_warning(tmp_path):
+    # p < 2 on the whole dilated domain, where the eigenfunction vanishes at
+    # the quadrature points of boundary-corner triangles: any RuntimeWarning
+    # (0^(negative) * 0 = NaN, say) ends the run with a traceback
+    cfg = tmp_path / "t1.cfg"
+    cfg.write_text(
+        "mesh.kind = rectangle\nmesh.nx = 12\nmesh.ny = 12\n"
+        "p1.expr = 1.8 + 0.1*x\np2.expr = 1.8 + 0.1*x\nmargin = 0.25\n"
+    )
+    rc = run_cli(
+        ["theorem1", "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"],
+        cwd=tmp_path,
+        timeout=120,
+        PYTHONWARNINGS="error::RuntimeWarning",
+    )
+    assert rc.returncode == 0, rc.stderr
+    data = json.loads((tmp_path / "summary.json").read_text())
+    assert data["positive"]["converged"] and data["negative"]["converged"]
+    assert data["box_verification"]["passed"]
 
 
 def test_cli_theorem1_with_explicit_expressions(tmp_path):

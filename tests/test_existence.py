@@ -296,7 +296,7 @@ def test_variable_exponent_pipeline_smoke():
     f = benchmark_family(ctx, ctx, eig, eig)
     hyp = check_hypotheses(f, ctx, ctx, eig, eig)
     assert hyp.passed
-    box = build_ordered_box(f, ctx, ctx, eig, eig, hyp=hyp, verify=True)
+    box = build_ordered_box(f, ctx, ctx, eig, eig, hyp=hyp)
     assert box.verification.passed
     res = solve_in_box(box, f, ctx, ctx)
     assert res.converged

@@ -1,5 +1,6 @@
 """Work the Newton and Picard loops build once: the plan's block matrix, the
-point fields of the reference loads and the norms of the Picard sweeps.
+point fields of the reference loads and the norms of the Picard sweeps; and
+the one frozen-norm Picard loop that serves the coupled and the scalar solves.
 
 Each test keeps the straightforward construction as its reference and asks
 for bit-identical results.
@@ -12,13 +13,17 @@ import scipy.sparse as sp
 from pxlap.eigen import first_eigenpair
 from pxlap.exponents import ExponentField
 from pxlap.existence import benchmark_family
-from pxlap.mesh import Mesh, build_interval_mesh, build_rectangle_mesh, dilate_domain
+from pxlap.mesh import GridFunction, Mesh, build_interval_mesh, build_rectangle_mesh, dilate_domain
+import pxlap.multiplicity as multiplicity
 from pxlap.modular import sobolev_norm
 from pxlap.multiplicity import (
     HomotopyConfig,
+    _homotopy_loads,
     _scalar_reference_rhs,
+    _shift_at_qp,
     homotopy_rhs,
     nonexistence_probe,
+    sobolev_norm_or_zero,
     solve_coupled,
     solve_homotopy_system,
 )
@@ -181,3 +186,102 @@ def test_homotopy_system_reports_the_norms_of_its_solution(var_problem):
     rep = solve_homotopy_system(cfg, 0.5, f, ctx, ctx, eig, eig, seed, seed)
     assert rep.picard_sweeps > 1
     assert rep.norms == (sobolev_norm(rep.u1, ctx.p), sobolev_norm(rep.u2, ctx.p))
+
+
+# ---------------------------------------------------------------------------
+# the two Picard loops that `multiplicity._picard` replaced
+
+
+def _ref_solve_homotopy_system(cfg, t, f, ctx1, ctx2, eig1, eig2, seed1, seed2, picard_max=20, picard_rtol=1e-8):
+    u1, u2 = seed1, seed2
+    rep = None
+    prev = (sobolev_norm(u1, ctx1.p), sobolev_norm(u2, ctx2.p))
+    for sweeps in range(1, picard_max + 1):
+        dens = (max(1.0, prev[0]), max(1.0, prev[1]))
+        g1, g2 = _homotopy_loads(cfg, t, dens, f, ctx1, ctx2, eig1, eig2)
+        rep = solve_coupled(ctx1, ctx2, g1, g2, u1, u2)
+        u1, u2 = rep.u1, rep.u2
+        cur = (sobolev_norm(u1, ctx1.p), sobolev_norm(u2, ctx2.p))
+        change = max(
+            abs(cur[0] - prev[0]) / max(1.0, cur[0]),
+            abs(cur[1] - prev[1]) / max(1.0, cur[1]),
+        )
+        prev = cur
+        if change <= picard_rtol:
+            break
+    rep.picard_sweeps = sweeps
+    rep.norms = prev
+    return rep
+
+
+def _ref_solve_scalar_reference(ctx, eig, J, delta, seed, shift_qp, picard_max=20, picard_rtol=1e-8):
+    """The old scalar loop; also returns its sweep count, which it never kept."""
+    u = seed
+    rep = None
+    prev = sobolev_norm_or_zero(u, ctx)
+    sweeps = 0
+    for _ in range(picard_max):
+        sweeps += 1
+        den = max(1.0, prev)
+        g = _scalar_reference_rhs(ctx, eig, J, delta, den, shift_qp)
+        rep = semilinear_solve(ctx, g, initial=u)
+        u = rep.u
+        cur = sobolev_norm_or_zero(u, ctx)
+        if abs(cur - prev) <= picard_rtol * max(1.0, cur):
+            prev = cur
+            break
+        prev = cur
+    return rep, sweeps, prev
+
+
+def _coupled_outcome(rep):
+    return (
+        rep.u1.values.tobytes(), rep.u2.values.tobytes(), rep.residual,
+        rep.iterations, rep.converged, rep.picard_sweeps, rep.norms,
+    )
+
+
+@pytest.mark.parametrize("family", ["tilde", "delta"])
+def test_homotopy_system_matches_reference_loop(var_problem, family):
+    ctx, eig = var_problem
+    f = benchmark_family(ctx, ctx, eig, eig)
+    cfg = HomotopyConfig.for_problem(ctx, ctx, eig, eig, family=family, delta=1e-2)
+    rng = np.random.default_rng(17)
+    random = random_dirichlet_field(ctx.mesh, rng, scale=0.5)
+    seeds = [GridFunction.zeros(ctx.mesh), eig.phi.with_values(2.0 * eig.phi.values), random]
+    sweeps = set()
+    for t in (0.0, 0.5, 1.0):
+        for seed in seeds:
+            got = solve_homotopy_system(cfg, t, f, ctx, ctx, eig, eig, seed, random)
+            want = _ref_solve_homotopy_system(cfg, t, f, ctx, ctx, eig, eig, seed, random)
+            assert _coupled_outcome(got) == _coupled_outcome(want)
+            sweeps.add(got.picard_sweeps)
+    assert max(sweeps) > 1
+
+
+# at delta = 0.5 the solutions have norm about 1.9, so the max{1, ||u||} cap
+# is active and the loop runs a dozen sweeps
+@pytest.mark.parametrize("delta", [1e-2, 0.5])
+def test_nonexistence_probe_attempts_match_reference_loop(var_problem, delta, monkeypatch):
+    ctx, eig = var_problem
+    J = 0.3 * eig.lambda1
+    runs = []
+    picard = multiplicity._picard
+
+    def recorded(ctxs, solve, seeds):
+        out = picard(ctxs, solve, seeds)
+        runs.append((seeds[0], out))
+        return out
+
+    monkeypatch.setattr(multiplicity, "_picard", recorded)
+    report = nonexistence_probe(ctx, eig, J=J, delta=delta, attempts=7)
+    monkeypatch.undo()
+    tags = [a.tag.split()[0] for a in report.attempts]
+    assert tags == ["zero", "eig", "eig", "eig", "random", "random", "random"]
+    shift_qp = _shift_at_qp(ctx, eig, delta)
+    for attempt, (seed, (rep, sweeps, (norm,))) in zip(report.attempts, runs, strict=True):
+        want, want_sweeps, want_norm = _ref_solve_scalar_reference(ctx, eig, J, delta, seed, shift_qp)
+        assert _outcome(rep) == _outcome(want)
+        assert (sweeps, norm) == (want_sweeps, want_norm)
+        assert attempt.residual == want.residual and attempt.norm == want_norm
+    assert max(sweeps for _, (_, sweeps, _) in runs) > 1

@@ -15,7 +15,6 @@ from pxlap.errors import ConstructionError
 from pxlap.existence import (
     HypothesesReport,
     Nonlinearity,
-    ProbePlan,
     _f_on_states,
     _tail_constants,
     _x_samples,
@@ -28,6 +27,15 @@ from pxlap.expressions import state_expression
 
 # ---------------------------------------------------------------------------
 # reference loops
+
+# the probe grids, kept here so that the reference does not take them from
+# the code under test
+SMALL_S = (1e-2, 1e-3, 1e-4)
+LARGE_S = (1e2, 1e3, 1e4)
+PARTNER_GRID = (1e-4, 1e-3, 1e-2, 1e-1, 1.0)
+RHO_HAT_GRID = tuple(np.logspace(-4, 2, 49))
+N_X_SAMPLES = 64
+H3_DECAY_FACTOR = 0.1
 
 
 def _reference_min_ratio_small(fi, x, s_own_grid, partner_grid, pmin, sign):
@@ -47,9 +55,8 @@ def _reference_min_ratio_small(fi, x, s_own_grid, partner_grid, pmin, sign):
     return worst, witness
 
 
-def reference_check_hypotheses(f, ctx1, ctx2, eig1, eig2, plan=None):
-    plan = plan or ProbePlan()
-    x = _x_samples(ctx1, plan.n_x_samples)
+def reference_check_hypotheses(f, ctx1, ctx2, eig1, eig2):
+    x = _x_samples(ctx1, N_X_SAMPLES)
     thr = (eta_threshold(eig1, ctx1.p), eta_threshold(eig2, ctx2.p))
     etas = (f.eta1, f.eta2)
     eta_ok = etas[0] > thr[0] and etas[1] > thr[1]
@@ -65,12 +72,8 @@ def reference_check_hypotheses(f, ctx1, ctx2, eig1, eig2, plan=None):
                 return f.f1(xx, own, part)
             return f.f2(xx, part, own)
 
-        m_pos, w_pos = _reference_min_ratio_small(
-            fi, x, plan.small_s, plan.partner_grid, pmin, +1.0
-        )
-        m_neg, w_neg = _reference_min_ratio_small(
-            fi, x, plan.small_s, plan.partner_grid, pmin, -1.0
-        )
+        m_pos, w_pos = _reference_min_ratio_small(fi, x, SMALL_S, PARTNER_GRID, pmin, +1.0)
+        m_neg, w_neg = _reference_min_ratio_small(fi, x, SMALL_S, PARTNER_GRID, pmin, -1.0)
         witnesses[f"H2_positive_{i}"] = w_pos
         witnesses[f"H2_negative_{i}"] = w_neg
         pos_ok &= m_pos >= eta
@@ -78,7 +81,7 @@ def reference_check_hypotheses(f, ctx1, ctx2, eig1, eig2, plan=None):
 
         partner_large = np.array([-1e4, -1.0, 1e-2, 1.0, 1e4])
         decade_max = []
-        for s in plan.large_s:
+        for s in LARGE_S:
             worst = 0.0
             for sgn in (+1.0, -1.0):
                 for sp in partner_large:
@@ -90,9 +93,9 @@ def reference_check_hypotheses(f, ctx1, ctx2, eig1, eig2, plan=None):
             decade_max.append(worst)
         witnesses[f"H3_decades_{i}"] = decade_max
         decay_ok &= all(b < a for a, b in zip(decade_max, decade_max[1:]))
-        decay_ok &= decade_max[-1] <= plan.h3_decay_factor * max(decade_max[0], 1e-300)
+        decay_ok &= decade_max[-1] <= H3_DECAY_FACTOR * max(decade_max[0], 1e-300)
 
-        box = np.array([-max(plan.large_s), -1.0, 0.0, 1.0, max(plan.large_s)])
+        box = np.array([-max(LARGE_S), -1.0, 0.0, 1.0, max(LARGE_S)])
         for sa in box:
             for sb in box:
                 vals = np.asarray(fi(x, np.full(len(x), sa), np.full(len(x), sb)))
@@ -102,8 +105,8 @@ def reference_check_hypotheses(f, ctx1, ctx2, eig1, eig2, plan=None):
 
     def rho_hat_for(g1, g2):
         best = None
-        for r in plan.rho_hat_grid:
-            grid = [s for s in plan.rho_hat_grid if s <= r]
+        for r in RHO_HAT_GRID:
+            grid = [s for s in RHO_HAT_GRID if s <= r]
             ok = True
             for s1 in grid:
                 for s2 in grid:
@@ -138,7 +141,7 @@ def reference_check_hypotheses(f, ctx1, ctx2, eig1, eig2, plan=None):
         witnesses=witnesses,
         note=(
             "limits probed on finite grids: small |s| in "
-            f"{plan.small_s}, large |s| in {plan.large_s}; a pass certifies "
+            f"{SMALL_S}, large |s| in {LARGE_S}; a pass certifies "
             "the sampled range only"
         ),
     )
@@ -276,9 +279,9 @@ def test_hypotheses_match_reference(case, ctx2_64, eig2_64):
     if case == "rho_hat_none":
         assert got.rho_hat is None
     if case == "asymmetric":
-        assert ProbePlan().rho_hat_grid[0] < got.rho_hat < ProbePlan().rho_hat_grid[-1]
+        assert RHO_HAT_GRID[0] < got.rho_hat < RHO_HAT_GRID[-1]
     if case == "rho_hat_grid_max":
-        assert got.rho_hat == float(ProbePlan().rho_hat_grid[-1])
+        assert got.rho_hat == float(RHO_HAT_GRID[-1])
     if case == "sqrt_nan":
         assert got.witnesses["H2_negative_1"] is None
 
@@ -287,7 +290,7 @@ def test_hypotheses_match_reference(case, ctx2_64, eig2_64):
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_tail_constants_match_reference(case, ctx2_64, eig2_64, eta_bar_64):
     f = CASES[case](ctx2_64, eig2_64)
-    x = _x_samples(ctx2_64, ProbePlan().n_x_samples)
+    x = _x_samples(ctx2_64, N_X_SAMPLES)
     pmin = (ctx2_64.p.p_min, ctx2_64.p.p_min)
     try:
         want = reference_tail_constants(f, x, eta_bar_64, pmin)
@@ -306,7 +309,7 @@ def test_benchmark_on_variable_exponent_matches_reference(ctxvar_64, eigvar_64):
     assert repr(got) == repr(want)
 
     sup = construct_supersolution(f, ctxvar_64, ctxvar_64, eigvar_64, eigvar_64)
-    x = _x_samples(ctxvar_64, ProbePlan().n_x_samples)
+    x = _x_samples(ctxvar_64, N_X_SAMPLES)
     pmin = (ctxvar_64.p.p_min, ctxvar_64.p.p_min)
     rho, c_rho = reference_tail_constants(f, x, sup.constants["eta_bar"], pmin)
     assert repr((sup.constants["rho"], sup.constants["c_rho"])) == repr((rho, c_rho))
@@ -326,7 +329,7 @@ def test_probe_call_count_and_batch_size(ctx2_64, eig2_64):
     f.f1, f.f2 = counted(f.f1), counted(f.f2)
     check_hypotheses(f, ctx2_64, ctx2_64, eig2_64, eig2_64)
     construct_supersolution(f, ctx2_64, ctx2_64, eig2_64, eig2_64)
-    n_x = len(_x_samples(ctx2_64, ProbePlan().n_x_samples))
+    n_x = len(_x_samples(ctx2_64, N_X_SAMPLES))
     # the per-state loops made tens of thousands of calls
     assert len(sizes) <= 1000
     assert max(sizes) <= 100 * n_x
@@ -334,7 +337,7 @@ def test_probe_call_count_and_batch_size(ctx2_64, eig2_64):
 
 def test_f_on_states_rows_match_single_state_calls(ctx2_64, eig2_64):
     f = benchmark_family(ctx2_64, ctx2_64, eig2_64, eig2_64)
-    x = _x_samples(ctx2_64, ProbePlan().n_x_samples)
+    x = _x_samples(ctx2_64, N_X_SAMPLES)
     rng = np.random.default_rng(7)
     own, part = rng.standard_normal(250), rng.standard_normal(250)
     sizes = []

@@ -184,6 +184,10 @@ def _validate(cfg: RunConfig) -> list:
         )
     if v["homotopy.t_steps"] < 2:
         errors.append("homotopy.t_steps must be at least 2")
+    # a probe or lemma suite of zero samples would pass without evidence
+    for key in ("homotopy.seeds", "verify.samples"):
+        if v[key] < 1:
+            errors.append(f"{key} must be at least 1")
     if not 0.0 < v["homotopy.J_fraction"] < 1.0:
         errors.append("homotopy.J_fraction must lie in (0, 1)")
     dim = 1 if v["mesh.kind"] == "interval" else 2

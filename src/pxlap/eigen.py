@@ -13,6 +13,7 @@ hiding it.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,7 +48,7 @@ def _signed_power(c, s: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def rayleigh_quotient(ctx: OperatorContext, u: GridFunction) -> float:
     """int |grad u|^p(x) / int |u|^p(x) with the unregularized gradient."""
-    p_qp = ctx.p_qp()
+    p_qp = ctx.p.qp
     num = integrate(u.grad_magnitude_qp() ** p_qp, ctx.mesh)
     den = integrate(np.abs(u.at_qp()) ** p_qp, ctx.mesh)
     if den == 0.0:
@@ -121,28 +122,33 @@ def first_eigenpair(
         raise ValueError("initial field must be nonzero")
     u = _normalize_modular(u, ctx.p)
 
-    p_qp = ctx.p_qp()
-    R = rayleigh_quotient(ctx, u)
-    history = [R]
-    converged = False
-    stagnant = 0
-    it = 0
-    for it in range(1, _MAX_SWEEPS + 1):
-        u_qp = u.at_qp()
-        rhs_qp = _signed_power(R, u_qp, p_qp)
-        rep = dirichlet_solve(ctx, rhs_qp, initial=u)
+    p_qp = ctx.p.qp
+
+    def sweep(u, R):
+        """One inverse-power step: solve with the load R |u|^(p-2) u, restore
+        positivity, renormalize.  Returns (report, u_new, R_new), the last
+        two None when the inner solve fails."""
+        rep = dirichlet_solve(ctx, _signed_power(R, u.at_qp(), p_qp), initial=u)
         if not rep.converged:
-            raise NumericalError(
-                f"inner Dirichlet solve failed at outer sweep {it} "
-                f"(residual {rep.residual:.3e})"
-            )
+            return rep, None, None
         v = rep.u
         if np.any(v.values[mesh.interior_nodes] <= 0):
             # positivity restart: the ground state is signless
             v = v.with_values(np.abs(v.values))
-        u = _normalize_modular(v, ctx.p)
-        R_new = rayleigh_quotient(ctx, u)
-        history.append(R_new)
+        v = _normalize_modular(v, ctx.p)
+        return rep, v, rayleigh_quotient(ctx, v)
+
+    R = rayleigh_quotient(ctx, u)
+    converged = False
+    stagnant = 0
+    it = 0
+    for it in range(1, _MAX_SWEEPS + 1):
+        rep, u, R_new = sweep(u, R)
+        if u is None:
+            raise NumericalError(
+                f"inner Dirichlet solve failed at outer sweep {it} "
+                f"(residual {rep.residual:.3e})"
+            )
         if abs(R_new - R) <= _RAYLEIGH_RTOL * abs(R_new):
             R = R_new
             converged = True
@@ -163,8 +169,7 @@ def first_eigenpair(
         )
 
     def equation_residual(field, value):
-        f_qp = field.at_qp()
-        rhs = _signed_power(value, f_qp, p_qp)
+        rhs = _signed_power(value, field.at_qp(), p_qp)
         return dual_norm(mesh, assemble_residual(ctx, field, rhs, eps_reg=0.0))
 
     # polish: the quotient settles before the equation residual does; keep
@@ -172,16 +177,9 @@ def first_eigenpair(
     # at a nonzero value, which the consistency flag reports)
     res = equation_residual(u, R)
     while res > 0.5 * EIGEN_RESIDUAL_TOL and it < _MAX_SWEEPS:
-        u_qp = u.at_qp()
-        rhs_qp = _signed_power(R, u_qp, p_qp)
-        rep = dirichlet_solve(ctx, rhs_qp, initial=u)
-        if not rep.converged:
+        _, u_new, R_new = sweep(u, R)
+        if u_new is None:
             break
-        v = rep.u
-        if np.any(v.values[mesh.interior_nodes] <= 0):
-            v = v.with_values(np.abs(v.values))
-        u_new = _normalize_modular(v, ctx.p)
-        R_new = rayleigh_quotient(ctx, u_new)
         res_new = equation_residual(u_new, R_new)
         it += 1
         if res_new >= 0.9 * res:
@@ -249,15 +247,7 @@ def enlarged_eigenpair(
         raise DomainError(f"margin must be positive, got {margin}")
     margin = snap_margin(mesh, margin)
     mesh_tilde = dilate_domain(mesh, margin)
-    p_tilde = ctx.p.on_mesh(mesh_tilde)
-    ctx_tilde = OperatorContext(
-        mesh_tilde,
-        p_tilde,
-        eps_reg=ctx.eps_reg,
-        newton_max_iter=ctx.newton_max_iter,
-        newton_tol=ctx.newton_tol,
-        max_halvings=ctx.max_halvings,
-    )
+    ctx_tilde = dataclasses.replace(ctx, mesh=mesh_tilde, p=ctx.p.on_mesh(mesh_tilde))
     pair = first_eigenpair(ctx_tilde)
     phi_r = restrict(pair.phi, mesh)
     tau = 0.5 * float(np.min(phi_r.values))

@@ -34,8 +34,8 @@ class Nonlinearity:
 
     The callables take a flat point array (n, dim) and state arrays of
     length n, and must be pointwise: output entry j depends only on row j of
-    the points and on entry j of each state array.  The probes rely on this
-    to evaluate many constant states in one call.  eta1/eta2 are the
+    the points and on entry j of each state array.  :func:`_f_on_states`
+    relies on this to evaluate many states in one call.  eta1/eta2 are the
     declared small-argument growth constants;
     they certify a lower bound on f_i / s_i^(p_i_min - 1) near zero and must
     beat the eigenvalue threshold for the construction to work.
@@ -50,6 +50,10 @@ class Nonlinearity:
 
     def component(self, i: int):
         return self.f1 if i == 1 else self.f2
+
+    def own_first(self, i: int):
+        """f_i as a callable of (x, own state s_i, partner state)."""
+        return self.f1 if i == 1 else lambda x, own, part: self.f2(x, part, own)
 
     def reflected(self) -> "Nonlinearity":
         """Sign-flipped pair whose positive solutions are the negated
@@ -186,26 +190,31 @@ def _x_samples(ctx: OperatorContext, n: int) -> np.ndarray:
     return pts[::step]
 
 
-# state pairs per f call in the probes; larger batches cost memory
-# (len(x) points per pair) without saving much more time
-_BATCH_STATES = 100
+# points per f call; larger calls cost memory without saving much more time
+# (100 constant states on the 64 probe samples)
+_BATCH_POINTS = 6400
 
 
 def _f_on_states(fi, x, own, part) -> np.ndarray:
-    """fi at every sample point for each constant state pair, shape (k, len(x)).
+    """fi at the points x for each of k state pairs, shape (k, len(x)).
 
-    Row j equals ``fi(x, full(own[j]), full(part[j]))``: the pairs are
-    stacked into calls of at most ``_BATCH_STATES`` pairs, which relies on
-    fi being pointwise.
+    A state is a constant, when ``own``/``part`` has shape (k,), or varies
+    by point, when it has shape (k, len(x)).  Row j equals
+    ``fi(x, own_j, part_j)`` with constants filled to len(x): the pairs are
+    stacked into calls of at most ``_BATCH_POINTS`` points (at least one
+    pair per call), which relies on fi being pointwise.
     """
-    own = np.asarray(own, dtype=float)
-    part = np.asarray(part, dtype=float)
     n = len(x)
+    own, part = (np.asarray(s, dtype=float) for s in (own, part))
+    k = len(own)
+    own, part = (np.broadcast_to(s.reshape(k, -1), (k, n)) for s in (own, part))
+    step = max(1, _BATCH_POINTS // n)
     rows = []
-    for lo in range(0, len(own), _BATCH_STATES):
-        o, p = own[lo:lo + _BATCH_STATES], part[lo:lo + _BATCH_STATES]
-        vals = np.asarray(fi(np.tile(x, (len(o), 1)), np.repeat(o, n), np.repeat(p, n)))
-        rows.append(np.broadcast_to(vals, (len(o) * n,)).reshape(len(o), n))
+    for lo in range(0, k, step):
+        m = len(own[lo:lo + step])
+        xs = x if m == 1 else np.tile(x, (m, 1))
+        vals = np.asarray(fi(xs, own[lo:lo + step].ravel(), part[lo:lo + step].ravel()))
+        rows.append(np.broadcast_to(vals, (m * n,)).reshape(m, n))
     return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
@@ -247,16 +256,9 @@ def check_hypotheses(
     witnesses = {}
     pos_ok = neg_ok = True
     decay_ok = bounded_ok = True
-    for i, (fi_own, ctx, eta) in enumerate(
-        [(1, ctx1, f.eta1), (2, ctx2, f.eta2)], start=1
-    ):
+    for i, ctx, eta in ((1, ctx1, f.eta1), (2, ctx2, f.eta2)):
         pmin = ctx.p.p_min
-
-        def fi(xx, own, part, i=i):
-            if i == 1:
-                return f.f1(xx, own, part)
-            return f.f2(xx, part, own)
-
+        fi = f.own_first(i)
         m_pos, w_pos = _min_ratio_small(fi, x, _SMALL_S, _PARTNER_GRID, pmin, +1.0)
         m_neg, w_neg = _min_ratio_small(fi, x, _SMALL_S, _PARTNER_GRID, pmin, -1.0)
         witnesses[f"H2_positive_{i}"] = w_pos
@@ -352,7 +354,7 @@ def _tail_constants(f: Nonlinearity, x, eta_bar: float, pmin) -> tuple[float, fl
     """
     scan = np.logspace(-2, 8, 81)
     partner = np.array([-1e8, -1.0, 0.0, 1.0, 1e8])
-    own_fns = (f.f1, lambda xx, own, part: f.f2(xx, part, own))
+    own_fns = (f.own_first(1), f.own_first(2))
 
     def violated(s):
         own = np.repeat([s, -s], len(partner))
@@ -446,6 +448,12 @@ def construct_supersolution(
     return SupersolutionResult(u_sup1, u_sup2, constants, enl1, enl2)
 
 
+def _partner_min(fi, x, own, lo, hi) -> np.ndarray:
+    """min of fi(x, own, s) over 5 partner states s evenly from lo to hi."""
+    others = lo + np.linspace(0.0, 1.0, 5)[:, None] * (hi - lo)
+    return np.min(_f_on_states(fi, x, np.broadcast_to(own, others.shape), others), axis=0)
+
+
 def construct_subsolution(
     f: Nonlinearity,
     ctx1: OperatorContext,
@@ -493,17 +501,11 @@ def construct_subsolution(
 
             # defining inequality: flux pairing <= load of the boxwise
             # f-minimum with the own argument frozen at the candidate
-            own_qp = cand.at_qp().ravel()
             other_lo = cands[1 - i].at_qp().ravel()
             other_hi = (
                 u_sup[1 - i].at_qp().ravel() if u_sup is not None else other_lo
             )
-            fi = f.component(i + 1)
-            fmin = np.full(len(pts), np.inf)
-            for frac in np.linspace(0.0, 1.0, 5):
-                other = other_lo + frac * (other_hi - other_lo)
-                args = (own_qp, other) if i == 0 else (other, own_qp)
-                np.minimum(fmin, np.asarray(fi(pts, *args)), out=fmin)
+            fmin = _partner_min(f.own_first(i + 1), pts, cand.at_qp().ravel(), other_lo, other_hi)
             lhs = assemble_residual(ctx, cand, rhs=None, eps_reg=0.0)
             rhs_f = load_vector(mesh, fmin.reshape(mesh.n_elements, mesh.n_qp))
             noise = eps ** (ctx.p.p_min - 1.0) * 10.0 * eig.residual / mesh.dual_scale
@@ -514,10 +516,9 @@ def construct_subsolution(
             # eta chain: exact (up to eigen residual) only at constant p
             if ctx.p.p_max - ctx.p.p_min < 1e-12:
                 pmin = ctx.p.p_min
-                p_qp = ctx.p_qp()
                 phi_qp = phi.at_qp()
                 mid = eps ** (pmin - 1.0) * eig.lambda1 * load_vector(
-                    mesh, phi_qp ** (p_qp - 1.0)
+                    mesh, phi_qp ** (ctx.p.qp - 1.0)
                 )
                 rhs = eta * load_vector(mesh, (eps * phi_qp) ** (pmin - 1.0))
                 if np.any(lhs > mid + noise + 1e-14) or np.any(rhs - mid < -1e-14):
@@ -596,26 +597,23 @@ _BOX_SLACK = 1e-10
 
 
 def _box_extrema_qp(box: OrderedBox, f: Nonlinearity, mesh):
-    """min/max of each f_i over the frozen box section at every quadrature point."""
-    pts = mesh.quad_points_flat
+    """min/max of each f_i over the frozen box section at every quadrature point.
+
+    Each s1 state of the subgrid meets all s2 states in one stack, so only
+    _BOX_SUBGRID (not its square) point-varying states are held at a time.
+    """
+    fracs = np.linspace(0.0, 1.0, _BOX_SUBGRID)[:, None]
     lo1, hi1 = box.u_sub1.at_qp().ravel(), box.u_sup1.at_qp().ravel()
     lo2, hi2 = box.u_sub2.at_qp().ravel(), box.u_sup2.at_qp().ravel()
-    fracs = np.linspace(0.0, 1.0, _BOX_SUBGRID)
+    s2 = lo2 + fracs * (hi2 - lo2)
+    mins, maxs = [np.inf, np.inf], [-np.inf, -np.inf]
+    for s1 in lo1 + fracs * (hi1 - lo1):
+        for k, fi in enumerate((f.f1, f.f2)):
+            vals = _f_on_states(fi, mesh.quad_points_flat, np.broadcast_to(s1, s2.shape), s2)
+            mins[k] = np.minimum(mins[k], np.min(vals, axis=0))
+            maxs[k] = np.maximum(maxs[k], np.max(vals, axis=0))
     shape = (mesh.n_elements, mesh.n_qp)
-    mins = [np.full(len(pts), np.inf), np.full(len(pts), np.inf)]
-    maxs = [np.full(len(pts), -np.inf), np.full(len(pts), -np.inf)]
-    for a in fracs:
-        s1 = lo1 + a * (hi1 - lo1)
-        for b in fracs:
-            s2 = lo2 + b * (hi2 - lo2)
-            for k, fi in enumerate((f.f1, f.f2)):
-                vals = np.asarray(fi(pts, s1, s2))
-                np.minimum(mins[k], vals, out=mins[k])
-                np.maximum(maxs[k], vals, out=maxs[k])
-    return (
-        [m.reshape(shape) for m in mins],
-        [m.reshape(shape) for m in maxs],
-    )
+    return [m.reshape(shape) for m in mins], [m.reshape(shape) for m in maxs]
 
 
 def verify_ordered_box(
@@ -715,9 +713,8 @@ class BoxSolveResult:
 
 
 def _f_at_state(fi, mesh, u1: GridFunction, u2: GridFunction) -> np.ndarray:
-    pts = mesh.quad_points_flat
-    vals = np.asarray(fi(pts, u1.at_qp().ravel(), u2.at_qp().ravel()))
-    return vals.reshape(mesh.n_elements, mesh.n_qp)
+    states = (u.at_qp().reshape(1, -1) for u in (u1, u2))
+    return _f_on_states(fi, mesh.quad_points_flat, *states).reshape(mesh.n_elements, mesh.n_qp)
 
 
 def system_residuals(

@@ -1,8 +1,9 @@
 """Variable exponents p(x): evaluation, bounds, conjugates, monotonicity checks.
 
 An :class:`ExponentField` wraps either a coordinate expression/callable or a
-nodal table and caches the bounds (p_min, p_max) obtained by sampling every
-quadrature point and node of its mesh.  Construction enforces 1 < p_min.
+nodal table and caches its values at the quadrature points of its mesh and
+the bounds (p_min, p_max) obtained by sampling every quadrature point and
+node.  Construction enforces 1 < p_min.
 """
 
 from __future__ import annotations
@@ -13,14 +14,17 @@ import numpy as np
 
 from .errors import HypothesisError
 from .expressions import coordinate_expression
-from .mesh import GridFunction, Mesh
+from .mesh import GridFunction, Mesh, _freeze
 
 _SAMPLES_PER_LINE = 64  # points on each sampled line of the monotonicity checks
 _MONOTONE_TOL = 1e-12  # a step of p against the trend up to this still counts as monotone
 
 
 class ExponentField:
-    """A continuous exponent p(x) with cached bounds on a mesh.
+    """A continuous exponent p(x) with cached quadrature values and bounds.
+
+    ``qp`` holds p at the mesh's quadrature points, shape (n_elements, n_qp),
+    read-only; every norm and assembly on the mesh reads it.
 
     Parameters
     ----------
@@ -56,10 +60,12 @@ class ExponentField:
             self.description = repr(value)
         self._rule = rule
 
-        qp = self.at_qp()
+        self.qp = _freeze(
+            self.evaluate(mesh.quad_points_flat).reshape(mesh.n_elements, mesh.n_qp)
+        )
         nodal = self.evaluate(mesh.nodes)
-        self.p_min = float(min(qp.min(), nodal.min()))
-        self.p_max = float(max(qp.max(), nodal.max()))
+        self.p_min = float(min(self.qp.min(), nodal.min()))
+        self.p_max = float(max(self.qp.max(), nodal.max()))
         if not self.p_min > 1.0:
             raise HypothesisError(
                 f"exponent must satisfy p_min > 1, sampled minimum {self.p_min}"
@@ -76,11 +82,6 @@ class ExponentField:
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(self._evaluate(points), dtype=float)
-
-    def at_qp(self) -> np.ndarray:
-        """Exponent values at the mesh's quadrature points, shape (n_elements, n_qp)."""
-        flat = self.evaluate(self.mesh.quad_points_flat)
-        return flat.reshape(self.mesh.n_elements, self.mesh.n_qp)
 
     def on_mesh(self, mesh: Mesh) -> "ExponentField":
         """Re-bind the same rule to another mesh (e.g. the enlarged domain).

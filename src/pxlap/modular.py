@@ -49,7 +49,7 @@ def modular_of_qp(values_qp: np.ndarray, p_qp: np.ndarray, mesh: Mesh) -> float:
 def modular(u: GridFunction, p: ExponentField) -> float:
     """Integral of |u|^p(x) over the domain."""
     _check_same_mesh(u, p)
-    return modular_of_qp(u.at_qp(), p.at_qp(), u.mesh)
+    return modular_of_qp(u.at_qp(), p.qp, u.mesh)
 
 
 def luxemburg_norm_of_qp(
@@ -109,7 +109,7 @@ def luxemburg_norm_of_qp(
 def luxemburg_norm(u: GridFunction, p: ExponentField) -> ModularReport:
     """Luxemburg norm of a nodal field."""
     _check_same_mesh(u, p)
-    return luxemburg_norm_of_qp(u.at_qp(), p.at_qp(), u.mesh)
+    return luxemburg_norm_of_qp(u.at_qp(), p.qp, u.mesh)
 
 
 def sobolev_norm(u: GridFunction, p: ExponentField) -> float:
@@ -119,7 +119,7 @@ def sobolev_norm(u: GridFunction, p: ExponentField) -> float:
         raise MeshMismatchError(
             "sobolev_norm requires a Dirichlet-zero field (zero-trace space)"
         )
-    return luxemburg_norm_of_qp(u.grad_magnitude_qp(), p.at_qp(), u.mesh).norm
+    return luxemburg_norm_of_qp(u.grad_magnitude_qp(), p.qp, u.mesh).norm
 
 
 def pair_norm(u1: GridFunction, p1: ExponentField, u2: GridFunction, p2: ExponentField) -> float:
@@ -164,8 +164,7 @@ def check_norm_modular(u: GridFunction, p: ExponentField) -> NormModularReport:
         lower, upper = nrm**p.p_max, nrm**p.p_min
         chain = "norm<=1"
     margin = min(rho - lower, upper - rho)
-    p_qp = p.at_qp()
-    unit_res = abs(modular_of_qp(u.at_qp() / nrm, p_qp, u.mesh) - 1.0)
+    unit_res = abs(modular_of_qp(u.at_qp() / nrm, p.qp, u.mesh) - 1.0)
     # when p_min = p_max both chains collapse to an equality, which can only
     # hold to the accuracy the norm itself was computed to
     slack = 1e-12 * max(1.0, rho) + 3.0 * rep.residual * max(1.0, rho)

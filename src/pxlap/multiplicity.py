@@ -468,7 +468,7 @@ class NonexistenceReport:
 def _shift_at_qp(ctx, eig, delta):
     """delta * lambda1 * phi1^(p-1) at the mesh's quadrature points, flat."""
     phi_qp = eig.phi.eval(ctx.mesh.quad_points_flat)
-    return delta * eig.lambda1 * phi_qp ** (ctx.p_qp().ravel() - 1.0)
+    return delta * eig.lambda1 * phi_qp ** (ctx.p.qp.ravel() - 1.0)
 
 
 def _scalar_reference_rhs(ctx, eig, J, delta, den, shift_qp=None):
@@ -479,7 +479,7 @@ def _scalar_reference_rhs(ctx, eig, J, delta, den, shift_qp=None):
     here when not given; at any other points both are evaluated afresh.
     """
     qp = ctx.mesh.quad_points_flat
-    pm1_qp = ctx.p_qp().ravel() - 1.0
+    pm1_qp = ctx.p.qp.ravel() - 1.0
     den_qp = den**pm1_qp
     if delta is not None and shift_qp is None:
         shift_qp = _shift_at_qp(ctx, eig, delta)
@@ -516,6 +516,9 @@ def nonexistence_probe(
     """
     if delta <= 0:
         raise ConfigError(["the nonexistence probe requires delta > 0"])
+    if attempts < 1:
+        # no attempt would make ``passed`` true without any evidence
+        raise ConfigError([f"the nonexistence probe needs at least one attempt, got {attempts}"])
     bound = eig.lambda1 * (ctx.p.p_min - 1.0)
     if not 0.0 < J < bound:
         return NonexistenceReport(
@@ -640,8 +643,8 @@ def annulus_search(
     from .modular import luxemburg_norm_of_qp
 
     sup_pair_norm = (
-        luxemburg_norm_of_qp(box.u_sup1.grad_magnitude_qp(), ctx1.p_qp(), mesh).norm
-        + luxemburg_norm_of_qp(box.u_sup2.grad_magnitude_qp(), ctx2.p_qp(), mesh).norm
+        luxemburg_norm_of_qp(box.u_sup1.grad_magnitude_qp(), ctx1.p.qp, mesh).norm
+        + luxemburg_norm_of_qp(box.u_sup2.grad_magnitude_qp(), ctx2.p.qp, mesh).norm
     )
     R_hat = cfg.R_hat if cfg.R_hat is not None else 1.5 * sup_pair_norm
     R = cfg.R if cfg.R is not None else 2.0 * (R_hat + 1.0)

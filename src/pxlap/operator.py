@@ -45,14 +45,6 @@ class OperatorContext:
             raise ValueError("eps_reg must be >= 0 and newton_tol > 0")
         if self.p.mesh is not self.mesh:
             raise MeshMismatchError("exponent field lives on a different mesh")
-        self._p_qp = self.p.at_qp()
-        conn = self.mesh.elements
-        grads = self.mesh.basis_grads  # (n_el, nloc, dim)
-        self._grad_dots = np.einsum("ead,ebd->eab", grads, grads)
-        self._conn = conn
-
-    def p_qp(self) -> np.ndarray:
-        return self._p_qp
 
 
 @dataclass
@@ -81,8 +73,9 @@ class AssemblyPlan:
     ``keep`` lists the flat positions ``(e, a, b)`` of an element-matrix
     array of shape (n_elements, nloc, nloc) whose two nodes are interior, and
     ``scatter`` gives the slot in ``data`` that each of them adds into.
-    ``block_csc`` stacks k x k blocks on this pattern into one CSC matrix
-    that the plan keeps per k.
+    ``grad_dots`` holds grad phi_a . grad phi_b per element, the stiffness
+    part of every Jacobian.  ``block_csc`` stacks k x k blocks on this
+    pattern into one CSC matrix that the plan keeps per k.
     """
 
     n: int
@@ -90,6 +83,7 @@ class AssemblyPlan:
     indices: np.ndarray
     keep: np.ndarray
     scatter: np.ndarray
+    grad_dots: np.ndarray
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -106,7 +100,9 @@ class AssemblyPlan:
         pattern = sp.csr_matrix(
             (np.ones(len(slots)), (slots // n, slots % n)), shape=(n, n)
         )
-        return cls(n, _freeze(pattern.indptr), _freeze(pattern.indices), _freeze(keep), _freeze(scatter))
+        grad_dots = np.einsum("ead,ebd->eab", mesh.basis_grads, mesh.basis_grads)
+        arrays = (pattern.indptr, pattern.indices, keep, scatter, grad_dots)
+        return cls(n, *map(_freeze, arrays))
 
     def csr(self, K: np.ndarray) -> sp.csr_matrix:
         """Interior matrix of the element matrices ``K`` (n_elements, nloc, nloc)."""
@@ -197,15 +193,15 @@ def _rhs_at_qp(mesh: Mesh, rhs) -> np.ndarray:
 
 def _residual_full(ctx: OperatorContext, values: np.ndarray, rhs_qp: np.ndarray, eps: float) -> np.ndarray:
     mesh = ctx.mesh
-    local = values[ctx._conn]
+    local = values[mesh.elements]
     grads = np.einsum("ead,ea->ed", mesh.basis_grads, local)
     grad_sq = np.einsum("ed,ed->e", grads, grads)
-    a = _flux_factor(grad_sq, ctx._p_qp, eps)  # (n_el, n_qp)
+    a = _flux_factor(grad_sq, ctx.p.qp, eps)  # (n_el, n_qp)
     awsum = np.sum(mesh.quad_weights * a, axis=1)  # (n_el,)
     d = np.einsum("ead,ed->ea", mesh.basis_grads, grads)  # grad u . grad phi_a
     r_el = awsum[:, None] * d
     r_el -= np.einsum("eq,qa->ea", mesh.quad_weights * rhs_qp, mesh.basis)
-    return np.bincount(ctx._conn.ravel(), weights=r_el.ravel(), minlength=mesh.n_nodes)
+    return np.bincount(mesh.elements.ravel(), weights=r_el.ravel(), minlength=mesh.n_nodes)
 
 
 def assemble_residual(ctx: OperatorContext, u: GridFunction, rhs=None, eps_reg=None) -> np.ndarray:
@@ -233,10 +229,11 @@ def assemble_jacobian(
     contributes the mass-weighted semilinear block.
     """
     mesh = ctx.mesh
-    local = values[ctx._conn]
+    plan = assembly_plan(mesh)
+    local = values[mesh.elements]
     grads = np.einsum("ead,ea->ed", mesh.basis_grads, local)
     grad_sq = np.einsum("ed,ed->e", grads, grads)
-    p_qp = ctx._p_qp
+    p_qp = ctx.p.qp
     g = grad_sq[:, None] + eps * eps
     with np.errstate(divide="ignore", invalid="ignore"):
         a = g ** ((p_qp - 2.0) / 2.0)
@@ -248,11 +245,11 @@ def assemble_jacobian(
     aw = np.sum(mesh.quad_weights * a, axis=1)
     bw = np.sum(mesh.quad_weights * b, axis=1)
     d = np.einsum("ead,ed->ea", mesh.basis_grads, grads)
-    K = aw[:, None, None] * ctx._grad_dots
+    K = aw[:, None, None] * plan.grad_dots
     K += bw[:, None, None] * d[:, :, None] * d[:, None, :]
     if rhs_slope_qp is not None:
         K -= np.einsum("eq,qa,qb->eab", mesh.quad_weights * rhs_slope_qp, mesh.basis, mesh.basis)
-    return assembly_plan(mesh).csr(K)
+    return plan.csr(K)
 
 
 def load_vector(mesh: Mesh, rhs_qp: np.ndarray) -> np.ndarray:
@@ -482,7 +479,7 @@ def mean_value_constant(
         raise NumericalError("Dirichlet solve did not converge in mean_value_constant")
     grads = rep.u.gradients()
     grad_sq = np.einsum("ed,ed->e", grads, grads)
-    a = _flux_factor(grad_sq, ctx._p_qp, 0.0)
+    a = _flux_factor(grad_sq, ctx.p.qp, 0.0)
     gphi = phi.gradients()
     dot = np.einsum("ed,ed->e", grads, gphi)  # grad u . grad phi per element
     den = integrate(a * dot[:, None], mesh)
@@ -523,7 +520,7 @@ def picone(
     if np.min(w2_qp) <= _PICONE_FLOOR:
         raise HypothesisError("picone requires w2 bounded away from zero")
 
-    p_qp = p.at_qp()
+    p_qp = p.qp
     g1 = w1.gradients()
     g2 = w2.gradients()
     n1 = np.linalg.norm(g1, axis=1)

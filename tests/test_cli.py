@@ -72,6 +72,24 @@ def test_cli_delta_family_exit_code(tmp_path, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("probe-L9", "homotopy.seeds = 0"),
+        ("theorem2", "homotopy.seeds = -5"),
+        ("verify", "verify.samples = 0"),
+    ],
+)
+def test_cli_rejects_runs_without_samples(tmp_path, command, line, capsys):
+    # zero probe attempts or lemma samples used to exit 0 with "passed": true
+    cfg = tmp_path / "z.cfg"
+    cfg.write_text(f"mesh.n = 32\n{line}\n")
+    rc = main([command, "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"])
+    assert rc == 3
+    assert f"{line.split()[0]} must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
 @pytest.mark.parametrize("formats", ["xml", "csv", "json,xml", "json,"])
 def test_cli_rejects_bad_output_formats(tmp_path, formats, capsys):
     cfg = tmp_path / "f.cfg"

@@ -33,7 +33,7 @@ def test_eigen_invariants(eig2_64, mesh64):
 
 
 def test_eigen_equation_residual(eig2_64, ctx2_64):
-    p_qp = ctx2_64.p_qp()
+    p_qp = ctx2_64.p.qp
     phi_qp = eig2_64.phi.at_qp()
     rhs = eig2_64.lambda1 * np.abs(phi_qp) ** (p_qp - 2.0) * phi_qp
     res = dual_norm(ctx2_64.mesh, assemble_residual(ctx2_64, eig2_64.phi, rhs, eps_reg=0.0))

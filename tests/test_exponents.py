@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
 
+from pxlap.eigen import first_eigenpair
 from pxlap.errors import HypothesisError
 from pxlap.exponents import ExponentField, check_Hp
-from pxlap.mesh import build_interval_mesh, build_rectangle_mesh
+from pxlap.mesh import GridFunction, build_interval_mesh, build_rectangle_mesh
+from pxlap.modular import luxemburg_norm, sobolev_norm
+from pxlap.operator import OperatorContext, dirichlet_solve
 
 
 def test_bounds_constant(mesh64):
@@ -122,3 +125,48 @@ def test_nodal_table_exponent(mesh64):
     p = ExponentField(mesh64, table)
     assert p.p_min == pytest.approx(2.0, abs=1e-12)
     assert p.p_max == pytest.approx(3.0, abs=1e-12)
+
+
+@pytest.mark.parametrize(
+    "mesh_name, rule",
+    [
+        ("mesh64", 2.5),
+        ("mesh64", "2 + x"),
+        ("mesh64", lambda pts: 2.0 + pts[:, 0] ** 2),
+        ("mesh64", "table"),
+        ("mesh2d", "2 + x*y"),
+    ],
+)
+def test_qp_values_are_cached_read_only(mesh_name, rule, request):
+    mesh = request.getfixturevalue(mesh_name)
+    if rule == "table":
+        rule = GridFunction(mesh, 2.0 + mesh.nodes[:, 0] ** 3)
+    p = ExponentField(mesh, rule)
+    assert p.qp.shape == (mesh.n_elements, mesh.n_qp)
+    assert p.qp.tobytes() == p.evaluate(mesh.quad_points_flat).tobytes()
+    assert not p.qp.flags.writeable
+    with pytest.raises(ValueError):
+        p.qp[0, 0] = 3.0
+
+
+def test_norms_solves_and_eigenpairs_evaluate_no_exponent(mesh64, monkeypatch):
+    p = ExponentField(mesh64, "2 + 0.1*x")
+    ctx = OperatorContext(mesh64, p)
+    vals = np.sin(np.pi * mesh64.nodes[:, 0])
+    vals[mesh64.boundary_nodes] = 0.0
+    u = GridFunction(mesh64, vals, dirichlet_zero=True)
+    calls = []
+    evaluate = ExponentField.evaluate
+
+    def counted(self, points):
+        calls.append(len(points))
+        return evaluate(self, points)
+
+    monkeypatch.setattr(ExponentField, "evaluate", counted)
+    luxemburg_norm(u, p)
+    sobolev_norm(u, p)
+    assert dirichlet_solve(ctx, 1.0, initial=u).converged
+    # the direction check samples p on lines, and the default seed solves
+    # with a constant-exponent field of its own; both are skipped here
+    first_eigenpair(ctx, initial=u, allow_unchecked_exponent=True)
+    assert calls == []

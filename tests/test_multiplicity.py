@@ -160,6 +160,13 @@ def test_nonexistence_probe_gates(ctx2_64, eig2_64):
     assert "does not apply" in rep.reason
 
 
+@pytest.mark.parametrize("attempts", [0, -5])
+def test_nonexistence_probe_needs_an_attempt(ctx2_64, eig2_64, attempts):
+    # zero attempts used to report "passed" with no evidence at all
+    with pytest.raises(ConfigError, match="at least one attempt"):
+        nonexistence_probe(ctx2_64, eig2_64, J=0.5 * eig2_64.lambda1, delta=1e-3, attempts=attempts)
+
+
 def test_nonexistence_probe_detects_reference_solution(ctx2_64, eig2_64):
     """The delta-shifted reference problem has the exact solution
     (delta*lambda1/(lambda1-J)) * phi1 at constant exponent 2, so the probe

@@ -156,7 +156,7 @@ def test_picone_equal_arguments(mesh64, pvar_64, rng):
     # |grad w|^p terms themselves
     w = GridFunction(mesh64, 0.5 + rng.random(mesh64.n_nodes))
     L1, L2 = picone(w, w, pvar_64)
-    scale = np.maximum(w.grad_magnitude_qp() ** pvar_64.at_qp(), 1.0)
+    scale = np.maximum(w.grad_magnitude_qp() ** pvar_64.qp, 1.0)
     assert np.max(np.abs(L1) / scale) < 1e-12
     assert np.max(np.abs(L2) / scale) < 1e-12
 
@@ -271,7 +271,7 @@ def _reference_jacobian(ctx, values, eps, rhs_slope_qp=None):
     mesh = ctx.mesh
     grads = np.einsum("ead,ea->ed", mesh.basis_grads, values[mesh.elements])
     grad_sq = np.einsum("ed,ed->e", grads, grads)
-    p_qp = ctx.p_qp()
+    p_qp = ctx.p.qp
     g = grad_sq[:, None] + eps * eps
     with np.errstate(divide="ignore", invalid="ignore"):
         a = g ** ((p_qp - 2.0) / 2.0)
@@ -292,7 +292,7 @@ def _reference_residual(ctx, values, rhs_qp, eps):
     mesh = ctx.mesh
     grads = np.einsum("ead,ea->ed", mesh.basis_grads, values[mesh.elements])
     grad_sq = np.einsum("ed,ed->e", grads, grads)
-    awsum = np.sum(mesh.quad_weights * _flux_factor(grad_sq, ctx.p_qp(), eps), axis=1)
+    awsum = np.sum(mesh.quad_weights * _flux_factor(grad_sq, ctx.p.qp, eps), axis=1)
     r_el = awsum[:, None] * np.einsum("ead,ed->ea", mesh.basis_grads, grads)
     r_el -= np.einsum("eq,qa->ea", mesh.quad_weights * rhs_qp, mesh.basis)
     r = np.zeros(mesh.n_nodes)

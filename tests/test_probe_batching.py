@@ -4,7 +4,9 @@
 original one-state-per-call loops (one f call per constant state pair, the
 rho_hat square rescanned for every radius, the tail rescanned for every
 candidate).  The batched library code must reproduce every report field,
-witnesses included, and the rho / c_rho constants exactly.
+witnesses included, and the rho / c_rho constants exactly.  ``_ref_*`` keep
+the loops over point-varying states (the box-verification subgrid and the
+subsolution partner range), which must match bit for bit.
 """
 
 import numpy as np
@@ -13,17 +15,24 @@ import pytest
 from pxlap.eigen import first_eigenpair
 from pxlap.errors import ConstructionError
 from pxlap.existence import (
+    _BATCH_POINTS,
     HypothesesReport,
     Nonlinearity,
+    OrderedBox,
+    _box_extrema_qp,
     _f_on_states,
+    _partner_min,
     _tail_constants,
     _x_samples,
     benchmark_family,
+    build_ordered_box,
     check_hypotheses,
     construct_supersolution,
     eta_threshold,
+    solve_in_box,
 )
 from pxlap.expressions import state_expression
+from pxlap.mesh import GridFunction
 
 # ---------------------------------------------------------------------------
 # reference loops
@@ -191,6 +200,35 @@ def reference_tail_constants(f, x, eta_bar, pmin):
     return rho, c_rho
 
 
+def _ref_box_extrema_qp(box, f, mesh):
+    pts = mesh.quad_points_flat
+    lo1, hi1 = box.u_sub1.at_qp().ravel(), box.u_sup1.at_qp().ravel()
+    lo2, hi2 = box.u_sub2.at_qp().ravel(), box.u_sup2.at_qp().ravel()
+    fracs = np.linspace(0.0, 1.0, 5)
+    shape = (mesh.n_elements, mesh.n_qp)
+    mins = [np.full(len(pts), np.inf), np.full(len(pts), np.inf)]
+    maxs = [np.full(len(pts), -np.inf), np.full(len(pts), -np.inf)]
+    for a in fracs:
+        s1 = lo1 + a * (hi1 - lo1)
+        for b in fracs:
+            s2 = lo2 + b * (hi2 - lo2)
+            for k, fi in enumerate((f.f1, f.f2)):
+                vals = np.asarray(fi(pts, s1, s2))
+                np.minimum(mins[k], vals, out=mins[k])
+                np.maximum(maxs[k], vals, out=maxs[k])
+    return [m.reshape(shape) for m in mins], [m.reshape(shape) for m in maxs]
+
+
+def _ref_partner_min(f, i, pts, own_qp, other_lo, other_hi):
+    fi = f.component(i)
+    fmin = np.full(len(pts), np.inf)
+    for frac in np.linspace(0.0, 1.0, 5):
+        other = other_lo + frac * (other_hi - other_lo)
+        args = (own_qp, other) if i == 1 else (other, own_qp)
+        np.minimum(fmin, np.asarray(fi(pts, *args)), out=fmin)
+    return fmin
+
+
 # ---------------------------------------------------------------------------
 # cases
 
@@ -315,9 +353,8 @@ def test_benchmark_on_variable_exponent_matches_reference(ctxvar_64, eigvar_64):
     assert repr((sup.constants["rho"], sup.constants["c_rho"])) == repr((rho, c_rho))
 
 
-def test_probe_call_count_and_batch_size(ctx2_64, eig2_64):
-    f = benchmark_family(ctx2_64, ctx2_64, eig2_64, eig2_64)
-    sizes = []
+def _log_sizes(f, sizes):
+    """Make f's callables append the point count of every call to ``sizes``."""
 
     def counted(fi):
         def wrapper(x, s1, s2):
@@ -327,6 +364,12 @@ def test_probe_call_count_and_batch_size(ctx2_64, eig2_64):
         return wrapper
 
     f.f1, f.f2 = counted(f.f1), counted(f.f2)
+
+
+def test_probe_call_count_and_batch_size(ctx2_64, eig2_64):
+    f = benchmark_family(ctx2_64, ctx2_64, eig2_64, eig2_64)
+    sizes = []
+    _log_sizes(f, sizes)
     check_hypotheses(f, ctx2_64, ctx2_64, eig2_64, eig2_64)
     construct_supersolution(f, ctx2_64, ctx2_64, eig2_64, eig2_64)
     n_x = len(_x_samples(ctx2_64, N_X_SAMPLES))
@@ -339,16 +382,74 @@ def test_f_on_states_rows_match_single_state_calls(ctx2_64, eig2_64):
     f = benchmark_family(ctx2_64, ctx2_64, eig2_64, eig2_64)
     x = _x_samples(ctx2_64, N_X_SAMPLES)
     rng = np.random.default_rng(7)
-    own, part = rng.standard_normal(250), rng.standard_normal(250)
+    own = rng.standard_normal(250)
+    # a constant partner per state, then one that varies by point
+    for part in (rng.standard_normal(250), rng.standard_normal((250, len(x)))):
+        sizes = []
+
+        def f1(xx, s1, s2):
+            sizes.append(len(xx))
+            return f.f1(xx, s1, s2)
+
+        rows = _f_on_states(f1, x, own, part)
+        assert rows.shape == (250, len(x))
+        assert max(sizes) <= _BATCH_POINTS
+        for j in range(250):
+            want = f.f1(x, np.full(len(x), own[j]), np.full(len(x), part[j]))
+            assert rows[j].tobytes() == want.tobytes()
+
+
+def _random_box(mesh, seed):
+    rng = np.random.default_rng(seed)
+    lo = [rng.random(mesh.n_nodes) for _ in range(2)]
+    hi = [v + 0.1 + rng.random(mesh.n_nodes) for v in lo]
+    return OrderedBox(*(GridFunction(mesh, v) for v in (*lo, *hi)))
+
+
+def _expression_f(dim):
+    coord = "x" if dim == 1 else "x*y"
+    return Nonlinearity(
+        f1=state_expression(f"sin(3*{coord}) * abs(s1)**1.5 / (1 + s2**2)", dim),
+        f2=state_expression(f"s2 * exp(-s1) + {coord}", dim),
+        eta1=1.0,
+        eta2=1.0,
+    )
+
+
+@pytest.mark.parametrize("which", ["benchmark", "expression"])
+@pytest.mark.parametrize("mesh_name", ["mesh64", "mesh2d"])
+def test_state_stacks_match_loops_bit_for_bit(which, mesh_name, request, ctx2_64, eig2_64):
+    mesh = request.getfixturevalue(mesh_name)
+    if which == "benchmark":
+        # benchmark_family takes only constants from its contexts, so its f
+        # serves any mesh
+        f = benchmark_family(ctx2_64, ctx2_64, eig2_64, eig2_64)
+    else:
+        f = _expression_f(mesh.dimension)
+    box = _random_box(mesh, 3)
+    got, want = _box_extrema_qp(box, f, mesh), _ref_box_extrema_qp(box, f, mesh)
+    for g, w in zip(got[0] + got[1], want[0] + want[1]):
+        assert g.tobytes() == w.tobytes()
+
+    pts = mesh.quad_points_flat
+    own = box.u_sub1.at_qp().ravel()
+    lo, hi = box.u_sub2.at_qp().ravel(), box.u_sup2.at_qp().ravel()
+    for i in (1, 2):
+        got = _partner_min(f.own_first(i), pts, own, lo, hi)
+        assert got.tobytes() == _ref_partner_min(f, i, pts, own, lo, hi).tobytes()
+
+
+def test_no_f_call_exceeds_the_point_cap(ctx2_64, eig2_64):
+    f = benchmark_family(ctx2_64, ctx2_64, eig2_64, eig2_64)
     sizes = []
+    _log_sizes(f, sizes)
+    box = build_ordered_box(f, ctx2_64, ctx2_64, eig2_64, eig2_64)
+    solve_in_box(box, f, ctx2_64, ctx2_64)
+    n_qp = len(ctx2_64.mesh.quad_points_flat)
+    assert sizes and max(sizes) <= max(_BATCH_POINTS, n_qp)
 
-    def f1(xx, s1, s2):
-        sizes.append(len(xx))
-        return f.f1(xx, s1, s2)
-
-    rows = _f_on_states(f1, x, own, part)
-    assert rows.shape == (250, len(x))
-    assert max(sizes) <= 100 * len(x)
-    for j in range(250):
-        want = f.f1(x, np.full(len(x), own[j]), np.full(len(x), part[j]))
-        assert np.array_equal(rows[j], want)
+    # a point set above the cap is evaluated one state per call
+    x = np.linspace(0.0, 1.0, _BATCH_POINTS + 1)[:, None]
+    sizes.clear()
+    rows = _f_on_states(f.f1, x, [0.1, 0.2, 0.3], [1.0, 2.0, 3.0])
+    assert rows.shape == (3, len(x)) and sizes == [len(x)] * 3

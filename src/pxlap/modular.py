@@ -2,12 +2,15 @@
 
 The modular of a field u is the quadrature value of the integral of
 |u(x)|^p(x); the Luxemburg norm is the unique tau > 0 with
-modular(u / tau) = 1 (u nonzero), found by bracketing plus bisection on the
-residual |modular(u/tau) - 1|, which stays robust when p_max is large.
+modular(u / tau) = 1 (u nonzero).  It is found by Newton's method on
+F(s) = log modular(u / e^s), a log-sum-exp of functions affine in s = log tau:
+F is convex and decreasing, so after the first step every iterate lies left
+of the root and rises to it monotonically, and no bracket is needed.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,16 +37,25 @@ def _check_same_mesh(u: GridFunction, p: ExponentField):
         raise MeshMismatchError("field and exponent live on different meshes")
 
 
-def modular_of_qp(values_qp: np.ndarray, p_qp: np.ndarray, mesh: Mesh) -> float:
-    """Quadrature value of the integral of |v|^p, summed as :func:`integrate` sums."""
-    with np.errstate(over="ignore"):  # inf is meaningful: drives bracketing
+def modular_of_qp(values_qp: np.ndarray, p_qp: np.ndarray, mesh: Mesh, moment: bool = False):
+    """Quadrature value of the integral of |v|^p, summed as :func:`integrate` sums.
+
+    With ``moment`` the pair (integral of |v|^p, integral of p |v|^p) is
+    returned, both from the same powers.
+    """
+    with np.errstate(over="ignore"):  # inf is meaningful: the norm steps past it
         field = np.abs(values_qp) ** p_qp
         if field.shape != mesh.quad_weights.shape:
             raise MeshMismatchError(
                 f"field shape {field.shape} does not match quadrature layout "
                 f"{mesh.quad_weights.shape}"
             )
-        return float(np.add.reduce(mesh.quad_weights * field, axis=None))
+        field *= mesh.quad_weights
+        rho = float(np.add.reduce(field, axis=None))
+        if not moment:
+            return rho
+        field *= p_qp
+        return rho, float(np.add.reduce(field, axis=None))
 
 
 def modular(u: GridFunction, p: ExponentField) -> float:
@@ -52,58 +64,48 @@ def modular(u: GridFunction, p: ExponentField) -> float:
     return modular_of_qp(u.at_qp(), p.qp, u.mesh)
 
 
+# Newton for the norm works on s = log tau, kept to |s| <= _LOG_TAU_LIMIT
+_LN2 = math.log(2.0)
+_LOG_TAU_LIMIT = 200.0 * _LN2
+_NORM_MAX_STEPS = 500  # 400 steps of log 2 span the domain, plus 100 Newton steps
+
+
 def luxemburg_norm_of_qp(
     values_qp: np.ndarray, p_qp: np.ndarray, mesh: Mesh
 ) -> ModularReport:
-    """Luxemburg norm of a per-quadrature-point field."""
+    """Luxemburg norm of a per-quadrature-point field.
+
+    Newton on F(s) = log rho(e^s), with rho(tau) the modular of v / tau and
+    dF/ds = -(integral of p |v/tau|^p) / rho.  It starts at tau = 1 and steps
+    s by log 2 while rho or that integral overflows.
+    """
     values_qp = np.abs(np.asarray(values_qp, dtype=float))
-    rho0 = modular_of_qp(values_qp, p_qp, mesh)
+    rho0, moment = modular_of_qp(values_qp, p_qp, mesh, moment=True)
     if rho0 == 0.0 or not np.any(values_qp > 0):
         return ModularReport(modular=rho0, norm=0.0, iterations=0, residual=0.0)
 
-    def rho(tau):
-        return modular_of_qp(values_qp / tau, p_qp, mesh)
-
-    # bracket: rho is continuous and strictly decreasing in tau for u != 0
-    lo = hi = 1.0
-    r = rho(1.0)
-    iters = 0
-    if r >= 1.0:
-        while r > 1.0:
-            lo = hi
-            hi *= 2.0
-            r = rho(hi)
-            iters += 1
-            if iters > 200:
-                raise NumericalError("Luxemburg bracketing failed after 200 doublings")
-    else:
-        while r < 1.0:
-            hi = lo
-            lo /= 2.0
-            r = rho(lo)
-            iters += 1
-            if iters > 200:
-                raise NumericalError("Luxemburg bracketing failed after 200 halvings")
-
-    tau, res = hi, abs(rho(hi) - 1.0)
-    for _ in range(400):
-        if res <= NORM_RESIDUAL_TOL:
-            break
-        mid = 0.5 * (lo + hi)
-        rm = rho(mid)
-        if rm >= 1.0:
-            lo = mid
-        else:
-            hi = mid
-        iters += 1
-        if abs(rm - 1.0) < res:
-            tau, res = mid, abs(rm - 1.0)
-    if res > NORM_RESIDUAL_TOL:
-        raise NumericalError(
-            f"Luxemburg bisection stalled at residual {res:.3e}; "
-            "the exponent field is numerically pathological"
-        )
-    return ModularReport(modular=rho0, norm=tau, iterations=iters, residual=res)
+    s, tau, r = 0.0, 1.0, rho0
+    steps = 0
+    while not abs(r - 1.0) <= NORM_RESIDUAL_TOL:
+        # the Newton step -F/F' is log(rho) / (moment / rho); where the
+        # powers overflow, tau is far below the root and s moves by log 2
+        step = math.log(r) / (moment / r) if math.isfinite(moment) else _LN2
+        # only the first step can overshoot (to the left of the root); a
+        # landing past the limit is pulled back to it
+        s_next = max(s + step, -_LOG_TAU_LIMIT)
+        if s_next > _LOG_TAU_LIMIT or s_next == s:
+            raise NumericalError(
+                f"Luxemburg norm outside [2^-200, 2^200] (log tau {s + step:.4g})"
+            )
+        steps += 1
+        if steps > _NORM_MAX_STEPS:
+            raise NumericalError(
+                f"Luxemburg Newton stalled at residual {abs(r - 1.0):.3e}; "
+                "the exponent field is numerically pathological"
+            )
+        s, tau = s_next, math.exp(s_next)
+        r, moment = modular_of_qp(values_qp / tau, p_qp, mesh, moment=True)
+    return ModularReport(modular=rho0, norm=tau, iterations=steps, residual=abs(r - 1.0))
 
 
 def luxemburg_norm(u: GridFunction, p: ExponentField) -> ModularReport:

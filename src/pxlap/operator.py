@@ -261,9 +261,8 @@ def load_vector(mesh: Mesh, rhs_qp: np.ndarray) -> np.ndarray:
 
 def linear_poisson_solve(mesh: Mesh, rhs) -> GridFunction:
     """P1 solve of the plain Laplacian Dirichlet problem (used for seeding)."""
-    p2 = ExponentField(mesh, 2.0)
-    ctx2 = OperatorContext(mesh, p2, eps_reg=0.0)
-    K = assemble_jacobian(ctx2, np.zeros(mesh.n_nodes), eps=0.0)
+    plan = assembly_plan(mesh)
+    K = plan.csr(mesh.quad_weights.sum(axis=1)[:, None, None] * plan.grad_dots)
     rhs_qp = _rhs_at_qp(mesh, rhs)
     sol = _sparse_solve(K, load_vector(mesh, rhs_qp), "Poisson")
     vals = np.zeros(mesh.n_nodes)
@@ -324,7 +323,10 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float):
 
     rhs_fn maps the nodal values of every block to their rhs at the
     quadrature points; slope_fn returns the k x k grid of d rhs_i / d u_j
-    there, or is None for one block whose rhs does not depend on u.  Settings
+    there, or is None for one block whose rhs does not depend on u.  Such a
+    block is solved at the target eps_reg first and, only if that fails,
+    along the eps ladder from the same initial values; with a slope_fn the
+    ladder always runs.  Settings
     other than the regularization come from the first context.  Each step's
     Jacobian is the plan's block matrix, refilled and factored at once.  Returns
     (values, residual, iterations, converged, history), the residual being
@@ -356,10 +358,8 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float):
         ]
         return assembly_plan(mesh).block_csc(blocks)
 
-    total_iters = 0
-    history = []
-    rungs = [(eps, max(tol, 1e-9)) for eps in _EPS_LADDER if eps > eps_reg] + [(eps_reg, tol)]
-    for eps, rung_tol in rungs:
+    def descend(values, eps, rung_tol):
+        """Armijo-damped Newton at one eps: (values, iterations, converged)."""
         r, rn = residual(values, eps)
         history.append(rn)
         converged = rn <= rung_tol
@@ -383,7 +383,24 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float):
             if not accepted:
                 break
             converged = rn <= rung_tol
-        total_iters += it
+        return values, it, converged
+
+    total_iters = 0
+    history = []
+    ladder = [(eps, max(tol, 1e-9)) for eps in _EPS_LADDER if eps > eps_reg] + [(eps_reg, tol)]
+    # a load that does not depend on u has exactly one solution, the operator
+    # being strictly monotone, so the ladder can only lengthen the path to
+    # it; with a load that does, the ladder decides which of several
+    # solutions Newton finds
+    attempts = [ladder[-1:], ladder] if slope_fn is None and len(ladder) > 1 else [ladder]
+    start = values
+    for rungs in attempts:
+        values = start
+        for eps, rung_tol in rungs:
+            values, it, converged = descend(values, eps, rung_tol)
+            total_iters += it
+        if converged:
+            break
 
     # converged residuals are re-checked without regularization; the flag
     # honors the invariant converged => residual <= tolerance

@@ -105,3 +105,41 @@ def bratu_profile(lam: float, slope: float, x: np.ndarray) -> np.ndarray:
         rhs, (0.0, 1.0), [0.0, slope], rtol=1e-10, atol=1e-12, dense_output=True
     )
     return sol.sol(x)[0]
+
+
+def luxemburg_by_bisection(values_qp, p_qp, weights, tol=1e-10):
+    """Luxemburg norm of per-quadrature-point values by bracketing plus bisection.
+
+    The modular is the weighted sum of |v / tau|^p; tau is bracketed by
+    doubling or halving from 1 and then bisected until the modular is within
+    ``tol`` of 1.  Returns (tau, |modular(v / tau) - 1|).
+    """
+    values = np.abs(np.asarray(values_qp, dtype=float))
+
+    def rho(tau):
+        with np.errstate(over="ignore"):
+            return float(np.add.reduce(weights * (values / tau) ** p_qp, axis=None))
+
+    lo = hi = 1.0
+    r = rho(1.0)
+    if r >= 1.0:
+        while r > 1.0:
+            lo, hi = hi, 2.0 * hi
+            r = rho(hi)
+    else:
+        while r < 1.0:
+            hi, lo = lo, 0.5 * lo
+            r = rho(lo)
+    tau, res = hi, abs(rho(hi) - 1.0)
+    for _ in range(400):
+        if res <= tol:
+            break
+        mid = 0.5 * (lo + hi)
+        rm = rho(mid)
+        if rm >= 1.0:
+            lo = mid
+        else:
+            hi = mid
+        if abs(rm - 1.0) < res:
+            tau, res = mid, abs(rm - 1.0)
+    return tau, res

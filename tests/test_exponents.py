@@ -165,8 +165,8 @@ def test_norms_solves_and_eigenpairs_evaluate_no_exponent(mesh64, monkeypatch):
     monkeypatch.setattr(ExponentField, "evaluate", counted)
     luxemburg_norm(u, p)
     sobolev_norm(u, p)
-    assert dirichlet_solve(ctx, 1.0, initial=u).converged
-    # the direction check samples p on lines, and the default seed solves
-    # with a constant-exponent field of its own; both are skipped here
-    first_eigenpair(ctx, initial=u, allow_unchecked_exponent=True)
+    assert dirichlet_solve(ctx, 1.0).converged
+    # the direction check samples p on lines; it is skipped here, and the
+    # default Poisson seed needs no exponent
+    first_eigenpair(ctx, allow_unchecked_exponent=True)
     assert calls == []

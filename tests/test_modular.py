@@ -1,18 +1,27 @@
+import importlib
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from oracles import luxemburg_constant_field
+from oracles import luxemburg_by_bisection, luxemburg_constant_field
 from pxlap.errors import MeshMismatchError
 from pxlap.exponents import ExponentField
-from pxlap.mesh import GridFunction, build_interval_mesh
+from pxlap.mesh import GridFunction, build_interval_mesh, build_rectangle_mesh
 from pxlap.modular import (
     check_norm_modular,
     luxemburg_norm,
+    luxemburg_norm_of_qp,
     modular,
+    modular_of_qp,
     pair_norm,
     sobolev_norm,
 )
+from pxlap.operator import linear_poisson_solve
 from conftest import random_dirichlet_field
+
+# the module, not the ``pxlap.modular`` function the package exports
+modular_module = importlib.import_module("pxlap.modular")
 
 
 def test_modular_constant(mesh64, p2_64):
@@ -153,3 +162,85 @@ def test_pair_norm_triangle_inequality(mesh64, pvar_64, p2_64, rng):
         lhs = pair_norm(s1, p2_64, s2, pvar_64)
         rhs = pair_norm(a1, p2_64, a2, pvar_64) + pair_norm(b1, p2_64, b2, pvar_64)
         assert lhs <= rhs + 1e-8
+
+
+# -- the Newton norm against bracketing plus bisection ----------------------
+
+
+def _random_qp_field(mesh, seed, log_scale, p_a, p_b):
+    """Values and exponents per quadrature point: a random Dirichlet field at
+    scale 10^log_scale and exponents drawn uniformly between p_a and p_b."""
+    rng = np.random.default_rng(seed)
+    values = 10.0**log_scale * random_dirichlet_field(mesh, rng).at_qp()
+    lo, hi = sorted((p_a, p_b))
+    return values, rng.uniform(lo, hi, size=values.shape)
+
+
+_exponents = st.floats(1.1, 8.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    log_scale=st.floats(-3.0, 3.0),
+    p_a=_exponents,
+    p_b=_exponents,
+    log_c=st.floats(-3.0, 3.0),
+)
+def test_newton_norm_properties(mesh64, seed, log_scale, p_a, p_b, log_c):
+    values, p_qp = _random_qp_field(mesh64, seed, log_scale, p_a, p_b)
+    rep = luxemburg_norm_of_qp(values, p_qp, mesh64)
+    # the unit-ball identity the stop test asks for
+    assert rep.residual <= 1e-10
+    assert abs(modular_of_qp(values / rep.norm, p_qp, mesh64) - 1.0) <= 1e-10
+    # the same root as bisection
+    tau_ref, res_ref = luxemburg_by_bisection(values, p_qp, mesh64.quad_weights)
+    assert res_ref <= 1e-10
+    assert rep.norm == pytest.approx(tau_ref, rel=1e-9)
+    # homogeneity: ||c v|| = c ||v||
+    c = 10.0**log_c
+    assert luxemburg_norm_of_qp(c * values, p_qp, mesh64).norm == pytest.approx(c * rep.norm, rel=1e-9)
+
+
+def test_newton_norm_first_step_pulled_back_to_the_domain(mesh64):
+    # at tau = 1 the p = 1.1 half dominates the modular, at the root the
+    # p = 8 half does: the first Newton step lands below tau = 2^-200, where
+    # the powers overflow, and the iteration still reaches the root
+    values = np.full(mesh64.quad_weights.shape, 1e-10)
+    p_qp = np.full(values.shape, 8.0)
+    values[::2], p_qp[::2] = 1e-70, 1.1
+    rep = luxemburg_norm_of_qp(values, p_qp, mesh64)
+    tau_ref, _ = luxemburg_by_bisection(values, p_qp, mesh64.quad_weights)
+    assert rep.residual <= 1e-10
+    assert rep.norm == pytest.approx(tau_ref, rel=1e-9)
+
+
+def test_luxemburg_tiny_norm_outside_domain_raises(mesh64, pvar_64):
+    from pxlap.errors import NumericalError
+
+    tiny = GridFunction(mesh64, np.full(mesh64.n_nodes, 1e-100))
+    with pytest.raises(NumericalError):
+        luxemburg_norm(tiny, pvar_64)
+
+
+@pytest.fixture(scope="module")
+def dome128():
+    mesh = build_rectangle_mesh(0.0, 0.0, 1.0, 1.0, 128, 128)
+    return linear_poisson_solve(mesh, 1.0), ExponentField(mesh, "2 + 0.1*x")
+
+
+@pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
+@pytest.mark.parametrize("part", ["values", "gradient"])
+def test_dome_norm_needs_at_most_six_modular_evaluations(monkeypatch, dome128, scale, part):
+    dome, p = dome128
+    field = dome.at_qp() if part == "values" else dome.grad_magnitude_qp()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return modular_of_qp(*args, **kwargs)
+
+    monkeypatch.setattr(modular_module, "modular_of_qp", counted)
+    rep = luxemburg_norm_of_qp(scale * field, p.qp, dome.mesh)
+    assert rep.residual <= 1e-10
+    assert 1 <= len(calls) <= 6

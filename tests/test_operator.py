@@ -373,6 +373,27 @@ def _coupled_jacobian(mesh, rng):
     return sp.bmat([[J11, J12], [J21, J22]], format="csc")
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_interval_mesh(0.0, 1.0, 256),
+        lambda: build_rectangle_mesh(0.0, 0.0, 1.0, 1.0, 32, 32),
+        lambda: build_rectangle_mesh(0.0, 0.0, 1.0, 0.75, 16, 12),
+    ],
+    ids=["interval256", "rect32", "rect16x12"],
+)
+def test_poisson_matrix_is_the_p2_jacobian_at_zero(build, monkeypatch):
+    mesh = build()
+    ctx = OperatorContext(mesh, ExponentField(mesh, 2.0), eps_reg=0.0)
+    K = assemble_jacobian(ctx, np.zeros(mesh.n_nodes), eps=0.0)
+    solves = []
+    monkeypatch.setattr(operator_module, "_sparse_solve", lambda A, rhs, what: solves.append(A) or rhs)
+    linear_poisson_solve(mesh, 1.0)
+    (A,) = solves
+    assert A.data.tobytes() == K.data.tobytes()
+    assert np.array_equal(A.indices, K.indices) and np.array_equal(A.indptr, K.indptr)
+
+
 def test_sparse_solve_matches_spsolve():
     rng = np.random.default_rng(5)
     mesh = build_rectangle_mesh(0.0, 0.0, 1.0, 1.0, 24, 20)
@@ -411,8 +432,11 @@ def test_contexts_on_one_mesh_share_one_plan():
 # -- the damped-Newton driver against the two solvers it replaced -----------
 #
 # The _ref_* functions are the scalar and the coupled Newton solvers as they
-# stood before one driver served both.  ``stats`` counts their eps rungs and
-# line-search trials, which fixes how many residuals the driver may assemble.
+# stood before one driver served both, with one change: a load that does not
+# depend on u is solved at the target eps first, and along the ladder only
+# when that fails (``_ref_dirichlet_solve``).  ``stats`` counts their eps
+# rungs and line-search trials, which fixes how many residuals the driver may
+# assemble.
 
 
 def _ref_newton_at_eps(ctx, rhs_fn, rhs_slope_fn, u, eps, tol, max_iter, stats):
@@ -484,10 +508,28 @@ def _ref_newton(ctx, rhs_fn, rhs_slope_fn, initial_values, tol, max_iter, stats)
 
 
 def _ref_dirichlet_solve(ctx, rhs, stats):
-    rhs_qp = _rhs_at_qp(ctx.mesh, rhs)
-    initial = linear_poisson_solve(ctx.mesh, rhs_qp)
-    return _ref_newton(
-        ctx, lambda vals: rhs_qp, None, initial.values, ctx.newton_tol, ctx.newton_max_iter, stats
+    mesh = ctx.mesh
+    rhs_qp = _rhs_at_qp(mesh, rhs)
+    initial = linear_poisson_solve(mesh, rhs_qp)
+    u = initial.values.copy()
+    u[mesh.boundary_nodes] = 0.0
+    tol, max_iter = ctx.newton_tol, ctx.newton_max_iter
+    u, _, it, converged, history = _ref_newton_at_eps(
+        ctx, lambda vals: rhs_qp, None, u, ctx.eps_reg, tol, max_iter, stats
+    )
+    if not converged:
+        # the fallback: the whole ladder from the same initial values
+        ladder = _ref_newton(ctx, lambda vals: rhs_qp, None, initial.values, tol, max_iter, stats)
+        ladder.iterations += it
+        ladder.history[:0] = history
+        return ladder
+    rn0 = dual_norm(mesh, _residual_full(ctx, u, rhs_qp, 0.0)[mesh.interior_nodes])
+    return SolveReport(
+        u=GridFunction(mesh, u, dirichlet_zero=True),
+        residual=rn0,
+        iterations=it,
+        converged=bool(rn0 <= tol),
+        history=history,
     )
 
 
@@ -685,6 +727,10 @@ def test_dirichlet_solve_matches_reference_newton(case, residual_calls):
     # one residual per rung and per line-search trial, one for the recheck
     assert len(residual_calls) == stats["rungs"] + stats["trials"] + 1
     assert residual_calls[-1] == 0.0
+    fallback = case in ("capped", "no-halving")
+    # the target eps alone, or that attempt and then the four-rung ladder
+    assert stats["rungs"] == (5 if fallback else 1)
+    assert residual_calls[0] == ctx.eps_reg
     if case == "capped":
         assert not rep.converged
     if case == "no-halving":
@@ -692,6 +738,33 @@ def test_dirichlet_solve_matches_reference_newton(case, residual_calls):
         assert any(a == b for a, b in zip(rep.history, rep.history[1:]))
     else:
         assert case == "capped" or rep.converged
+
+
+_SAME_SOLUTION_CASES = {
+    "interval-p1.3": (lambda: build_interval_mesh(0.0, 1.0, 64), 1.3),
+    "interval-p1.6": (lambda: build_interval_mesh(0.0, 1.0, 64), 1.6),
+    "interval-p2.5": (lambda: build_interval_mesh(0.0, 1.0, 64), 2.5),
+    "rect16x12": (lambda: build_rectangle_mesh(0.0, 0.0, 1.0, 0.75, 16, 12), "2.5 + 0.5*x"),
+}
+
+
+@pytest.mark.parametrize("case", list(_SAME_SOLUTION_CASES))
+def test_target_eps_first_reaches_the_ladder_solution(case):
+    # -Delta_p(x) u = h has one solution, so skipping the ladder changes the
+    # path and not the answer
+    build, p = _SAME_SOLUTION_CASES[case]
+    mesh = build()
+    ctx = OperatorContext(mesh, ExponentField(mesh, p))
+    rhs_qp = _rhs_at_qp(mesh, _dirichlet_rhs)
+    initial = linear_poisson_solve(mesh, rhs_qp)
+    ladder = _ref_newton(
+        ctx, lambda vals: rhs_qp, None, initial.values, ctx.newton_tol, ctx.newton_max_iter, Counter()
+    )
+    rep = dirichlet_solve(ctx, rhs_qp)
+    # one rung: the target eps converged without the fallback
+    assert len(rep.history) == rep.iterations + 1 and rep.history[-1] <= ctx.newton_tol
+    assert rep.converged == ladder.converged
+    assert np.max(np.abs(rep.u.values - ladder.u.values)) <= ctx.newton_tol
 
 
 def test_semilinear_solve_matches_reference_newton(ctxvar_64, eig2_64, residual_calls):
@@ -740,14 +813,17 @@ def test_block_norm_is_numpy_hypot(monkeypatch, mesh64, ctx2_64):
     ctx = OperatorContext(mesh64, ctx2_64.p, newton_max_iter=0)
     zeros = np.zeros(mesh64.n_nodes)
     rhs = np.zeros((mesh64.n_elements, mesh64.n_qp))
-    # no iterations: four rungs (eps 1e-2, 1e-4, 1e-6, 1e-10) and the recheck
+    # no iterations: four rungs (eps 1e-2, 1e-4, 1e-6, 1e-10) and the recheck;
+    # a slope_fn, as every coupled solve has, keeps the ladder (it is never
+    # called without a Newton step)
     _, residual, _, _, history = operator_module._newton(
-        [ctx, ctx], lambda values: [rhs, rhs], None, [zeros, zeros], 1e-10
+        [ctx, ctx], lambda values: [rhs, rhs], lambda values: None, [zeros, zeros], 1e-10
     )
     assert history == [float(target[k]) for k in odd[:4]]
     assert residual == float(target[odd[4]])
-    # one block: the norm is the block's dual norm itself
-    norms = iter(a[:5])
+    # one block: the norm is the block's dual norm itself; a load without
+    # slope_fn tries eps 1e-10 first, then the four rungs, then the recheck
+    norms = iter(a[:6])
     _, residual, _, _, history = operator_module._newton([ctx], lambda values: [rhs], None, [zeros], 1e-10)
-    assert history == [float(x) for x in a[:4]]
-    assert residual == float(a[4])
+    assert history == [float(x) for x in a[:5]]
+    assert residual == float(a[5])

@@ -23,6 +23,7 @@ from .exponents import ExponentField, check_Hp
 from .mesh import GridFunction, Mesh, dilate_domain, integrate, restrict, snap_margin
 from .modular import luxemburg_norm, modular
 from .operator import (
+    KeptFactor,
     OperatorContext,
     assemble_residual,
     dirichlet_solve,
@@ -52,7 +53,7 @@ def rayleigh_quotient(ctx: OperatorContext, u: GridFunction) -> float:
     num = integrate(u.grad_magnitude_qp() ** p_qp, ctx.mesh)
     den = integrate(np.abs(u.at_qp()) ** p_qp, ctx.mesh)
     if den == 0.0:
-        raise ValueError("Rayleigh quotient of the zero field")
+        raise NumericalError("Rayleigh quotient of the zero field")
     return num / den
 
 
@@ -119,16 +120,19 @@ def first_eigenpair(
     vals[mesh.boundary_nodes] = 0.0
     u = GridFunction(mesh, vals, dirichlet_zero=True)
     if not np.any(u.values > 0):
-        raise ValueError("initial field must be nonzero")
+        raise NumericalError("initial field must be nonzero")
     u = _normalize_modular(u, ctx.p)
 
     p_qp = ctx.p.qp
+    # one Jacobian factor serves every sweep's chord steps until one of them
+    # stops contracting; late sweeps move u so little that it rarely does
+    kept = KeptFactor()
 
     def sweep(u, R):
         """One inverse-power step: solve with the load R |u|^(p-2) u, restore
         positivity, renormalize.  Returns (report, u_new, R_new), the last
         two None when the inner solve fails."""
-        rep = dirichlet_solve(ctx, _signed_power(R, u.at_qp(), p_qp), initial=u)
+        rep = dirichlet_solve(ctx, _signed_power(R, u.at_qp(), p_qp), initial=u, kept=kept)
         if not rep.converged:
             return rep, None, None
         v = rep.u

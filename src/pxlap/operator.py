@@ -146,18 +146,42 @@ def assembly_plan(mesh: Mesh) -> AssemblyPlan:
     return plan
 
 
-def _sparse_solve(A: sp.spmatrix, rhs: np.ndarray, what: str) -> np.ndarray:
-    """SuperLU solve with minimum-degree ordering on A^T + A.
+def _factor(A: sp.spmatrix, what: str):
+    """SuperLU factor with minimum-degree ordering on A^T + A.
 
-    A singular factor and a non-finite solution are both NumericalErrors.
+    A singular factor is a NumericalError.
     """
     try:
-        x = spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").solve(rhs)
+        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # singular factorization
         raise NumericalError(f"{what} linear solve failed: {exc}") from exc
+
+
+def _solve(lu, rhs: np.ndarray, what: str) -> np.ndarray:
+    """``lu.solve(rhs)``; a non-finite solution is a NumericalError."""
+    x = lu.solve(rhs)
     if not np.all(np.isfinite(x)):
         raise NumericalError(f"{what} linear solve gave a non-finite solution")
     return x
+
+
+def _sparse_solve(A: sp.spmatrix, rhs: np.ndarray, what: str) -> np.ndarray:
+    """Factor A and solve; a singular factor and a non-finite solution are
+    both NumericalErrors."""
+    return _solve(_factor(A, what), rhs, what)
+
+
+@dataclass
+class KeptFactor:
+    """A Jacobian factor that outlives one Newton solve.
+
+    ``lu`` is the SuperLU factor of a one-block Jacobian at regularization
+    ``eps``, or None.  Passed to ``dirichlet_solve``, it lets Newton take
+    chord steps with that factor instead of factoring every step.
+    """
+
+    eps: float = 0.0
+    lu: object = None
 
 
 def _flux_factor(grad_sq: np.ndarray, p_qp: np.ndarray, eps: float) -> np.ndarray:
@@ -277,6 +301,8 @@ _EPS_LADDER = (1e-2, 1e-4, 1e-6)
 # relative step of the central differences that differentiate a
 # state-dependent load: h = _FD_STEP * (1 + |s|)
 _FD_STEP = 1e-6
+# a chord step with a kept factor must cut the residual norm by this factor
+_CHORD_RATE = 0.1
 
 
 def _mass_block(mesh: Mesh, coeff_qp: np.ndarray) -> sp.csr_matrix:
@@ -318,7 +344,7 @@ def _state_loads(mesh: Mesh, loads):
     return rhs_fn, slope_fn
 
 
-def _newton(ctxs, rhs_fn, slope_fn, values, tol: float):
+def _newton(ctxs, rhs_fn, slope_fn, values, tol: float, kept: KeptFactor | None = None):
     """Damped Newton with eps continuation on k Dirichlet problems on one mesh.
 
     rhs_fn maps the nodal values of every block to their rhs at the
@@ -328,13 +354,23 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float):
     along the eps ladder from the same initial values; with a slope_fn the
     ladder always runs.  Settings
     other than the regularization come from the first context.  Each step's
-    Jacobian is the plan's block matrix, refilled and factored at once.  Returns
-    (values, residual, iterations, converged, history), the residual being
-    the unregularized one.
+    Jacobian is the plan's block matrix, refilled and factored at once.
+
+    ``kept``, allowed only for one block without a slope_fn, makes each
+    iteration first try the full chord step with the kept factor (Kelley,
+    Iterative Methods for Linear and Nonlinear Equations, 1995, sec. 5.4).
+    The step counts as the iteration when it is finite and cuts the residual
+    to at most _CHORD_RATE times its value; otherwise the old factor is
+    released, the Jacobian at the current iterate is factored into ``kept``
+    and the usual Armijo step follows.  Returns (values, residual,
+    iterations, converged, history), the residual being the unregularized
+    one.
     """
     mesh = ctxs[0].mesh
     interior = mesh.interior_nodes
     k = len(ctxs)
+    if kept is not None and (k != 1 or slope_fn is not None):
+        raise ValueError("a kept factor serves one block whose load does not depend on u")
     eps_reg = max(ctx.eps_reg for ctx in ctxs)
     max_iter, max_halvings = ctxs[0].newton_max_iter, ctxs[0].max_halvings
     values = [v.copy() for v in values]
@@ -358,6 +394,19 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float):
         ]
         return assembly_plan(mesh).block_csc(blocks)
 
+    def chord_step(values, r, rn, eps):
+        """(values, r, rn) after the full step with the kept factor, or None
+        when it has no factor at eps or the step fails the contraction test."""
+        if kept.lu is None or kept.eps != eps:
+            return None
+        delta = kept.lu.solve(-r[0])
+        if not np.all(np.isfinite(delta)):
+            return None
+        trial = values[0].copy()
+        trial[interior] += delta
+        trial_r, trial_rn = residual([trial], eps)
+        return ([trial], trial_r, trial_rn) if trial_rn <= _CHORD_RATE * rn else None
+
     def descend(values, eps, rung_tol):
         """Armijo-damped Newton at one eps: (values, iterations, converged)."""
         r, rn = residual(values, eps)
@@ -366,7 +415,20 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float):
         it = 0
         while not converged and it < max_iter:
             it += 1
-            delta = np.split(_sparse_solve(jacobian(values, eps), -np.concatenate(r), "Newton"), k)
+            if kept is None:
+                delta = np.split(_sparse_solve(jacobian(values, eps), -np.concatenate(r), "Newton"), k)
+            else:
+                chord = chord_step(values, r, rn, eps)
+                if chord is not None:
+                    values, r, rn = chord
+                    history.append(rn)
+                    converged = rn <= rung_tol
+                    continue
+                # release the old factor before the new one is built, so
+                # that two never live at once
+                kept.lu = None
+                kept.eps, kept.lu = eps, _factor(jacobian(values, eps), "Newton")
+                delta = [_solve(kept.lu, -r[0], "Newton")]
             step = 1.0
             accepted = False
             for _ in range(max_halvings + 1):
@@ -408,22 +470,29 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float):
     return values, rn0, total_iters, bool(converged and rn0 <= tol), history
 
 
-def _scalar_report(ctx: OperatorContext, rhs_fn, slope_fn, initial: GridFunction) -> SolveReport:
-    (u,), *outcome = _newton([ctx], rhs_fn, slope_fn, [initial.values], ctx.newton_tol)
+def _scalar_report(ctx: OperatorContext, rhs_fn, slope_fn, initial: GridFunction, kept=None) -> SolveReport:
+    (u,), *outcome = _newton([ctx], rhs_fn, slope_fn, [initial.values], ctx.newton_tol, kept)
     return SolveReport(GridFunction(ctx.mesh, u, dirichlet_zero=True), *outcome)
 
 
-def dirichlet_solve(ctx: OperatorContext, rhs, initial: GridFunction | None = None) -> SolveReport:
+def dirichlet_solve(
+    ctx: OperatorContext,
+    rhs,
+    initial: GridFunction | None = None,
+    kept: KeptFactor | None = None,
+) -> SolveReport:
     """Solve -Delta_p(x) u = rhs, u = 0 on the boundary, by damped Newton.
 
     The rhs does not depend on u (callable of coordinates, array of
     quadrature values, scalar, or GridFunction).  When no initial iterate is
     given the plain-Laplacian solution of the same rhs seeds the iteration.
+    ``kept`` carries a Jacobian factor from one solve to the next and lets
+    Newton take chord steps with it (see ``_newton``).
     """
     rhs_qp = _rhs_at_qp(ctx.mesh, rhs)
     if initial is None:
         initial = linear_poisson_solve(ctx.mesh, rhs_qp)
-    return _scalar_report(ctx, lambda values: [rhs_qp], None, initial)
+    return _scalar_report(ctx, lambda values: [rhs_qp], None, initial, kept)
 
 
 def semilinear_solve(ctx: OperatorContext, rhs_state, initial: GridFunction) -> SolveReport:

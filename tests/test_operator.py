@@ -14,8 +14,10 @@ from pxlap.mesh import GridFunction, build_interval_mesh, build_rectangle_mesh, 
 from pxlap.multiplicity import CoupledReport, _scalar_reference_rhs, solve_coupled
 from pxlap import operator as operator_module
 from pxlap.operator import (
+    KeptFactor,
     OperatorContext,
     SolveReport,
+    _factor,
     _flux_factor,
     _mass_block,
     _residual_full,
@@ -827,3 +829,95 @@ def test_block_norm_is_numpy_hypot(monkeypatch, mesh64, ctx2_64):
     _, residual, _, _, history = operator_module._newton([ctx], lambda values: [rhs], None, [zeros], 1e-10)
     assert history == [float(x) for x in a[:5]]
     assert residual == float(a[5])
+
+
+# -- chord steps with a kept factor ------------------------------------------
+
+
+def _kept_factor_ctx(p="2.5 + 0.5*x"):
+    mesh = build_rectangle_mesh(0.0, 0.0, 1.0, 0.75, 16, 12)
+    return OperatorContext(mesh, ExponentField(mesh, p))
+
+
+class _UnusableFactor:
+    def solve(self, rhs):
+        raise AssertionError("a factor built at another eps was solved with")
+
+
+class _NonFiniteFactor:
+    def __init__(self, value):
+        self.value = value
+
+    def solve(self, rhs):
+        return np.full_like(rhs, self.value)
+
+
+def _assert_converged(rep, ctx):
+    assert rep.converged and rep.residual <= ctx.newton_tol
+    assert np.all(np.isfinite(rep.u.values))
+
+
+def test_kept_factor_at_another_eps_is_never_solved_with():
+    ctx = _kept_factor_ctx()
+    kept = KeptFactor(eps=1e-2, lu=_UnusableFactor())
+    rep = dirichlet_solve(ctx, _dirichlet_rhs, kept=kept)
+    _assert_converged(rep, ctx)
+    assert kept.eps == ctx.eps_reg and not isinstance(kept.lu, _UnusableFactor)
+
+
+def test_kept_factor_from_a_distant_state_is_replaced():
+    ctx = _kept_factor_ctx()
+    plain = dirichlet_solve(ctx, _dirichlet_rhs)
+    distant = _factor(assemble_jacobian(ctx, 10.0 * plain.u.values, ctx.eps_reg), "test")
+    kept = KeptFactor(eps=ctx.eps_reg, lu=distant)
+    rep = dirichlet_solve(ctx, _dirichlet_rhs, kept=kept)
+    _assert_converged(rep, ctx)
+    # its chord step cuts the residual by less than _CHORD_RATE, so the
+    # first iteration is the plain Newton step from a fresh factor
+    assert rep.history[:2] == plain.history[:2]
+    assert kept.lu is not distant
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_non_finite_chord_step_is_rejected(value):
+    # at p < 2 a residual at an infinite state would multiply 0 by inf
+    ctx = _kept_factor_ctx("1.6 + 0.2*x")
+    kept = KeptFactor(eps=ctx.eps_reg, lu=_NonFiniteFactor(value))
+    rep = dirichlet_solve(ctx, _dirichlet_rhs, kept=kept)
+    _assert_converged(rep, ctx)
+    assert np.all(np.isfinite(rep.history))
+
+
+def test_old_factor_is_released_before_each_factorization(monkeypatch):
+    ctx = _kept_factor_ctx()
+    kept = KeptFactor()
+    factor = operator_module._factor
+    entries = []
+
+    def checked(A, what):
+        assert kept.lu is None
+        entries.append(what)
+        return factor(A, what)
+
+    monkeypatch.setattr(operator_module, "_factor", checked)
+    u = linear_poisson_solve(ctx.mesh, 1.0)
+    entries.clear()
+    # loads far apart, so that the kept factor stops contracting
+    for scale in (1.0, 30.0, 900.0):
+        rep = dirichlet_solve(ctx, lambda pts: scale * _dirichlet_rhs(pts), initial=u, kept=kept)
+        _assert_converged(rep, ctx)
+        u = rep.u
+    assert len(entries) >= 3
+
+
+def test_kept_factor_needs_one_block_without_slope(mesh64, ctx2_64):
+    zeros = np.zeros(mesh64.n_nodes)
+    rhs = np.zeros((mesh64.n_elements, mesh64.n_qp))
+    with pytest.raises(ValueError, match="kept factor"):
+        operator_module._newton(
+            [ctx2_64], lambda values: [rhs], lambda values: [[None]], [zeros], 1e-10, KeptFactor()
+        )
+    with pytest.raises(ValueError, match="kept factor"):
+        operator_module._newton(
+            [ctx2_64, ctx2_64], lambda values: [rhs, rhs], None, [zeros, zeros], 1e-10, KeptFactor()
+        )

@@ -184,10 +184,16 @@ def _validate(cfg: RunConfig) -> list:
         )
     if v["homotopy.t_steps"] < 2:
         errors.append("homotopy.t_steps must be at least 2")
-    # a probe or lemma suite of zero samples would pass without evidence
-    for key in ("homotopy.seeds", "verify.samples"):
+    # a probe or lemma suite of zero samples would pass without evidence, and
+    # a Newton solve of zero iterations would return its seed
+    for key in ("homotopy.seeds", "verify.samples", "solver.max_iter"):
         if v[key] < 1:
             errors.append(f"{key} must be at least 1")
+    # a negative eps_reg would fail later with a traceback, and a negative
+    # margin or radius would silently mean auto-size, as 0 does
+    for key in ("solver.eps_reg", "margin", "homotopy.R", "homotopy.R_hat", "homotopy.R_tilde"):
+        if v[key] < 0:
+            errors.append(f"{key} must be >= 0")
     if not 0.0 < v["homotopy.J_fraction"] < 1.0:
         errors.append("homotopy.J_fraction must lie in (0, 1)")
     dim = 1 if v["mesh.kind"] == "interval" else 2

@@ -751,16 +751,12 @@ def solve_in_box(
     hitting the sweep cap returns a non-converged report, never raises.
     """
     mesh = ctx1.mesh
-    if start == "sub":
-        u1 = box.u_sub1.with_values(box.u_sub1.values.copy(), dirichlet_zero=True)
-        u2 = box.u_sub2.with_values(box.u_sub2.values.copy(), dirichlet_zero=True)
-    else:
-        vals1 = box.u_sup1.values.copy()
-        vals1[mesh.boundary_nodes] = 0.0
-        u1 = GridFunction(mesh, box.clip(1, vals1), dirichlet_zero=True)
-        vals2 = box.u_sup2.values.copy()
-        vals2[mesh.boundary_nodes] = 0.0
-        u2 = GridFunction(mesh, box.clip(2, vals2), dirichlet_zero=True)
+    bounds = ((box.u_sub1, box.u_sup1), (box.u_sub2, box.u_sup2))
+    u = []
+    for i, (lo, hi) in enumerate(bounds, start=1):
+        vals = (lo if start == "sub" else hi).values.copy()
+        vals[mesh.boundary_nodes] = 0.0
+        u.append(GridFunction(mesh, box.clip(i, vals), dirichlet_zero=True))
 
     inc_hist = []
     res_hist = []
@@ -768,36 +764,25 @@ def solve_in_box(
     converged = False
     it = 0
     for it in range(1, _BOX_MAX_SWEEPS + 1):
-        rep1 = dirichlet_solve(ctx1, _f_at_state(f.f1, mesh, u1, u2), initial=u1)
-        raw1 = rep1.u.values
-        pretrunc = max(
-            pretrunc,
-            float(np.max(box.u_sub1.values - raw1, initial=0.0)),
-            float(np.max(raw1 - box.u_sup1.values, initial=0.0)),
-        )
-        new1 = GridFunction(mesh, box.clip(1, raw1), dirichlet_zero=True)
-
-        rep2 = dirichlet_solve(ctx2, _f_at_state(f.f2, mesh, new1, u2), initial=u2)
-        raw2 = rep2.u.values
-        pretrunc = max(
-            pretrunc,
-            float(np.max(box.u_sub2.values - raw2, initial=0.0)),
-            float(np.max(raw2 - box.u_sup2.values, initial=0.0)),
-        )
-        new2 = GridFunction(mesh, box.clip(2, raw2), dirichlet_zero=True)
-
-        inc = max(
-            float(np.max(np.abs(new1.values - u1.values))),
-            float(np.max(np.abs(new2.values - u2.values))),
-        )
-        u1, u2 = new1, new2
-        res = system_residuals(f, ctx1, ctx2, u1, u2)
+        new = list(u)  # component 2 sees the fresh component 1
+        for i, (ctx, fi, (lo, hi)) in enumerate(zip((ctx1, ctx2), (f.f1, f.f2), bounds)):
+            raw = dirichlet_solve(ctx, _f_at_state(fi, mesh, *new), initial=u[i]).u.values
+            pretrunc = max(
+                pretrunc,
+                float(np.max(lo.values - raw, initial=0.0)),
+                float(np.max(raw - hi.values, initial=0.0)),
+            )
+            new[i] = GridFunction(mesh, box.clip(i + 1, raw), dirichlet_zero=True)
+        inc = max(float(np.max(np.abs(a.values - b.values))) for a, b in zip(new, u))
+        u = new
+        res = system_residuals(f, ctx1, ctx2, *u)
         inc_hist.append(inc)
         res_hist.append(res)
         if inc <= increment_tol and max(res) <= residual_tol:
             converged = True
             break
 
+    u1, u2 = u
     interior_positive = bool(
         np.all(u1.values[mesh.interior_nodes] > 0)
         and np.all(u2.values[mesh.interior_nodes] > 0)

@@ -21,7 +21,7 @@ from .eigen import EigenPair
 from .errors import ConfigError, NumericalError
 from .existence import Nonlinearity, OrderedBox
 from .mesh import GridFunction
-from .modular import sobolev_norm
+from .modular import luxemburg_norm_of_qp, sobolev_norm
 from .operator import OperatorContext, semilinear_solve
 from .operator import _newton, _state_loads  # the damped-Newton driver shared with the scalar solves
 
@@ -640,8 +640,6 @@ def annulus_search(
     mesh = ctx1.mesh
     # the supersolution pair has nonzero trace; size R_hat by its gradient
     # Luxemburg seminorm
-    from .modular import luxemburg_norm_of_qp
-
     sup_pair_norm = (
         luxemburg_norm_of_qp(box.u_sup1.grad_magnitude_qp(), ctx1.p.qp, mesh).norm
         + luxemburg_norm_of_qp(box.u_sup2.grad_magnitude_qp(), ctx2.p.qp, mesh).norm

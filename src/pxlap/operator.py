@@ -68,13 +68,13 @@ def dual_norm(mesh: Mesh, r: np.ndarray) -> float:
 
 @dataclass(frozen=True)
 class AssemblyPlan:
-    """Interior CSR pattern of the P1 element matrices of one mesh.
+    """Interior CSC pattern of the P1 element matrices of one mesh.
 
-    ``keep`` lists the flat positions ``(e, a, b)`` of an element-matrix
-    array of shape (n_elements, nloc, nloc) whose two nodes are interior, and
+    An element-matrix array has shape (n_elements, nloc, nloc).  ``keep``
+    lists its flat positions ``(e, a, b)`` whose two nodes are interior, and
     ``scatter`` gives the slot in ``data`` that each of them adds into.
     ``grad_dots`` holds grad phi_a . grad phi_b per element, the stiffness
-    part of every Jacobian.  ``block_csc`` stacks k x k blocks on this
+    part of every Jacobian.  ``matrix`` stacks k x k element arrays on this
     pattern into one CSC matrix that the plan keeps per k.
     """
 
@@ -94,47 +94,44 @@ class AssemblyPlan:
         local = dof[mesh.elements]  # -1 marks a boundary node
         inside = (local[:, :, None] >= 0) & (local[:, None, :] >= 0)
         keep = np.flatnonzero(inside)
-        key = (local[:, :, None] * n + local[:, None, :]).ravel()[keep]
-        slots = np.unique(key)  # (row, col) of the pattern in CSR order
+        # entry (a, b) sits at row a, column b; the key col * n + row sorts
+        # the slots in CSC order
+        key = (local[:, None, :] * n + local[:, :, None]).ravel()[keep]
+        slots = np.unique(key)
         scatter = np.searchsorted(slots, key)
-        pattern = sp.csr_matrix(
-            (np.ones(len(slots)), (slots // n, slots % n)), shape=(n, n)
-        )
+        indptr = np.searchsorted(slots, n * np.arange(n + 1))  # first slot of each column
         grad_dots = np.einsum("ead,ebd->eab", mesh.basis_grads, mesh.basis_grads)
-        arrays = (pattern.indptr, pattern.indices, keep, scatter, grad_dots)
+        arrays = (indptr.astype(np.int32), (slots % n).astype(np.int32), keep, scatter, grad_dots)
         return cls(n, *map(_freeze, arrays))
 
-    def csr(self, K: np.ndarray) -> sp.csr_matrix:
-        """Interior matrix of the element matrices ``K`` (n_elements, nloc, nloc)."""
-        data = np.bincount(self.scatter, weights=K.ravel()[self.keep], minlength=len(self.indices))
-        return sp.csr_matrix((data, self.indices, self.indptr), shape=(self.n, self.n))
+    def data(self, K: np.ndarray) -> np.ndarray:
+        """CSC data of the interior matrix of the element matrices ``K``."""
+        return np.bincount(self.scatter, weights=K.ravel()[self.keep], minlength=len(self.indices))
 
-    def block_csc(self, blocks) -> sp.csc_matrix:
-        """CSC matrix of the k x k grid ``blocks`` of matrices on this pattern.
+    def matrix(self, blocks) -> sp.csc_matrix:
+        """CSC matrix of the k x k grid ``blocks`` of element arrays.
 
-        It equals what ``scipy.sparse.bmat(blocks, format="csc")`` builds,
-        entry for entry and explicit zeros included, but no sparse
-        constructor runs after the first call: the plan keeps one
-        matrix per k, with int32 indices and the permutation from the
-        row-major concatenation of the blocks' data to CSC order, and
-        overwrites its ``data``.  The result is valid until the next call
-        with the same k.
+        Block (i, j) fills rows i*n.. and columns j*n.. on this pattern,
+        explicit zeros included.  No sparse constructor runs after the first
+        call: the plan keeps one matrix per k, with int32 indices and the
+        permutation from the row-major concatenation of the blocks' data to
+        CSC order, and overwrites its ``data``.  The result is valid until
+        the next call with the same k.
         """
         k = len(blocks)
         if k not in self._blocks:
-            rows = np.repeat(np.arange(self.n), np.diff(self.indptr))
-            block_rows = np.concatenate([rows + i * self.n for i in range(k) for _ in range(k)])
-            block_cols = np.concatenate([self.indices + j * self.n for _ in range(k) for j in range(k)])
+            cols = np.repeat(np.arange(self.n), np.diff(self.indptr))
+            block_rows = np.concatenate([self.indices + i * self.n for i in range(k) for _ in range(k)])
+            block_cols = np.concatenate([cols + j * self.n for _ in range(k) for j in range(k)])
             order = np.lexsort((block_rows, block_cols))  # by column, then row
-            indptr = np.zeros(k * self.n + 1, dtype=np.int32)
-            np.cumsum(np.bincount(block_cols, minlength=k * self.n), out=indptr[1:])
+            indptr = np.searchsorted(block_cols[order], np.arange(k * self.n + 1)).astype(np.int32)
             matrix = sp.csc_matrix(
                 (np.zeros(len(order)), block_rows[order].astype(np.int32), indptr),
                 shape=(k * self.n, k * self.n),
             )
             self._blocks[k] = (matrix, _freeze(order))
         matrix, order = self._blocks[k]
-        matrix.data[:] = np.concatenate([b.data for row in blocks for b in row])[order]
+        matrix.data[:] = np.concatenate([self.data(K) for row in blocks for K in row])[order]
         return matrix
 
 
@@ -146,13 +143,13 @@ def assembly_plan(mesh: Mesh) -> AssemblyPlan:
     return plan
 
 
-def _factor(A: sp.spmatrix, what: str):
+def _factor(A: sp.csc_matrix, what: str):
     """SuperLU factor with minimum-degree ordering on A^T + A.
 
     A singular factor is a NumericalError.
     """
     try:
-        return spla.splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A")
+        return spla.splu(A, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # singular factorization
         raise NumericalError(f"{what} linear solve failed: {exc}") from exc
 
@@ -163,12 +160,6 @@ def _solve(lu, rhs: np.ndarray, what: str) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise NumericalError(f"{what} linear solve gave a non-finite solution")
     return x
-
-
-def _sparse_solve(A: sp.spmatrix, rhs: np.ndarray, what: str) -> np.ndarray:
-    """Factor A and solve; a singular factor and a non-finite solution are
-    both NumericalErrors."""
-    return _solve(_factor(A, what), rhs, what)
 
 
 @dataclass
@@ -241,39 +232,42 @@ def assemble_residual(ctx: OperatorContext, u: GridFunction, rhs=None, eps_reg=N
     return _residual_full(ctx, u.values, rhs_qp, eps)[ctx.mesh.interior_nodes]
 
 
+def _mass_block(mesh: Mesh, coeff_qp: np.ndarray) -> np.ndarray:
+    """Element mass matrices weighted by ``coeff_qp`` at quadrature points."""
+    return np.einsum("eq,qa,qb->eab", mesh.quad_weights * coeff_qp, mesh.basis, mesh.basis)
+
+
 def assemble_jacobian(
     ctx: OperatorContext,
     values: np.ndarray,
     eps: float,
     rhs_slope_qp: np.ndarray | None = None,
-) -> sp.csr_matrix:
-    """Jacobian of the residual on interior dofs.
+) -> np.ndarray:
+    """Element matrices (n_elements, nloc, nloc) of the residual's Jacobian;
+    ``assembly_plan(mesh).matrix`` turns them into the interior matrix.
 
-    rhs_slope_qp, when given, holds d(rhs)/d(u) at each quadrature point and
-    contributes the mass-weighted semilinear block.
+    eps is floored at 1e-12, so the flux coefficients are finite where grad
+    u = 0 for every p; a non-finite one is an overflow.  rhs_slope_qp, when
+    given, holds d(rhs)/d(u) at each quadrature point and contributes the
+    mass-weighted semilinear block.
     """
     mesh = ctx.mesh
-    plan = assembly_plan(mesh)
+    eps = max(eps, 1e-12)
     local = values[mesh.elements]
     grads = np.einsum("ead,ea->ed", mesh.basis_grads, local)
     grad_sq = np.einsum("ed,ed->e", grads, grads)
     p_qp = ctx.p.qp
     g = grad_sq[:, None] + eps * eps
-    with np.errstate(divide="ignore", invalid="ignore"):
-        a = g ** ((p_qp - 2.0) / 2.0)
-        b = (p_qp - 2.0) * g ** ((p_qp - 4.0) / 2.0)
-    # the rank-one term multiplies grad u (x) grad u, which vanishes exactly
-    # where g does, so a blown-up coefficient there contributes nothing
-    a = np.where(np.isfinite(a), a, 0.0)
-    b = np.where(np.isfinite(b), b, 0.0)
+    a = g ** ((p_qp - 2.0) / 2.0)
+    b = (p_qp - 2.0) * g ** ((p_qp - 4.0) / 2.0)
     aw = np.sum(mesh.quad_weights * a, axis=1)
     bw = np.sum(mesh.quad_weights * b, axis=1)
     d = np.einsum("ead,ed->ea", mesh.basis_grads, grads)
-    K = aw[:, None, None] * plan.grad_dots
+    K = aw[:, None, None] * assembly_plan(mesh).grad_dots
     K += bw[:, None, None] * d[:, :, None] * d[:, None, :]
     if rhs_slope_qp is not None:
-        K -= np.einsum("eq,qa,qb->eab", mesh.quad_weights * rhs_slope_qp, mesh.basis, mesh.basis)
-    return plan.csr(K)
+        K -= _mass_block(mesh, rhs_slope_qp)
+    return K
 
 
 def load_vector(mesh: Mesh, rhs_qp: np.ndarray) -> np.ndarray:
@@ -286,9 +280,12 @@ def load_vector(mesh: Mesh, rhs_qp: np.ndarray) -> np.ndarray:
 def linear_poisson_solve(mesh: Mesh, rhs) -> GridFunction:
     """P1 solve of the plain Laplacian Dirichlet problem (used for seeding)."""
     plan = assembly_plan(mesh)
-    K = plan.csr(mesh.quad_weights.sum(axis=1)[:, None, None] * plan.grad_dots)
+    # a one-off matrix, not the plan's kept one: allocating that before the
+    # seed's factor raises the peak memory of large meshes
+    K = plan.data(mesh.quad_weights.sum(axis=1)[:, None, None] * plan.grad_dots)
+    A = sp.csc_matrix((K, plan.indices, plan.indptr), shape=(plan.n, plan.n))
     rhs_qp = _rhs_at_qp(mesh, rhs)
-    sol = _sparse_solve(K, load_vector(mesh, rhs_qp), "Poisson")
+    sol = _solve(_factor(A, "Poisson"), load_vector(mesh, rhs_qp), "Poisson")
     vals = np.zeros(mesh.n_nodes)
     vals[mesh.interior_nodes] = sol
     return GridFunction(mesh, vals, dirichlet_zero=True)
@@ -303,12 +300,6 @@ _EPS_LADDER = (1e-2, 1e-4, 1e-6)
 _FD_STEP = 1e-6
 # a chord step with a kept factor must cut the residual norm by this factor
 _CHORD_RATE = 0.1
-
-
-def _mass_block(mesh: Mesh, coeff_qp: np.ndarray) -> sp.csr_matrix:
-    """Interior mass matrix weighted by ``coeff_qp`` at quadrature points."""
-    w = mesh.quad_weights * coeff_qp
-    return assembly_plan(mesh).csr(np.einsum("eq,qa,qb->eab", w, mesh.basis, mesh.basis))
 
 
 def _state_loads(mesh: Mesh, loads):
@@ -352,9 +343,9 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float, kept: KeptFactor | None 
     there, or is None for one block whose rhs does not depend on u.  Such a
     block is solved at the target eps_reg first and, only if that fails,
     along the eps ladder from the same initial values; with a slope_fn the
-    ladder always runs.  Settings
-    other than the regularization come from the first context.  Each step's
-    Jacobian is the plan's block matrix, refilled and factored at once.
+    ladder always runs.  Every setting other than the regularization comes
+    from the first context.  Each step's Jacobian is the plan's block
+    matrix, refilled and factored at once.
 
     ``kept``, allowed only for one block without a slope_fn, makes each
     iteration first try the full chord step with the kept factor (Kelley,
@@ -385,14 +376,14 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float, kept: KeptFactor | None 
         slopes = slope_fn(vals) if slope_fn is not None else [[None]]
         blocks = [
             [
-                assemble_jacobian(ctx, v, eps=max(eps, 1e-12), rhs_slope_qp=slopes[i][i])
+                assemble_jacobian(ctx, v, eps, rhs_slope_qp=slopes[i][i])
                 if i == j
                 else -_mass_block(mesh, slopes[i][j])
                 for j in range(k)
             ]
             for i, (ctx, v) in enumerate(zip(ctxs, vals))
         ]
-        return assembly_plan(mesh).block_csc(blocks)
+        return assembly_plan(mesh).matrix(blocks)
 
     def chord_step(values, r, rn, eps):
         """(values, r, rn) after the full step with the kept factor, or None
@@ -416,7 +407,8 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float, kept: KeptFactor | None 
         while not converged and it < max_iter:
             it += 1
             if kept is None:
-                delta = np.split(_sparse_solve(jacobian(values, eps), -np.concatenate(r), "Newton"), k)
+                J = jacobian(values, eps)
+                delta = np.split(_solve(_factor(J, "Newton"), -np.concatenate(r), "Newton"), k)
             else:
                 chord = chord_step(values, r, rn, eps)
                 if chord is not None:

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from pxlap.eigen import first_eigenpair
 from pxlap.exponents import ExponentField
@@ -53,3 +54,23 @@ def random_dirichlet_field(mesh, rng, scale=1.0):
     from pxlap.mesh import GridFunction
 
     return GridFunction(mesh, vals, dirichlet_zero=True)
+
+
+def _ref_matrix(mesh, blocks):
+    """Interior matrix of a k x k grid of element arrays, built the way the
+    solvers built it before the plan kept one: a CSR matrix per block on the
+    row-major interior pattern, summed by np.bincount, stacked by sp.bmat."""
+    n = len(mesh.interior_nodes)
+    dof = np.full(mesh.n_nodes, -1)
+    dof[mesh.interior_nodes] = np.arange(n)
+    local = dof[mesh.elements]
+    keep = np.flatnonzero((local[:, :, None] >= 0) & (local[:, None, :] >= 0))
+    key = (local[:, :, None] * n + local[:, None, :]).ravel()[keep]
+    slots, scatter = np.unique(key, return_inverse=True)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(slots // n, minlength=n))))
+
+    def csr(K):
+        data = np.bincount(scatter, weights=K.ravel()[keep], minlength=len(slots))
+        return sp.csr_matrix((data, slots % n, indptr), shape=(n, n))
+
+    return sp.bmat([[csr(K) for K in row] for row in blocks], format="csc")

@@ -37,6 +37,7 @@ from pxlap.multiplicity import (
 from pxlap.operator import (
     OperatorContext,
     assemble_jacobian,
+    assembly_plan,
     comparison_check,
     mean_value_constant,
     picone,
@@ -440,7 +441,7 @@ def test_criterion_11_numerical_hygiene(tmp_path):
     for _ in range(20):
         vals = np.zeros(mesh.n_nodes)
         vals[interior] = rng.standard_normal(len(interior))
-        J = assemble_jacobian(ctx, vals, eps=1e-6).toarray()
+        J = assembly_plan(mesh).matrix([[assemble_jacobian(ctx, vals, eps=1e-6)]]).toarray()
         J_fd = np.zeros_like(J)
         for col, node in enumerate(interior):
             h = 1e-6

@@ -90,6 +90,28 @@ def test_cli_rejects_runs_without_samples(tmp_path, command, line, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("solver.eps_reg = -1", "solver.eps_reg must be >= 0"),
+        ("solver.max_iter = 0", "solver.max_iter must be at least 1"),
+        ("margin = -0.5", "margin must be >= 0"),
+        ("homotopy.R = -1", "homotopy.R must be >= 0"),
+        ("homotopy.R_hat = -1", "homotopy.R_hat must be >= 0"),
+        ("homotopy.R_tilde = -1", "homotopy.R_tilde must be >= 0"),
+    ],
+)
+def test_cli_rejects_out_of_range_settings(tmp_path, line, message, capsys):
+    # a negative eps_reg used to exit 1 with a traceback, a zero iteration
+    # cap ran, and a negative margin or radius silently meant auto-size
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text(f"mesh.n = 32\nhomotopy.t_steps = 2\nhomotopy.seeds = 1\n{line}\n")
+    rc = main(["theorem2", "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"])
+    assert rc == 3
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
 @pytest.mark.parametrize("formats", ["xml", "csv", "json,xml", "json,"])
 def test_cli_rejects_bad_output_formats(tmp_path, formats, capsys):
     cfg = tmp_path / "f.cfg"
@@ -323,7 +345,8 @@ def test_cli_theorem2_trace_radius_sets_boundedness(tmp_path):
 
 def test_cli_nonconvergence_exit_code(tmp_path):
     cfg = tmp_path / "nc.cfg"
-    cfg.write_text("mesh.n = 32\nsolver.max_iter = 0\np1.expr = 3\np2.expr = 3\n")
+    # one Newton step per eps rung cannot reach the tolerance at p = 3
+    cfg.write_text("mesh.n = 32\nsolver.max_iter = 1\np1.expr = 3\np2.expr = 3\n")
     rc = main([
         "solve", "--config", str(cfg), "--rhs", "1",
         "--output-dir", str(tmp_path), "--quiet",

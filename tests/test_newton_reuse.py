@@ -8,7 +8,6 @@ for bit-identical results.
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from pxlap.eigen import first_eigenpair
 from pxlap.exponents import ExponentField
@@ -35,7 +34,7 @@ from pxlap.operator import (
     dirichlet_solve,
     semilinear_solve,
 )
-from conftest import random_dirichlet_field
+from conftest import _ref_matrix, random_dirichlet_field
 
 _MESHES = {
     "interval64": lambda: build_interval_mesh(0.0, 1.0, 64),
@@ -52,7 +51,7 @@ def _same_csc(a, b):
 
 
 @pytest.mark.parametrize("case", list(_MESHES))
-def test_block_csc_equals_bmat_and_tocsc(case):
+def test_plan_matrix_equals_reference_bmat(case):
     mesh = _MESHES[case]()
     ctx = OperatorContext(mesh, ExponentField(mesh, "2.5 + 0.5*x"))
     rng = np.random.default_rng(3)
@@ -64,13 +63,15 @@ def test_block_csc_equals_bmat_and_tocsc(case):
     J21 = -_mass_block(mesh, np.zeros(shape))  # explicit zeros stay in the pattern
     plan = assembly_plan(mesh)
     blocks = [[J11, J12], [J21, J22]]
-    assert _same_csc(plan.block_csc(blocks), sp.bmat(blocks, format="csc"))
-    assert _same_csc(plan.block_csc([[J11]]), J11.tocsc())
-    # the kept matrices are refilled, not rebuilt, and keep int32 indices
-    again = plan.block_csc([[J22, J21], [J12, J11]])
-    assert again is plan.block_csc(blocks)
-    assert _same_csc(again, sp.bmat(blocks, format="csc"))
-    assert again.indices.dtype == again.indptr.dtype == np.int32
+    A = plan.matrix(blocks)
+    assert _same_csc(A, _ref_matrix(mesh, blocks))
+    assert A.nnz == 4 * len(plan.indices) and np.count_nonzero(A.data == 0.0) >= len(plan.indices)
+    assert A.indices.dtype == A.indptr.dtype == np.int32
+    assert _same_csc(plan.matrix([[J11]]), _ref_matrix(mesh, [[J11]]))
+    # the kept matrices are refilled, not rebuilt
+    swapped = [[J22, J21], [J12, J11]]
+    assert plan.matrix(swapped) is A
+    assert _same_csc(A, _ref_matrix(mesh, swapped))
 
 
 def _interval_problem():

@@ -22,7 +22,7 @@ from pxlap.operator import (
     _mass_block,
     _residual_full,
     _rhs_at_qp,
-    _sparse_solve,
+    _solve,
     assemble_jacobian,
     assemble_residual,
     assembly_plan,
@@ -35,7 +35,7 @@ from pxlap.operator import (
     picone,
     semilinear_solve,
 )
-from conftest import random_dirichlet_field
+from conftest import _ref_matrix, random_dirichlet_field
 
 
 def test_residual_zero_state(ctx2_64, mesh64):
@@ -218,10 +218,23 @@ def test_jacobian_consistency(rng):
     for _ in range(5):
         vals = np.zeros(mesh.n_nodes)
         vals[mesh.interior_nodes] = rng.standard_normal(len(mesh.interior_nodes))
-        J = assemble_jacobian(ctx, vals, eps=1e-6).toarray()
+        J = assembly_plan(mesh).matrix([[assemble_jacobian(ctx, vals, eps=1e-6)]]).toarray()
         J_fd = _dense_fd_jacobian(ctx, vals, rhs_qp, eps=1e-6)
         denom = max(np.max(np.abs(J)), 1.0)
         assert np.max(np.abs(J - J_fd)) / denom < 1e-5
+
+
+def test_jacobian_overflow_is_not_hidden():
+    # the 1e-12 floor on eps keeps every flux coefficient finite at grad u =
+    # 0, so a non-finite one is an overflow and must reach the solver instead
+    # of being zeroed into a tiny, finite Jacobian
+    mesh = build_interval_mesh(0.0, 1.0, 16)
+    ctx = OperatorContext(mesh, ExponentField(mesh, 12.0))
+    values = np.zeros(mesh.n_nodes)
+    values[mesh.interior_nodes] = 1e40
+    with pytest.warns(RuntimeWarning, match="overflow"):
+        K = assemble_jacobian(ctx, values, eps=0.0)
+    assert not np.all(np.isfinite(K))
 
 
 def test_monotone_operator_pairing(ctxvar_64, mesh64, rng):
@@ -259,14 +272,14 @@ def test_dual_norm_scaling(mesh64):
 
 
 def _coo_interior(mesh, K):
-    """Reference scatter: COO -> CSR, then the interior rows and columns."""
+    """Reference scatter: COO -> CSC, then the interior rows and columns."""
     conn = mesh.elements
     nloc = conn.shape[1]
     rows = np.repeat(conn, nloc, axis=1).ravel()
     cols = np.tile(conn, (1, nloc)).ravel()
-    mat = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)).tocsr()
+    mat = sp.coo_matrix((K.ravel(), (rows, cols)), shape=(mesh.n_nodes, mesh.n_nodes)).tocsc()
     idx = mesh.interior_nodes
-    return mat[idx][:, idx].tocsr()
+    return mat[idx][:, idx].tocsc()
 
 
 def _reference_jacobian(ctx, values, eps, rhs_slope_qp=None):
@@ -316,7 +329,8 @@ _PLAN_MESHES = {
 }
 
 
-def _assert_same_csr(A, B, rtol):
+def _assert_same_csc(A, B, rtol):
+    assert A.format == B.format == "csc"
     assert np.array_equal(A.indptr, B.indptr)
     assert np.array_equal(A.indices, B.indices)
     assert np.max(np.abs(A.data - B.data)) <= rtol * np.max(np.abs(B.data))
@@ -332,9 +346,11 @@ def test_plan_jacobian_matches_coo_reference(mesh_name, p_expr, eps, with_slope)
     rng = np.random.default_rng(7)
     values = random_dirichlet_field(mesh, rng).values
     slope = rng.standard_normal((mesh.n_elements, mesh.n_qp)) if with_slope else None
-    J = assemble_jacobian(ctx, values, eps=eps, rhs_slope_qp=slope)
-    assert isinstance(J, sp.csr_matrix)
-    _assert_same_csr(J, _reference_jacobian(ctx, values, eps, slope), 1e-14)
+    K = assemble_jacobian(ctx, values, eps=eps, rhs_slope_qp=slope)
+    nloc = mesh.elements.shape[1]
+    assert K.shape == (mesh.n_elements, nloc, nloc)
+    J = assembly_plan(mesh).matrix([[K]])
+    _assert_same_csc(J, _reference_jacobian(ctx, values, eps, slope), 1e-14)
 
 
 @pytest.mark.parametrize("mesh_name", list(_PLAN_MESHES))
@@ -344,10 +360,19 @@ def test_plan_scatter_and_mass_block_match_coo_reference(mesh_name):
     # a nonsymmetric element array catches a transposed pattern
     nloc = mesh.elements.shape[1]
     K = rng.standard_normal((mesh.n_elements, nloc, nloc))
-    _assert_same_csr(assembly_plan(mesh).csr(K), _coo_interior(mesh, K), 1e-14)
+    plan = assembly_plan(mesh)
+    A = plan.matrix([[K]])
+    _assert_same_csc(A, _coo_interior(mesh, K), 1e-14)
+    assert A.data.tobytes() == plan.data(K).tobytes()
     coeff = rng.standard_normal((mesh.n_elements, mesh.n_qp))
     M = np.einsum("eq,qa,qb->eab", mesh.quad_weights * coeff, mesh.basis, mesh.basis)
-    _assert_same_csr(_mass_block(mesh, coeff), _coo_interior(mesh, M), 1e-14)
+    _assert_same_csc(plan.matrix([[_mass_block(mesh, coeff)]]), _coo_interior(mesh, M), 1e-14)
+    # each block lands at its own offset of the stacked matrix
+    stacked = plan.matrix([[K, np.zeros_like(K)], [M, 2.0 * K]]).toarray()
+    n = plan.n
+    for block, X in ((stacked[:n, :n], K), (stacked[:n, n:], 0.0 * K), (stacked[n:, :n], M), (stacked[n:, n:], 2.0 * K)):
+        ref = _coo_interior(mesh, X).toarray()
+        assert np.max(np.abs(block - ref)) <= 1e-14 * max(np.max(np.abs(ref)), 1.0)
 
 
 @pytest.mark.parametrize("mesh_name", list(_PLAN_MESHES))
@@ -372,7 +397,7 @@ def _coupled_jacobian(mesh, rng):
     J22 = assemble_jacobian(ctx2, random_dirichlet_field(mesh, rng).values, 1e-2, rng.random(shape))
     J12 = -_mass_block(mesh, rng.random(shape))
     J21 = -_mass_block(mesh, 2.0 * rng.random(shape))
-    return sp.bmat([[J11, J12], [J21, J22]], format="csc")
+    return _ref_matrix(mesh, [[J11, J12], [J21, J22]])
 
 
 @pytest.mark.parametrize(
@@ -387,11 +412,13 @@ def _coupled_jacobian(mesh, rng):
 def test_poisson_matrix_is_the_p2_jacobian_at_zero(build, monkeypatch):
     mesh = build()
     ctx = OperatorContext(mesh, ExponentField(mesh, 2.0), eps_reg=0.0)
-    K = assemble_jacobian(ctx, np.zeros(mesh.n_nodes), eps=0.0)
-    solves = []
-    monkeypatch.setattr(operator_module, "_sparse_solve", lambda A, rhs, what: solves.append(A) or rhs)
+    factored = []
+    factor = operator_module._factor
+    monkeypatch.setattr(operator_module, "_factor", lambda A, what: factored.append(A) or factor(A, what))
     linear_poisson_solve(mesh, 1.0)
-    (A,) = solves
+    (A,) = factored
+    K = assembly_plan(mesh).matrix([[assemble_jacobian(ctx, np.zeros(mesh.n_nodes), eps=0.0)]])
+    assert A is not K  # the seed factors a one-off matrix, not the kept one
     assert A.data.tobytes() == K.data.tobytes()
     assert np.array_equal(A.indices, K.indices) and np.array_equal(A.indptr, K.indptr)
 
@@ -401,19 +428,19 @@ def test_sparse_solve_matches_spsolve():
     mesh = build_rectangle_mesh(0.0, 0.0, 1.0, 1.0, 24, 20)
     ctx = OperatorContext(mesh, ExponentField(mesh, "2.5 + 0.5*x"))
     scalar = assemble_jacobian(ctx, random_dirichlet_field(mesh, rng).values, eps=1e-4)
-    for A in (scalar, _coupled_jacobian(mesh, rng)):
+    for A in (_ref_matrix(mesh, [[scalar]]), _coupled_jacobian(mesh, rng)):
         b = rng.standard_normal(A.shape[0])
-        x = _sparse_solve(A, b, "test")
-        ref = spla.spsolve(A.tocsc(), b)
+        x = _solve(_factor(A, "test"), b, "test")
+        ref = spla.spsolve(A, b)
         assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_sparse_solve_failures_are_numerical_errors():
-    singular = sp.csr_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
+    singular = sp.csc_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
     with pytest.raises(NumericalError, match="linear solve failed"):
-        _sparse_solve(singular, np.ones(2), "test")
+        _factor(singular, "test")
     with pytest.raises(NumericalError, match="non-finite"):
-        _sparse_solve(sp.identity(2, format="csr"), np.array([1.0, np.nan]), "test")
+        _solve(_factor(sp.identity(2, format="csc"), "test"), np.array([1.0, np.nan]), "test")
 
 
 def test_contexts_on_one_mesh_share_one_plan():
@@ -457,8 +484,8 @@ def _ref_newton_at_eps(ctx, rhs_fn, rhs_slope_fn, u, eps, tol, max_iter, stats):
     while not converged and it < max_iter:
         it += 1
         slope = rhs_slope_fn(u) if rhs_slope_fn is not None else None
-        J = assemble_jacobian(ctx, u, eps=max(eps, 1e-12), rhs_slope_qp=slope)
-        delta = _sparse_solve(J, -r, "Newton")
+        J = _ref_matrix(mesh, [[assemble_jacobian(ctx, u, eps=max(eps, 1e-12), rhs_slope_qp=slope)]])
+        delta = _solve(_factor(J, "Newton"), -r, "Newton")
 
         step = 1.0
         accepted = False
@@ -608,8 +635,8 @@ def _ref_coupled_newton_once(ctx1, ctx2, g1, g2, v1, v2, eps, tol, max_iter, max
         J22 = assemble_jacobian(ctx2, v2, eps=max(eps, 1e-12), rhs_slope_qp=sl["22"])
         J12 = -_mass_block(mesh, sl["12"])
         J21 = -_mass_block(mesh, sl["21"])
-        J = sp.bmat([[J11, J12], [J21, J22]], format="csc")
-        delta = _sparse_solve(J, -np.concatenate([r1, r2]), "coupled Newton")
+        J = _ref_matrix(mesh, [[J11, J12], [J21, J22]])
+        delta = _solve(_factor(J, "coupled Newton"), -np.concatenate([r1, r2]), "coupled Newton")
         d1, d2 = delta[:n_int], delta[n_int:]
 
         step, accepted = 1.0, False
@@ -868,7 +895,7 @@ def test_kept_factor_at_another_eps_is_never_solved_with():
 def test_kept_factor_from_a_distant_state_is_replaced():
     ctx = _kept_factor_ctx()
     plain = dirichlet_solve(ctx, _dirichlet_rhs)
-    distant = _factor(assemble_jacobian(ctx, 10.0 * plain.u.values, ctx.eps_reg), "test")
+    distant = _factor(_ref_matrix(ctx.mesh, [[assemble_jacobian(ctx, 10.0 * plain.u.values, ctx.eps_reg)]]), "test")
     kept = KeptFactor(eps=ctx.eps_reg, lu=distant)
     rep = dirichlet_solve(ctx, _dirichlet_rhs, kept=kept)
     _assert_converged(rep, ctx)

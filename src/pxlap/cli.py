@@ -106,7 +106,7 @@ class RunConfig:
         return dict(sorted(self.values.items()))
 
 
-def _coerce(key, raw, typ):
+def _coerce(raw, typ):
     if typ is bool:
         low = raw.strip().lower()
         if low in ("true", "1", "yes", "on"):
@@ -114,7 +114,11 @@ def _coerce(key, raw, typ):
         if low in ("false", "0", "no", "off"):
             return False
         raise ValueError(f"expected boolean, got {raw!r}")
-    return typ(raw)
+    value = typ(raw)
+    # NaN passes every range check of _validate, and inf most of them
+    if typ is float and not np.isfinite(value):
+        raise ValueError(f"expected a finite number, got {raw!r}")
+    return value
 
 
 def parse_config(path) -> RunConfig:
@@ -137,7 +141,7 @@ def parse_config(path) -> RunConfig:
             continue
         typ = _SCHEMA[key][0]
         try:
-            values[key] = _coerce(key, raw, typ)
+            values[key] = _coerce(raw, typ)
         except ValueError as exc:
             errors.append(f"{path}:{lineno}: bad value for {key}: {exc}")
     cfg = RunConfig(values)
@@ -486,8 +490,7 @@ def cmd_theorem2(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
         attempts=v["homotopy.seeds"],
         rng_seed=v["homotopy.rng_seed"],
     )
-    step0 = trace.at_t(0.0)
-    triviality = bool(step0.pair_norms and max(step0.pair_norms) <= 1e-8) or not step0.pair_norms
+    triviality = all(s.pair_norm <= 1e-8 for s in trace.at_t(0.0).solutions)
     ann = annulus_search(hcfg, f, ctx1, ctx2, box, (pos.u1, pos.u2), eig1, eig2)
 
     payload = {
@@ -510,11 +513,11 @@ def cmd_theorem2(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
         # plot data: one row per continuation step
         with open(outdir / "trace.csv", "w") as fh:
             fh.write("t,solutions,max_pair_norm,max_residual\n")
-            for s in trace.steps:
+            for st in trace.steps:
                 fh.write(
-                    f"{s.t:.12g},{len(s.solutions)},"
-                    f"{max(s.pair_norms, default=0.0):.17g},"
-                    f"{max(s.residuals, default=0.0):.17g}\n"
+                    f"{st.t:.12g},{len(st.solutions)},"
+                    f"{max((s.pair_norm for s in st.solutions), default=0.0):.17g},"
+                    f"{max((s.residual for s in st.solutions), default=0.0):.17g}\n"
                 )
     _emit(outdir, "theorem2", cfg, payload, quiet)
     return 0
@@ -678,7 +681,10 @@ def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
             key = f"mesh.{key.strip()}"
             if key not in _SCHEMA:
                 raise ConfigError([f"unknown mesh key in --mesh: {item!r}"])
-            cfg.values[key] = _coerce(key, raw, _SCHEMA[key][0])
+            try:
+                cfg.values[key] = _coerce(raw, _SCHEMA[key][0])
+            except ValueError as exc:
+                raise ConfigError([f"bad value in --mesh for {key}: {exc}"]) from None
     if args.output_dir:
         cfg.values["output.dir"] = args.output_dir
     errors = _validate(cfg)

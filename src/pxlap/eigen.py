@@ -247,8 +247,6 @@ def enlarged_eigenpair(
     mesh = ctx.mesh
     if margin is None:
         margin = 0.25 * mesh.diameter
-    if margin <= 0:
-        raise DomainError(f"margin must be positive, got {margin}")
     margin = snap_margin(mesh, margin)
     mesh_tilde = dilate_domain(mesh, margin)
     ctx_tilde = dataclasses.replace(ctx, mesh=mesh_tilde, p=ctx.p.on_mesh(mesh_tilde))

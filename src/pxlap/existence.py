@@ -461,7 +461,7 @@ def construct_subsolution(
     eig1: EigenPair,
     eig2: EigenPair,
     hyp: HypothesesReport,
-    u_sup: tuple[GridFunction, GridFunction] | None = None,
+    u_sup: tuple[GridFunction, GridFunction],
 ) -> tuple[GridFunction, GridFunction, float]:
     """Subsolution pair eps_sub * (phi1, phi2) with eps_sub halved from 1/2.
 
@@ -491,20 +491,15 @@ def construct_subsolution(
                 ok = False
                 break
             cand = cands[i]
-            if u_sup is not None:
-                diff = u_sup[i].values - cand.values
-                if np.any(diff < 0) or np.any(
-                    diff[ctx.mesh.interior_nodes] <= 0
-                ):
-                    ok = False
-                    break
+            diff = u_sup[i].values - cand.values
+            if np.any(diff < 0) or np.any(diff[ctx.mesh.interior_nodes] <= 0):
+                ok = False
+                break
 
             # defining inequality: flux pairing <= load of the boxwise
             # f-minimum with the own argument frozen at the candidate
             other_lo = cands[1 - i].at_qp().ravel()
-            other_hi = (
-                u_sup[1 - i].at_qp().ravel() if u_sup is not None else other_lo
-            )
+            other_hi = u_sup[1 - i].at_qp().ravel()
             fmin = _partner_min(f.own_first(i + 1), pts, cand.at_qp().ravel(), other_lo, other_hi)
             lhs = assemble_residual(ctx, cand, rhs=None, eps_reg=0.0)
             rhs_f = load_vector(mesh, fmin.reshape(mesh.n_elements, mesh.n_qp))

@@ -179,6 +179,23 @@ def _base_points(mesh) -> np.ndarray:
     return mesh.nodes[::step]
 
 
+def _check_lines(p, mesh, label, lines) -> LineCheck:
+    """Test p along every ``(x0, unit direction)`` line; degenerate lines are
+    skipped and the first non-monotone one is the witness."""
+    ok = True
+    witness = None
+    n_lines = 0
+    for x0, direction in lines:
+        result = _line_monotone(p, mesh, x0, direction)
+        if result is None:
+            continue
+        n_lines += 1
+        monotone, w = result
+        if not monotone and ok:
+            ok, witness = False, w
+    return LineCheck(label, n_lines, ok, witness)
+
+
 def check_Hp(p: ExponentField, mesh: Mesh, directions=None) -> HpReport:
     """Sample p along lines through the domain and test monotonicity.
 
@@ -199,18 +216,8 @@ def check_Hp(p: ExponentField, mesh: Mesh, directions=None) -> HpReport:
         if norm == 0:
             raise ValueError("direction vectors must be nonzero")
         l = l / norm
-        ok = True
-        witness = None
-        n_lines = 0
-        for x0 in _base_points(mesh):
-            result = _line_monotone(p, mesh, x0, l)
-            if result is None:
-                continue
-            n_lines += 1
-            monotone, w = result
-            if not monotone and ok:
-                ok, witness = False, w
-        report.checks.append(LineCheck(tuple(direction), n_lines, ok, witness))
+        lines = ((x0, l) for x0 in _base_points(mesh))
+        report.checks.append(_check_lines(p, mesh, tuple(direction), lines))
     report.passed = any(c.passed for c in report.checks)
     return report
 
@@ -221,24 +228,7 @@ def check_Hp_rays(p: ExponentField, mesh: Mesh, exterior_point) -> HpReport:
     x_ext = np.asarray(exterior_point, dtype=float)
     if mesh.contains(x_ext[None, :]):
         raise ValueError("ray base point must lie outside the closed domain")
-    report = HpReport()
-    ok = True
-    witness = None
-    n_lines = 0
-    for target in _base_points(mesh):
-        w = target - x_ext
-        norm = np.linalg.norm(w)
-        if norm == 0:
-            continue
-        result = _line_monotone(p, mesh, x_ext, w / norm)
-        if result is None:
-            continue
-        n_lines += 1
-        monotone, wit = result
-        if not monotone and ok:
-            ok, witness = False, wit
-    report.checks.append(
-        LineCheck(tuple(x_ext.tolist()), n_lines, ok, witness)
-    )
-    report.passed = ok
-    return report
+    rays = (target - x_ext for target in _base_points(mesh))
+    lines = ((x_ext, w / n) for w in rays if (n := np.linalg.norm(w)) != 0)
+    check = _check_lines(p, mesh, tuple(x_ext.tolist()), lines)
+    return HpReport(checks=[check], passed=check.passed)

@@ -115,12 +115,15 @@ def luxemburg_norm(u: GridFunction, p: ExponentField) -> ModularReport:
 
 
 def sobolev_norm(u: GridFunction, p: ExponentField) -> float:
-    """Luxemburg norm of |grad u| (the zero-trace Sobolev norm)."""
+    """Luxemburg norm of |grad u| (the zero-trace Sobolev norm); 0.0 for
+    the zero field, without a norm evaluation."""
     _check_same_mesh(u, p)
     if not u.dirichlet_zero:
         raise MeshMismatchError(
             "sobolev_norm requires a Dirichlet-zero field (zero-trace space)"
         )
+    if not np.any(u.values != 0.0):
+        return 0.0
     return luxemburg_norm_of_qp(u.grad_magnitude_qp(), p.qp, u.mesh).norm
 
 

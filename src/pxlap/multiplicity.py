@@ -13,7 +13,9 @@ an error.
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -198,10 +200,10 @@ def _picard(ctxs, solve, seeds):
     the sweep count and the norms of its solutions.
     """
     fields = seeds
-    prev = [sobolev_norm_or_zero(u, ctx) for u, ctx in zip(fields, ctxs)]
+    prev = [sobolev_norm(u, ctx.p) for u, ctx in zip(fields, ctxs)]
     for sweeps in range(1, _PICARD_MAX + 1):
         rep, fields = solve([max(1.0, n) for n in prev], fields)
-        cur = [sobolev_norm_or_zero(u, ctx) for u, ctx in zip(fields, ctxs)]
+        cur = [sobolev_norm(u, ctx.p) for u, ctx in zip(fields, ctxs)]
         change = max(abs(c - p) / max(1.0, c) for c, p in zip(cur, prev))
         prev = cur
         if change <= _PICARD_RTOL:
@@ -232,24 +234,24 @@ def solve_homotopy_system(
     return dataclasses.replace(rep, picard_sweeps=sweeps, norms=norms)
 
 
-def sobolev_norm_or_zero(u: GridFunction, ctx: OperatorContext) -> float:
-    if not np.any(u.values != 0.0):
-        return 0.0
-    return sobolev_norm(u, ctx.p)
-
-
 # ---------------------------------------------------------------------------
 # trace and probes
+
+
+class Solution(NamedTuple):
+    """One recorded solution pair of a multi-start search."""
+
+    u1: GridFunction
+    u2: GridFunction
+    pair_norm: float
+    residual: float
+    tag: str  # the seed it was reached from
 
 
 @dataclass
 class TraceStep:
     t: float
-    solutions: list  # of (GridFunction, GridFunction)
-    pair_norms: list
-    residuals: list
-    tags: list
-    converged: list
+    solutions: list  # of Solution, in the order of :func:`_multistart`
 
 
 @dataclass
@@ -259,8 +261,7 @@ class HomotopyTrace:
     steps: list = field(default_factory=list)
 
     def max_pair_norm(self) -> float:
-        norms = [n for s in self.steps for n in s.pair_norms]
-        return max(norms) if norms else 0.0
+        return max((s.pair_norm for st in self.steps for s in st.solutions), default=0.0)
 
     def at_t(self, t: float) -> TraceStep:
         for s in self.steps:
@@ -275,13 +276,13 @@ class HomotopyTrace:
             "max_pair_norm": self.max_pair_norm(),
             "steps": [
                 {
-                    "t": s.t,
-                    "solutions": len(s.solutions),
-                    "pair_norms": list(map(float, s.pair_norms)),
-                    "residuals": list(map(float, s.residuals)),
-                    "tags": list(s.tags),
+                    "t": st.t,
+                    "solutions": len(st.solutions),
+                    "pair_norms": [float(s.pair_norm) for s in st.solutions],
+                    "residuals": [float(s.residual) for s in st.solutions],
+                    "tags": [s.tag for s in st.solutions],
                 }
-                for s in self.steps
+                for st in self.steps
             ],
         }
 
@@ -289,32 +290,34 @@ class HomotopyTrace:
 def pair_distance(a, b, ctx1, ctx2) -> float:
     d1 = GridFunction(ctx1.mesh, a[0].values - b[0].values, dirichlet_zero=True)
     d2 = GridFunction(ctx2.mesh, a[1].values - b[1].values, dirichlet_zero=True)
-    return sobolev_norm_or_zero(d1, ctx1) + sobolev_norm_or_zero(d2, ctx2)
+    return sobolev_norm(d1, ctx1.p) + sobolev_norm(d2, ctx2.p)
 
 
-def _dedup(pairs, norms, residuals, tags, ctx1, ctx2):
-    """Cluster converged pairs; canonical order is ascending pair norm.
+def _multistart(seeds, solve, ctx1, ctx2) -> list:
+    """Solve from every ``(seed1, seed2, tag)`` and keep the distinct solutions.
 
-    Seed-order independence: representatives are chosen by the cluster's
-    smallest norm, and ties resolve by nodal lexicographic order.
+    ``solve(seed1, seed2)`` returns a :class:`CoupledReport`.  A seed is
+    dropped when its solve raises :class:`NumericalError`, does not converge
+    or stops above _SOLUTION_TOL.  The pair norm is the report's Picard norms
+    when it carries them.  Canonical order is ascending pair norm, ties by
+    nodal lexicographic order, so the result does not depend on seed order;
+    a solution within DEDUP_DISTANCE of an earlier one is a duplicate.
     """
-    order = sorted(
-        range(len(pairs)),
-        key=lambda k: (norms[k], tuple(pairs[k][0].values), tuple(pairs[k][1].values)),
-    )
-    reps, rep_norms, rep_res, rep_tags = [], [], [], []
-    for k in order:
-        dup = False
-        for r in reps:
-            if pair_distance(pairs[k], r, ctx1, ctx2) < DEDUP_DISTANCE:
-                dup = True
-                break
-        if not dup:
-            reps.append(pairs[k])
-            rep_norms.append(norms[k])
-            rep_res.append(residuals[k])
-            rep_tags.append(tags[k])
-    return reps, rep_norms, rep_res, rep_tags
+    found = []
+    for s1, s2, tag in seeds:
+        try:
+            rep = solve(s1, s2)
+        except NumericalError:
+            continue
+        if rep.converged and rep.residual <= _SOLUTION_TOL:
+            n1, n2 = rep.norms or (sobolev_norm(rep.u1, ctx1.p), sobolev_norm(rep.u2, ctx2.p))
+            found.append(Solution(rep.u1, rep.u2, n1 + n2, rep.residual, tag))
+    found.sort(key=lambda s: (s.pair_norm, tuple(s.u1.values), tuple(s.u2.values)))
+    kept = []
+    for s in found:
+        if not any(pair_distance(s, k, ctx1, ctx2) < DEDUP_DISTANCE for k in kept):
+            kept.append(s)
+    return kept
 
 
 def continuation(
@@ -346,36 +349,11 @@ def continuation(
     previous = []
     for t in cfg.t_grid:
         seeds = [(GridFunction.zeros(mesh), GridFunction.zeros(mesh), "zero")]
-        seeds += [(s1, s2, "continued") for (s1, s2) in previous]
+        seeds += [(s.u1, s.u2, "continued") for s in previous]
         seeds += [(*eig_seed(c), f"eig x{c}") for c in _CONTINUATION_EIG_SCALES]
-
-        pairs, norms, residuals, tags, flags = [], [], [], [], []
-        for s1, s2, tag in seeds:
-            try:
-                rep = solve_homotopy_system(cfg, t, f, ctx1, ctx2, eig1, eig2, s1, s2)
-            except NumericalError:
-                flags.append(False)
-                continue
-            flags.append(rep.converged)
-            if rep.converged and rep.residual <= _SOLUTION_TOL:
-                pairs.append((rep.u1, rep.u2))
-                norms.append(rep.norms[0] + rep.norms[1])
-                residuals.append(rep.residual)
-                tags.append(tag)
-        pairs, norms, residuals, tags = _dedup(
-            pairs, norms, residuals, tags, ctx1, ctx2
-        )
-        trace.steps.append(
-            TraceStep(
-                t=float(t),
-                solutions=pairs,
-                pair_norms=norms,
-                residuals=residuals,
-                tags=tags,
-                converged=flags,
-            )
-        )
-        previous = pairs
+        solve = functools.partial(solve_homotopy_system, cfg, t, f, ctx1, ctx2, eig1, eig2)
+        previous = _multistart(seeds, solve, ctx1, ctx2)
+        trace.steps.append(TraceStep(t=float(t), solutions=previous))
     return trace
 
 
@@ -404,9 +382,9 @@ def boundedness_probe(trace: HomotopyTrace, R: float | None = None) -> Boundedne
     max_norm = trace.max_pair_norm()
     witness = None
     if R is not None and max_norm >= R:
-        for s in trace.steps:
-            if any(n >= R for n in s.pair_norms):
-                witness = s.t
+        for st in trace.steps:
+            if any(s.pair_norm >= R for s in st.solutions):
+                witness = st.t
                 break
     return BoundednessReport(
         max_pair_norm=max_norm,
@@ -548,7 +526,7 @@ def nonexistence_probe(
         vals[mesh.interior_nodes] = rng.standard_normal(len(mesh.interior_nodes))
         scale = 10.0 ** rng.uniform(-2, 1)
         gf = GridFunction(mesh, vals, dirichlet_zero=True)
-        nrm = sobolev_norm_or_zero(gf, ctx)
+        nrm = sobolev_norm(gf, ctx.p)
         seeds.append(
             (gf.with_values(scale * vals / max(nrm, 1e-30)), f"random x{scale:.3g}")
         )
@@ -691,45 +669,28 @@ def annulus_search(
     if seed_order is not None:
         seeds = [seeds[k] for k in seed_order]
 
-    pairs, norms, residuals, tags = [], [], [], []
-    for s1, s2, tag in seeds:
-        try:
-            rep = solve_coupled(ctx1, ctx2, f.f1, f.f2, s1, s2, tol=_SOLUTION_TOL * 1e-2)
-        except NumericalError:
-            continue
-        if rep.converged and rep.residual <= _SOLUTION_TOL:
-            pairs.append((rep.u1, rep.u2))
-            norms.append(
-                sobolev_norm_or_zero(rep.u1, ctx1) + sobolev_norm_or_zero(rep.u2, ctx2)
-            )
-            residuals.append(rep.residual)
-            tags.append(tag)
-    pairs, norms, residuals, tags = _dedup(pairs, norms, residuals, tags, ctx1, ctx2)
-
-    solutions = []
-    found_second = False
-    for (u1, u2), nrm, res in zip(pairs, norms, residuals):
-        inside = box.contains(u1, u2)
-        nodal_dist = max(
-            float(np.max(np.abs(u1.values - u_plus[0].values))),
-            float(np.max(np.abs(u2.values - u_plus[1].values))),
+    solve = functools.partial(solve_coupled, ctx1, ctx2, f.f1, f.f2, tol=_SOLUTION_TOL * 1e-2)
+    found = _multistart(seeds, solve, ctx1, ctx2)
+    solutions = [
+        AnnulusSolution(
+            u1=s.u1,
+            u2=s.u2,
+            pair_norm=s.pair_norm,
+            residual=s.residual,
+            inside_box=box.contains(s.u1, s.u2),
+            distance_to_known=max(
+                float(np.max(np.abs(s.u1.values - u_plus[0].values))),
+                float(np.max(np.abs(s.u2.values - u_plus[1].values))),
+            ),
         )
-        if nrm > R_hat and nodal_dist > 1e-3:
-            found_second = True
-        solutions.append(
-            AnnulusSolution(
-                u1=u1,
-                u2=u2,
-                pair_norm=nrm,
-                residual=res,
-                inside_box=inside,
-                distance_to_known=nodal_dist,
-            )
-        )
+        for s in found
+    ]
     return AnnulusReport(
         solutions=solutions,
         R_hat=float(R_hat),
         R=float(R),
-        second_solution_found=found_second,
+        second_solution_found=any(
+            s.pair_norm > R_hat and s.distance_to_known > 1e-3 for s in solutions
+        ),
         rng_seed=cfg.rng_seed,
     )

@@ -112,6 +112,34 @@ def test_cli_rejects_out_of_range_settings(tmp_path, line, message, capsys):
     assert not (tmp_path / "summary.json").exists()
 
 
+@pytest.mark.parametrize(
+    "line, argv",
+    [
+        ("margin = nan", ["theorem1"]),
+        ("solver.tol = inf", ["theorem1"]),
+        ("homotopy.R = nan", ["theorem2"]),
+        ("", ["eig", "--mesh", "b=nan"]),
+    ],
+)
+def test_cli_rejects_non_finite_floats(tmp_path, line, argv, capsys):
+    # margin = nan used to run theorem1 to exit 0 and write "margin": NaN
+    # into summary.json; inf passed the solver.tol > 0 check
+    cfg = tmp_path / "nf.cfg"
+    cfg.write_text(f"mesh.n = 32\n{line}\n")
+    rc = main([*argv, "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"])
+    assert rc == 3
+    assert "expected a finite number" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_cli_bad_mesh_override_is_config_error(tmp_path, capsys):
+    # used to exit 1 with a ValueError traceback
+    rc = main(["eig", "--mesh", "n=abc", "--output-dir", str(tmp_path), "--quiet"])
+    assert rc == 3
+    assert "bad value in --mesh for mesh.n" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
 @pytest.mark.parametrize("formats", ["xml", "csv", "json,xml", "json,"])
 def test_cli_rejects_bad_output_formats(tmp_path, formats, capsys):
     cfg = tmp_path / "f.cfg"

@@ -229,6 +229,18 @@ def dome128():
     return linear_poisson_solve(mesh, 1.0), ExponentField(mesh, "2 + 0.1*x")
 
 
+def test_sobolev_norm_of_zero_field_evaluates_no_norm(monkeypatch, mesh64, pvar_64, rng):
+    calls = []
+    real = modular_module.luxemburg_norm_of_qp
+    monkeypatch.setattr(
+        modular_module, "luxemburg_norm_of_qp", lambda *a: calls.append(1) or real(*a)
+    )
+    assert sobolev_norm(GridFunction.zeros(mesh64), pvar_64) == 0.0
+    assert calls == []
+    assert sobolev_norm(random_dirichlet_field(mesh64, rng), pvar_64) > 0.0
+    assert calls == [1]
+
+
 @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e4])
 @pytest.mark.parametrize("part", ["values", "gradient"])
 def test_dome_norm_needs_at_most_six_modular_evaluations(monkeypatch, dome128, scale, part):

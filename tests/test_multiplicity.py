@@ -1,8 +1,10 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from oracles import bratu_profile, bratu_solutions_by_shooting
-from pxlap.errors import ConfigError
+from pxlap.errors import ConfigError, NumericalError
 from pxlap.eigen import first_eigenpair
 from pxlap.existence import (
     Nonlinearity,
@@ -15,9 +17,13 @@ from pxlap.existence import (
 )
 from pxlap.exponents import ExponentField
 from pxlap.mesh import GridFunction, build_interval_mesh
+from pxlap.modular import luxemburg_norm_of_qp, sobolev_norm
 from pxlap.operator import OperatorContext
 from pxlap.multiplicity import (
+    DEDUP_DISTANCE,
+    _SOLUTION_TOL,
     HomotopyConfig,
+    _multistart,
     annulus_search,
     boundedness_probe,
     continuation,
@@ -26,7 +32,6 @@ from pxlap.multiplicity import (
     pair_distance,
     solve_coupled,
     solve_homotopy_system,
-    sobolev_norm_or_zero,
 )
 
 
@@ -111,7 +116,7 @@ def test_tilde_t0_trivial(system, ctx2_64, eig2_64):
         seed = eig2_64.phi.with_values(scale * eig2_64.phi.values)
         rep = solve_homotopy_system(cfg, 0.0, f, ctx2_64, ctx2_64, eig2_64, eig2_64, seed, seed)
         assert rep.converged
-        norm = sobolev_norm_or_zero(rep.u1, ctx2_64) + sobolev_norm_or_zero(rep.u2, ctx2_64)
+        norm = sobolev_norm(rep.u1, ctx2_64.p) + sobolev_norm(rep.u2, ctx2_64.p)
         assert norm <= 1e-8
 
 
@@ -120,11 +125,11 @@ def test_continuation_trace(system, ctx2_64, eig2_64):
     trace = continuation(cfg, f, ctx2_64, ctx2_64, eig2_64, eig2_64)
     assert [s.t for s in trace.steps] == list(cfg.t_grid)
     assert all(
-        r <= 1e-8 for step in trace.steps for r in step.residuals
+        s.residual <= 1e-8 for step in trace.steps for s in step.solutions
     )
     # trivial branch present everywhere
     for step in trace.steps:
-        assert min(step.pair_norms) <= 1e-8
+        assert min(s.pair_norm for s in step.solutions) <= 1e-8
     bnd = boundedness_probe(trace)
     assert bnd.passed and bnd.suggested_radius > bnd.max_pair_norm
 
@@ -190,6 +195,109 @@ def test_solve_coupled_residual_quality(system, ctx2_64, eig2_64):
     rep = solve_coupled(ctx2_64, ctx2_64, f.f1, f.f2, seed, seed)
     assert rep.converged
     assert rep.residual <= 1e-9
+
+
+def _ref_sobolev_norm_or_zero(u, ctx):
+    if not np.any(u.values != 0.0):
+        return 0.0
+    return luxemburg_norm_of_qp(u.grad_magnitude_qp(), ctx.p.qp, u.mesh).norm
+
+
+def _ref_pair_distance(a, b, ctx1, ctx2):
+    d1 = GridFunction(ctx1.mesh, a[0].values - b[0].values, dirichlet_zero=True)
+    d2 = GridFunction(ctx2.mesh, a[1].values - b[1].values, dirichlet_zero=True)
+    return _ref_sobolev_norm_or_zero(d1, ctx1) + _ref_sobolev_norm_or_zero(d2, ctx2)
+
+
+def _ref_dedup(pairs, norms, residuals, tags, ctx1, ctx2):
+    """The former per-search clustering over four parallel lists."""
+    order = sorted(
+        range(len(pairs)),
+        key=lambda k: (norms[k], tuple(pairs[k][0].values), tuple(pairs[k][1].values)),
+    )
+    reps, rep_norms, rep_res, rep_tags = [], [], [], []
+    for k in order:
+        dup = False
+        for r in reps:
+            if _ref_pair_distance(pairs[k], r, ctx1, ctx2) < DEDUP_DISTANCE:
+                dup = True
+                break
+        if not dup:
+            reps.append(pairs[k])
+            rep_norms.append(norms[k])
+            rep_res.append(residuals[k])
+            rep_tags.append(tags[k])
+    return reps, rep_norms, rep_res, rep_tags
+
+
+def _ref_collect(seeds, solve, ctx1, ctx2):
+    """The former collection loop that each search ran on its own: Picard
+    norms when the report has them (the trace), else computed (the annulus)."""
+    pairs, norms, residuals, tags = [], [], [], []
+    for s1, s2, tag in seeds:
+        try:
+            rep = solve(s1, s2)
+        except NumericalError:
+            continue
+        if rep.converged and rep.residual <= _SOLUTION_TOL:
+            pairs.append((rep.u1, rep.u2))
+            if rep.norms is not None:
+                norms.append(rep.norms[0] + rep.norms[1])
+            else:
+                norms.append(
+                    _ref_sobolev_norm_or_zero(rep.u1, ctx1) + _ref_sobolev_norm_or_zero(rep.u2, ctx2)
+                )
+            residuals.append(rep.residual)
+            tags.append(tag)
+    return len(pairs), _ref_dedup(pairs, norms, residuals, tags, ctx1, ctx2)
+
+
+@pytest.mark.parametrize("search", ["trace", "annulus"])
+def test_multistart_matches_reference_collection(system, ctx2_64, eig2_64, search):
+    f, cfg = system
+    phi = eig2_64.phi
+    zero = GridFunction.zeros(ctx2_64.mesh)
+    big = phi.with_values(2.0 * phi.values)
+    failing = phi.with_values(0.7 * phi.values)
+    unconverged = GridFunction.zeros(ctx2_64.mesh)
+    seeds = [
+        (unconverged, unconverged, "not converged"),
+        (big, big, "eig x2"),
+        (zero, zero, "zero"),
+        (failing, failing, "failing"),
+        (big, big, "eig x2 again"),
+        (phi.with_values(0.5 * phi.values), phi.with_values(0.5 * phi.values), "eig x0.5"),
+    ]
+    outcomes = []
+
+    def solve(s1, s2):
+        if s1 is failing:
+            outcomes.append("raised")
+            raise NumericalError("seed rejected")
+        if s1 is unconverged:
+            # a small residual but no convergence flag: were the flag
+            # ignored, this pair would be kept ahead of the "zero" one
+            rep = dataclasses.replace(solve_coupled(ctx2_64, ctx2_64, f.f1, f.f2, s1, s2), converged=False)
+        elif search == "trace":
+            rep = solve_homotopy_system(cfg, 0.6, f, ctx2_64, ctx2_64, eig2_64, eig2_64, s1, s2)
+        else:
+            rep = solve_coupled(ctx2_64, ctx2_64, f.f1, f.f2, s1, s2, tol=_SOLUTION_TOL * 1e-2)
+        outcomes.append(rep.converged)
+        return rep
+
+    kept = _multistart(seeds, solve, ctx2_64, ctx2_64)
+    n_seeds = len(outcomes)
+    n_found, (pairs, norms, residuals, tags) = _ref_collect(seeds, solve, ctx2_64, ctx2_64)
+    # the seed list exercises every branch: a raise, a non-converged solve
+    # and a duplicate that the clustering drops
+    assert n_seeds == len(seeds) and outcomes[:n_seeds] == outcomes[n_seeds:]
+    assert outcomes[0] is False and "raised" in outcomes
+    assert len(pairs) < n_found
+    assert [s.tag for s in kept] == tags
+    for s, pair, norm, res in zip(kept, pairs, norms, residuals):
+        assert s.u1.values.tobytes() == pair[0].values.tobytes()
+        assert s.u2.values.tobytes() == pair[1].values.tobytes()
+        assert (s.pair_norm, s.residual) == (norm, res)
 
 
 # --- engineered two-solution benchmark (decoupled exponential growth) -----

@@ -22,7 +22,6 @@ from pxlap.multiplicity import (
     _shift_at_qp,
     homotopy_rhs,
     nonexistence_probe,
-    sobolev_norm_or_zero,
     solve_coupled,
     solve_homotopy_system,
 )
@@ -219,7 +218,7 @@ def _ref_solve_scalar_reference(ctx, eig, J, delta, seed, shift_qp, picard_max=2
     """The old scalar loop; also returns its sweep count, which it never kept."""
     u = seed
     rep = None
-    prev = sobolev_norm_or_zero(u, ctx)
+    prev = sobolev_norm(u, ctx.p)
     sweeps = 0
     for _ in range(picard_max):
         sweeps += 1
@@ -227,7 +226,7 @@ def _ref_solve_scalar_reference(ctx, eig, J, delta, seed, shift_qp, picard_max=2
         g = _scalar_reference_rhs(ctx, eig, J, delta, den, shift_qp)
         rep = semilinear_solve(ctx, g, initial=u)
         u = rep.u
-        cur = sobolev_norm_or_zero(u, ctx)
+        cur = sobolev_norm(u, ctx.p)
         if abs(cur - prev) <= picard_rtol * max(1.0, cur):
             prev = cur
             break

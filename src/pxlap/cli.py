@@ -6,7 +6,7 @@ as timestamps goes to a separate ``runmeta.json`` so repeated runs with the
 same config and seed are byte-identical.
 
 Exit codes: 0 success, 1 verification failure, 2 solver non-convergence,
-3 config error.
+3 config or usage error.
 """
 
 from __future__ import annotations
@@ -15,7 +15,6 @@ import argparse
 import json
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -95,17 +94,6 @@ _SCHEMA = {
 }
 
 
-@dataclass
-class RunConfig:
-    values: dict = field(default_factory=dict)
-
-    def __getitem__(self, key):
-        return self.values[key]
-
-    def effective(self) -> dict:
-        return dict(sorted(self.values.items()))
-
-
 def _coerce(raw, typ):
     if typ is bool:
         low = raw.strip().lower()
@@ -121,38 +109,38 @@ def _coerce(raw, typ):
     return value
 
 
-def parse_config(path) -> RunConfig:
-    """Parse a flat dotted-key config file, reporting every error at once."""
-    path = Path(path)
-    if not path.exists():
-        raise ConfigError([f"config file not found: {path}"])
-    values = {k: d for k, (_, d, _) in _SCHEMA.items()}
-    errors = []
-    for lineno, line in enumerate(path.read_text().splitlines(), start=1):
-        stripped = line.split("#", 1)[0].strip()
-        if not stripped:
-            continue
-        if "=" not in stripped:
-            errors.append(f"{path}:{lineno}: expected `key = value`, got {line!r}")
-            continue
-        key, raw = (part.strip() for part in stripped.split("=", 1))
+def parse_config(path=None, overrides=()) -> dict:
+    """The settings of a run: the defaults, then the lines of the flat
+    dotted-key config file at ``path``, then the ``(where, key, raw)``
+    command-line overrides.  Every setting is coerced the same way, and
+    every error is reported at once."""
+    entries, errors = [], []
+    if path is not None:
+        path = Path(path)
+        if not path.exists():
+            raise ConfigError([f"config file not found: {path}"])
+        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+            stripped = line.split("#", 1)[0].strip()
+            if not stripped:
+                continue
+            if "=" not in stripped:
+                errors.append(f"{path}:{lineno}: expected `key = value`, got {line!r}")
+                continue
+            key, raw = (part.strip() for part in stripped.split("=", 1))
+            entries.append((f"{path}:{lineno}", key, raw))
+    v = {k: d for k, (_, d, _) in _SCHEMA.items()}
+    for where, key, raw in [*entries, *overrides]:
         if key not in _SCHEMA:
-            errors.append(f"{path}:{lineno}: unknown key {key!r}")
+            errors.append(f"{where}: unknown key {key!r}")
             continue
-        typ = _SCHEMA[key][0]
         try:
-            values[key] = _coerce(raw, typ)
+            v[key] = _coerce(raw, _SCHEMA[key][0])
         except ValueError as exc:
-            errors.append(f"{path}:{lineno}: bad value for {key}: {exc}")
-    cfg = RunConfig(values)
-    errors.extend(_validate(cfg))
+            errors.append(f"{where}: bad value for {key}: {exc}")
+    errors.extend(_validate(v))
     if errors:
         raise ConfigError(errors)
-    return cfg
-
-
-def default_config() -> RunConfig:
-    return RunConfig({k: d for k, (_, d, _) in _SCHEMA.items()})
+    return v
 
 
 def _probe_points(v: dict, dim: int) -> np.ndarray:
@@ -166,12 +154,11 @@ def _probe_points(v: dict, dim: int) -> np.ndarray:
     return np.column_stack([gx.ravel(), gy.ravel()])
 
 
-def _validate(cfg: RunConfig) -> list:
+def _validate(v: dict) -> list:
     errors = []
-    v = cfg.values
     if v["mesh.kind"] not in ("interval", "rectangle"):
         errors.append(f"mesh.kind must be interval or rectangle, got {v['mesh.kind']!r}")
-    for key in ("solver.tol", "tol.increment", "tol.residual"):
+    for key in ("solver.tol", "tol.increment", "tol.residual", "homotopy.delta"):
         if v[key] <= 0:
             errors.append(f"{key} must be positive")
     if v["homotopy.family"] != "tilde":
@@ -193,9 +180,12 @@ def _validate(cfg: RunConfig) -> list:
     for key in ("homotopy.seeds", "verify.samples", "solver.max_iter"):
         if v[key] < 1:
             errors.append(f"{key} must be at least 1")
-    # a negative eps_reg would fail later with a traceback, and a negative
-    # margin or radius would silently mean auto-size, as 0 does
-    for key in ("solver.eps_reg", "margin", "homotopy.R", "homotopy.R_hat", "homotopy.R_tilde"):
+    # a negative eps_reg or rng_seed would fail later with a traceback, and a
+    # negative margin or radius would silently mean auto-size, as 0 does
+    for key in (
+        "solver.eps_reg", "homotopy.rng_seed",
+        "margin", "homotopy.R", "homotopy.R_hat", "homotopy.R_tilde",
+    ):
         if v[key] < 0:
             errors.append(f"{key} must be >= 0")
     if not 0.0 < v["homotopy.J_fraction"] < 1.0:
@@ -235,8 +225,7 @@ def _validate(cfg: RunConfig) -> list:
 # problem assembly from a config
 
 
-def build_mesh(cfg: RunConfig):
-    v = cfg.values
+def build_mesh(v: dict):
     if v["mesh.kind"] == "interval":
         return build_interval_mesh(v["mesh.a"], v["mesh.b"], v["mesh.n"])
     return build_rectangle_mesh(
@@ -244,9 +233,8 @@ def build_mesh(cfg: RunConfig):
     )
 
 
-def build_contexts(cfg: RunConfig):
-    mesh = build_mesh(cfg)
-    v = cfg.values
+def build_contexts(v: dict):
+    mesh = build_mesh(v)
     fields = []
     for i in (1, 2):
         table = v[f"p{i}.table"]
@@ -270,8 +258,7 @@ def build_contexts(cfg: RunConfig):
     return mesh, ctxs[0], ctxs[1]
 
 
-def build_nonlinearity(cfg: RunConfig, ctx1, ctx2, eig1, eig2) -> Nonlinearity:
-    v = cfg.values
+def build_nonlinearity(v: dict, ctx1, ctx2, eig1, eig2) -> Nonlinearity:
     if v["f1.expr"]:
         dim = ctx1.mesh.dimension
         return Nonlinearity(
@@ -298,8 +285,8 @@ def _write_json(outdir: Path, name: str, payload: dict):
     (outdir / name).write_text(text + "\n")
 
 
-def _emit(outdir: Path, command: str, cfg: RunConfig, payload: dict, quiet: bool):
-    effective = cfg.effective()
+def _emit(outdir: Path, command: str, v: dict, payload: dict, quiet: bool):
+    effective = dict(sorted(v.items()))
     effective.pop("output.dir", None)  # per-run path, lives in runmeta
     summary = {
         "schema": SCHEMA_VERSION,
@@ -321,14 +308,19 @@ def _emit(outdir: Path, command: str, cfg: RunConfig, payload: dict, quiet: bool
         print(json.dumps(payload, sort_keys=True, indent=2, allow_nan=True))
 
 
-def _seeded(cfg: RunConfig, override):
-    seed = cfg.values["homotopy.rng_seed"] if override is None else override
-    cfg.values["homotopy.rng_seed"] = int(seed)
-    return int(seed)
+def _write_csvs(outdir: Path, fields: dict):
+    """Write each ``name -> GridFunction or CSV text`` entry to ``outdir``."""
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, content in fields.items():
+        if isinstance(content, str):
+            (outdir / name).write_text(content)
+        else:
+            content.save_csv(outdir / name)
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each takes the settings and the parsed arguments and returns
+# (summary payload, CSV fields, exit code)
 
 
 def _exponent_warnings(*ctxs) -> list:
@@ -340,33 +332,21 @@ def _exponent_warnings(*ctxs) -> list:
     return seen
 
 
-def cmd_eig(cfg: RunConfig, outdir: Path, quiet: bool, margin: float | None) -> int:
-    mesh, ctx1, _ = build_contexts(cfg)
+def cmd_eig(v: dict, args):
+    mesh, ctx1, _ = build_contexts(v)
     pair = first_eigenpair(ctx1, allow_unchecked_exponent=False)
     payload = {"eigen": pair.summary(), "warnings": _exponent_warnings(ctx1)}
-    if margin is not None:
-        enl = enlarged_eigenpair(ctx1, margin)
-        payload["enlarged"] = {
-            "lambda1": enl.pair.lambda1,
-            "tau": enl.tau,
-            "margin": enl.margin,
-        }
-    if _csv(cfg):
-        outdir.mkdir(parents=True, exist_ok=True)
-        pair.phi.save_csv(outdir / "eigenfunction.csv")
-        if margin is not None:
-            enl.phi_restricted.save_csv(outdir / "eigenfunction_enlarged.csv")
-    _emit(outdir, "eig", cfg, payload, quiet)
-    return 0
+    fields = {"eigenfunction.csv": pair.phi}
+    if v["margin"] > 0:
+        enl = enlarged_eigenpair(ctx1, v["margin"])
+        payload["enlarged"] = {"lambda1": enl.pair.lambda1, "tau": enl.tau, "margin": enl.margin}
+        fields["eigenfunction_enlarged.csv"] = enl.phi_restricted
+    return payload, fields, 0
 
 
-def _csv(cfg: RunConfig) -> bool:
-    return "csv" in cfg.values["output.formats"]
-
-
-def cmd_norm(cfg: RunConfig, outdir: Path, quiet: bool, input_csv: str) -> int:
-    mesh, ctx1, _ = build_contexts(cfg)
-    u = load_grid_function_csv(input_csv, mesh)
+def cmd_norm(v: dict, args):
+    mesh, ctx1, _ = build_contexts(v)
+    u = load_grid_function_csv(args.input, mesh)
     rep = luxemburg_norm(u, ctx1.p)
     payload = {
         "norm": {
@@ -376,22 +356,21 @@ def cmd_norm(cfg: RunConfig, outdir: Path, quiet: bool, input_csv: str) -> int:
             "iterations": rep.iterations,
         }
     }
-    _emit(outdir, "norm", cfg, payload, quiet)
-    return 0
+    return payload, {}, 0
 
 
-def cmd_solve(cfg: RunConfig, outdir: Path, quiet: bool, rhs_expr: str) -> int:
-    mesh, ctx1, _ = build_contexts(cfg)
-    rhs = coordinate_expression(rhs_expr, mesh.dimension)
+def cmd_solve(v: dict, args):
+    mesh, ctx1, _ = build_contexts(v)
+    rhs = coordinate_expression(args.rhs, mesh.dimension)
     # evaluated once where the solve uses it: a rhs that raises or is not
     # finite at a quadrature point is a config error, not a NaN load
     try:
         with np.errstate(all="ignore"):
             rhs_qp = rhs(mesh.quad_points_flat)
     except (ArithmeticError, TypeError, ValueError) as exc:
-        raise ConfigError([f"--rhs {rhs_expr!r}: evaluation failed: {exc}"]) from exc
+        raise ConfigError([f"--rhs {args.rhs!r}: evaluation failed: {exc}"]) from exc
     if not np.all(np.isfinite(rhs_qp)):
-        raise ConfigError([f"--rhs {rhs_expr!r}: not finite at every quadrature point"])
+        raise ConfigError([f"--rhs {args.rhs!r}: not finite at every quadrature point"])
     rep = dirichlet_solve(ctx1, rhs_qp.reshape(mesh.n_elements, mesh.n_qp))
     payload = {
         "solve": {
@@ -400,31 +379,37 @@ def cmd_solve(cfg: RunConfig, outdir: Path, quiet: bool, rhs_expr: str) -> int:
             "iterations": rep.iterations,
         }
     }
-    if _csv(cfg):
-        outdir.mkdir(parents=True, exist_ok=True)
-        rep.u.save_csv(outdir / "solution.csv")
-    _emit(outdir, "solve", cfg, payload, quiet)
-    return 0 if rep.converged else 2
+    return payload, {"solution.csv": rep.u}, 0 if rep.converged else 2
 
 
-def _prepare_system(cfg: RunConfig):
-    mesh, ctx1, ctx2 = build_contexts(cfg)
+def _positive_pair(v: dict):
+    """The start shared by theorem1 and theorem2: eigenpairs, f, hypotheses,
+    the ordered box (``margin`` 0 = auto) and the positive solution in it."""
+    mesh, ctx1, ctx2 = build_contexts(v)
     eig1 = first_eigenpair(ctx1)
     eig2 = eig1 if ctx2.p is ctx1.p else first_eigenpair(ctx2)
-    f = build_nonlinearity(cfg, ctx1, ctx2, eig1, eig2)
-    return mesh, ctx1, ctx2, eig1, eig2, f
-
-
-def cmd_theorem1(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
-    v = cfg.values
-    mesh, ctx1, ctx2, eig1, eig2, f = _prepare_system(cfg)
+    f = build_nonlinearity(v, ctx1, ctx2, eig1, eig2)
     hyp = check_hypotheses(f, ctx1, ctx2, eig1, eig2)
-    margin = v["margin"] if v["margin"] > 0 else None
-    box = build_ordered_box(f, ctx1, ctx2, eig1, eig2, margin=margin, hyp=hyp)
+    box = build_ordered_box(f, ctx1, ctx2, eig1, eig2, margin=v["margin"] or None, hyp=hyp)
     pos = solve_in_box(
-        box, f, ctx1, ctx2,
-        increment_tol=v["tol.increment"], residual_tol=v["tol.residual"],
+        box, f, ctx1, ctx2, increment_tol=v["tol.increment"], residual_tol=v["tol.residual"]
     )
+    return ctx1, ctx2, eig1, eig2, f, hyp, box, pos
+
+
+def _probe(v: dict, ctx, eig):
+    """The nonexistence probe at J = homotopy.J_fraction * lambda1 * (p_min - 1)."""
+    return nonexistence_probe(
+        ctx, eig,
+        J=v["homotopy.J_fraction"] * eig.lambda1 * (ctx.p.p_min - 1.0),
+        delta=v["homotopy.delta"],
+        attempts=v["homotopy.seeds"],
+        rng_seed=v["homotopy.rng_seed"],
+    )
+
+
+def cmd_theorem1(v: dict, args):
+    ctx1, ctx2, eig1, eig2, f, hyp, box, pos = _positive_pair(v)
     neg = negative_solutions(
         box, f, ctx1, ctx2, hyp=hyp,
         increment_tol=v["tol.increment"], residual_tol=v["tol.residual"],
@@ -437,59 +422,32 @@ def cmd_theorem1(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
         "negative": neg.summary(),
         "warnings": _exponent_warnings(ctx1, ctx2),
     }
-    if _csv(cfg):
-        outdir.mkdir(parents=True, exist_ok=True)
-        pos.u1.save_csv(outdir / "u1_positive.csv")
-        pos.u2.save_csv(outdir / "u2_positive.csv")
-        neg.u1.save_csv(outdir / "u1_negative.csv")
-        neg.u2.save_csv(outdir / "u2_negative.csv")
-    _emit(outdir, "theorem1", cfg, payload, quiet)
-    if not (pos.converged and neg.converged):
-        return 2
-    return 0
-
-
-def _homotopy_config(cfg: RunConfig, ctx1, ctx2, eig1, eig2) -> HomotopyConfig:
-    v = cfg.values
-    kwargs = {
-        "family": v["homotopy.family"],
-        "t_grid": tuple(np.round(np.linspace(0.0, 1.0, v["homotopy.t_steps"]), 12)),
-        "rng_seed": v["homotopy.rng_seed"],
+    fields = {
+        "u1_positive.csv": pos.u1,
+        "u2_positive.csv": pos.u2,
+        "u1_negative.csv": neg.u1,
+        "u2_negative.csv": neg.u2,
     }
-    for key, name in (("homotopy.R", "R"), ("homotopy.R_hat", "R_hat")):
-        if v[key] > 0:
-            kwargs[name] = v[key]
-    return HomotopyConfig.for_problem(
-        ctx1, ctx2, eig1, eig2, J_fraction=v["homotopy.J_fraction"], **kwargs
-    )
+    return payload, fields, 0 if pos.converged and neg.converged else 2
 
 
-def cmd_theorem2(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
-    v = cfg.values
-    mesh, ctx1, ctx2, eig1, eig2, f = _prepare_system(cfg)
-    hyp = check_hypotheses(f, ctx1, ctx2, eig1, eig2)
-    box = build_ordered_box(
-        f, ctx1, ctx2, eig1, eig2,
-        margin=v["margin"] if v["margin"] > 0 else None, hyp=hyp,
-    )
-    pos = solve_in_box(
-        box, f, ctx1, ctx2,
-        increment_tol=v["tol.increment"], residual_tol=v["tol.residual"],
-    )
+def cmd_theorem2(v: dict, args):
+    ctx1, ctx2, eig1, eig2, f, hyp, box, pos = _positive_pair(v)
     if not pos.converged:
-        _emit(outdir, "theorem2", cfg, {"error": "base solution did not converge"}, quiet)
-        return 2
+        return {"error": "base solution did not converge"}, {}, 2
 
-    hcfg = _homotopy_config(cfg, ctx1, ctx2, eig1, eig2)
-    trace = continuation(hcfg, f, ctx1, ctx2, eig1, eig2)
-    bnd = boundedness_probe(trace, R=v["homotopy.R_tilde"] if v["homotopy.R_tilde"] > 0 else None)
-    probe = nonexistence_probe(
-        ctx1, eig1,
-        J=0.5 * eig1.lambda1 * (ctx1.p.p_min - 1.0),
-        delta=v["homotopy.delta"],
-        attempts=v["homotopy.seeds"],
+    hcfg = HomotopyConfig.for_problem(
+        ctx1, ctx2, eig1, eig2,
+        J_fraction=v["homotopy.J_fraction"],
+        family=v["homotopy.family"],
+        t_grid=tuple(np.round(np.linspace(0.0, 1.0, v["homotopy.t_steps"]), 12)),
+        R=v["homotopy.R"] or None,
+        R_hat=v["homotopy.R_hat"] or None,
         rng_seed=v["homotopy.rng_seed"],
     )
+    trace = continuation(hcfg, f, ctx1, ctx2, eig1, eig2)
+    bnd = boundedness_probe(trace, R=v["homotopy.R_tilde"] or None)
+    probe = _probe(v, ctx1, eig1)
     triviality = all(s.pair_norm <= 1e-8 for s in trace.at_t(0.0).solutions)
     ann = annulus_search(hcfg, f, ctx1, ctx2, box, (pos.u1, pos.u2), eig1, eig2)
 
@@ -505,43 +463,29 @@ def cmd_theorem2(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
         },
         "warnings": _exponent_warnings(ctx1, ctx2),
     }
-    if _csv(cfg):
-        outdir.mkdir(parents=True, exist_ok=True)
-        for k, s in enumerate(ann.solutions):
-            s.u1.save_csv(outdir / f"annulus_u1_{k}.csv")
-            s.u2.save_csv(outdir / f"annulus_u2_{k}.csv")
-        # plot data: one row per continuation step
-        with open(outdir / "trace.csv", "w") as fh:
-            fh.write("t,solutions,max_pair_norm,max_residual\n")
-            for st in trace.steps:
-                fh.write(
-                    f"{st.t:.12g},{len(st.solutions)},"
-                    f"{max((s.pair_norm for s in st.solutions), default=0.0):.17g},"
-                    f"{max((s.residual for s in st.solutions), default=0.0):.17g}\n"
-                )
-    _emit(outdir, "theorem2", cfg, payload, quiet)
-    return 0
-
-
-def cmd_probe_l9(cfg: RunConfig, outdir: Path, quiet: bool, J_fraction: float, delta: float | None) -> int:
-    v = cfg.values
-    mesh, ctx1, _ = build_contexts(cfg)
-    eig = first_eigenpair(ctx1)
-    J = J_fraction * eig.lambda1 * (ctx1.p.p_min - 1.0)
-    probe = nonexistence_probe(
-        ctx1, eig, J=J,
-        delta=delta if delta is not None else v["homotopy.delta"],
-        attempts=v["homotopy.seeds"],
-        rng_seed=v["homotopy.rng_seed"],
+    fields = {}
+    for k, s in enumerate(ann.solutions):
+        fields[f"annulus_u1_{k}.csv"] = s.u1
+        fields[f"annulus_u2_{k}.csv"] = s.u2
+    # plot data: one row per continuation step
+    fields["trace.csv"] = "t,solutions,max_pair_norm,max_residual\n" + "".join(
+        f"{st.t:.12g},{len(st.solutions)},"
+        f"{max((s.pair_norm for s in st.solutions), default=0.0):.17g},"
+        f"{max((s.residual for s in st.solutions), default=0.0):.17g}\n"
+        for st in trace.steps
     )
-    _emit(outdir, "probe-L9", cfg, {"nonexistence_probe": probe.summary()}, quiet)
-    return 0
+    return payload, fields, 0
 
 
-def cmd_verify(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
+def cmd_probe_l9(v: dict, args):
+    mesh, ctx1, _ = build_contexts(v)
+    probe = _probe(v, ctx1, first_eigenpair(ctx1))
+    return {"nonexistence_probe": probe.summary()}, {}, 0
+
+
+def cmd_verify(v: dict, args):
     """Lemma suite on the configured problem; exit 1 on any failure."""
-    v = cfg.values
-    mesh, ctx1, ctx2 = build_contexts(cfg)
+    mesh, ctx1, ctx2 = build_contexts(v)
     rng = np.random.default_rng(v["homotopy.rng_seed"])
     n = v["verify.samples"]
     results = {}
@@ -602,8 +546,7 @@ def cmd_verify(cfg: RunConfig, outdir: Path, quiet: bool) -> int:
     results["comparison"] = {"samples": 5, "failures": fail_c}
 
     ok = all(r["failures"] == 0 for r in results.values())
-    _emit(outdir, "verify", cfg, {"lemmas": results, "passed": ok}, quiet)
-    return 0 if ok else 1
+    return {"lemmas": results, "passed": ok}, {}, 0 if ok else 1
 
 
 def linear_hat(mesh) -> GridFunction:
@@ -621,101 +564,97 @@ def linear_hat(mesh) -> GridFunction:
 # entry point
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors are config errors (exit code 3); ``--help`` and
+    ``--version`` still exit 0."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError([f"{self.prog}: {message}"])
+
+
+class _Setting(argparse.Action):
+    """A flag that is a string alias of config keys: ``const(raw)`` lists the
+    ``(key, raw)`` pairs it sets, which parse_config reads like config lines."""
+
+    def __call__(self, parser, namespace, raw, option_string=None):
+        pairs = [(option_string, key, value) for key, value in self.const(raw)]
+        namespace.overrides = [*namespace.overrides, *pairs]
+
+
+def _key(key):
+    return lambda raw: [(key, raw)]
+
+
+def _exponent_pairs(raw):
+    return [("p1.expr", raw), ("p2.expr", raw), ("p1.table", ""), ("p2.table", "")]
+
+
+def _mesh_pairs(raw):
+    items = (item.partition("=") for item in raw.split(","))
+    return [(f"mesh.{key.strip()}", value.strip()) for key, _, value in items]
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="pxlap",
         description="Numerics for quasilinear systems driven by the p(x)-Laplacian",
     )
     parser.add_argument("--version", action="version", version=f"pxlap {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--config", help="config file (flat dotted keys)")
-        sp.add_argument("--output-dir", default=None, help="artifact directory")
-        sp.add_argument("--quiet", action="store_true")
-        sp.add_argument("--seed", type=int, default=None, help="override RNG seed")
+    def setting(sp, flag, pairs, helptext):
+        sp.add_argument(flag, action=_Setting, const=pairs, help=helptext)
 
-    sp = sub.add_parser("eig", help="first eigenpair of -Delta_p(x)")
-    common(sp)
-    sp.add_argument("--p", default=None, help="exponent expression, e.g. '2 + x'")
-    sp.add_argument("--mesh", default=None, help="mesh spec, e.g. n=256")
-    sp.add_argument("--margin", type=float, default=None, help="also solve on the dilated domain")
-
-    sp = sub.add_parser("norm", help="modular and Luxemburg norm of a nodal CSV")
-    common(sp)
-    sp.add_argument("--input", required=True, help="nodal CSV (x[,y],value)")
-    sp.add_argument("--p", default=None, help="exponent expression")
-    sp.add_argument("--mesh", default=None)
-
-    sp = sub.add_parser("solve", help="Dirichlet solve of -Delta_p(x) u = rhs")
-    common(sp)
-    sp.add_argument("--p", default=None)
-    sp.add_argument("--rhs", required=True, help="rhs expression in x[,y]")
-    sp.add_argument("--mesh", default=None)
-
-    for name, helptext in (
-        ("theorem1", "sub/supersolution construction + monotone iteration"),
-        ("theorem2", "homotopy trace, probes and annulus search"),
-        ("verify", "lemma verification suite"),
-    ):
+    def command(name, run, helptext):
         sp = sub.add_parser(name, help=helptext)
-        common(sp)
+        sp.set_defaults(run=run, overrides=[])
+        sp.add_argument("--config", help="config file (flat dotted keys)")
+        setting(sp, "--output-dir", _key("output.dir"), "artifact directory; sets output.dir")
+        sp.add_argument("--quiet", action="store_true")
+        setting(sp, "--seed", _key("homotopy.rng_seed"), "random seed; sets homotopy.rng_seed")
+        return sp
 
-    sp = sub.add_parser("probe-L9", help="scalar nonexistence probe")
-    common(sp)
-    sp.add_argument("--J-fraction", type=float, default=0.5, help="J over the spectral bound")
-    sp.add_argument("--delta", type=float, default=None)
+    def grid(sp):
+        setting(sp, "--p", _exponent_pairs, "exponent of both components, e.g. '2 + x'; "
+                "sets p1.expr and p2.expr and clears p1.table and p2.table")
+        setting(sp, "--mesh", _mesh_pairs, "mesh keys, e.g. n=256 or kind=rectangle,nx=32; "
+                "k=v sets mesh.k")
+
+    sp = command("eig", cmd_eig, "first eigenpair of -Delta_p(x)")
+    grid(sp)
+    setting(sp, "--margin", _key("margin"),
+            "if > 0, also solve on the domain dilated by it; sets margin")
+
+    sp = command("norm", cmd_norm, "modular and Luxemburg norm of a nodal CSV")
+    sp.add_argument("--input", required=True, help="nodal CSV (x[,y],value)")
+    grid(sp)
+
+    sp = command("solve", cmd_solve, "Dirichlet solve of -Delta_p(x) u = rhs")
+    sp.add_argument("--rhs", required=True, help="rhs expression in x[,y]")
+    grid(sp)
+
+    command("theorem1", cmd_theorem1, "sub/supersolution construction + monotone iteration")
+    command("theorem2", cmd_theorem2, "homotopy trace, probes and annulus search")
+    command("verify", cmd_verify, "lemma verification suite")
+
+    sp = command("probe-L9", cmd_probe_l9, "scalar nonexistence probe")
+    setting(sp, "--J-fraction", _key("homotopy.J_fraction"),
+            "J over the spectral bound; sets homotopy.J_fraction")
+    setting(sp, "--delta", _key("homotopy.delta"), "shift of the probe; sets homotopy.delta")
     return parser
 
 
-def _apply_overrides(cfg: RunConfig, args) -> RunConfig:
-    if getattr(args, "p", None):
-        cfg.values["p1.expr"] = args.p
-        cfg.values["p2.expr"] = args.p
-        cfg.values["p1.table"] = ""
-        cfg.values["p2.table"] = ""
-    mesh_spec = getattr(args, "mesh", None)
-    if mesh_spec:
-        for item in mesh_spec.split(","):
-            key, _, raw = item.partition("=")
-            key = f"mesh.{key.strip()}"
-            if key not in _SCHEMA:
-                raise ConfigError([f"unknown mesh key in --mesh: {item!r}"])
-            try:
-                cfg.values[key] = _coerce(raw, _SCHEMA[key][0])
-            except ValueError as exc:
-                raise ConfigError([f"bad value in --mesh for {key}: {exc}"]) from None
-    if args.output_dir:
-        cfg.values["output.dir"] = args.output_dir
-    errors = _validate(cfg)
-    if errors:
-        raise ConfigError(errors)
-    return cfg
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        cfg = parse_config(args.config) if args.config else default_config()
-        _seeded(cfg, args.seed)
-        cfg = _apply_overrides(cfg, args)
-        outdir = Path(cfg.values["output.dir"])
-        quiet = bool(args.quiet)
-        if args.command == "eig":
-            return cmd_eig(cfg, outdir, quiet, args.margin)
-        if args.command == "norm":
-            return cmd_norm(cfg, outdir, quiet, args.input)
-        if args.command == "solve":
-            return cmd_solve(cfg, outdir, quiet, args.rhs)
-        if args.command == "theorem1":
-            return cmd_theorem1(cfg, outdir, quiet)
-        if args.command == "theorem2":
-            return cmd_theorem2(cfg, outdir, quiet)
-        if args.command == "probe-L9":
-            return cmd_probe_l9(cfg, outdir, quiet, args.J_fraction, args.delta)
-        if args.command == "verify":
-            return cmd_verify(cfg, outdir, quiet)
-        raise ConfigError([f"unknown command {args.command!r}"])
+        args = _build_parser().parse_args(argv)
+        v = parse_config(args.config, args.overrides)
+        payload, fields, code = args.run(v, args)
+        outdir = Path(v["output.dir"])
+        if "csv" in v["output.formats"]:
+            _write_csvs(outdir, fields)
+        _emit(outdir, args.command, v, payload, args.quiet)
+        return code
     except ConfigError as exc:
         for err in exc.errors:
             print(f"config error: {err}", file=sys.stderr)

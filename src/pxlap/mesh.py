@@ -84,8 +84,6 @@ class Mesh:
         nodes = np.asarray(nodes, dtype=float)
         elements = np.asarray(elements, dtype=int)
         self.dimension = int(dimension)
-        # one rule per element; both have degree-5 exactness
-        self.quadrature_rule = "gauss-legendre-3" if dimension == 1 else "triangle-7"
         self.nodes = _freeze(nodes)
         self.elements = _freeze(elements)
         self.boundary_nodes = _freeze(np.sort(np.asarray(boundary_nodes, dtype=int)))
@@ -159,10 +157,6 @@ class Mesh:
         return self.quad_weights.shape[1]
 
     @property
-    def measure(self) -> float:
-        return float(self.element_measures.sum())
-
-    @property
     def bbox(self) -> np.ndarray:
         return np.stack([self.nodes.min(axis=0), self.nodes.max(axis=0)])
 
@@ -170,13 +164,6 @@ class Mesh:
     def diameter(self) -> float:
         lo, hi = self.bbox
         return float(np.linalg.norm(hi - lo))
-
-    @property
-    def h(self) -> float:
-        """Characteristic element size (uniform grids: the grid spacing)."""
-        if self.dimension == 1:
-            return float(self.element_measures.mean())
-        return float(np.sqrt(2.0 * self.element_measures.mean()))
 
     def contains(self, points: np.ndarray) -> bool:
         points = np.atleast_2d(np.asarray(points, dtype=float))

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import pxlap
-from pxlap.cli import default_config, main, parse_config
+from pxlap.cli import main, parse_config
 from pxlap.errors import ConfigError
 
 
@@ -37,7 +37,7 @@ def test_parse_minimal_config(tmp_path):
     assert cfg["mesh.n"] == 32
     assert cfg["p1.expr"] == "2 + x"
     # defaults filled and visible in the effective config
-    eff = cfg.effective()
+    eff = cfg
     assert eff["solver.tol"] == 1e-10
     assert eff["homotopy.rng_seed"] == 42
 
@@ -99,6 +99,8 @@ def test_cli_rejects_runs_without_samples(tmp_path, command, line, capsys):
         ("homotopy.R = -1", "homotopy.R must be >= 0"),
         ("homotopy.R_hat = -1", "homotopy.R_hat must be >= 0"),
         ("homotopy.R_tilde = -1", "homotopy.R_tilde must be >= 0"),
+        ("homotopy.rng_seed = -1", "homotopy.rng_seed must be >= 0"),
+        ("homotopy.delta = 0", "homotopy.delta must be positive"),
     ],
 )
 def test_cli_rejects_out_of_range_settings(tmp_path, line, message, capsys):
@@ -136,8 +138,73 @@ def test_cli_bad_mesh_override_is_config_error(tmp_path, capsys):
     # used to exit 1 with a ValueError traceback
     rc = main(["eig", "--mesh", "n=abc", "--output-dir", str(tmp_path), "--quiet"])
     assert rc == 3
-    assert "bad value in --mesh for mesh.n" in capsys.readouterr().err
+    assert "--mesh: bad value for mesh.n" in capsys.readouterr().err
     assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eig", "--margin", "nan", "--config", "h.cfg"], "expected a finite number"),
+        (["probe-L9", "--J-fraction", "nan", "--config", "h.cfg"], "expected a finite number"),
+        (["probe-L9", "--J-fraction", "1.5", "--config", "h.cfg"], "J_fraction must lie in (0, 1)"),
+        (["probe-L9", "--delta", "inf", "--config", "h.cfg"], "expected a finite number"),
+        (["probe-L9", "--seed", "abc", "--config", "h.cfg"], "--seed: bad value for homotopy.rng_seed"),
+        (["probe-L9", "--seed", "-3", "--config", "h.cfg"], "homotopy.rng_seed must be >= 0"),
+        (["eig", "--bogus"], "unrecognized arguments: --bogus"),
+        (["solve"], "required: --rhs"),
+    ],
+)
+def test_cli_rejects_hostile_flags(tmp_path, monkeypatch, argv, message, capsys):
+    # each flag is read like a config line: --margin nan used to exit 1 with
+    # a traceback, --J-fraction 1.5 wrote "min_residual": Infinity, --seed -3
+    # failed in numpy, and usage errors exited 2, the non-convergence code
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "h.cfg").write_text("mesh.n = 32\nhomotopy.seeds = 1\n")
+    assert main(argv) == 3
+    assert message in capsys.readouterr().err
+    assert not list(tmp_path.rglob("summary.json"))
+
+
+def test_cli_probe_delta_flag_is_recorded(tmp_path):
+    # --delta used to reach the probe but not effective_config
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("mesh.n = 32\nhomotopy.seeds = 1\n")
+    rc = main([
+        "probe-L9", "--config", str(cfg), "--delta", "1e-2",
+        "--output-dir", str(tmp_path), "--quiet",
+    ])
+    assert rc == 0
+    data = json.loads((tmp_path / "summary.json").read_text())
+    assert data["effective_config"]["homotopy.delta"] == 0.01
+    assert data["nonexistence_probe"]["delta"] == 0.01
+
+
+def test_cli_reports_file_and_flag_errors_at_once(tmp_path, capsys):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("mesh.n = 32\nsolver.tol = abc\n")
+    rc = main([
+        "eig", "--config", str(cfg), "--mesh", "n=abc,nx=foo",
+        "--output-dir", str(tmp_path), "--quiet",
+    ])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert f"{cfg}:2: bad value for solver.tol" in err
+    assert "--mesh: bad value for mesh.n" in err
+    assert "--mesh: bad value for mesh.nx" in err
+    assert not (tmp_path / "summary.json").exists()
+
+
+def test_cli_eig_reads_margin_from_config(tmp_path):
+    # eig used to take the dilation margin from --margin only
+    cfg = tmp_path / "m.cfg"
+    cfg.write_text("mesh.n = 32\nmargin = 0.25\n")
+    rc = main(["eig", "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"])
+    assert rc == 0
+    data = json.loads((tmp_path / "summary.json").read_text())
+    assert data["effective_config"]["margin"] == 0.25
+    assert data["enlarged"]["tau"] > 0
+    assert (tmp_path / "eigenfunction_enlarged.csv").exists()
 
 
 @pytest.mark.parametrize("formats", ["xml", "csv", "json,xml", "json,"])
@@ -383,5 +450,5 @@ def test_cli_nonconvergence_exit_code(tmp_path):
 
 
 def test_default_config_validates():
-    cfg = default_config()
+    cfg = parse_config()
     assert cfg["mesh.kind"] == "interval"

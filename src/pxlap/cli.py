@@ -117,9 +117,11 @@ def parse_config(path=None, overrides=()) -> dict:
     entries, errors = [], []
     if path is not None:
         path = Path(path)
-        if not path.exists():
-            raise ConfigError([f"config file not found: {path}"])
-        for lineno, line in enumerate(path.read_text().splitlines(), start=1):
+        try:
+            text = path.read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError([f"cannot read config file {path}: {exc}"]) from exc
+        for lineno, line in enumerate(text.splitlines(), start=1):
             stripped = line.split("#", 1)[0].strip()
             if not stripped:
                 continue
@@ -347,16 +349,7 @@ def cmd_eig(v: dict, args):
 def cmd_norm(v: dict, args):
     mesh, ctx1, _ = build_contexts(v)
     u = load_grid_function_csv(args.input, mesh)
-    rep = luxemburg_norm(u, ctx1.p)
-    payload = {
-        "norm": {
-            "modular": rep.modular,
-            "norm": rep.norm,
-            "residual": rep.residual,
-            "iterations": rep.iterations,
-        }
-    }
-    return payload, {}, 0
+    return {"norm": luxemburg_norm(u, ctx1.p).summary()}, {}, 0
 
 
 def cmd_solve(v: dict, args):
@@ -372,14 +365,7 @@ def cmd_solve(v: dict, args):
     if not np.all(np.isfinite(rhs_qp)):
         raise ConfigError([f"--rhs {args.rhs!r}: not finite at every quadrature point"])
     rep = dirichlet_solve(ctx1, rhs_qp.reshape(mesh.n_elements, mesh.n_qp))
-    payload = {
-        "solve": {
-            "converged": rep.converged,
-            "residual": rep.residual,
-            "iterations": rep.iterations,
-        }
-    }
-    return payload, {"solution.csv": rep.u}, 0 if rep.converged else 2
+    return {"solve": rep.summary()}, {"solution.csv": rep.u}, 0 if rep.converged else 2
 
 
 def _positive_pair(v: dict):
@@ -387,7 +373,7 @@ def _positive_pair(v: dict):
     the ordered box (``margin`` 0 = auto) and the positive solution in it."""
     mesh, ctx1, ctx2 = build_contexts(v)
     eig1 = first_eigenpair(ctx1)
-    eig2 = eig1 if ctx2.p is ctx1.p else first_eigenpair(ctx2)
+    eig2 = eig1 if ctx2 == ctx1 else first_eigenpair(ctx2)
     f = build_nonlinearity(v, ctx1, ctx2, eig1, eig2)
     hyp = check_hypotheses(f, ctx1, ctx2, eig1, eig2)
     box = build_ordered_box(f, ctx1, ctx2, eig1, eig2, margin=v["margin"] or None, hyp=hyp)

@@ -14,7 +14,7 @@ hiding it.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,7 @@ from .operator import (
     dual_norm,
     linear_poisson_solve,
 )
+from .report import HIDDEN, Report
 
 EIGEN_RESIDUAL_TOL = 1e-7
 _RAYLEIGH_RTOL = 1e-9  # relative change of the quotient that ends the sweeps
@@ -58,7 +59,7 @@ def rayleigh_quotient(ctx: OperatorContext, u: GridFunction) -> float:
 
 
 @dataclass
-class EigenPair:
+class EigenPair(Report):
     """(lambda1, phi1) with normalization and consistency diagnostics.
 
     lambda1 equals the converged Rayleigh quotient; ``residual`` is the dual
@@ -68,24 +69,13 @@ class EigenPair:
     """
 
     lambda1: float
-    phi: GridFunction
+    phi: GridFunction = field(metadata=HIDDEN)
     rayleigh: float
     residual: float
     modular_residual: float
     iterations: int
     converged: bool
     consistent: bool
-
-    def summary(self) -> dict:
-        return {
-            "lambda1": self.lambda1,
-            "rayleigh": self.rayleigh,
-            "residual": self.residual,
-            "modular_residual": self.modular_residual,
-            "iterations": self.iterations,
-            "converged": self.converged,
-            "consistent": self.consistent,
-        }
 
 
 def _normalize_modular(u: GridFunction, p: ExponentField) -> GridFunction:

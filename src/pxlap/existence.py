@@ -26,6 +26,7 @@ from .operator import (
     dual_norm,
     load_vector,
 )
+from .report import HIDDEN, Report
 
 
 @dataclass
@@ -137,7 +138,7 @@ _H3_DECAY_FACTOR = 0.1
 
 
 @dataclass
-class HypothesesReport:
+class HypothesesReport(Report):
     """Pass/fail per hypothesis with witnessing samples.
 
     A liminf/limsup can only be falsified, never verified, by finite
@@ -154,7 +155,7 @@ class HypothesesReport:
     bounded_on_boxes: bool
     rho_hat: float | None
     rho_hat_reflected: float | None
-    witnesses: dict = field(default_factory=dict)
+    witnesses: dict = field(default_factory=dict, metadata=HIDDEN)
     note: str = ""
 
     @property
@@ -167,21 +168,6 @@ class HypothesesReport:
             and self.bounded_on_boxes
             and self.rho_hat is not None
         )
-
-    def summary(self) -> dict:
-        return {
-            "passed": self.passed,
-            "thresholds": list(self.thresholds),
-            "eta_declared": list(self.eta_declared),
-            "eta_above_threshold": self.eta_above_threshold,
-            "small_growth_positive": self.small_growth_positive,
-            "small_growth_negative": self.small_growth_negative,
-            "decay_at_infinity": self.decay_at_infinity,
-            "bounded_on_boxes": self.bounded_on_boxes,
-            "rho_hat": self.rho_hat,
-            "rho_hat_reflected": self.rho_hat_reflected,
-            "note": self.note,
-        }
 
 
 def _x_samples(ctx: OperatorContext, n: int) -> np.ndarray:
@@ -405,7 +391,8 @@ def construct_supersolution(
     if ctx1.mesh is not ctx2.mesh:
         raise MeshMismatchError("both components must share one mesh")
     enl1 = enlarged_eigenpair(ctx1, margin)
-    enl2 = enlarged_eigenpair(ctx2, margin)
+    # equal contexts (one mesh, one exponent field, equal settings) share it
+    enl2 = enl1 if ctx2 == ctx1 else enlarged_eigenpair(ctx2, margin)
     tau = min(enl1.tau, enl2.tau)
 
     lam = (enl1.pair.lambda1, enl2.pair.lambda1)
@@ -537,19 +524,11 @@ def construct_subsolution(
 
 
 @dataclass
-class BoxVerification:
+class BoxVerification(Report):
     worst_sub_margin: tuple
     worst_sup_margin: tuple
     slack: float
     passed: bool
-
-    def summary(self) -> dict:
-        return {
-            "worst_sub_margin": list(self.worst_sub_margin),
-            "worst_sup_margin": list(self.worst_sup_margin),
-            "slack": self.slack,
-            "passed": self.passed,
-        }
 
 
 @dataclass
@@ -686,25 +665,14 @@ def build_ordered_box(
 
 
 @dataclass
-class BoxSolveResult:
-    u1: GridFunction
-    u2: GridFunction
+class BoxSolveResult(Report):
+    u1: GridFunction = field(metadata=HIDDEN)
+    u2: GridFunction = field(metadata=HIDDEN)
     converged: bool
     iterations: int
     residuals: tuple
-    increment_history: list
-    residual_history: list
     pretruncation_violation: float
     interior_positive: bool
-
-    def summary(self) -> dict:
-        return {
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "residuals": list(self.residuals),
-            "pretruncation_violation": self.pretruncation_violation,
-            "interior_positive": self.interior_positive,
-        }
 
 
 def _f_at_state(fi, mesh, u1: GridFunction, u2: GridFunction) -> np.ndarray:
@@ -753,8 +721,7 @@ def solve_in_box(
         vals[mesh.boundary_nodes] = 0.0
         u.append(GridFunction(mesh, box.clip(i, vals), dirichlet_zero=True))
 
-    inc_hist = []
-    res_hist = []
+    res = (np.inf, np.inf)
     pretrunc = 0.0
     converged = False
     it = 0
@@ -771,8 +738,6 @@ def solve_in_box(
         inc = max(float(np.max(np.abs(a.values - b.values))) for a, b in zip(new, u))
         u = new
         res = system_residuals(f, ctx1, ctx2, *u)
-        inc_hist.append(inc)
-        res_hist.append(res)
         if inc <= increment_tol and max(res) <= residual_tol:
             converged = True
             break
@@ -787,9 +752,7 @@ def solve_in_box(
         u2=u2,
         converged=converged,
         iterations=it,
-        residuals=res_hist[-1] if res_hist else (np.inf, np.inf),
-        increment_history=inc_hist,
-        residual_history=res_hist,
+        residuals=res,
         pretruncation_violation=pretrunc,
         interior_positive=interior_positive,
     )

@@ -130,19 +130,6 @@ class HpReport:
     checks: list = field(default_factory=list)
     passed: bool = False
 
-    def summary(self) -> dict:
-        return {
-            "passed": self.passed,
-            "directions": [
-                {
-                    "direction": list(c.direction),
-                    "lines": c.n_lines,
-                    "passed": c.passed,
-                }
-                for c in self.checks
-            ],
-        }
-
 
 def _line_monotone(p, mesh, x0, direction):
     """Sample p along the in-box segment through x0; None if degenerate."""

@@ -5,7 +5,8 @@ Config files describe exponents and nonlinearities as plain arithmetic in
 ``s2``.  Expressions are parsed once, name-checked against a whitelist and
 evaluated with numpy broadcasting.  Integer literals are read as floats, so
 constant arithmetic such as ``9**9**8`` overflows at once instead of building
-an unbounded Python integer.
+an unbounded Python integer.  A call must apply a whitelisted function to one
+argument: a ufunc's second argument, or ``out=``, is an output array.
 """
 
 from __future__ import annotations
@@ -32,13 +33,16 @@ def compile_expression(expr: str, variables: tuple[str, ...]):
     """Compile ``expr`` into a vectorized callable of the named variables.
 
     Unknown identifiers are rejected up front so config typos surface as
-    parse-time errors rather than silent NameErrors mid-run.
+    parse-time errors rather than silent NameErrors mid-run.  The callable
+    returns a float array; a complex value raises ``TypeError``.
     """
     allowed = set(variables) | set(_FUNCS) | set(_CONSTS)
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
         raise ConfigError([f"cannot parse expression {expr!r}: {exc.msg}"]) from exc
+    except (RecursionError, MemoryError) as exc:  # the parser's nesting limits
+        raise ConfigError([f"expression nested too deeply: {expr!r}"]) from exc
     bad = sorted(
         {
             node.id
@@ -51,8 +55,19 @@ def compile_expression(expr: str, variables: tuple[str, ...]):
             [f"unknown name(s) {', '.join(bad)} in expression {expr!r}"]
         )
     for node in ast.walk(tree):
-        if isinstance(node, (ast.Attribute, ast.Subscript, ast.Lambda)):
+        if isinstance(node, (ast.Attribute, ast.Subscript, ast.Lambda)) or (
+            isinstance(node, ast.Constant) and not isinstance(node.value, (int, float))
+        ):
             raise ConfigError([f"disallowed construct in expression {expr!r}"])
+        if isinstance(node, ast.Call) and not (
+            isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCS
+            and len(node.args) == 1
+            and not isinstance(node.args[0], ast.Starred)
+            and not node.keywords
+        ):
+            funcs = ", ".join(_FUNCS)
+            raise ConfigError([f"a call must apply one of {funcs} to one argument: {expr!r}"])
         if isinstance(node, ast.Constant) and type(node.value) is int:
             try:
                 node.value = float(node.value)
@@ -60,14 +75,20 @@ def compile_expression(expr: str, variables: tuple[str, ...]):
                 raise ConfigError(
                     [f"integer literal too large in expression {expr!r}"]
                 ) from exc
-    code = compile(tree, "<pxlap-expr>", "eval")
+    try:
+        code = compile(tree, "<pxlap-expr>", "eval")
+    except RecursionError as exc:
+        raise ConfigError([f"expression nested too deeply: {expr!r}"]) from exc
     base = dict(_FUNCS)
     base.update(_CONSTS)
 
     def fn(*args):
         ns = dict(base)
         ns.update(zip(variables, args))
-        return eval(code, {"__builtins__": {}}, ns)  # noqa: S307 - name-checked
+        out = np.asarray(eval(code, {"__builtins__": {}}, ns))  # noqa: S307 - name-checked
+        if np.iscomplexobj(out):
+            raise TypeError(f"complex value of expression {expr!r}")
+        return out.astype(float, copy=False)
 
     fn.expression = expr
     fn.variables = variables
@@ -81,8 +102,7 @@ def coordinate_expression(expr: str, dimension: int):
 
     def evaluate(points):
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = fn(*(points[:, d] for d in range(dimension)))
-        return np.broadcast_to(np.asarray(out, dtype=float), (len(points),))
+        return np.broadcast_to(fn(*(points[:, d] for d in range(dimension))), (len(points),))
 
     evaluate.expression = expr
     return evaluate
@@ -98,8 +118,7 @@ def state_expression(expr: str, dimension: int):
         s1 = np.broadcast_to(np.asarray(s1, dtype=float), (len(points),))
         s2 = np.broadcast_to(np.asarray(s2, dtype=float), (len(points),))
         coords = tuple(points[:, d] for d in range(dimension))
-        out = fn(*coords, s1, s2)
-        return np.broadcast_to(np.asarray(out, dtype=float), (len(points),))
+        return np.broadcast_to(fn(*coords, s1, s2), (len(points),))
 
     evaluate.expression = expr
     return evaluate

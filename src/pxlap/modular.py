@@ -18,12 +18,13 @@ import numpy as np
 from .errors import MeshMismatchError, NumericalError
 from .exponents import ExponentField
 from .mesh import GridFunction, Mesh
+from .report import Report
 
 NORM_RESIDUAL_TOL = 1e-10
 
 
 @dataclass
-class ModularReport:
+class ModularReport(Report):
     """Modular + Luxemburg norm of one field, with solver diagnostics."""
 
     modular: float

@@ -26,6 +26,7 @@ from .mesh import GridFunction
 from .modular import luxemburg_norm_of_qp, sobolev_norm
 from .operator import OperatorContext, semilinear_solve
 from .operator import _newton, _state_loads  # the damped-Newton driver shared with the scalar solves
+from .report import HIDDEN, Report
 
 DEDUP_DISTANCE = 1e-4
 _PICARD_RTOL = 1e-8
@@ -358,21 +359,12 @@ def continuation(
 
 
 @dataclass
-class BoundednessReport:
+class BoundednessReport(Report):
     max_pair_norm: float
     radius: float | None
     passed: bool
     suggested_radius: float
     witness_t: float | None
-
-    def summary(self) -> dict:
-        return {
-            "max_pair_norm": self.max_pair_norm,
-            "radius": self.radius,
-            "passed": self.passed,
-            "suggested_radius": self.suggested_radius,
-            "witness_t": self.witness_t,
-        }
 
 
 def boundedness_probe(trace: HomotopyTrace, R: float | None = None) -> BoundednessReport:
@@ -404,15 +396,15 @@ class AttemptRecord:
 
 
 @dataclass
-class NonexistenceReport:
+class NonexistenceReport(Report):
     """Multi-start outcome for the delta-shifted scalar reference problem."""
 
     applicable: bool
     reason: str
-    attempts: list = field(default_factory=list)
+    attempts: list = field(default_factory=list, metadata=HIDDEN)
     min_residual: float = np.inf
     converged_count: int = 0
-    falsifications: list = field(default_factory=list)
+    falsifications: list = field(default_factory=list, metadata=HIDDEN)
     tolerance: float = 1e-8
     rng_seed: int = 42
     J: float = 0.0
@@ -429,17 +421,9 @@ class NonexistenceReport:
     def summary(self) -> dict:
         norms = [a.norm for a in self.attempts if np.isfinite(a.norm)]
         return {
-            "applicable": self.applicable,
-            "reason": self.reason,
+            **super().summary(),
             "attempts": len(self.attempts),
-            "min_residual": float(self.min_residual),
             "max_iterate_norm": float(max(norms)) if norms else 0.0,
-            "converged_count": self.converged_count,
-            "passed": self.passed,
-            "tolerance": self.tolerance,
-            "rng_seed": self.rng_seed,
-            "J": self.J,
-            "delta": self.delta,
         }
 
 
@@ -559,9 +543,9 @@ def nonexistence_probe(
 
 
 @dataclass
-class AnnulusSolution:
-    u1: GridFunction
-    u2: GridFunction
+class AnnulusSolution(Report):
+    u1: GridFunction = field(metadata=HIDDEN)
+    u2: GridFunction = field(metadata=HIDDEN)
     pair_norm: float
     residual: float
     inside_box: bool
@@ -569,29 +553,12 @@ class AnnulusSolution:
 
 
 @dataclass
-class AnnulusReport:
-    solutions: list
+class AnnulusReport(Report):
+    solutions: list  # of AnnulusSolution
     R_hat: float
     R: float
     second_solution_found: bool
     rng_seed: int
-
-    def summary(self) -> dict:
-        return {
-            "R_hat": self.R_hat,
-            "R": self.R,
-            "second_solution_found": self.second_solution_found,
-            "rng_seed": self.rng_seed,
-            "solutions": [
-                {
-                    "pair_norm": s.pair_norm,
-                    "residual": s.residual,
-                    "inside_box": s.inside_box,
-                    "distance_to_known": s.distance_to_known,
-                }
-                for s in self.solutions
-            ],
-        }
 
 
 def annulus_search(

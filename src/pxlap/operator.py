@@ -19,6 +19,7 @@ import scipy.sparse.linalg as spla
 from .errors import HypothesisError, MeshMismatchError, NumericalError
 from .exponents import ExponentField
 from .mesh import GridFunction, Mesh, _freeze, integrate
+from .report import HIDDEN, Report
 
 _COMPARISON_TOL = 1e-8  # nodal excess u_low - u_high that comparison_check passes
 _PICONE_FLOOR = 1e-14  # picone needs w2 above this at every quadrature point
@@ -48,14 +49,14 @@ class OperatorContext:
 
 
 @dataclass
-class SolveReport:
+class SolveReport(Report):
     """Outcome of one nonlinear Dirichlet solve."""
 
-    u: GridFunction
+    u: GridFunction = field(metadata=HIDDEN)
     residual: float
     iterations: int
     converged: bool
-    history: list = field(default_factory=list)
+    history: list = field(default_factory=list, metadata=HIDDEN)
 
 
 def dual_norm(mesh: Mesh, r: np.ndarray) -> float:

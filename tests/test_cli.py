@@ -153,12 +153,19 @@ def test_cli_bad_mesh_override_is_config_error(tmp_path, capsys):
         (["probe-L9", "--seed", "-3", "--config", "h.cfg"], "homotopy.rng_seed must be >= 0"),
         (["eig", "--bogus"], "unrecognized arguments: --bogus"),
         (["solve"], "required: --rhs"),
+        (["eig", "--p=" + "-" * 5000 + "x", "--mesh", "n=8"], "nested too deeply"),
+        (["solve", "--rhs=" + "-" * 5000 + "x", "--mesh", "n=8"], "nested too deeply"),
+        (["eig", "--p=x" + "+x" * 50000, "--mesh", "n=8"], "nested too deeply"),
+        (["eig", "--p=2 + 0*sin(x, x)", "--mesh", "n=8"], "to one argument"),
+        (["eig", "--p=2 + 0*exp(x, out=x)", "--mesh", "n=8"], "to one argument"),
     ],
 )
 def test_cli_rejects_hostile_flags(tmp_path, monkeypatch, argv, message, capsys):
     # each flag is read like a config line: --margin nan used to exit 1 with
     # a traceback, --J-fraction 1.5 wrote "min_residual": Infinity, --seed -3
-    # failed in numpy, and usage errors exited 2, the non-convergence code
+    # failed in numpy, and usage errors exited 2, the non-convergence code;
+    # a deep expression raised RecursionError in the parser, and a ufunc's
+    # second argument wrote into the mesh's read-only quadrature points
     monkeypatch.chdir(tmp_path)
     (tmp_path / "h.cfg").write_text("mesh.n = 32\nhomotopy.seeds = 1\n")
     assert main(argv) == 3
@@ -205,6 +212,12 @@ def test_cli_eig_reads_margin_from_config(tmp_path):
     assert data["effective_config"]["margin"] == 0.25
     assert data["enlarged"]["tau"] > 0
     assert (tmp_path / "eigenfunction_enlarged.csv").exists()
+    # report field names are the on-disk keys
+    assert set(data["eigen"]) == {
+        "lambda1", "rayleigh", "residual", "modular_residual",
+        "iterations", "converged", "consistent",
+    }
+    assert set(data["enlarged"]) == {"lambda1", "tau", "margin"}
 
 
 @pytest.mark.parametrize("formats", ["xml", "csv", "json,xml", "json,"])
@@ -254,6 +267,7 @@ def test_cli_norm_roundtrip(tmp_path):
     data = json.loads((tmp_path / "summary.json").read_text())
     assert data["norm"]["norm"] == pytest.approx(2.0, abs=1e-9)
     assert data["norm"]["residual"] <= 1e-10
+    assert set(data["norm"]) == {"modular", "norm", "residual", "iterations"}
 
 
 def test_cli_solve_writes_solution(tmp_path):
@@ -264,6 +278,7 @@ def test_cli_solve_writes_solution(tmp_path):
     assert rc == 0
     data = json.loads((tmp_path / "summary.json").read_text())
     assert data["solve"]["converged"]
+    assert set(data["solve"]) == {"converged", "residual", "iterations"}
     assert (tmp_path / "solution.csv").exists()
 
 
@@ -358,6 +373,20 @@ def test_cli_theorem1_artifacts(tmp_path):
     assert data["box_verification"]["passed"]
     for name in ("u1_positive", "u2_positive", "u1_negative", "u2_negative"):
         assert (tmp_path / f"{name}.csv").exists()
+    # report field names are the on-disk keys
+    assert set(data["hypotheses"]) == {
+        "passed", "thresholds", "eta_declared", "eta_above_threshold",
+        "small_growth_positive", "small_growth_negative", "decay_at_infinity",
+        "bounded_on_boxes", "rho_hat", "rho_hat_reflected", "note",
+    }
+    assert set(data["box_verification"]) == {
+        "worst_sub_margin", "worst_sup_margin", "slack", "passed",
+    }
+    for side in ("positive", "negative"):
+        assert set(data[side]) == {
+            "converged", "iterations", "residuals", "pretruncation_violation",
+            "interior_positive",
+        }
 
 
 def test_cli_theorem1_2d_p_below_two_raises_no_runtime_warning(tmp_path):
@@ -419,6 +448,19 @@ def test_cli_theorem2_pipeline(tmp_path):
     trace_csv = (tmp_path / "trace.csv").read_text().splitlines()
     assert trace_csv[0] == "t,solutions,max_pair_norm,max_residual"
     assert len(trace_csv) == 4
+    # report field names are the on-disk keys
+    assert set(data["boundedness"]) == {
+        "max_pair_norm", "radius", "passed", "suggested_radius", "witness_t",
+    }
+    assert set(data["nonexistence_probe"]) == {
+        "applicable", "reason", "attempts", "min_residual", "max_iterate_norm",
+        "converged_count", "passed", "tolerance", "rng_seed", "J", "delta",
+    }
+    assert set(data["annulus"]) == {
+        "R_hat", "R", "second_solution_found", "rng_seed", "solutions",
+    }
+    for s in data["annulus"]["solutions"][:1]:
+        assert set(s) == {"pair_norm", "residual", "inside_box", "distance_to_known"}
 
 
 def test_cli_theorem2_trace_radius_sets_boundedness(tmp_path):

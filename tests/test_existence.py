@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from pxlap import existence
 from pxlap.eigen import first_eigenpair
 from pxlap.existence import (
     OrderedBox,
@@ -117,6 +118,27 @@ def test_halved_eps_still_valid(system64, ctx2_64, eig2_64):
             eps ** (-(p.p_min - 1.0)) * 0.5 * enl.pair.lambda1 * c["tau"] ** (p.p_max - 1.0)
             >= c["c_rho"]
         )
+
+
+def test_equal_contexts_share_the_enlarged_eigenpair(monkeypatch, system64, ctx2_64, eig2_64):
+    # equal contexts (one mesh, one exponent field, equal settings) used to
+    # solve the same enlarged eigenproblem once per component
+    calls = []
+    real = existence.enlarged_eigenpair
+    monkeypatch.setattr(
+        existence, "enlarged_eigenpair", lambda ctx, margin: calls.append(ctx) or real(ctx, margin)
+    )
+    f, _ = system64
+    twin = OperatorContext(ctx2_64.mesh, ctx2_64.p)
+    construct_supersolution(f, ctx2_64, twin, eig2_64, eig2_64)
+    assert len(calls) == 1
+
+    calls.clear()
+    other = OperatorContext(ctx2_64.mesh, ExponentField(ctx2_64.mesh, "2 + 0.1*x"))
+    eig_other = first_eigenpair(other)
+    f = benchmark_family(ctx2_64, other, eig2_64, eig_other)
+    construct_supersolution(f, ctx2_64, other, eig2_64, eig_other)
+    assert calls == [ctx2_64, other]
 
 
 def test_subsolution_bounds(system64, box64, ctx2_64, eig2_64):

@@ -190,13 +190,18 @@ def _validate(v: dict) -> list:
     ):
         if v[key] < 0:
             errors.append(f"{key} must be >= 0")
+    # checked again by HomotopyConfig, but only after the positive solve
+    if 0 < v["homotopy.R"] <= v["homotopy.R_hat"]:
+        errors.append("radii must satisfy homotopy.R_hat < homotopy.R")
     if not 0.0 < v["homotopy.J_fraction"] < 1.0:
         errors.append("homotopy.J_fraction must lie in (0, 1)")
     dim = 1 if v["mesh.kind"] == "interval" else 2
     # evaluate every expression once: an exponent must be finite on the
     # domain, an f expression must at least not raise
     pts = _probe_points(v, dim)
-    probes = [(key, coordinate_expression, (pts,), True) for key in ("p1.expr", "p2.expr")]
+    # --p sets p1.expr and p2.expr alike; report such an expression once
+    keys = ["p1.expr"] + (["p2.expr"] if v["p2.expr"] != v["p1.expr"] else [])
+    probes = [(key, coordinate_expression, (pts,), True) for key in keys]
     probes += [
         (key, state_expression, (pts, 1.0, 1.0), False)
         for key in ("f1.expr", "f2.expr")
@@ -218,6 +223,8 @@ def _validate(v: dict) -> list:
         errors.append("f1.expr and f2.expr must be given together")
     if v["f1.expr"] and v["f.benchmark"]:
         errors.append("set f.benchmark = false when giving explicit f expressions")
+    if not (v["f1.expr"] or v["f.benchmark"]):
+        errors.append("f.benchmark = false needs f1.expr and f2.expr")
     if v["f1.expr"] and (v["eta1"] <= 0 or v["eta2"] <= 0):
         errors.append("explicit nonlinearities need positive eta1 and eta2")
     return errors
@@ -537,7 +544,7 @@ def cmd_verify(v: dict, args):
 
 def linear_hat(mesh) -> GridFunction:
     """Nonnegative zero-trace test profile (distance-to-boundary shaped)."""
-    lo, hi = mesh.bbox
+    lo, hi = mesh.lo, mesh.hi
     vals = np.ones(mesh.n_nodes)
     for d in range(mesh.dimension):
         x = mesh.nodes[:, d]

@@ -133,7 +133,7 @@ class HpReport:
 
 def _line_monotone(p, mesh, x0, direction):
     """Sample p along the in-box segment through x0; None if degenerate."""
-    lo, hi = mesh.bbox
+    lo, hi = mesh.lo, mesh.hi
     tmin, tmax = -np.inf, np.inf
     for d in range(mesh.dimension):
         if abs(direction[d]) < 1e-15:

@@ -27,6 +27,14 @@ _FUNCS = {
     "tanh": np.tanh,
 }
 _CONSTS = {"pi": np.pi, "e": np.e}
+_SHOWN_CHARS = 60  # longest expression prefix an error message quotes
+
+
+def _shown(expr: str) -> str:
+    """``expr`` quoted for an error message; a long one is cut, with its length."""
+    if len(expr) <= _SHOWN_CHARS:
+        return repr(expr)
+    return f"{expr[:_SHOWN_CHARS]!r}... ({len(expr)} characters)"
 
 
 def compile_expression(expr: str, variables: tuple[str, ...]):
@@ -40,9 +48,9 @@ def compile_expression(expr: str, variables: tuple[str, ...]):
     try:
         tree = ast.parse(expr, mode="eval")
     except SyntaxError as exc:
-        raise ConfigError([f"cannot parse expression {expr!r}: {exc.msg}"]) from exc
+        raise ConfigError([f"cannot parse expression {_shown(expr)}: {exc.msg}"]) from exc
     except (RecursionError, MemoryError) as exc:  # the parser's nesting limits
-        raise ConfigError([f"expression nested too deeply: {expr!r}"]) from exc
+        raise ConfigError([f"expression nested too deeply: {_shown(expr)}"]) from exc
     bad = sorted(
         {
             node.id
@@ -52,13 +60,13 @@ def compile_expression(expr: str, variables: tuple[str, ...]):
     )
     if bad:
         raise ConfigError(
-            [f"unknown name(s) {', '.join(bad)} in expression {expr!r}"]
+            [f"unknown name(s) {', '.join(bad)} in expression {_shown(expr)}"]
         )
     for node in ast.walk(tree):
         if isinstance(node, (ast.Attribute, ast.Subscript, ast.Lambda)) or (
             isinstance(node, ast.Constant) and not isinstance(node.value, (int, float))
         ):
-            raise ConfigError([f"disallowed construct in expression {expr!r}"])
+            raise ConfigError([f"disallowed construct in expression {_shown(expr)}"])
         if isinstance(node, ast.Call) and not (
             isinstance(node.func, ast.Name)
             and node.func.id in _FUNCS
@@ -67,18 +75,18 @@ def compile_expression(expr: str, variables: tuple[str, ...]):
             and not node.keywords
         ):
             funcs = ", ".join(_FUNCS)
-            raise ConfigError([f"a call must apply one of {funcs} to one argument: {expr!r}"])
+            raise ConfigError([f"a call must apply one of {funcs} to one argument: {_shown(expr)}"])
         if isinstance(node, ast.Constant) and type(node.value) is int:
             try:
                 node.value = float(node.value)
             except OverflowError as exc:
                 raise ConfigError(
-                    [f"integer literal too large in expression {expr!r}"]
+                    [f"integer literal too large in expression {_shown(expr)}"]
                 ) from exc
     try:
         code = compile(tree, "<pxlap-expr>", "eval")
     except RecursionError as exc:
-        raise ConfigError([f"expression nested too deeply: {expr!r}"]) from exc
+        raise ConfigError([f"expression nested too deeply: {_shown(expr)}"]) from exc
     base = dict(_FUNCS)
     base.update(_CONSTS)
 
@@ -87,7 +95,7 @@ def compile_expression(expr: str, variables: tuple[str, ...]):
         ns.update(zip(variables, args))
         out = np.asarray(eval(code, {"__builtins__": {}}, ns))  # noqa: S307 - name-checked
         if np.iscomplexobj(out):
-            raise TypeError(f"complex value of expression {expr!r}")
+            raise TypeError(f"complex value of expression {_shown(expr)}")
         return out.astype(float, copy=False)
 
     fn.expression = expr

@@ -1,7 +1,8 @@
 """Uniform interval and structured-triangle meshes with P1 elements.
 
 The two mesh factories (:func:`build_interval_mesh`, :func:`build_rectangle_mesh`)
-cover every experiment in the toolkit.  A mesh carries its quadrature data
+cover every experiment in the toolkit; both build a :class:`Mesh` from its
+box and cell count per axis.  A mesh carries its quadrature data
 (Gauss rules with degree-5 exactness per element, enough for integrands with
 non-integer powers), the P1 basis values at the quadrature points and the
 per-element basis gradients, so downstream modules only ever loop over
@@ -53,10 +54,20 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 
 
 class Mesh:
-    """Discretized domain with P1 elements and per-element quadrature.
+    """P1 mesh of the box [lo, hi] split into ``cells`` equal cells per axis.
+
+    Nodes are numbered with x fastest.  In 1D each cell is one element; in 2D
+    each cell is split along its anti-diagonal into a lower-left and an
+    upper-right triangle, stored in that order.
 
     Attributes
     ----------
+    lo, hi : ndarray, shape (dimension,)
+        Corners of the box.
+    cells : ndarray, shape (dimension,)
+        Cell count per axis.
+    spacing : ndarray, shape (dimension,)
+        Cell width per axis, ``(hi - lo) / cells``.
     dimension : int
         1 (intervals) or 2 (triangles).
     nodes : ndarray, shape (n_nodes, dimension)
@@ -80,17 +91,25 @@ class Mesh:
         sqrt of the mean element measure, the scale of the discrete dual norm.
     """
 
-    def __init__(self, dimension, nodes, elements, boundary_nodes, structure):
-        nodes = np.asarray(nodes, dtype=float)
-        elements = np.asarray(elements, dtype=int)
-        self.dimension = int(dimension)
-        self.nodes = _freeze(nodes)
+    def __init__(self, lo, hi, cells):
+        self.lo = _freeze(np.asarray(lo, dtype=float))
+        self.hi = _freeze(np.asarray(hi, dtype=float))
+        self.cells = _freeze(np.asarray(cells, dtype=int))
+        self.dimension = len(self.cells)
+        self.spacing = _freeze((self.hi - self.lo) / self.cells)
+        axes = [np.linspace(a, b, n + 1) for a, b, n in zip(self.lo, self.hi, self.cells)]
+        self.nodes = _freeze(np.stack([g.ravel() for g in np.meshgrid(*axes)], axis=1))
+        ids = np.arange(self.n_nodes).reshape(self.cells[::-1] + 1)
+        if self.dimension == 1:
+            elements = np.stack([ids[:-1], ids[1:]], axis=1)
+        else:
+            n00, n10, n01, n11 = ids[:-1, :-1], ids[:-1, 1:], ids[1:, :-1], ids[1:, 1:]
+            elements = np.stack([n00, n10, n01, n11, n01, n10], axis=-1).reshape(-1, 3)
         self.elements = _freeze(elements)
-        self.boundary_nodes = _freeze(np.sort(np.asarray(boundary_nodes, dtype=int)))
-        mask = np.ones(len(nodes), dtype=bool)
-        mask[self.boundary_nodes] = False
-        self.interior_nodes = _freeze(np.nonzero(mask)[0])
-        self.structure = structure  # geometry metadata for O(1) point location
+        face = np.ones(ids.shape, dtype=bool)
+        face[(slice(1, -1),) * self.dimension] = False
+        self.boundary_nodes = _freeze(ids[face])
+        self.interior_nodes = _freeze(ids[~face])
 
         if self.interior_nodes.size < 1:
             raise DomainError("mesh must have at least one interior node")
@@ -157,53 +176,33 @@ class Mesh:
         return self.quad_weights.shape[1]
 
     @property
-    def bbox(self) -> np.ndarray:
-        return np.stack([self.nodes.min(axis=0), self.nodes.max(axis=0)])
-
-    @property
     def diameter(self) -> float:
-        lo, hi = self.bbox
-        return float(np.linalg.norm(hi - lo))
+        return float(np.linalg.norm(self.hi - self.lo))
 
     def contains(self, points: np.ndarray) -> bool:
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        lo, hi = self.bbox
         pad = _CONTAINS_TOL * max(self.diameter, 1.0)
-        return bool(
-            np.all(points >= lo[None, :] - pad) and np.all(points <= hi[None, :] + pad)
-        )
+        return bool(np.all(points >= self.lo - pad) and np.all(points <= self.hi + pad))
 
     def locate(self, points: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Element index and barycentric weights of each point.
 
-        Relies on the structured layout recorded at construction; points are
-        clipped to the bounding box to absorb boundary round-off.
+        Points are clipped to the box to absorb boundary round-off; the cell
+        index and the fraction across it come per axis from the spacing.
         """
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        s = self.structure
+        h = self.spacing
+        x = np.clip(points, self.lo, self.hi)
+        k = np.clip(((x - self.lo) / h).astype(int), 0, self.cells - 1)
+        frac = (x - (self.lo + k * h)) / h
+        cell = k @ np.cumprod(np.r_[1, self.cells[:-1]])
         if self.dimension == 1:
-            a, b, n = s["a"], s["b"], s["n"]
-            h = (b - a) / n
-            x = np.clip(points[:, 0], a, b)
-            e = np.clip(((x - a) / h).astype(int), 0, n - 1)
-            t = (x - (a + e * h)) / h
-            w = np.stack([1.0 - t, t], axis=1)
-            return e, w
-        ax, ay, bx, by = s["ax"], s["ay"], s["bx"], s["by"]
-        nx, ny = s["nx"], s["ny"]
-        hx = (bx - ax) / nx
-        hy = (by - ay) / ny
-        x = np.clip(points[:, 0], ax, bx)
-        y = np.clip(points[:, 1], ay, by)
-        i = np.clip(((x - ax) / hx).astype(int), 0, nx - 1)
-        j = np.clip(((y - ay) / hy).astype(int), 0, ny - 1)
-        r = (x - (ax + i * hx)) / hx
-        t = (y - (ay + j * hy)) / hy
+            return cell, np.stack([1.0 - frac[:, 0], frac[:, 0]], axis=1)
+        r, t = frac.T
         lower = r + t <= 1.0
-        cell = 2 * (j * nx + i)
-        e = np.where(lower, cell, cell + 1)
         # lower triangle (i,j)-(i+1,j)-(i,j+1): bary = (1-r-t, r, t)
         # upper triangle (i+1,j+1)-(i,j+1)-(i+1,j): bary = (r+t-1, 1-r, 1-t)
+        e = np.where(lower, 2 * cell, 2 * cell + 1)
         w = np.where(
             lower[:, None],
             np.stack([1.0 - r - t, r, t], axis=1),
@@ -224,11 +223,7 @@ def build_interval_mesh(a: float, b: float, n: int) -> Mesh:
         raise DomainError(f"degenerate interval: need a < b, got ({a}, {b})")
     if n < 4:
         raise DomainError(f"need at least 4 elements, got {n}")
-    nodes = np.linspace(a, b, n + 1)[:, None]
-    elements = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
-    return Mesh(
-        1, nodes, elements, [0, n], {"kind": "interval", "a": a, "b": b, "n": n}
-    )
+    return Mesh([a], [b], [n])
 
 
 def build_rectangle_mesh(
@@ -241,77 +236,40 @@ def build_rectangle_mesh(
         )
     if nx < 2 or ny < 2:
         raise DomainError(f"need at least 2 cells per direction, got {nx}x{ny}")
-    xs = np.linspace(ax, bx, nx + 1)
-    ys = np.linspace(ay, by, ny + 1)
-    X, Y = np.meshgrid(xs, ys, indexing="xy")
-    nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
-
-    def nid(i, j):
-        return j * (nx + 1) + i
-
-    elements = []
-    for j in range(ny):
-        for i in range(nx):
-            n00, n10 = nid(i, j), nid(i + 1, j)
-            n01, n11 = nid(i, j + 1), nid(i + 1, j + 1)
-            elements.append([n00, n10, n01])  # lower-left triangle
-            elements.append([n11, n01, n10])  # upper-right triangle
-    boundary = [
-        nid(i, j)
-        for j in range(ny + 1)
-        for i in range(nx + 1)
-        if i in (0, nx) or j in (0, ny)
-    ]
-    return Mesh(
-        2,
-        nodes,
-        elements,
-        boundary,
-        {"kind": "rectangle", "ax": ax, "ay": ay, "bx": bx, "by": by, "nx": nx, "ny": ny},
-    )
+    return Mesh([ax, ay], [bx, by], [nx, ny])
 
 
-def dilate_domain(mesh: Mesh, margin) -> Mesh:
+def dilate_domain(mesh: Mesh, margin: float) -> Mesh:
     """Mesh of the enlarged domain: the box grown by ``margin`` per side.
 
-    The new mesh keeps the original grid spacing (element counts are rounded
-    to preserve density).  ``margin`` may be a scalar or, in 2D, a pair
-    (margin_x, margin_y).
-    """
-    margin = np.broadcast_to(np.asarray(margin, dtype=float), (mesh.dimension,))
-    if np.any(margin <= 0):
-        raise DomainError(f"margin must be positive, got {margin}")
-    s = mesh.structure
-    if s["kind"] == "interval":
-        h = (s["b"] - s["a"]) / s["n"]
-        a2, b2 = s["a"] - margin[0], s["b"] + margin[0]
-        n2 = max(int(round((b2 - a2) / h)), s["n"] + 2)
-        return build_interval_mesh(a2, b2, n2)
-    hx = (s["bx"] - s["ax"]) / s["nx"]
-    hy = (s["by"] - s["ay"]) / s["ny"]
-    ax2, bx2 = s["ax"] - margin[0], s["bx"] + margin[0]
-    ay2, by2 = s["ay"] - margin[1], s["by"] + margin[1]
-    nx2 = max(int(round((bx2 - ax2) / hx)), s["nx"] + 2)
-    ny2 = max(int(round((by2 - ay2) / hy)), s["ny"] + 2)
-    return build_rectangle_mesh(ax2, ay2, bx2, by2, nx2, ny2)
-
-
-def snap_margin(mesh: Mesh, margin: float) -> float:
-    """Round ``margin`` up to a whole number of cells of ``mesh``.
-
-    Used when the enlarged-domain mesh must nest the original grid exactly
-    (nodes of the inner mesh then coincide with nodes of the outer one).
+    The new mesh keeps the original grid spacing (cell counts are rounded to
+    preserve density); a margin from :func:`snap_margin` keeps it exactly.
     """
     if margin <= 0:
         raise DomainError(f"margin must be positive, got {margin}")
-    s = mesh.structure
-    if s["kind"] == "interval":
-        h = (s["b"] - s["a"]) / s["n"]
-        return max(1, int(np.ceil(margin / h - 1e-12))) * h
-    hx = (s["bx"] - s["ax"]) / s["nx"]
-    hy = (s["by"] - s["ay"]) / s["ny"]
-    h = max(hx, hy)
-    return max(1, int(np.ceil(margin / h - 1e-12))) * h
+    lo, hi = mesh.lo - margin, mesh.hi + margin
+    cells = np.maximum(np.round((hi - lo) / mesh.spacing).astype(int), mesh.cells + 2)
+    return Mesh(lo, hi, cells)
+
+
+def snap_margin(mesh: Mesh, margin: float) -> float:
+    """Round ``margin`` up to a whole number of cells on every axis of ``mesh``.
+
+    Used when the enlarged-domain mesh must nest the original grid exactly
+    (nodes of the inner mesh then coincide with nodes of the outer one).  The
+    result is the smallest multiple of the largest spacing that is also a
+    whole number of cells on every axis, to 1e-9 relative.
+    """
+    if margin <= 0:
+        raise DomainError(f"margin must be positive, got {margin}")
+    h = mesh.spacing.max()
+    first = max(1, int(np.ceil(margin / h - 1e-12)))
+    m = np.arange(first, first + int(mesh.diameter / h) + 2)
+    counts = np.outer(m * h, 1.0 / mesh.spacing)
+    whole = np.all(np.abs(counts - np.round(counts)) <= 1e-9 * counts, axis=1)
+    if not whole.any():
+        raise DomainError(f"no margin near {margin} is a whole number of cells on every axis")
+    return m[whole][0] * h
 
 
 @dataclass

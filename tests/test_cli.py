@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import pxlap
+from pxlap import cli
 from pxlap.cli import main, parse_config
 from pxlap.errors import ConfigError
 
@@ -101,11 +102,19 @@ def test_cli_rejects_runs_without_samples(tmp_path, command, line, capsys):
         ("homotopy.R_tilde = -1", "homotopy.R_tilde must be >= 0"),
         ("homotopy.rng_seed = -1", "homotopy.rng_seed must be >= 0"),
         ("homotopy.delta = 0", "homotopy.delta must be positive"),
+        ("homotopy.R = 2\nhomotopy.R_hat = 2", "radii must satisfy homotopy.R_hat < homotopy.R"),
+        ("f.benchmark = false", "f.benchmark = false needs f1.expr and f2.expr"),
     ],
 )
-def test_cli_rejects_out_of_range_settings(tmp_path, line, message, capsys):
+def test_cli_rejects_out_of_range_settings(tmp_path, monkeypatch, line, message, capsys):
     # a negative eps_reg used to exit 1 with a traceback, a zero iteration
-    # cap ran, and a negative margin or radius silently meant auto-size
+    # cap ran, and a negative margin or radius silently meant auto-size;
+    # crossed radii failed only after the eigenpairs and the positive solve,
+    # and f.benchmark = false without f expressions ran the benchmark family
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the settings were validated")
+
+    monkeypatch.setattr(cli, "first_eigenpair", no_solve)
     cfg = tmp_path / "r.cfg"
     cfg.write_text(f"mesh.n = 32\nhomotopy.t_steps = 2\nhomotopy.seeds = 1\n{line}\n")
     rc = main(["theorem2", "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"])
@@ -165,11 +174,15 @@ def test_cli_rejects_hostile_flags(tmp_path, monkeypatch, argv, message, capsys)
     # a traceback, --J-fraction 1.5 wrote "min_residual": Infinity, --seed -3
     # failed in numpy, and usage errors exited 2, the non-convergence code;
     # a deep expression raised RecursionError in the parser, and a ufunc's
-    # second argument wrote into the mesh's read-only quadrature points
+    # second argument wrote into the mesh's read-only quadrature points;
+    # an error quoted the whole expression, once for p1.expr and once for
+    # p2.expr, about 100 kB each for the 50,001-term sum
     monkeypatch.chdir(tmp_path)
     (tmp_path / "h.cfg").write_text("mesh.n = 32\nhomotopy.seeds = 1\n")
     assert main(argv) == 3
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.count("config error") == 1 and len(err) < 1000
     assert not list(tmp_path.rglob("summary.json"))
 
 

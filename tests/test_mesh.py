@@ -10,6 +10,7 @@ from pxlap.mesh import (
     integrate,
     load_grid_function_csv,
     restrict,
+    snap_margin,
 )
 
 
@@ -59,9 +60,8 @@ def test_dilate_interval():
 def test_dilate_rectangle():
     m = build_rectangle_mesh(0, 0, 1, 1, 4, 4)
     big = dilate_domain(m, 0.25)
-    lo, hi = big.bbox
-    assert np.allclose(lo, [-0.25, -0.25])
-    assert np.allclose(hi, [1.25, 1.25])
+    assert np.allclose(big.lo, [-0.25, -0.25])
+    assert np.allclose(big.hi, [1.25, 1.25])
 
 
 def test_dilate_zero_margin_rejected():
@@ -173,3 +173,169 @@ def test_mesh_arrays_are_readonly():
     m = build_interval_mesh(0.0, 1.0, 4)
     with pytest.raises(ValueError):
         m.nodes[0, 0] = 7.0
+
+
+# -- reference: the per-kind geometry code the per-axis Mesh replaced ---------
+# Each _ref_* function works on the geometry record the builders used to keep
+# ({"kind": "interval", a, b, n} or {"kind": "rectangle", ax, ay, bx, by, nx,
+# ny}); the per-axis code must reproduce them bit for bit.
+
+
+def _ref_interval(a, b, n):
+    nodes = np.linspace(a, b, n + 1)[:, None]
+    elements = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
+    return nodes, elements, [0, n], {"kind": "interval", "a": a, "b": b, "n": n}
+
+
+def _ref_rectangle(ax, ay, bx, by, nx, ny):
+    xs = np.linspace(ax, bx, nx + 1)
+    ys = np.linspace(ay, by, ny + 1)
+    X, Y = np.meshgrid(xs, ys, indexing="xy")
+    nodes = np.stack([X.ravel(), Y.ravel()], axis=1)
+
+    def nid(i, j):
+        return j * (nx + 1) + i
+
+    elements = []
+    for j in range(ny):
+        for i in range(nx):
+            n00, n10 = nid(i, j), nid(i + 1, j)
+            n01, n11 = nid(i, j + 1), nid(i + 1, j + 1)
+            elements.append([n00, n10, n01])
+            elements.append([n11, n01, n10])
+    boundary = [
+        nid(i, j)
+        for j in range(ny + 1)
+        for i in range(nx + 1)
+        if i in (0, nx) or j in (0, ny)
+    ]
+    s = {"kind": "rectangle", "ax": ax, "ay": ay, "bx": bx, "by": by, "nx": nx, "ny": ny}
+    return nodes, np.array(elements), boundary, s
+
+
+def _ref_locate(s, points):
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if s["kind"] == "interval":
+        a, b, n = s["a"], s["b"], s["n"]
+        h = (b - a) / n
+        x = np.clip(points[:, 0], a, b)
+        e = np.clip(((x - a) / h).astype(int), 0, n - 1)
+        t = (x - (a + e * h)) / h
+        return e, np.stack([1.0 - t, t], axis=1)
+    ax, ay, bx, by = s["ax"], s["ay"], s["bx"], s["by"]
+    nx, ny = s["nx"], s["ny"]
+    hx = (bx - ax) / nx
+    hy = (by - ay) / ny
+    x = np.clip(points[:, 0], ax, bx)
+    y = np.clip(points[:, 1], ay, by)
+    i = np.clip(((x - ax) / hx).astype(int), 0, nx - 1)
+    j = np.clip(((y - ay) / hy).astype(int), 0, ny - 1)
+    r = (x - (ax + i * hx)) / hx
+    t = (y - (ay + j * hy)) / hy
+    lower = r + t <= 1.0
+    cell = 2 * (j * nx + i)
+    e = np.where(lower, cell, cell + 1)
+    w = np.where(
+        lower[:, None],
+        np.stack([1.0 - r - t, r, t], axis=1),
+        np.stack([r + t - 1.0, 1.0 - r, 1.0 - t], axis=1),
+    )
+    return e, w
+
+
+def _ref_dilate(s, margin):
+    if s["kind"] == "interval":
+        h = (s["b"] - s["a"]) / s["n"]
+        a2, b2 = s["a"] - margin, s["b"] + margin
+        n2 = max(int(round((b2 - a2) / h)), s["n"] + 2)
+        return _ref_interval(a2, b2, n2)
+    hx = (s["bx"] - s["ax"]) / s["nx"]
+    hy = (s["by"] - s["ay"]) / s["ny"]
+    ax2, bx2 = s["ax"] - margin, s["bx"] + margin
+    ay2, by2 = s["ay"] - margin, s["by"] + margin
+    nx2 = max(int(round((bx2 - ax2) / hx)), s["nx"] + 2)
+    ny2 = max(int(round((by2 - ay2) / hy)), s["ny"] + 2)
+    return _ref_rectangle(ax2, ay2, bx2, by2, nx2, ny2)
+
+
+def _ref_snap(s, margin):
+    if s["kind"] == "interval":
+        h = (s["b"] - s["a"]) / s["n"]
+    else:
+        h = max((s["bx"] - s["ax"]) / s["nx"], (s["by"] - s["ay"]) / s["ny"])
+    return max(1, int(np.ceil(margin / h - 1e-12))) * h
+
+
+_REFERENCE_MESHES = [
+    ("interval", (0.0, 1.0, 4)),
+    ("interval", (0.0, 1.0, 257)),
+    ("interval", (-0.7, 2.3, 1000)),
+    ("rectangle", (0.0, 0.0, 1.0, 1.0, 2, 2)),
+    ("rectangle", (0.0, 0.0, 1.0, 0.75, 16, 12)),
+    ("rectangle", (-0.3, 0.2, 0.9, 1.7, 7, 13)),
+    ("rectangle", (0.0, 0.0, 1.0, 1.0, 128, 128)),
+]
+
+
+def _probe_points(mesh, rng):
+    """Random points, nodes, points on cell edges and on cell diagonals,
+    and points just outside the box."""
+    lo, hi, h = mesh.lo, mesh.hi, mesh.spacing
+    pts = [lo + (hi - lo) * rng.random((500, mesh.dimension)), mesh.nodes]
+    edge = lo + (hi - lo) * rng.random((200, mesh.dimension))
+    axis = rng.integers(0, mesh.dimension, 200)
+    k = rng.integers(0, mesh.cells[axis] + 1)
+    edge[np.arange(200), axis] = lo[axis] + k * h[axis]
+    pts.append(edge)
+    if mesh.dimension == 2:
+        el = mesh.elements[rng.integers(0, mesh.n_elements, 200)]
+        s = rng.random(200)[:, None]
+        pts.append(s * mesh.nodes[el[:, 1]] + (1 - s) * mesh.nodes[el[:, 2]])
+    pts.append(np.array([lo - 1e-13, hi + 1e-13]))
+    return np.concatenate(pts)
+
+
+@pytest.mark.parametrize("kind, args", _REFERENCE_MESHES)
+def test_box_mesh_matches_per_kind_reference(kind, args):
+    build, ref = {
+        "interval": (build_interval_mesh, _ref_interval),
+        "rectangle": (build_rectangle_mesh, _ref_rectangle),
+    }[kind]
+    m = build(*args)
+    nodes, elements, boundary, s = ref(*args)
+    assert np.array_equal(m.nodes, nodes)
+    assert np.array_equal(m.elements, elements)
+    assert np.array_equal(m.boundary_nodes, np.sort(boundary))
+
+    pts = _probe_points(m, np.random.default_rng(len(m.nodes)))
+    e, w = m.locate(pts)
+    e_ref, w_ref = _ref_locate(s, pts)
+    assert np.array_equal(e, e_ref) and np.array_equal(w, w_ref)
+
+    for margin in (0.1, 0.25, 0.37):
+        big = dilate_domain(m, margin)
+        nodes2, elements2, boundary2, _ = _ref_dilate(s, margin)
+        assert np.array_equal(big.nodes, nodes2)
+        assert np.array_equal(big.elements, elements2)
+        assert np.array_equal(big.boundary_nodes, np.sort(boundary2))
+        if kind == "interval" or m.spacing[0] == m.spacing[1]:
+            assert snap_margin(m, margin) == _ref_snap(s, margin)
+
+
+@pytest.mark.parametrize("nx, ny", [(10, 16), (32, 20)])
+def test_snapped_dilation_nests_non_square_cells(nx, ny):
+    # snapping to the larger spacing alone used to give 0.4 here: the
+    # dilated grid then neither kept hy nor contained the base nodes
+    m = build_rectangle_mesh(0.0, 0.0, 1.0, 1.0, nx, ny)
+    margin = snap_margin(m, 0.25 * m.diameter)
+    big = dilate_domain(m, margin)
+    for d, h in enumerate((1.0 / nx, 1.0 / ny)):
+        assert np.allclose(np.diff(np.unique(big.nodes[:, d])), h, rtol=1e-12, atol=0.0)
+    gap = np.linalg.norm(m.nodes[:, None, :] - big.nodes[None, :, :], axis=2).min(axis=1)
+    assert gap.max() <= 1e-12
+
+
+def test_snap_margin_without_common_multiple_rejected():
+    m = build_rectangle_mesh(0.0, 0.0, 1.0, np.sqrt(2.0), 4, 4)
+    with pytest.raises(DomainError, match="whole number of cells"):
+        snap_margin(m, 0.25)

@@ -51,7 +51,6 @@ from .multiplicity import (
     annulus_search,
     boundedness_probe,
     continuation,
-    homotopy_rhs,
     nonexistence_probe,
 )
 from .operator import (

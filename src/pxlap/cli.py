@@ -242,6 +242,15 @@ def build_mesh(v: dict):
     )
 
 
+def _load_csv(what: str, path, mesh) -> GridFunction:
+    """The nodal CSV at ``path``; a file that cannot be read or holds no
+    numeric table is a config error of the setting ``what``."""
+    try:
+        return load_grid_function_csv(path, mesh)
+    except (OSError, ValueError) as exc:
+        raise ConfigError([f"{what}: cannot read nodal CSV {path}: {exc}"]) from exc
+
+
 def build_contexts(v: dict):
     mesh = build_mesh(v)
     fields = []
@@ -250,8 +259,7 @@ def build_contexts(v: dict):
         if i == 2 and table == v["p1.table"] and v["p2.expr"] == v["p1.expr"]:
             fields.append(fields[0])  # identical spec: share the field
         elif table:
-            gf = load_grid_function_csv(table, mesh)
-            fields.append(ExponentField(mesh, gf))
+            fields.append(ExponentField(mesh, _load_csv(f"p{i}.table", table, mesh)))
         else:
             fields.append(ExponentField(mesh, v[f"p{i}.expr"]))
     ctxs = [
@@ -289,7 +297,6 @@ def build_nonlinearity(v: dict, ctx1, ctx2, eig1, eig2) -> Nonlinearity:
 
 
 def _write_json(outdir: Path, name: str, payload: dict):
-    outdir.mkdir(parents=True, exist_ok=True)
     text = json.dumps(payload, sort_keys=True, indent=2, allow_nan=True)
     (outdir / name).write_text(text + "\n")
 
@@ -319,7 +326,6 @@ def _emit(outdir: Path, command: str, v: dict, payload: dict, quiet: bool):
 
 def _write_csvs(outdir: Path, fields: dict):
     """Write each ``name -> GridFunction or CSV text`` entry to ``outdir``."""
-    outdir.mkdir(parents=True, exist_ok=True)
     for name, content in fields.items():
         if isinstance(content, str):
             (outdir / name).write_text(content)
@@ -355,7 +361,7 @@ def cmd_eig(v: dict, args):
 
 def cmd_norm(v: dict, args):
     mesh, ctx1, _ = build_contexts(v)
-    u = load_grid_function_csv(args.input, mesh)
+    u = _load_csv("--input", args.input, mesh)
     return {"norm": luxemburg_norm(u, ctx1.p).summary()}, {}, 0
 
 
@@ -429,11 +435,10 @@ def cmd_theorem2(v: dict, args):
     if not pos.converged:
         return {"error": "base solution did not converge"}, {}, 2
 
-    hcfg = HomotopyConfig.for_problem(
-        ctx1, ctx2, eig1, eig2,
+    hcfg = HomotopyConfig(
         J_fraction=v["homotopy.J_fraction"],
         family=v["homotopy.family"],
-        t_grid=tuple(np.round(np.linspace(0.0, 1.0, v["homotopy.t_steps"]), 12)),
+        t_steps=v["homotopy.t_steps"],
         R=v["homotopy.R"] or None,
         R_hat=v["homotopy.R_hat"] or None,
         rng_seed=v["homotopy.rng_seed"],
@@ -642,8 +647,13 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         v = parse_config(args.config, args.overrides)
-        payload, fields, code = args.run(v, args)
+        # made before any solve, so an unusable path fails at once
         outdir = Path(v["output.dir"])
+        try:
+            outdir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError([f"output.dir: cannot create directory {outdir}: {exc}"]) from exc
+        payload, fields, code = args.run(v, args)
         if "csv" in v["output.formats"]:
             _write_csvs(outdir, fields)
         _emit(outdir, args.command, v, payload, args.quiet)

@@ -601,7 +601,8 @@ def verify_ordered_box(
     For every interior hat function the subsolution flux pairing must not
     exceed the load of the boxwise f-minimum, and the supersolution pairing
     must not fall below the load of the boxwise f-maximum, both up to
-    ``_BOX_SLACK``.
+    ``_BOX_SLACK``.  The report is returned, not stored: ``box.verification``
+    stays the record of the f the box was built for.
     """
     mesh = ctx1.mesh
     mins, maxs = _box_extrema_qp(box, f, mesh)
@@ -615,14 +616,12 @@ def verify_ordered_box(
         worst_sub.append(float(np.max(sub_margin)))  # must be <= 0 (+slack)
         worst_sup.append(float(np.min(sup_margin)))  # must be >= 0 (-slack)
     passed = max(worst_sub) <= _BOX_SLACK and min(worst_sup) >= -_BOX_SLACK
-    verification = BoxVerification(
+    return BoxVerification(
         worst_sub_margin=tuple(worst_sub),
         worst_sup_margin=tuple(worst_sup),
         slack=_BOX_SLACK,
         passed=bool(passed),
     )
-    box.verification = verification
-    return verification
 
 
 def build_ordered_box(
@@ -656,7 +655,7 @@ def build_ordered_box(
                 "constructed box lost positivity (subsolution interior / "
                 "supersolution everywhere)"
             )
-    verify_ordered_box(box, f, ctx1, ctx2)
+    box.verification = verify_ordered_box(box, f, ctx1, ctx2)
     return box
 
 

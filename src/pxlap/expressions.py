@@ -28,6 +28,7 @@ _FUNCS = {
 }
 _CONSTS = {"pi": np.pi, "e": np.e}
 _SHOWN_CHARS = 60  # longest expression prefix an error message quotes
+_SHOWN_NAMES = 5  # most unknown names an error message lists
 
 
 def _shown(expr: str) -> str:
@@ -59,9 +60,10 @@ def compile_expression(expr: str, variables: tuple[str, ...]):
         }
     )
     if bad:
-        raise ConfigError(
-            [f"unknown name(s) {', '.join(bad)} in expression {_shown(expr)}"]
-        )
+        names = ", ".join(bad[:_SHOWN_NAMES])
+        if len(bad) > _SHOWN_NAMES:
+            names += f" and {len(bad) - _SHOWN_NAMES} more"
+        raise ConfigError([f"unknown name(s) {names} in expression {_shown(expr)}"])
     for node in ast.walk(tree):
         if isinstance(node, (ast.Attribute, ast.Subscript, ast.Lambda)) or (
             isinstance(node, ast.Constant) and not isinstance(node.value, (int, float))

@@ -44,16 +44,16 @@ class HomotopyConfig:
     """Family selection and constants for the two homotopies.
 
     family "delta" carries the strictly positive eigenfunction shift; family
-    "tilde" drops it.  J1/J2 must satisfy the spectral gate
-    0 < J_i < lambda_1,i * min(1, p_i_min - 1); radii may be left None for
-    auto-sizing.
+    "tilde" drops it.  J_i is ``J_fraction`` of the spectral bound
+    lambda_1,i * min(1, p_i_min - 1), so a fraction in (0, 1) satisfies the
+    gate 0 < J_i < bound by construction.  The t-grid is ``t_steps`` uniform
+    points of [0, 1].  Radii may be left None for auto-sizing.
     """
 
     family: str = "tilde"
-    J1: float = 0.0
-    J2: float = 0.0
+    J_fraction: float = 0.5
     delta: float | None = None
-    t_grid: tuple = tuple(np.round(np.linspace(0.0, 1.0, 11), 12))
+    t_steps: int = 11
     R: float | None = None
     R_hat: float | None = None
     rng_seed: int = 42
@@ -62,82 +62,40 @@ class HomotopyConfig:
         errors = []
         if self.family not in ("delta", "tilde"):
             errors.append(f"unknown homotopy family {self.family!r}")
-        tg = tuple(float(t) for t in self.t_grid)
-        if sorted(tg) != list(tg):
-            errors.append("t-grid must be sorted")
-        if not tg or tg[0] != 0.0 or tg[-1] != 1.0:
-            errors.append("t-grid must include the endpoints 0 and 1")
-        if any(t < 0 or t > 1 for t in tg):
-            errors.append("t-grid values must lie in [0, 1]")
+        if not 0.0 < self.J_fraction < 1.0:
+            errors.append(f"J_fraction must lie in (0, 1), got {self.J_fraction}")
+        if self.t_steps < 2:
+            errors.append(f"the t-grid needs at least 2 steps, got {self.t_steps}")
         if self.family == "delta" and (self.delta is None or self.delta <= 0):
             errors.append("the delta family needs delta > 0")
         if self.R is not None and self.R_hat is not None and not self.R_hat < self.R:
             errors.append("radii must satisfy R_hat < R")
         if errors:
             raise ConfigError(errors)
-        self.t_grid = tg
 
-    def validate_spectral_gate(self, ctx1, ctx2, eig1, eig2):
-        errors = []
-        for i, (ctx, eig, J) in enumerate(
-            [(ctx1, eig1, self.J1), (ctx2, eig2, self.J2)], start=1
-        ):
-            bound = eig.lambda1 * min(1.0, ctx.p.p_min - 1.0)
-            if not 0.0 < J < bound:
-                errors.append(
-                    f"J{i} = {J} violates 0 < J < lambda1 * min(1, p_min - 1) "
-                    f"= {bound}"
-                )
-        if errors:
-            raise ConfigError(errors)
+    @property
+    def t_grid(self) -> tuple:
+        return tuple(float(t) for t in np.round(np.linspace(0.0, 1.0, self.t_steps), 12))
 
-    @classmethod
-    def for_problem(
-        cls, ctx1, ctx2, eig1, eig2, J_fraction: float = 0.5, **kwargs
-    ) -> "HomotopyConfig":
-        J1 = J_fraction * eig1.lambda1 * min(1.0, ctx1.p.p_min - 1.0)
-        J2 = J_fraction * eig2.lambda1 * min(1.0, ctx2.p.p_min - 1.0)
-        cfg = cls(J1=J1, J2=J2, **kwargs)
-        cfg.validate_spectral_gate(ctx1, ctx2, eig1, eig2)
-        return cfg
-
-
-def homotopy_rhs(
-    cfg: HomotopyConfig,
-    t: float,
-    u1: GridFunction,
-    u2: GridFunction,
-    f: Nonlinearity,
-    ctx1: OperatorContext,
-    ctx2: OperatorContext,
-    eig1: EigenPair,
-    eig2: EigenPair,
-):
-    """Per-point callables (g1, g2) of the homotopy at parameter t.
-
-    The norm denominators max{1, ||u_i||} are frozen from the passed
-    iterates (the component Sobolev norm in both families); the returned
-    callables then depend on fresh state values only, which is exactly what
-    the outer-Picard / inner-Newton split needs.
-    """
-    dens = (
-        max(1.0, sobolev_norm(u1, ctx1.p)),
-        max(1.0, sobolev_norm(u2, ctx2.p)),
-    )
-    return _homotopy_loads(cfg, t, dens, f, ctx1, ctx2, eig1, eig2)
+    def J(self, ctx: OperatorContext, eig: EigenPair) -> float:
+        """J_i of the component with context ``ctx`` and eigenpair ``eig``."""
+        return self.J_fraction * eig.lambda1 * min(1.0, ctx.p.p_min - 1.0)
 
 
 def _homotopy_loads(cfg, t, dens, f, ctx1, ctx2, eig1, eig2):
-    """:func:`homotopy_rhs` with the denominators ``dens`` given.
+    """Per-point callables (g1, g2) of the homotopy at parameter t.
 
     Component i is t f_i + (1 - t) times the scalar reference load of
-    :func:`_scalar_reference_rhs`, shifted in the delta family.
+    :func:`_scalar_reference_rhs`, shifted in the delta family.  The caller
+    freezes the denominators ``dens`` = max{1, ||u_i||} (component Sobolev
+    norms, both families), so the callables depend on fresh state values
+    only, which is what the outer-Picard / inner-Newton split needs.
     """
     delta = cfg.delta if cfg.family == "delta" else None
 
-    def make(i, ctx, eig, J):
+    def make(i, ctx, eig):
         fi = f.component(i)
-        core = _scalar_reference_rhs(ctx, eig, J, delta, dens[i - 1])
+        core = _scalar_reference_rhs(ctx, eig, cfg.J(ctx, eig), delta, dens[i - 1])
 
         def g(points, s1, s2):
             points = np.atleast_2d(points)
@@ -146,7 +104,7 @@ def _homotopy_loads(cfg, t, dens, f, ctx1, ctx2, eig1, eig2):
 
         return g
 
-    return make(1, ctx1, eig1, cfg.J1), make(2, ctx2, eig2, cfg.J2)
+    return make(1, ctx1, eig1), make(2, ctx2, eig2)
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +295,6 @@ def continuation(
     what pick up nontrivial branches).  Per-step non-convergence is recorded
     in the trace, never fatal.
     """
-    cfg.validate_spectral_gate(ctx1, ctx2, eig1, eig2)
     mesh = ctx1.mesh
     trace = HomotopyTrace(family=cfg.family, rng_seed=cfg.rng_seed)
 

@@ -316,7 +316,7 @@ def test_criterion_07_nonexistence_probe(bench256):
 
 def test_criterion_08_trivial_reference_family(bench256):
     mesh, ctx, eig, f, hyp = bench256
-    cfg = HomotopyConfig.for_problem(ctx, ctx, eig, eig, family="tilde")
+    cfg = HomotopyConfig(family="tilde")
     rng = np.random.default_rng(8)
     seeds = [GridFunction.zeros(mesh)]
     for c in (0.3, -0.5, 1.0, 2.0, 5.0):
@@ -346,7 +346,7 @@ def test_criterion_08_trivial_reference_family(bench256):
 def test_criterion_09_homotopy_trace(bench256, bench256_solution):
     mesh, ctx, eig, f, hyp = bench256
     box, pos = bench256_solution
-    cfg = HomotopyConfig.for_problem(ctx, ctx, eig, eig, family="tilde")
+    cfg = HomotopyConfig(family="tilde")
     assert len(cfg.t_grid) == 11
     trace = continuation(cfg, f, ctx, ctx, eig, eig)
     bnd = boundedness_probe(trace)
@@ -397,7 +397,7 @@ def test_criterion_10_annulus_search():
     pos = solve_in_box(box, f, ctx, ctx)
     assert pos.converged
 
-    cfg = HomotopyConfig.for_problem(ctx, ctx, eig, eig, R=50.0)
+    cfg = HomotopyConfig(R=50.0)
     base = annulus_search(cfg, f, ctx, ctx, box, (pos.u1, pos.u2), eig, eig)
     inside = [s for s in base.solutions if s.inside_box]
     outside = [s for s in base.solutions if s.pair_norm > base.R_hat]

@@ -167,6 +167,7 @@ def test_cli_bad_mesh_override_is_config_error(tmp_path, capsys):
         (["eig", "--p=x" + "+x" * 50000, "--mesh", "n=8"], "nested too deeply"),
         (["eig", "--p=2 + 0*sin(x, x)", "--mesh", "n=8"], "to one argument"),
         (["eig", "--p=2 + 0*exp(x, out=x)", "--mesh", "n=8"], "to one argument"),
+        (["eig", "--p=" + "+".join(f"a{k}" for k in range(800)), "--mesh", "n=8"], "and 795 more"),
     ],
 )
 def test_cli_rejects_hostile_flags(tmp_path, monkeypatch, argv, message, capsys):
@@ -176,13 +177,44 @@ def test_cli_rejects_hostile_flags(tmp_path, monkeypatch, argv, message, capsys)
     # a deep expression raised RecursionError in the parser, and a ufunc's
     # second argument wrote into the mesh's read-only quadrature points;
     # an error quoted the whole expression, once for p1.expr and once for
-    # p2.expr, about 100 kB each for the 50,001-term sum
+    # p2.expr, about 100 kB each for the 50,001-term sum, and listed every
+    # unknown name, 4.8 kB for 800 of them
     monkeypatch.chdir(tmp_path)
     (tmp_path / "h.cfg").write_text("mesh.n = 32\nhomotopy.seeds = 1\n")
     assert main(argv) == 3
     err = capsys.readouterr().err
     assert message in err
     assert err.count("config error") == 1 and len(err) < 1000
+    assert not list(tmp_path.rglob("summary.json"))
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["missing input", "non-numeric input", "missing table", "output dir is a file",
+     "output dir under a file"],
+)
+def test_cli_file_problems_are_config_errors(tmp_path, monkeypatch, case, capsys):
+    # each exited 1 with a traceback; an output directory that cannot be made
+    # failed only after the whole run, when the artifacts were written
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the file check")
+
+    monkeypatch.setattr(cli, "first_eigenpair", no_solve)
+    missing, text, plain = tmp_path / "missing.csv", tmp_path / "text.csv", tmp_path / "file"
+    text.write_text("x,value\nzero,one\n")
+    plain.write_text("")
+    (tmp_path / "t.cfg").write_text(f"p1.table = {missing}\n")
+    out = ["--output-dir", str(tmp_path / "out")]
+    argv, path = {
+        "missing input": (["norm", "--input", str(missing), *out], missing),
+        "non-numeric input": (["norm", "--input", str(text), *out], text),
+        "missing table": (["eig", "--config", str(tmp_path / "t.cfg"), *out], missing),
+        "output dir is a file": (["eig", "--output-dir", str(plain)], plain),
+        "output dir under a file": (["eig", "--output-dir", str(plain / "sub")], plain / "sub"),
+    }[case]
+    assert main([*argv, "--mesh", "n=8", "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("config error") == 1 and str(path) in err
     assert not list(tmp_path.rglob("summary.json"))
 
 

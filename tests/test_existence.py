@@ -351,6 +351,26 @@ def test_reflected_box_verification(system64, box64, ctx2_64):
     assert rep.passed
 
 
+def test_verification_against_another_f_keeps_the_box_record(system64, ctx2_64, eig2_64):
+    # verify_ordered_box used to store its report in the box it checked, so
+    # checking the box of a non-odd f against the reflected f overwrote the
+    # box's own record
+    base, _ = system64
+
+    def lopsided(fi, i):
+        return lambda x, s1, s2: np.where(np.asarray((s1, s2)[i]) > 0, 1.2, 1.0) * fi(x, s1, s2)
+
+    f = Nonlinearity(
+        f1=lopsided(base.f1, 0), f2=lopsided(base.f2, 1), eta1=base.eta1, eta2=base.eta2
+    )
+    box = build_ordered_box(f, ctx2_64, ctx2_64, eig2_64, eig2_64)
+    own = box.verification
+    rep = verify_ordered_box(box, f.reflected(), ctx2_64, ctx2_64)
+    assert rep.worst_sub_margin != own.worst_sub_margin
+    assert box.verification is own
+    assert verify_ordered_box(box, f, ctx2_64, ctx2_64) == own
+
+
 def test_strong_variation_reported_honestly():
     # steep exponent growth: the eigenfunction-scaling supersolution loses
     # its margin near the boundary where the exponent increases along the

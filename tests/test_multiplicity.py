@@ -23,11 +23,11 @@ from pxlap.multiplicity import (
     DEDUP_DISTANCE,
     _SOLUTION_TOL,
     HomotopyConfig,
+    _homotopy_loads,
     _multistart,
     annulus_search,
     boundedness_probe,
     continuation,
-    homotopy_rhs,
     nonexistence_probe,
     pair_distance,
     solve_coupled,
@@ -38,39 +38,52 @@ from pxlap.multiplicity import (
 @pytest.fixture(scope="module")
 def system(ctx2_64, eig2_64):
     f = benchmark_family(ctx2_64, ctx2_64, eig2_64, eig2_64)
-    cfg = HomotopyConfig.for_problem(ctx2_64, ctx2_64, eig2_64, eig2_64)
+    cfg = HomotopyConfig()
     return f, cfg
 
 
+def _loads(cfg, t, u, f, ctx, eig):
+    """The homotopy loads of the pair (u, u), denominators frozen from u."""
+    den = max(1.0, sobolev_norm(u, ctx.p))
+    return _homotopy_loads(cfg, t, (den, den), f, ctx, ctx, eig, eig)
+
+
 def test_config_gate_rejects_large_J(ctx2_64, eig2_64):
-    with pytest.raises(ConfigError):
-        HomotopyConfig.for_problem(ctx2_64, ctx2_64, eig2_64, eig2_64, J_fraction=0.5) \
-            .validate_spectral_gate(ctx2_64, ctx2_64,
-                                    type("E", (), {"lambda1": 0.1})(), eig2_64)
-    cfg = HomotopyConfig(J1=100.0, J2=1.0)
-    with pytest.raises(ConfigError):
-        cfg.validate_spectral_gate(ctx2_64, ctx2_64, eig2_64, eig2_64)
+    # J_i is a fraction of lambda1 * min(1, p_min - 1): a fraction in (0, 1)
+    # is the spectral gate, and any other one is refused
+    for fraction in (0.0, 1.0, 1.5, -0.2, float("nan")):
+        with pytest.raises(ConfigError, match="J_fraction"):
+            HomotopyConfig(J_fraction=fraction)
+    bound = eig2_64.lambda1 * min(1.0, ctx2_64.p.p_min - 1.0)
+    for fraction in (1e-6, 0.5, 0.999):
+        J = HomotopyConfig(J_fraction=fraction).J(ctx2_64, eig2_64)
+        assert 0.0 < J < bound and J == pytest.approx(fraction * bound, rel=1e-14)
+    # a small lambda1 shrinks J with the bound instead of breaking the gate
+    small = type("E", (), {"lambda1": 0.1})()
+    assert 0.0 < HomotopyConfig().J(ctx2_64, small) < 0.1 * min(1.0, ctx2_64.p.p_min - 1.0)
 
 
 def test_config_t_grid_validation():
-    with pytest.raises(ConfigError):
-        HomotopyConfig(t_grid=(0.0, 1.5))
-    with pytest.raises(ConfigError):
-        HomotopyConfig(t_grid=(0.1, 0.5, 1.0))
+    for steps in (1, 0, -3):
+        with pytest.raises(ConfigError, match="t-grid"):
+            HomotopyConfig(t_steps=steps)
     with pytest.raises(ConfigError):
         HomotopyConfig(family="delta", delta=None)
+    # the grid is uniform, has both endpoints and holds plain floats
+    assert HomotopyConfig(t_steps=2).t_grid == (0.0, 1.0)
+    grid = HomotopyConfig().t_grid
+    assert grid == tuple(k / 10 for k in range(11))
+    assert all(type(t) is float for t in grid)
 
 
 def test_families_coincide_at_t1(system, ctx2_64, eig2_64):
     f, cfg = system
-    cfg_d = HomotopyConfig.for_problem(
-        ctx2_64, ctx2_64, eig2_64, eig2_64, family="delta", delta=1e-3
-    )
+    cfg_d = HomotopyConfig(family="delta", delta=1e-3)
     u = eig2_64.phi
     pts = ctx2_64.mesh.quad_points.reshape(-1, 1)
     s = u.at_qp().ravel()
-    g1t, _ = homotopy_rhs(cfg, 1.0, u, u, f, ctx2_64, ctx2_64, eig2_64, eig2_64)
-    g1d, _ = homotopy_rhs(cfg_d, 1.0, u, u, f, ctx2_64, ctx2_64, eig2_64, eig2_64)
+    g1t, _ = _loads(cfg, 1.0, u, f, ctx2_64, eig2_64)
+    g1d, _ = _loads(cfg_d, 1.0, u, f, ctx2_64, eig2_64)
     assert np.max(np.abs(g1t(pts, s, s) - g1d(pts, s, s))) <= 1e-14
 
 
@@ -79,12 +92,10 @@ def test_rhs_at_t0(system, ctx2_64, eig2_64):
     zero = GridFunction.zeros(ctx2_64.mesh)
     pts = ctx2_64.mesh.quad_points.reshape(-1, 1)
     s0 = np.zeros(len(pts))
-    g1, g2 = homotopy_rhs(cfg, 0.0, zero, zero, f, ctx2_64, ctx2_64, eig2_64, eig2_64)
+    g1, g2 = _loads(cfg, 0.0, zero, f, ctx2_64, eig2_64)
     assert np.max(np.abs(g1(pts, s0, s0))) == 0.0
-    cfg_d = HomotopyConfig.for_problem(
-        ctx2_64, ctx2_64, eig2_64, eig2_64, family="delta", delta=1e-3
-    )
-    g1d, _ = homotopy_rhs(cfg_d, 0.0, zero, zero, f, ctx2_64, ctx2_64, eig2_64, eig2_64)
+    cfg_d = HomotopyConfig(family="delta", delta=1e-3)
+    g1d, _ = _loads(cfg_d, 0.0, zero, f, ctx2_64, eig2_64)
     vals = g1d(pts, s0, s0)
     interior = (pts[:, 0] > 1e-3) & (pts[:, 0] < 1 - 1e-3)
     assert np.all(vals[interior] > 0)
@@ -92,15 +103,13 @@ def test_rhs_at_t0(system, ctx2_64, eig2_64):
 
 def test_delta_family_dominates_tilde(system, ctx2_64, eig2_64, rng):
     f, cfg = system
-    cfg_d = HomotopyConfig.for_problem(
-        ctx2_64, ctx2_64, eig2_64, eig2_64, family="delta", delta=1e-3
-    )
+    cfg_d = HomotopyConfig(family="delta", delta=1e-3)
     u = eig2_64.phi
     pts = ctx2_64.mesh.quad_points.reshape(-1, 1)
     s = np.abs(rng.standard_normal(len(pts)))
     for t in (0.0, 0.3, 0.9):
-        g_t, _ = homotopy_rhs(cfg, t, u, u, f, ctx2_64, ctx2_64, eig2_64, eig2_64)
-        g_d, _ = homotopy_rhs(cfg_d, t, u, u, f, ctx2_64, ctx2_64, eig2_64, eig2_64)
+        g_t, _ = _loads(cfg, t, u, f, ctx2_64, eig2_64)
+        g_d, _ = _loads(cfg_d, t, u, f, ctx2_64, eig2_64)
         diff = g_d(pts, s, s) - g_t(pts, s, s)
         expected = (1.0 - t) * cfg_d.delta * eig2_64.lambda1 * (
             eig2_64.phi.eval(pts) ** (ctx2_64.p.evaluate(pts) - 1.0)
@@ -351,7 +360,7 @@ def test_annulus_search_two_solutions(bratu_system):
     assert pos.converged
     assert pos.u1.values[mesh.n_nodes // 2] == pytest.approx(u_small_mid, abs=1e-3)
 
-    cfg = HomotopyConfig.for_problem(ctx, ctx, eig, eig, R=50.0)
+    cfg = HomotopyConfig(R=50.0)
     report = annulus_search(cfg, f, ctx, ctx, box, (pos.u1, pos.u2), eig, eig)
     assert report.second_solution_found
     assert len(report.solutions) >= 2
@@ -372,7 +381,7 @@ def test_annulus_seed_permutation_invariance(bratu_system):
     sup = GridFunction(mesh, 1.05 * small_prof)
     box = OrderedBox(GridFunction.zeros(mesh), GridFunction.zeros(mesh), sup, sup)
     pos = solve_in_box(box, f, ctx, ctx)
-    cfg = HomotopyConfig.for_problem(ctx, ctx, eig, eig, R=50.0)
+    cfg = HomotopyConfig(R=50.0)
     base = annulus_search(cfg, f, ctx, ctx, box, (pos.u1, pos.u2), eig, eig)
     n_seeds = 12 + 8 + 2
     perm = list(reversed(range(n_seeds)))
@@ -397,7 +406,7 @@ def test_annulus_zero_nonlinearity(ctx2_64, eig2_64):
     )
     box = OrderedBox(GridFunction.zeros(mesh), GridFunction.zeros(mesh), bump, bump)
     zero = GridFunction.zeros(mesh)
-    cfg = HomotopyConfig.for_problem(ctx2_64, ctx2_64, eig2_64, eig2_64, R=10.0)
+    cfg = HomotopyConfig(R=10.0)
     report = annulus_search(cfg, f0, ctx2_64, ctx2_64, box, (zero, zero), eig2_64, eig2_64)
     assert not report.second_solution_found
     assert all(s.inside_box for s in report.solutions)

@@ -20,7 +20,6 @@ from pxlap.multiplicity import (
     _homotopy_loads,
     _scalar_reference_rhs,
     _shift_at_qp,
-    homotopy_rhs,
     nonexistence_probe,
     solve_coupled,
     solve_homotopy_system,
@@ -132,11 +131,12 @@ def test_homotopy_loads_cached_equal_fallback(var_problem, family, monkeypatch):
     ctx, eig = var_problem
     mesh = ctx.mesh
     f = benchmark_family(ctx, ctx, eig, eig)
-    cfg = HomotopyConfig.for_problem(ctx, ctx, eig, eig, family=family, delta=1e-2)
+    cfg = HomotopyConfig(family=family, delta=1e-2)
     rng = np.random.default_rng(11)
     u1 = random_dirichlet_field(mesh, rng, scale=0.3)
     u2 = u1.with_values(np.abs(u1.values))
-    g1, g2 = homotopy_rhs(cfg, 0.4, u1, u2, f, ctx, ctx, eig, eig)
+    dens = (max(1.0, sobolev_norm(u1, ctx.p)), max(1.0, sobolev_norm(u2, ctx.p)))
+    g1, g2 = _homotopy_loads(cfg, 0.4, dens, f, ctx, ctx, eig, eig)
     s1, s2 = u1.at_qp().ravel(), u2.at_qp().ravel()
     qp = mesh.quad_points_flat
     evaluations = _count_calls(monkeypatch, ExponentField, "evaluate")
@@ -181,7 +181,7 @@ def test_nonexistence_probe_locates_a_few_times(var_problem, monkeypatch):
 def test_homotopy_system_reports_the_norms_of_its_solution(var_problem):
     ctx, eig = var_problem
     f = benchmark_family(ctx, ctx, eig, eig)
-    cfg = HomotopyConfig.for_problem(ctx, ctx, eig, eig, family="tilde")
+    cfg = HomotopyConfig(family="tilde")
     seed = eig.phi.with_values(2.0 * eig.phi.values)
     rep = solve_homotopy_system(cfg, 0.5, f, ctx, ctx, eig, eig, seed, seed)
     assert rep.picard_sweeps > 1
@@ -245,7 +245,7 @@ def _coupled_outcome(rep):
 def test_homotopy_system_matches_reference_loop(var_problem, family):
     ctx, eig = var_problem
     f = benchmark_family(ctx, ctx, eig, eig)
-    cfg = HomotopyConfig.for_problem(ctx, ctx, eig, eig, family=family, delta=1e-2)
+    cfg = HomotopyConfig(family=family, delta=1e-2)
     rng = np.random.default_rng(17)
     random = random_dirichlet_field(ctx.mesh, rng, scale=0.5)
     seeds = [GridFunction.zeros(ctx.mesh), eig.phi.with_values(2.0 * eig.phi.values), random]

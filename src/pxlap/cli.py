@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, PxlapError
+from .errors import ConfigError, MeshMismatchError, PxlapError
 from .eigen import enlarged_eigenpair, first_eigenpair
 from .existence import (
     Nonlinearity,
@@ -243,11 +243,12 @@ def build_mesh(v: dict):
 
 
 def _load_csv(what: str, path, mesh) -> GridFunction:
-    """The nodal CSV at ``path``; a file that cannot be read or holds no
-    numeric table is a config error of the setting ``what``."""
+    """The nodal CSV at ``path``; a file that cannot be read, holds no
+    numeric table or was written on another mesh is a config error of the
+    setting ``what``."""
     try:
         return load_grid_function_csv(path, mesh)
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MeshMismatchError) as exc:
         raise ConfigError([f"{what}: cannot read nodal CSV {path}: {exc}"]) from exc
 
 
@@ -283,7 +284,6 @@ def build_nonlinearity(v: dict, ctx1, ctx2, eig1, eig2) -> Nonlinearity:
             f2=state_expression(v["f2.expr"], dim),
             eta1=v["eta1"],
             eta2=v["eta2"],
-            name="config",
         )
     return benchmark_family(
         ctx1, ctx2, eig1, eig2,
@@ -396,13 +396,14 @@ def _positive_pair(v: dict):
     return ctx1, ctx2, eig1, eig2, f, hyp, box, pos
 
 
-def _probe(v: dict, ctx, eig):
-    """The nonexistence probe at J = homotopy.J_fraction * lambda1 * (p_min - 1)."""
-    return nonexistence_probe(
-        ctx, eig,
-        J=v["homotopy.J_fraction"] * eig.lambda1 * (ctx.p.p_min - 1.0),
+def build_homotopy(v: dict) -> HomotopyConfig:
+    """The reference problem of theorem2 and probe-L9 (0 radii = auto)."""
+    return HomotopyConfig(
+        J_fraction=v["homotopy.J_fraction"],
         delta=v["homotopy.delta"],
-        attempts=v["homotopy.seeds"],
+        t_steps=v["homotopy.t_steps"],
+        R=v["homotopy.R"] or None,
+        R_hat=v["homotopy.R_hat"] or None,
         rng_seed=v["homotopy.rng_seed"],
     )
 
@@ -435,18 +436,13 @@ def cmd_theorem2(v: dict, args):
     if not pos.converged:
         return {"error": "base solution did not converge"}, {}, 2
 
-    hcfg = HomotopyConfig(
-        J_fraction=v["homotopy.J_fraction"],
-        family=v["homotopy.family"],
-        t_steps=v["homotopy.t_steps"],
-        R=v["homotopy.R"] or None,
-        R_hat=v["homotopy.R_hat"] or None,
-        rng_seed=v["homotopy.rng_seed"],
-    )
+    hcfg = build_homotopy(v)
     trace = continuation(hcfg, f, ctx1, ctx2, eig1, eig2)
     bnd = boundedness_probe(trace, R=v["homotopy.R_tilde"] or None)
-    probe = _probe(v, ctx1, eig1)
-    triviality = all(s.pair_norm <= 1e-8 for s in trace.at_t(0.0).solutions)
+    probe = nonexistence_probe(
+        ctx1, eig1, hcfg.J(ctx1, eig1), hcfg.delta, v["homotopy.seeds"], rng_seed=hcfg.rng_seed
+    )
+    triviality = all(s.pair_norm <= 1e-8 for s in trace.steps[0].solutions)
     ann = annulus_search(hcfg, f, ctx1, ctx2, box, (pos.u1, pos.u2), eig1, eig2)
 
     payload = {
@@ -476,8 +472,12 @@ def cmd_theorem2(v: dict, args):
 
 
 def cmd_probe_l9(v: dict, args):
+    hcfg = build_homotopy(v)
     mesh, ctx1, _ = build_contexts(v)
-    probe = _probe(v, ctx1, first_eigenpair(ctx1))
+    eig1 = first_eigenpair(ctx1)
+    probe = nonexistence_probe(
+        ctx1, eig1, hcfg.J(ctx1, eig1), hcfg.delta, v["homotopy.seeds"], rng_seed=hcfg.rng_seed
+    )
     return {"nonexistence_probe": probe.summary()}, {}, 0
 
 

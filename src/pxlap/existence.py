@@ -46,8 +46,6 @@ class Nonlinearity:
     f2: object
     eta1: float
     eta2: float
-    nonneg: bool = False
-    name: str = "custom"
 
     def component(self, i: int):
         return self.f1 if i == 1 else self.f2
@@ -65,8 +63,6 @@ class Nonlinearity:
             f2=lambda x, s1, s2: -np.asarray(f2(x, -np.asarray(s1), -np.asarray(s2))),
             eta1=self.eta1,
             eta2=self.eta2,
-            nonneg=False,
-            name=f"reflected({self.name})",
         )
 
 
@@ -117,7 +113,6 @@ def benchmark_family(
         f2=lambda x, s1, s2: f2_core(x, s2, s1),
         eta1=eta_factor * thr1,
         eta2=eta_factor * thr2,
-        name="benchmark",
     )
 
 
@@ -377,8 +372,6 @@ def construct_supersolution(
     f: Nonlinearity,
     ctx1: OperatorContext,
     ctx2: OperatorContext,
-    eig1: EigenPair,
-    eig2: EigenPair,
     margin: float | None = None,
 ) -> SupersolutionResult:
     """Supersolution pair eps^-1 * (restricted enlarged eigenfunctions).
@@ -640,7 +633,7 @@ def build_ordered_box(
         raise HypothesisError(
             f"hypothesis probe failed: {hyp.summary()}"
         )
-    sup = construct_supersolution(f, ctx1, ctx2, eig1, eig2, margin=margin)
+    sup = construct_supersolution(f, ctx1, ctx2, margin=margin)
     u1, u2, eps_sub = construct_subsolution(
         f, ctx1, ctx2, eig1, eig2, hyp, u_sup=(sup.u_sup1, sup.u_sup2)
     )

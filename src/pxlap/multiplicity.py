@@ -1,4 +1,4 @@
-"""Computable ingredients of the degree argument: homotopy families,
+"""Computable ingredients of the degree argument: the reference problem,
 continuation, boundedness/nonexistence/triviality probes, annulus multi-start.
 
 Integer degree values are never computed.  Their witnesses are: a
@@ -39,20 +39,25 @@ _ANNULUS_EIG_SEEDS = 12
 _ANNULUS_RANDOM_SEEDS = 8
 
 
+def spectral_bound(ctx: OperatorContext, eig: EigenPair) -> float:
+    """lambda1 * min(1, p_min - 1): the reference coefficient J must lie in
+    (0, bound) for the reference problem to have no nontrivial solution."""
+    return eig.lambda1 * min(1.0, ctx.p.p_min - 1.0)
+
+
 @dataclass
 class HomotopyConfig:
-    """Family selection and constants for the two homotopies.
+    """The reference problem of the homotopy and of the nonexistence probe.
 
-    family "delta" carries the strictly positive eigenfunction shift; family
-    "tilde" drops it.  J_i is ``J_fraction`` of the spectral bound
-    lambda_1,i * min(1, p_i_min - 1), so a fraction in (0, 1) satisfies the
-    gate 0 < J_i < bound by construction.  The t-grid is ``t_steps`` uniform
-    points of [0, 1].  Radii may be left None for auto-sizing.
+    J_i is ``J_fraction`` of :func:`spectral_bound`, so a fraction in (0, 1)
+    satisfies the gate 0 < J_i < bound by construction.  The probe adds the
+    shift ``delta`` * lambda1 * phi1^(p-1) to the reference load; the
+    homotopy does not.  The t-grid is ``t_steps`` uniform points of [0, 1].
+    Radii may be left None for auto-sizing.
     """
 
-    family: str = "tilde"
     J_fraction: float = 0.5
-    delta: float | None = None
+    delta: float = 1e-3
     t_steps: int = 11
     R: float | None = None
     R_hat: float | None = None
@@ -60,14 +65,12 @@ class HomotopyConfig:
 
     def __post_init__(self):
         errors = []
-        if self.family not in ("delta", "tilde"):
-            errors.append(f"unknown homotopy family {self.family!r}")
         if not 0.0 < self.J_fraction < 1.0:
             errors.append(f"J_fraction must lie in (0, 1), got {self.J_fraction}")
         if self.t_steps < 2:
             errors.append(f"the t-grid needs at least 2 steps, got {self.t_steps}")
-        if self.family == "delta" and (self.delta is None or self.delta <= 0):
-            errors.append("the delta family needs delta > 0")
+        if not self.delta > 0:
+            errors.append(f"the probe's shift needs delta > 0, got {self.delta}")
         if self.R is not None and self.R_hat is not None and not self.R_hat < self.R:
             errors.append("radii must satisfy R_hat < R")
         if errors:
@@ -79,23 +82,21 @@ class HomotopyConfig:
 
     def J(self, ctx: OperatorContext, eig: EigenPair) -> float:
         """J_i of the component with context ``ctx`` and eigenpair ``eig``."""
-        return self.J_fraction * eig.lambda1 * min(1.0, ctx.p.p_min - 1.0)
+        return self.J_fraction * spectral_bound(ctx, eig)
 
 
 def _homotopy_loads(cfg, t, dens, f, ctx1, ctx2, eig1, eig2):
     """Per-point callables (g1, g2) of the homotopy at parameter t.
 
-    Component i is t f_i + (1 - t) times the scalar reference load of
-    :func:`_scalar_reference_rhs`, shifted in the delta family.  The caller
-    freezes the denominators ``dens`` = max{1, ||u_i||} (component Sobolev
-    norms, both families), so the callables depend on fresh state values
-    only, which is what the outer-Picard / inner-Newton split needs.
+    Component i is t f_i + (1 - t) times the unshifted scalar reference load
+    of :func:`_scalar_reference_rhs`.  The caller freezes the denominators
+    ``dens`` = max{1, ||u_i||} (component Sobolev norms), so the callables
+    depend on fresh state values only, which is what the outer-Picard /
+    inner-Newton split needs.
     """
-    delta = cfg.delta if cfg.family == "delta" else None
-
     def make(i, ctx, eig):
         fi = f.component(i)
-        core = _scalar_reference_rhs(ctx, eig, cfg.J(ctx, eig), delta, dens[i - 1])
+        core = _scalar_reference_rhs(ctx, eig, cfg.J(ctx, eig), None, dens[i - 1])
 
         def g(points, s1, s2):
             points = np.atleast_2d(points)
@@ -215,22 +216,15 @@ class TraceStep:
 
 @dataclass
 class HomotopyTrace:
-    family: str
     rng_seed: int
     steps: list = field(default_factory=list)
 
     def max_pair_norm(self) -> float:
         return max((s.pair_norm for st in self.steps for s in st.solutions), default=0.0)
 
-    def at_t(self, t: float) -> TraceStep:
-        for s in self.steps:
-            if abs(s.t - t) < 1e-12:
-                return s
-        raise KeyError(f"no trace step at t = {t}")
-
     def summary(self) -> dict:
         return {
-            "family": self.family,
+            "family": "tilde",  # the only homotopy; the key keeps the schema
             "rng_seed": self.rng_seed,
             "max_pair_norm": self.max_pair_norm(),
             "steps": [
@@ -291,12 +285,12 @@ def continuation(
 
     Each step is seeded from the previous step's solutions plus the zero
     pair and scaled eigenfunction pairs (the trivial branch persists along
-    the whole tilde family whenever f vanishes at zero, so fresh seeds are
+    the whole homotopy whenever f vanishes at zero, so fresh seeds are
     what pick up nontrivial branches).  Per-step non-convergence is recorded
     in the trace, never fatal.
     """
     mesh = ctx1.mesh
-    trace = HomotopyTrace(family=cfg.family, rng_seed=cfg.rng_seed)
+    trace = HomotopyTrace(rng_seed=cfg.rng_seed)
 
     def eig_seed(scale):
         return (
@@ -438,13 +432,13 @@ def nonexistence_probe(
     if attempts < 1:
         # no attempt would make ``passed`` true without any evidence
         raise ConfigError([f"the nonexistence probe needs at least one attempt, got {attempts}"])
-    bound = eig.lambda1 * (ctx.p.p_min - 1.0)
+    bound = spectral_bound(ctx, eig)
     if not 0.0 < J < bound:
         return NonexistenceReport(
             applicable=False,
             reason=(
                 f"J = {J} violates the spectral gate 0 < J < "
-                f"lambda1 * (p_min - 1) = {bound}; the probe does not apply"
+                f"lambda1 * min(1, p_min - 1) = {bound}; the probe does not apply"
             ),
             tolerance=tolerance,
             rng_seed=rng_seed,

@@ -316,7 +316,7 @@ def test_criterion_07_nonexistence_probe(bench256):
 
 def test_criterion_08_trivial_reference_family(bench256):
     mesh, ctx, eig, f, hyp = bench256
-    cfg = HomotopyConfig(family="tilde")
+    cfg = HomotopyConfig()
     rng = np.random.default_rng(8)
     seeds = [GridFunction.zeros(mesh)]
     for c in (0.3, -0.5, 1.0, 2.0, 5.0):
@@ -346,13 +346,13 @@ def test_criterion_08_trivial_reference_family(bench256):
 def test_criterion_09_homotopy_trace(bench256, bench256_solution):
     mesh, ctx, eig, f, hyp = bench256
     box, pos = bench256_solution
-    cfg = HomotopyConfig(family="tilde")
+    cfg = HomotopyConfig()
     assert len(cfg.t_grid) == 11
     trace = continuation(cfg, f, ctx, ctx, eig, eig)
     bnd = boundedness_probe(trace)
     dists = [
         pair_distance(pair, (pos.u1, pos.u2), ctx, ctx)
-        for pair in trace.at_t(1.0).solutions
+        for pair in trace.steps[-1].solutions
     ]
     ok = (
         bnd.max_pair_norm < bnd.suggested_radius
@@ -384,8 +384,6 @@ def test_criterion_10_annulus_search():
         f2=lambda x, s1, s2: f_own(x, s2, s1),
         eta1=1.0,
         eta2=1.0,
-        nonneg=True,
-        name="two-solution benchmark",
     )
     # dense shooting oracle enumerates the solution set first
     oracle = bratu_solutions_by_shooting(lam)

@@ -191,11 +191,13 @@ def test_cli_rejects_hostile_flags(tmp_path, monkeypatch, argv, message, capsys)
 @pytest.mark.parametrize(
     "case",
     ["missing input", "non-numeric input", "missing table", "output dir is a file",
-     "output dir under a file"],
+     "output dir under a file", "input on another mesh", "input on another domain",
+     "p1 table on another mesh", "p2 table on another mesh"],
 )
 def test_cli_file_problems_are_config_errors(tmp_path, monkeypatch, case, capsys):
     # each exited 1 with a traceback; an output directory that cannot be made
-    # failed only after the whole run, when the artifacts were written
+    # failed only after the whole run, when the artifacts were written; a CSV
+    # written on another mesh exited 2, the non-convergence code
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran before the file check")
 
@@ -203,12 +205,22 @@ def test_cli_file_problems_are_config_errors(tmp_path, monkeypatch, case, capsys
     missing, text, plain = tmp_path / "missing.csv", tmp_path / "text.csv", tmp_path / "file"
     text.write_text("x,value\nzero,one\n")
     plain.write_text("")
+    # the run's mesh is n=8 on [0, 1]: 9 nodes
+    fine, wide = tmp_path / "fine.csv", tmp_path / "wide.csv"
+    fine.write_text("x,value\n" + "".join(f"{x:.17g},2.0\n" for x in np.linspace(0, 1, 17)))
+    wide.write_text("x,value\n" + "".join(f"{x:.17g},2.0\n" for x in np.linspace(0, 2, 9)))
     (tmp_path / "t.cfg").write_text(f"p1.table = {missing}\n")
+    (tmp_path / "t1.cfg").write_text(f"p1.table = {fine}\n")
+    (tmp_path / "t2.cfg").write_text(f"p2.table = {fine}\n")
     out = ["--output-dir", str(tmp_path / "out")]
     argv, path = {
         "missing input": (["norm", "--input", str(missing), *out], missing),
         "non-numeric input": (["norm", "--input", str(text), *out], text),
         "missing table": (["eig", "--config", str(tmp_path / "t.cfg"), *out], missing),
+        "input on another mesh": (["norm", "--input", str(fine), *out], fine),
+        "input on another domain": (["norm", "--input", str(wide), *out], wide),
+        "p1 table on another mesh": (["eig", "--config", str(tmp_path / "t1.cfg"), *out], fine),
+        "p2 table on another mesh": (["eig", "--config", str(tmp_path / "t2.cfg"), *out], fine),
         "output dir is a file": (["eig", "--output-dir", str(plain)], plain),
         "output dir under a file": (["eig", "--output-dir", str(plain / "sub")], plain / "sub"),
     }[case]
@@ -230,6 +242,20 @@ def test_cli_probe_delta_flag_is_recorded(tmp_path):
     data = json.loads((tmp_path / "summary.json").read_text())
     assert data["effective_config"]["homotopy.delta"] == 0.01
     assert data["nonexistence_probe"]["delta"] == 0.01
+
+
+def test_cli_probe_reads_the_homotopy_J(tmp_path):
+    # probe-L9 used to take J = J_fraction * lambda1 * (p_min - 1), which
+    # exceeds lambda1 at the default fraction once p_min > 3, and still
+    # reported the gate satisfied; it now probes at the trace's J
+    cfg = tmp_path / "p.cfg"
+    cfg.write_text("mesh.n = 32\np1.expr = 3.5\np2.expr = 3.5\nhomotopy.seeds = 3\n")
+    assert main(["eig", "--config", str(cfg), "--output-dir", str(tmp_path / "eig"), "--quiet"]) == 0
+    assert main(["probe-L9", "--config", str(cfg), "--output-dir", str(tmp_path / "probe"), "--quiet"]) == 0
+    lambda1 = json.loads((tmp_path / "eig" / "summary.json").read_text())["eigen"]["lambda1"]
+    probe = json.loads((tmp_path / "probe" / "summary.json").read_text())["nonexistence_probe"]
+    assert probe["J"] == pytest.approx(0.5 * lambda1, rel=1e-12)
+    assert probe["J"] < lambda1 and probe["applicable"]
 
 
 def test_cli_reports_file_and_flag_errors_at_once(tmp_path, capsys):

@@ -75,7 +75,7 @@ def test_threshold_sharpness(ctx2_64, eig2_64):
 
 def test_supersolution_certificate(system64, ctx2_64, eig2_64):
     f, hyp = system64
-    sup = construct_supersolution(f, ctx2_64, ctx2_64, eig2_64, eig2_64)
+    sup = construct_supersolution(f, ctx2_64, ctx2_64)
     c = sup.constants
     # independent re-evaluation of every certificate inequality
     assert np.all(sup.enlarged1.phi_restricted.values > c["tau"])
@@ -109,7 +109,7 @@ def test_supersolution_certificate(system64, ctx2_64, eig2_64):
 
 def test_halved_eps_still_valid(system64, ctx2_64, eig2_64):
     f, hyp = system64
-    sup = construct_supersolution(f, ctx2_64, ctx2_64, eig2_64, eig2_64)
+    sup = construct_supersolution(f, ctx2_64, ctx2_64)
     c = sup.constants
     eps = 0.5 * c["eps_super"]
     for i, enl in enumerate((sup.enlarged1, sup.enlarged2)):
@@ -130,14 +130,14 @@ def test_equal_contexts_share_the_enlarged_eigenpair(monkeypatch, system64, ctx2
     )
     f, _ = system64
     twin = OperatorContext(ctx2_64.mesh, ctx2_64.p)
-    construct_supersolution(f, ctx2_64, twin, eig2_64, eig2_64)
+    construct_supersolution(f, ctx2_64, twin)
     assert len(calls) == 1
 
     calls.clear()
     other = OperatorContext(ctx2_64.mesh, ExponentField(ctx2_64.mesh, "2 + 0.1*x"))
     eig_other = first_eigenpair(other)
     f = benchmark_family(ctx2_64, other, eig2_64, eig_other)
-    construct_supersolution(f, ctx2_64, other, eig2_64, eig_other)
+    construct_supersolution(f, ctx2_64, other)
     assert calls == [ctx2_64, other]
 
 
@@ -379,7 +379,7 @@ def test_strong_variation_reported_honestly():
     ctx = OperatorContext(mesh, ExponentField(mesh, "2 + 0.5*x"))
     eig = first_eigenpair(ctx)
     f = benchmark_family(ctx, ctx, eig, eig)
-    sup = construct_supersolution(f, ctx, ctx, eig, eig)
+    sup = construct_supersolution(f, ctx, ctx)
     sub = eig.phi.with_values(0.25 * eig.phi.values)
     box = OrderedBox(sub, sub, sup.u_sup1, sup.u_sup2)
     rep = verify_ordered_box(box, f, ctx, ctx)

@@ -1,4 +1,4 @@
-"""Byte-for-byte answers of three CLI runs.
+"""Byte-for-byte answers of four CLI runs.
 
 Each case runs ``pxlap.cli.main`` in-process and compares its ``summary.json``
 and every CSV with the files under ``tests/golden/<case>/``.  ``runmeta.json``
@@ -31,6 +31,7 @@ homotopy.seeds = 4
 CASES = {
     "theorem1": ["theorem1", "--config", "{config}"],
     "theorem2": ["theorem2", "--config", "{config}"],
+    "probe-L9": ["probe-L9", "--config", "{config}"],
     "eig-2d": ["eig", "--p", "2 + 0.1*x", "--mesh", "kind=rectangle,nx=8,ny=8", "--margin", "0.25"],
 }
 

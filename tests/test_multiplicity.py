@@ -25,6 +25,7 @@ from pxlap.multiplicity import (
     HomotopyConfig,
     _homotopy_loads,
     _multistart,
+    _scalar_reference_rhs,
     annulus_search,
     boundedness_probe,
     continuation,
@@ -67,24 +68,15 @@ def test_config_t_grid_validation():
     for steps in (1, 0, -3):
         with pytest.raises(ConfigError, match="t-grid"):
             HomotopyConfig(t_steps=steps)
-    with pytest.raises(ConfigError):
-        HomotopyConfig(family="delta", delta=None)
+    # delta is the probe's shift
+    for delta in (0.0, -1e-3, float("nan")):
+        with pytest.raises(ConfigError, match="delta > 0"):
+            HomotopyConfig(delta=delta)
     # the grid is uniform, has both endpoints and holds plain floats
     assert HomotopyConfig(t_steps=2).t_grid == (0.0, 1.0)
     grid = HomotopyConfig().t_grid
     assert grid == tuple(k / 10 for k in range(11))
     assert all(type(t) is float for t in grid)
-
-
-def test_families_coincide_at_t1(system, ctx2_64, eig2_64):
-    f, cfg = system
-    cfg_d = HomotopyConfig(family="delta", delta=1e-3)
-    u = eig2_64.phi
-    pts = ctx2_64.mesh.quad_points.reshape(-1, 1)
-    s = u.at_qp().ravel()
-    g1t, _ = _loads(cfg, 1.0, u, f, ctx2_64, eig2_64)
-    g1d, _ = _loads(cfg_d, 1.0, u, f, ctx2_64, eig2_64)
-    assert np.max(np.abs(g1t(pts, s, s) - g1d(pts, s, s))) <= 1e-14
 
 
 def test_rhs_at_t0(system, ctx2_64, eig2_64):
@@ -94,29 +86,25 @@ def test_rhs_at_t0(system, ctx2_64, eig2_64):
     s0 = np.zeros(len(pts))
     g1, g2 = _loads(cfg, 0.0, zero, f, ctx2_64, eig2_64)
     assert np.max(np.abs(g1(pts, s0, s0))) == 0.0
-    cfg_d = HomotopyConfig(family="delta", delta=1e-3)
-    g1d, _ = _loads(cfg_d, 0.0, zero, f, ctx2_64, eig2_64)
-    vals = g1d(pts, s0, s0)
-    interior = (pts[:, 0] > 1e-3) & (pts[:, 0] < 1 - 1e-3)
-    assert np.all(vals[interior] > 0)
 
 
-def test_delta_family_dominates_tilde(system, ctx2_64, eig2_64, rng):
-    f, cfg = system
-    cfg_d = HomotopyConfig(family="delta", delta=1e-3)
-    u = eig2_64.phi
+def test_probe_load_adds_the_shift(ctx2_64, eig2_64, rng):
+    # the probe's load is the homotopy's reference load plus
+    # delta * lambda1 * phi1^(p-1), which is positive inside the domain
+    cfg = HomotopyConfig()
+    J = cfg.J(ctx2_64, eig2_64)
     pts = ctx2_64.mesh.quad_points.reshape(-1, 1)
-    s = np.abs(rng.standard_normal(len(pts)))
-    for t in (0.0, 0.3, 0.9):
-        g_t, _ = _loads(cfg, t, u, f, ctx2_64, eig2_64)
-        g_d, _ = _loads(cfg_d, t, u, f, ctx2_64, eig2_64)
-        diff = g_d(pts, s, s) - g_t(pts, s, s)
-        expected = (1.0 - t) * cfg_d.delta * eig2_64.lambda1 * (
-            eig2_64.phi.eval(pts) ** (ctx2_64.p.evaluate(pts) - 1.0)
-        )
-        assert np.allclose(diff, expected, atol=1e-14)
-        interior = (pts[:, 0] > 1e-3) & (pts[:, 0] < 1 - 1e-3)
-        assert np.all(diff[interior] > 0)
+    interior = (pts[:, 0] > 1e-3) & (pts[:, 0] < 1 - 1e-3)
+    expected = cfg.delta * eig2_64.lambda1 * (
+        eig2_64.phi.eval(pts) ** (ctx2_64.p.evaluate(pts) - 1.0)
+    )
+    assert np.all(expected[interior] > 0)
+    for den in (1.0, 1.7):
+        shifted = _scalar_reference_rhs(ctx2_64, eig2_64, J, cfg.delta, den)
+        plain = _scalar_reference_rhs(ctx2_64, eig2_64, J, None, den)
+        for s in (np.zeros(len(pts)), np.abs(rng.standard_normal(len(pts)))):
+            assert np.allclose(shifted(pts, s) - plain(pts, s), expected, atol=1e-14)
+        assert np.max(np.abs(plain(pts, np.zeros(len(pts))))) == 0.0
 
 
 def test_tilde_t0_trivial(system, ctx2_64, eig2_64):
@@ -151,7 +139,7 @@ def test_continuation_recovers_box_solution(system, ctx2_64, eig2_64):
     trace = continuation(cfg, f, ctx2_64, ctx2_64, eig2_64, eig2_64)
     dists = [
         pair_distance(pair, (sol.u1, sol.u2), ctx2_64, ctx2_64)
-        for pair in trace.at_t(1.0).solutions
+        for pair in trace.steps[-1].solutions
     ]
     assert min(dists) <= 1e-7
 
@@ -172,6 +160,18 @@ def test_nonexistence_probe_gates(ctx2_64, eig2_64):
     rep = nonexistence_probe(ctx2_64, eig2_64, J=2.0 * eig2_64.lambda1, delta=1e-3)
     assert not rep.applicable
     assert "does not apply" in rep.reason
+
+
+def test_nonexistence_probe_gate_is_the_spectral_bound():
+    # the gate was lambda1 * (p_min - 1), which admits J >= lambda1 once
+    # p_min > 2; at p = 3.5 the bound is lambda1 itself
+    mesh = build_interval_mesh(0.0, 1.0, 32)
+    ctx = OperatorContext(mesh, ExponentField(mesh, "3.5"))
+    eig = first_eigenpair(ctx)
+    for J in (eig.lambda1, 1.5 * eig.lambda1, 2.4 * eig.lambda1):
+        rep = nonexistence_probe(ctx, eig, J=J, delta=1e-3, attempts=3)
+        assert not rep.applicable and not rep.attempts and not rep.passed
+        assert "min(1, p_min - 1)" in rep.reason
 
 
 @pytest.mark.parametrize("attempts", [0, -5])
@@ -329,8 +329,6 @@ def bratu_system():
         f2=lambda x, s1, s2: f_own(x, s2, s1),
         eta1=1.0,
         eta2=1.0,
-        nonneg=True,
-        name="exponential",
     )
     return mesh, ctx, eig, f, lam
 

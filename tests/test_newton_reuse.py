@@ -126,12 +126,11 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-@pytest.mark.parametrize("family", ["tilde", "delta"])
-def test_homotopy_loads_cached_equal_fallback(var_problem, family, monkeypatch):
+def test_homotopy_loads_cached_equal_fallback(var_problem, monkeypatch):
     ctx, eig = var_problem
     mesh = ctx.mesh
     f = benchmark_family(ctx, ctx, eig, eig)
-    cfg = HomotopyConfig(family=family, delta=1e-2)
+    cfg = HomotopyConfig()
     rng = np.random.default_rng(11)
     u1 = random_dirichlet_field(mesh, rng, scale=0.3)
     u2 = u1.with_values(np.abs(u1.values))
@@ -181,7 +180,7 @@ def test_nonexistence_probe_locates_a_few_times(var_problem, monkeypatch):
 def test_homotopy_system_reports_the_norms_of_its_solution(var_problem):
     ctx, eig = var_problem
     f = benchmark_family(ctx, ctx, eig, eig)
-    cfg = HomotopyConfig(family="tilde")
+    cfg = HomotopyConfig()
     seed = eig.phi.with_values(2.0 * eig.phi.values)
     rep = solve_homotopy_system(cfg, 0.5, f, ctx, ctx, eig, eig, seed, seed)
     assert rep.picard_sweeps > 1
@@ -241,11 +240,10 @@ def _coupled_outcome(rep):
     )
 
 
-@pytest.mark.parametrize("family", ["tilde", "delta"])
-def test_homotopy_system_matches_reference_loop(var_problem, family):
+def test_homotopy_system_matches_reference_loop(var_problem):
     ctx, eig = var_problem
     f = benchmark_family(ctx, ctx, eig, eig)
-    cfg = HomotopyConfig(family=family, delta=1e-2)
+    cfg = HomotopyConfig()
     rng = np.random.default_rng(17)
     random = random_dirichlet_field(ctx.mesh, rng, scale=0.5)
     seeds = [GridFunction.zeros(ctx.mesh), eig.phi.with_values(2.0 * eig.phi.values), random]

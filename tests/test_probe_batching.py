@@ -303,7 +303,7 @@ CASES = {
 @pytest.fixture(scope="module")
 def eta_bar_64(ctx2_64, eig2_64):
     f = benchmark_family(ctx2_64, ctx2_64, eig2_64, eig2_64)
-    return construct_supersolution(f, ctx2_64, ctx2_64, eig2_64, eig2_64).constants["eta_bar"]
+    return construct_supersolution(f, ctx2_64, ctx2_64).constants["eta_bar"]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -346,7 +346,7 @@ def test_benchmark_on_variable_exponent_matches_reference(ctxvar_64, eigvar_64):
     want = reference_check_hypotheses(f, ctxvar_64, ctxvar_64, eigvar_64, eigvar_64)
     assert repr(got) == repr(want)
 
-    sup = construct_supersolution(f, ctxvar_64, ctxvar_64, eigvar_64, eigvar_64)
+    sup = construct_supersolution(f, ctxvar_64, ctxvar_64)
     x = _x_samples(ctxvar_64, N_X_SAMPLES)
     pmin = (ctxvar_64.p.p_min, ctxvar_64.p.p_min)
     rho, c_rho = reference_tail_constants(f, x, sup.constants["eta_bar"], pmin)
@@ -371,7 +371,7 @@ def test_probe_call_count_and_batch_size(ctx2_64, eig2_64):
     sizes = []
     _log_sizes(f, sizes)
     check_hypotheses(f, ctx2_64, ctx2_64, eig2_64, eig2_64)
-    construct_supersolution(f, ctx2_64, ctx2_64, eig2_64, eig2_64)
+    construct_supersolution(f, ctx2_64, ctx2_64)
     n_x = len(_x_samples(ctx2_64, N_X_SAMPLES))
     # the per-state loops made tens of thousands of calls
     assert len(sizes) <= 1000

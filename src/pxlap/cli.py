@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .errors import ConfigError, MeshMismatchError, PxlapError
+from .errors import ConfigError, DomainError, HypothesisError, MeshMismatchError, PxlapError
 from .eigen import enlarged_eigenpair, first_eigenpair
 from .existence import (
     Nonlinearity,
@@ -160,7 +160,7 @@ def _validate(v: dict) -> list:
     errors = []
     if v["mesh.kind"] not in ("interval", "rectangle"):
         errors.append(f"mesh.kind must be interval or rectangle, got {v['mesh.kind']!r}")
-    for key in ("solver.tol", "tol.increment", "tol.residual", "homotopy.delta"):
+    for key in ("solver.tol", "tol.increment", "tol.residual"):
         if v[key] <= 0:
             errors.append(f"{key} must be positive")
     if v["homotopy.family"] != "tilde":
@@ -175,8 +175,6 @@ def _validate(v: dict) -> list:
             f"output.formats must list json and optionally csv, got "
             f"{v['output.formats']!r}: summary.json is always written"
         )
-    if v["homotopy.t_steps"] < 2:
-        errors.append("homotopy.t_steps must be at least 2")
     # a probe or lemma suite of zero samples would pass without evidence, and
     # a Newton solve of zero iterations would return its seed
     for key in ("homotopy.seeds", "verify.samples", "solver.max_iter"):
@@ -190,11 +188,10 @@ def _validate(v: dict) -> list:
     ):
         if v[key] < 0:
             errors.append(f"{key} must be >= 0")
-    # checked again by HomotopyConfig, but only after the positive solve
-    if 0 < v["homotopy.R"] <= v["homotopy.R_hat"]:
-        errors.append("radii must satisfy homotopy.R_hat < homotopy.R")
-    if not 0.0 < v["homotopy.J_fraction"] < 1.0:
-        errors.append("homotopy.J_fraction must lie in (0, 1)")
+    try:
+        build_homotopy(v)
+    except ConfigError as exc:
+        errors.extend(f"homotopy: {e}" for e in exc.errors)
     dim = 1 if v["mesh.kind"] == "interval" else 2
     # evaluate every expression once: an exponent must be finite on the
     # domain, an f expression must at least not raise
@@ -235,11 +232,17 @@ def _validate(v: dict) -> list:
 
 
 def build_mesh(v: dict):
+    """The configured mesh; a box or cell count the mesh factories reject
+    is a config error of the mesh settings."""
     if v["mesh.kind"] == "interval":
-        return build_interval_mesh(v["mesh.a"], v["mesh.b"], v["mesh.n"])
-    return build_rectangle_mesh(
-        v["mesh.ax"], v["mesh.ay"], v["mesh.bx"], v["mesh.by"], v["mesh.nx"], v["mesh.ny"]
-    )
+        build, keys = build_interval_mesh, ("mesh.a", "mesh.b", "mesh.n")
+    else:
+        build = build_rectangle_mesh
+        keys = ("mesh.ax", "mesh.ay", "mesh.bx", "mesh.by", "mesh.nx", "mesh.ny")
+    try:
+        return build(*(v[k] for k in keys))
+    except DomainError as exc:
+        raise ConfigError([f"{', '.join(keys)}: {exc}"]) from exc
 
 
 def _load_csv(what: str, path, mesh) -> GridFunction:
@@ -259,10 +262,14 @@ def build_contexts(v: dict):
         table = v[f"p{i}.table"]
         if i == 2 and table == v["p1.table"] and v["p2.expr"] == v["p1.expr"]:
             fields.append(fields[0])  # identical spec: share the field
-        elif table:
-            fields.append(ExponentField(mesh, _load_csv(f"p{i}.table", table, mesh)))
-        else:
-            fields.append(ExponentField(mesh, v[f"p{i}.expr"]))
+            continue
+        key = f"p{i}.table" if table else f"p{i}.expr"
+        rule = _load_csv(key, table, mesh) if table else v[key]
+        # p_min > 1 is checked at the mesh's points, so only once it exists
+        try:
+            fields.append(ExponentField(mesh, rule))
+        except HypothesisError as exc:
+            raise ConfigError([f"{key}: {exc}"]) from exc
     ctxs = [
         OperatorContext(
             mesh,

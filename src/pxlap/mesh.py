@@ -80,7 +80,7 @@ class Mesh:
         Physical quadrature point coordinates.
     quad_points_flat : ndarray, shape (n_elements * n_qp, dimension)
         The same coordinates as one point list; point-wise loads are
-        evaluated on this very array, so builders may recognize it.
+        evaluated on this array.
     quad_weights : ndarray, shape (n_elements, n_qp)
         Quadrature weights, element measure included.
     basis : ndarray, shape (n_qp, nodes_per_element)
@@ -263,6 +263,10 @@ def snap_margin(mesh: Mesh, margin: float) -> float:
     if margin <= 0:
         raise DomainError(f"margin must be positive, got {margin}")
     h = mesh.spacing.max()
+    # candidates stay below margin + diameter + 2h; a dilation adds two per axis
+    cells = mesh.cells + 2.0 * (margin + mesh.diameter + 2.0 * h) / mesh.spacing
+    if not np.all(cells < np.iinfo(mesh.cells.dtype).max):
+        raise DomainError(f"margin {margin} needs more cells per axis than a mesh can count")
     first = max(1, int(np.ceil(margin / h - 1e-12)))
     m = np.arange(first, first + int(mesh.diameter / h) + 2)
     counts = np.outer(m * h, 1.0 / mesh.spacing)

@@ -85,23 +85,33 @@ class HomotopyConfig:
         return self.J_fraction * spectral_bound(ctx, eig)
 
 
-def _homotopy_loads(cfg, t, dens, f, ctx1, ctx2, eig1, eig2):
-    """Per-point callables (g1, g2) of the homotopy at parameter t.
+def _reference_load(ctx, J, den):
+    """The reference load s -> J (s+)^(p-1) / den^(p-1).
 
-    Component i is t f_i + (1 - t) times the unshifted scalar reference load
-    of :func:`_scalar_reference_rhs`.  The caller freezes the denominators
-    ``dens`` = max{1, ||u_i||} (component Sobolev norms), so the callables
-    depend on fresh state values only, which is what the outer-Picard /
-    inner-Newton split needs.
+    Defined at the quadrature points ``ctx.mesh.quad_points_flat`` only,
+    where :func:`pxlap.operator._state_loads` evaluates every load: p is
+    ``ctx.p.qp`` and ``s`` is the flat state at those points.
+    """
+    pm1 = ctx.p.qp.ravel() - 1.0
+    den_pm1 = den**pm1
+    return lambda s: J * np.clip(s, 0.0, None) ** pm1 / den_pm1
+
+
+def _homotopy_loads(cfg, t, dens, f, ctx1, ctx2, eig1, eig2):
+    """Loads (g1, g2) of the homotopy at parameter t.
+
+    Component i is t f_i + (1 - t) times the reference load of
+    :func:`_reference_load`, so it is defined at the quadrature points only.
+    The caller freezes the denominators ``dens`` = max{1, ||u_i||}
+    (component Sobolev norms), so the loads depend on fresh state values
+    only, which is what the outer-Picard / inner-Newton split needs.
     """
     def make(i, ctx, eig):
         fi = f.component(i)
-        core = _scalar_reference_rhs(ctx, eig, cfg.J(ctx, eig), None, dens[i - 1])
+        core = _reference_load(ctx, cfg.J(ctx, eig), dens[i - 1])
 
         def g(points, s1, s2):
-            points = np.atleast_2d(points)
-            c = core(points, (s1, s2)[i - 1])
-            return t * np.asarray(fi(points, s1, s2)) + (1.0 - t) * c
+            return t * np.asarray(fi(points, s1, s2)) + (1.0 - t) * core((s1, s2)[i - 1])
 
         return g
 
@@ -378,39 +388,6 @@ class NonexistenceReport(Report):
         }
 
 
-def _shift_at_qp(ctx, eig, delta):
-    """delta * lambda1 * phi1^(p-1) at the mesh's quadrature points, flat."""
-    phi_qp = eig.phi.eval(ctx.mesh.quad_points_flat)
-    return delta * eig.lambda1 * phi_qp ** (ctx.p.qp.ravel() - 1.0)
-
-
-def _scalar_reference_rhs(ctx, eig, J, delta, den, shift_qp=None):
-    """Load s -> J (s+)^(p-1) / den^(p-1) + delta lambda1 phi1^(p-1).
-
-    ``delta`` None drops the shift.  On the mesh's ``quad_points_flat`` the
-    exponent comes from the context and the shift is ``shift_qp``, built
-    here when not given; at any other points both are evaluated afresh.
-    """
-    qp = ctx.mesh.quad_points_flat
-    pm1_qp = ctx.p.qp.ravel() - 1.0
-    den_qp = den**pm1_qp
-    if delta is not None and shift_qp is None:
-        shift_qp = _shift_at_qp(ctx, eig, delta)
-
-    def g(points, s):
-        if points is qp:
-            pm1, den_pm1, shift = pm1_qp, den_qp, shift_qp
-        else:
-            points = np.atleast_2d(points)
-            pm1 = ctx.p.evaluate(points) - 1.0
-            den_pm1 = den**pm1
-            shift = None if delta is None else delta * eig.lambda1 * eig.phi.eval(points) ** pm1
-        out = J * np.clip(np.asarray(s, dtype=float), 0.0, None) ** pm1 / den_pm1
-        return out if shift is None else out + shift
-
-    return g
-
-
 def nonexistence_probe(
     ctx: OperatorContext,
     eig: EigenPair,
@@ -474,11 +451,13 @@ def nonexistence_probe(
         J=J,
         delta=delta,
     )
-    shift_qp = _shift_at_qp(ctx, eig, delta)
+    # the shift delta * lambda1 * phi1^(p-1), at the quadrature points
+    phi_qp = eig.phi.eval(mesh.quad_points_flat)
+    shift = delta * eig.lambda1 * phi_qp ** (ctx.p.qp.ravel() - 1.0)
 
     def sweep(dens, fields):
-        g = _scalar_reference_rhs(ctx, eig, J, delta, dens[0], shift_qp)
-        rep = semilinear_solve(ctx, g, initial=fields[0])
+        core = _reference_load(ctx, J, dens[0])
+        rep = semilinear_solve(ctx, lambda points, s: core(s) + shift, initial=fields[0])
         return rep, (rep.u,)
 
     for seed, tag in seeds[:attempts]:

@@ -306,9 +306,11 @@ _CHORD_RATE = 0.1
 def _state_loads(mesh: Mesh, loads):
     """(rhs_fn, slope_fn) of state-dependent loads g_i(points, *states).
 
-    rhs_fn maps the nodal values of every block to the loads at the
-    quadrature points; slope_fn gives the grid d g_i / d s_j by central
-    differences.
+    This is the only evaluator of a load: it calls each g_i at
+    ``mesh.quad_points_flat`` with the states there, so a load need be
+    defined at those points only.  rhs_fn maps the nodal values of every
+    block to the loads at the quadrature points; slope_fn gives the grid
+    d g_i / d s_j by central differences.
     """
     pts = mesh.quad_points_flat
     shape = (mesh.n_elements, mesh.n_qp)

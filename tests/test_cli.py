@@ -101,8 +101,9 @@ def test_cli_rejects_runs_without_samples(tmp_path, command, line, capsys):
         ("homotopy.R_hat = -1", "homotopy.R_hat must be >= 0"),
         ("homotopy.R_tilde = -1", "homotopy.R_tilde must be >= 0"),
         ("homotopy.rng_seed = -1", "homotopy.rng_seed must be >= 0"),
-        ("homotopy.delta = 0", "homotopy.delta must be positive"),
-        ("homotopy.R = 2\nhomotopy.R_hat = 2", "radii must satisfy homotopy.R_hat < homotopy.R"),
+        ("homotopy.delta = 0", "homotopy: the probe's shift needs delta > 0"),
+        ("homotopy.t_steps = 1", "homotopy: the t-grid needs at least 2 steps"),
+        ("homotopy.R = 2\nhomotopy.R_hat = 2", "homotopy: radii must satisfy R_hat < R"),
         ("f.benchmark = false", "f.benchmark = false needs f1.expr and f2.expr"),
     ],
 )
@@ -228,6 +229,74 @@ def test_cli_file_problems_are_config_errors(tmp_path, monkeypatch, case, capsys
     err = capsys.readouterr().err
     assert err.count("config error") == 1 and str(path) in err
     assert not list(tmp_path.rglob("summary.json"))
+
+
+def test_cli_reports_homotopy_errors_with_the_others(tmp_path, monkeypatch, capsys):
+    # the homotopy settings are checked by building their HomotopyConfig,
+    # still before any solve and together with every other setting
+    def no_solve(*args, **kwargs):
+        raise AssertionError("solved before the settings were validated")
+
+    monkeypatch.setattr(cli, "first_eigenpair", no_solve)
+    cfg = tmp_path / "h.cfg"
+    cfg.write_text(
+        "mesh.n = 32\nsolver.tol = -1\nhomotopy.J_fraction = 2\nhomotopy.t_steps = 0\n"
+        "homotopy.delta = -1\nhomotopy.R = 1\nhomotopy.R_hat = 3\n"
+    )
+    rc = main(["theorem2", "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"])
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("config error") == 5 and "solver.tol must be positive" in err
+    for message in ("J_fraction must lie in (0, 1)", "the t-grid needs at least 2 steps",
+                    "the probe's shift needs delta > 0", "radii must satisfy R_hat < R"):
+        assert f"config error: homotopy: {message}" in err
+    assert not (tmp_path / "summary.json").exists()
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eig", "--mesh", "n=2"], "mesh.a, mesh.b, mesh.n: need at least 4 elements"),
+        (["eig", "--mesh", "a=1,b=0"], "mesh.a, mesh.b, mesh.n: degenerate interval"),
+        (["eig", "--mesh", "kind=rectangle,nx=1"], "mesh.nx, mesh.ny: need at least 2 cells"),
+        (["eig", "--p", "1", "--mesh", "n=8"], "p1.expr: exponent must satisfy p_min > 1"),
+        (["theorem1", "--config", "p2.cfg"], "p2.expr: exponent must satisfy p_min > 1"),
+        (["eig", "--config", "t.cfg"], "p1.table: exponent must satisfy p_min > 1"),
+    ],
+)
+def test_cli_rejected_mesh_or_exponent_is_config_error(
+    tmp_path, monkeypatch, argv, message, capsys
+):
+    # a mesh or an exponent its constructor rejects exited 2, the
+    # non-convergence code, with a DomainError or a HypothesisError
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the mesh and exponents were built")
+
+    monkeypatch.setattr(cli, "first_eigenpair", no_solve)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "p2.cfg").write_text("mesh.n = 8\np2.expr = 0.5 + x\n")
+    table = tmp_path / "one.csv"
+    table.write_text("x,value\n" + "".join(f"{x:.17g},1.0\n" for x in np.linspace(0, 1, 9)))
+    (tmp_path / "t.cfg").write_text(f"mesh.n = 8\np1.table = {table}\n")
+    assert main([*argv, "--output-dir", str(tmp_path / "out"), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("config error") == 1 and message in err
+    assert not list(tmp_path.rglob("summary.json"))
+
+
+@pytest.mark.parametrize(
+    "argv, cfg",
+    [(["eig", "--margin", "1e20"], "mesh.n = 8\n"), (["theorem1"], "mesh.n = 8\nmargin = 1e300\n")],
+)
+def test_cli_huge_margin_is_a_typed_error(tmp_path, argv, cfg, capsys):
+    # the margin's cell count overflowed int64 in snap_margin, and the run
+    # exited 1 with a TypeError traceback
+    cfg_path = tmp_path / "m.cfg"
+    cfg_path.write_text(cfg)
+    rc = main([*argv, "--config", str(cfg_path), "--output-dir", str(tmp_path), "--quiet"])
+    assert rc == 2
+    assert "needs more cells per axis than a mesh can count" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
 
 
 def test_cli_probe_delta_flag_is_recorded(tmp_path):

@@ -4,6 +4,7 @@ import pytest
 from pxlap.errors import DomainError, MeshMismatchError
 from pxlap.mesh import (
     GridFunction,
+    Mesh,
     build_interval_mesh,
     build_rectangle_mesh,
     dilate_domain,
@@ -339,3 +340,13 @@ def test_snap_margin_without_common_multiple_rejected():
     m = build_rectangle_mesh(0.0, 0.0, 1.0, np.sqrt(2.0), 4, 4)
     with pytest.raises(DomainError, match="whole number of cells"):
         snap_margin(m, 0.25)
+
+
+@pytest.mark.parametrize("margin", [1e20, 1e300, float("inf"), float("nan")])
+@pytest.mark.parametrize("dims", [(8,), (4, 4)])
+def test_snap_margin_rejects_margins_beyond_the_cell_count(dims, margin):
+    # 1e20 / h overflowed int64 into an object array, and the caller failed
+    # with a TypeError; inf and nan failed in int()
+    m = Mesh([0.0] * len(dims), [1.0] * len(dims), dims)
+    with pytest.raises(DomainError, match="more cells per axis"):
+        snap_margin(m, margin)

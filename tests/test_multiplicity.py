@@ -3,6 +3,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+import pxlap.multiplicity as multiplicity
 from oracles import bratu_profile, bratu_solutions_by_shooting
 from pxlap.errors import ConfigError, NumericalError
 from pxlap.eigen import first_eigenpair
@@ -25,7 +26,7 @@ from pxlap.multiplicity import (
     HomotopyConfig,
     _homotopy_loads,
     _multistart,
-    _scalar_reference_rhs,
+    _reference_load,
     annulus_search,
     boundedness_probe,
     continuation,
@@ -88,23 +89,49 @@ def test_rhs_at_t0(system, ctx2_64, eig2_64):
     assert np.max(np.abs(g1(pts, s0, s0))) == 0.0
 
 
-def test_probe_load_adds_the_shift(ctx2_64, eig2_64, rng):
-    # the probe's load is the homotopy's reference load plus
+def test_reference_load_is_the_closed_form(ctxvar_64, rng):
+    # J (s+)^(p-1) / den^(p-1) with p(x) at the quadrature points, bit for bit
+    pts = ctxvar_64.mesh.quad_points_flat
+    pm1 = ctxvar_64.p.evaluate(pts) - 1.0
+    s = rng.standard_normal(len(pts))
+    for J, den in ((0.7, 1.0), (3.2, 1.7)):
+        want = J * np.maximum(s, 0.0) ** pm1 / den**pm1
+        assert _reference_load(ctxvar_64, J, den)(s).tobytes() == want.tobytes()
+
+
+def test_probe_load_adds_the_shift(ctx2_64, eig2_64, rng, monkeypatch):
+    # each sweep of the probe solves with its reference load plus
     # delta * lambda1 * phi1^(p-1), which is positive inside the domain
-    cfg = HomotopyConfig()
+    cfg = HomotopyConfig(delta=0.5)
     J = cfg.J(ctx2_64, eig2_64)
-    pts = ctx2_64.mesh.quad_points.reshape(-1, 1)
+    pts = ctx2_64.mesh.quad_points_flat
     interior = (pts[:, 0] > 1e-3) & (pts[:, 0] < 1 - 1e-3)
     expected = cfg.delta * eig2_64.lambda1 * (
         eig2_64.phi.eval(pts) ** (ctx2_64.p.evaluate(pts) - 1.0)
     )
     assert np.all(expected[interior] > 0)
-    for den in (1.0, 1.7):
-        shifted = _scalar_reference_rhs(ctx2_64, eig2_64, J, cfg.delta, den)
-        plain = _scalar_reference_rhs(ctx2_64, eig2_64, J, None, den)
+    reference_load, solve = multiplicity._reference_load, multiplicity.semilinear_solve
+    cores, loads = [], []
+
+    def recorded_core(ctx, J_, den):
+        cores.append((J_, den, reference_load(ctx, J_, den)))
+        return cores[-1][2]
+
+    def recorded_solve(ctx, g, initial):
+        loads.append(g)
+        return solve(ctx, g, initial=initial)
+
+    monkeypatch.setattr(multiplicity, "_reference_load", recorded_core)
+    monkeypatch.setattr(multiplicity, "semilinear_solve", recorded_solve)
+    nonexistence_probe(ctx2_64, eig2_64, J, cfg.delta, attempts=1)
+    monkeypatch.undo()
+    # the zero seed starts at den = 1 and the solutions' norms exceed 1
+    assert len(cores) == len(loads) and len({den for _, den, _ in cores}) > 1
+    for (J_, den, core), g in zip(cores, loads):
+        assert J_ == J
         for s in (np.zeros(len(pts)), np.abs(rng.standard_normal(len(pts)))):
-            assert np.allclose(shifted(pts, s) - plain(pts, s), expected, atol=1e-14)
-        assert np.max(np.abs(plain(pts, np.zeros(len(pts))))) == 0.0
+            assert np.allclose(g(pts, s) - core(s), expected, atol=1e-14)
+        assert np.max(np.abs(core(np.zeros(len(pts))))) == 0.0
 
 
 def test_tilde_t0_trivial(system, ctx2_64, eig2_64):

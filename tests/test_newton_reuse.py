@@ -18,8 +18,6 @@ from pxlap.modular import sobolev_norm
 from pxlap.multiplicity import (
     HomotopyConfig,
     _homotopy_loads,
-    _scalar_reference_rhs,
-    _shift_at_qp,
     nonexistence_probe,
     solve_coupled,
     solve_homotopy_system,
@@ -126,49 +124,6 @@ def _count_calls(monkeypatch, owner, name):
     return calls
 
 
-def test_homotopy_loads_cached_equal_fallback(var_problem, monkeypatch):
-    ctx, eig = var_problem
-    mesh = ctx.mesh
-    f = benchmark_family(ctx, ctx, eig, eig)
-    cfg = HomotopyConfig()
-    rng = np.random.default_rng(11)
-    u1 = random_dirichlet_field(mesh, rng, scale=0.3)
-    u2 = u1.with_values(np.abs(u1.values))
-    dens = (max(1.0, sobolev_norm(u1, ctx.p)), max(1.0, sobolev_norm(u2, ctx.p)))
-    g1, g2 = _homotopy_loads(cfg, 0.4, dens, f, ctx, ctx, eig, eig)
-    s1, s2 = u1.at_qp().ravel(), u2.at_qp().ravel()
-    qp = mesh.quad_points_flat
-    evaluations = _count_calls(monkeypatch, ExponentField, "evaluate")
-    cached = [g(qp, s1, s2) for g in (g1, g2)]
-    assert evaluations == []  # the mesh's own array takes the cached fields
-    fallback = [g(qp.copy(), s1, s2) for g in (g1, g2)]
-    assert len(evaluations) == 2
-    for a, b in zip(cached, fallback):
-        assert a.tobytes() == b.tobytes()
-
-
-def test_scalar_reference_cached_equal_fallback(var_problem, monkeypatch):
-    ctx, eig = var_problem
-    g = _scalar_reference_rhs(ctx, eig, J=0.5 * eig.lambda1, delta=1e-2, den=1.7)
-    s = np.linspace(-1.0, 2.0, ctx.mesh.quad_points_flat.shape[0])
-    locates = _count_calls(monkeypatch, Mesh, "locate")
-    cached = g(ctx.mesh.quad_points_flat, s)
-    assert locates == []
-    fallback = g(ctx.mesh.quad_points_flat.copy(), s)
-    assert locates == ["locate"]
-    assert cached.tobytes() == fallback.tobytes()
-
-
-def test_scalar_reference_solve_same_on_both_paths(var_problem):
-    ctx, eig = var_problem
-    g = _scalar_reference_rhs(ctx, eig, J=0.5 * eig.lambda1, delta=1e-2, den=1.0)
-    seed = eig.phi.with_values(0.5 * eig.phi.values)
-    cached = semilinear_solve(ctx, g, seed)
-    fallback = semilinear_solve(ctx, lambda pts, s: g(pts.copy(), s), seed)
-    assert _outcome(cached) == _outcome(fallback)
-    assert cached.history == fallback.history
-
-
 def test_nonexistence_probe_locates_a_few_times(var_problem, monkeypatch):
     ctx, eig = var_problem
     locates = _count_calls(monkeypatch, Mesh, "locate")
@@ -213,16 +168,23 @@ def _ref_solve_homotopy_system(cfg, t, f, ctx1, ctx2, eig1, eig2, seed1, seed2, 
     return rep
 
 
-def _ref_solve_scalar_reference(ctx, eig, J, delta, seed, shift_qp, picard_max=20, picard_rtol=1e-8):
-    """The old scalar loop; also returns its sweep count, which it never kept."""
+def _ref_solve_scalar_reference(ctx, eig, J, delta, seed, picard_max=20, picard_rtol=1e-8):
+    """The old scalar loop on the closed-form load J (s+)^(p-1) / den^(p-1)
+    + delta lambda1 phi1^(p-1); also returns its sweep count, which it never
+    kept."""
+    pm1 = ctx.p.qp.ravel() - 1.0
+    shift = delta * eig.lambda1 * eig.phi.eval(ctx.mesh.quad_points_flat) ** pm1
     u = seed
     rep = None
     prev = sobolev_norm(u, ctx.p)
     sweeps = 0
     for _ in range(picard_max):
         sweeps += 1
-        den = max(1.0, prev)
-        g = _scalar_reference_rhs(ctx, eig, J, delta, den, shift_qp)
+        den_pm1 = max(1.0, prev) ** pm1
+
+        def g(points, s):
+            return J * np.clip(s, 0.0, None) ** pm1 / den_pm1 + shift
+
         rep = semilinear_solve(ctx, g, initial=u)
         u = rep.u
         cur = sobolev_norm(u, ctx.p)
@@ -276,9 +238,8 @@ def test_nonexistence_probe_attempts_match_reference_loop(var_problem, delta, mo
     monkeypatch.undo()
     tags = [a.tag.split()[0] for a in report.attempts]
     assert tags == ["zero", "eig", "eig", "eig", "random", "random", "random"]
-    shift_qp = _shift_at_qp(ctx, eig, delta)
     for attempt, (seed, (rep, sweeps, (norm,))) in zip(report.attempts, runs, strict=True):
-        want, want_sweeps, want_norm = _ref_solve_scalar_reference(ctx, eig, J, delta, seed, shift_qp)
+        want, want_sweeps, want_norm = _ref_solve_scalar_reference(ctx, eig, J, delta, seed)
         assert _outcome(rep) == _outcome(want)
         assert (sweeps, norm) == (want_sweeps, want_norm)
         assert attempt.residual == want.residual and attempt.norm == want_norm

@@ -11,7 +11,8 @@ from pxlap.errors import HypothesisError, NumericalError
 from pxlap.exponents import ExponentField
 from pxlap.existence import benchmark_family
 from pxlap.mesh import GridFunction, build_interval_mesh, build_rectangle_mesh, dilate_domain
-from pxlap.multiplicity import CoupledReport, _scalar_reference_rhs, solve_coupled
+from pxlap import multiplicity
+from pxlap.multiplicity import CoupledReport, solve_coupled
 from pxlap import operator as operator_module
 from pxlap.operator import (
     KeptFactor,
@@ -797,7 +798,14 @@ def test_target_eps_first_reaches_the_ladder_solution(case):
 
 
 def test_semilinear_solve_matches_reference_newton(ctxvar_64, eig2_64, residual_calls):
-    g = _scalar_reference_rhs(ctxvar_64, eig2_64, J=0.5 * eig2_64.lambda1, delta=1e-2, den=1.0)
+    # the probe's shifted reference load, with p(x) = 2 + x
+    core = multiplicity._reference_load(ctxvar_64, 0.5 * eig2_64.lambda1, 1.0)
+    pm1 = ctxvar_64.p.qp.ravel() - 1.0
+    shift = 1e-2 * eig2_64.lambda1 * eig2_64.phi.eval(ctxvar_64.mesh.quad_points_flat) ** pm1
+
+    def g(points, s):
+        return core(s) + shift
+
     seed = eig2_64.phi.with_values(0.5 * eig2_64.phi.values)
     stats, ref_log, log = Counter(), [], []
     ref = _ref_semilinear_solve(ctxvar_64, _logged("g", g, ref_log), seed, stats)

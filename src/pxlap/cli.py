@@ -37,6 +37,7 @@ from .mesh import (
     build_interval_mesh,
     build_rectangle_mesh,
     load_grid_function_csv,
+    snap_margin,
 )
 from .modular import check_norm_modular, luxemburg_norm
 from .multiplicity import (
@@ -257,6 +258,12 @@ def _load_csv(what: str, path, mesh) -> GridFunction:
 
 def build_contexts(v: dict):
     mesh = build_mesh(v)
+    # a margin the mesh cannot hold is a setting error, found before any solve
+    if v["margin"] > 0:
+        try:
+            snap_margin(mesh, v["margin"])
+        except DomainError as exc:
+            raise ConfigError([f"margin: {exc}"]) from exc
     fields = []
     for i in (1, 2):
         table = v[f"p{i}.table"]
@@ -458,10 +465,6 @@ def cmd_theorem2(v: dict, args):
         "nonexistence_probe": probe.summary(),
         "trivial_at_t0": triviality,
         "annulus": ann.summary(),
-        "conventions": {
-            "reference_exponent": "p_i(x) - 1 in every reference term",
-            "norm_denominator": "component zero-trace Sobolev norm, both families",
-        },
         "warnings": _exponent_warnings(ctx1, ctx2),
     }
     fields = {}

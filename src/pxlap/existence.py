@@ -7,6 +7,10 @@ build the subsolution from the base eigenfunctions (scaled by eps_sub),
 re-verify every weak inequality by direct assembly, then run the truncated
 Gauss-Seidel monotone iteration inside the ordered box.  The negative pair
 comes from solving the reflected system in the same box and negating.
+
+f is bounded over sampled states by :func:`_f_range` alone.  NaN rule: every
+reduction of sampled f values lets NaN through (numpy min/max, never Python
+max/min), and every accept test fails on NaN (``np.all(v <= bound)``).
 """
 
 from __future__ import annotations
@@ -39,7 +43,8 @@ class Nonlinearity:
     relies on this to evaluate many states in one call.  eta1/eta2 are the
     declared small-argument growth constants;
     they certify a lower bound on f_i / s_i^(p_i_min - 1) near zero and must
-    beat the eigenvalue threshold for the construction to work.
+    beat the eigenvalue threshold for the construction to work.  A NaN at a
+    sampled state fails the bound that samples it.
     """
 
     f1: object
@@ -199,19 +204,41 @@ def _f_on_states(fi, x, own, part) -> np.ndarray:
     return rows[0] if len(rows) == 1 else np.concatenate(rows)
 
 
+def _f_range(fi, x, s1, s2) -> tuple[np.ndarray, np.ndarray]:
+    """Per-point min and max of fi(x, a, b) over every state a of s1 and b of s2.
+
+    fi takes the (s1, s2) order of f.  A state is a constant (shape (k,)) or
+    varies by point (shape (k, len(x))).  Each s1 state meets all s2 states
+    in one :func:`_f_on_states` stack.  A NaN at any state is kept.
+    """
+    s2 = np.asarray(s2, dtype=float)
+    lo, hi = np.inf, -np.inf
+    for a in np.asarray(s1, dtype=float):
+        vals = _f_on_states(fi, x, np.broadcast_to(a, s2.shape[:1] + a.shape), s2)
+        lo = np.minimum(lo, np.min(vals, axis=0))
+        hi = np.maximum(hi, np.max(vals, axis=0))
+    return lo, hi
+
+
+# states per component sampled between two fields (box section, partner range)
+_BOX_SUBGRID = 5
+
+
+def _states_between(lo: GridFunction, hi: GridFunction) -> np.ndarray:
+    """_BOX_SUBGRID states evenly from lo to hi at the quadrature points."""
+    lo, hi = lo.at_qp().ravel(), hi.at_qp().ravel()
+    return lo + np.linspace(0.0, 1.0, _BOX_SUBGRID)[:, None] * (hi - lo)
+
+
 def _min_ratio_small(fi, x, s_own_grid, partner_grid, pmin, sign):
     """min over probes of f_i / (|s_i|^(p-2) s_i) near zero, on one branch."""
     pairs = [(sign * s, sign * sp) for s in s_own_grid for sp in partner_grid]
     own, part = zip(*pairs)
     denom = np.array([np.abs(s) ** (pmin - 2.0) * s for s in own])
     row_min = np.min(_f_on_states(fi, x, own, part) / denom[:, None], axis=1)
-    worst = np.inf
-    witness = None
-    for (s_own, s_part), m in zip(pairs, row_min):
-        m = float(m)
-        if m < worst:  # a NaN row never wins
-            worst, witness = m, {"s_own": s_own, "s_partner": s_part, "ratio": m}
-    return worst, witness
+    j = int(np.argmin(row_min))  # the first NaN row, if there is one
+    worst = float(row_min[j])
+    return worst, {"s_own": own[j], "s_partner": part[j], "ratio": worst}
 
 
 def check_hypotheses(
@@ -256,14 +283,11 @@ def check_hypotheses(
             denom = np.repeat(
                 [np.abs(v) ** (pmin - 2.0) * v for v in signed], len(partner_large)
             )
-            row_max = np.max(np.abs(_f_on_states(fi, x, own, part) / denom[:, None]), axis=1)
-            worst = 0.0
-            for m in row_max:
-                worst = max(worst, float(m))  # a NaN row is skipped
-            decade_max.append(worst)
+            ratios = _f_on_states(fi, x, own, part) / denom[:, None]
+            decade_max.append(float(np.max(np.abs(ratios))))
         witnesses[f"H3_decades_{i}"] = decade_max
         decay_ok &= all(b < a for a, b in zip(decade_max, decade_max[1:]))
-        decay_ok &= decade_max[-1] <= _H3_DECAY_FACTOR * max(decade_max[0], 1e-300)
+        decay_ok &= decade_max[-1] <= _H3_DECAY_FACTOR * np.maximum(decade_max[0], 1e-300)
 
         box = np.array([-max(_LARGE_S), -1.0, 0.0, 1.0, max(_LARGE_S)])
         own, part = np.repeat(box, len(box)), np.tile(box, len(box))
@@ -285,7 +309,7 @@ def check_hypotheses(
             i2 = np.r_[np.arange(k + 1), np.full(k, k)]
             lhs1 = _f_on_states(g1, x, grid[i1], grid[i2])
             lhs2 = _f_on_states(g2, x, grid[i1], grid[i2])
-            if np.any(lhs1 < floor1[i1, None]) or np.any(lhs2 < floor2[i2, None]):
+            if not (np.all(lhs1 >= floor1[i1, None]) and np.all(lhs2 >= floor2[i2, None])):
                 break
             best = float(r)
         return best
@@ -340,8 +364,8 @@ def _tail_constants(f: Nonlinearity, x, eta_bar: float, pmin) -> tuple[float, fl
     def violated(s):
         own = np.repeat([s, -s], len(partner))
         part = np.tile(partner, 2)
-        return any(
-            np.any(np.abs(_f_on_states(fi, x, own, part)) > eta_bar * s ** (pm - 1.0))
+        return not all(
+            np.all(np.abs(_f_on_states(fi, x, own, part)) <= eta_bar * s ** (pm - 1.0))
             for fi, pm in zip(own_fns, pmin)
         )
 
@@ -358,14 +382,8 @@ def _tail_constants(f: Nonlinearity, x, eta_bar: float, pmin) -> tuple[float, fl
 
     box = np.concatenate([-scan[scan <= rho][::-1], [0.0], scan[scan <= rho]])
     box = box[np.abs(box) <= rho]
-    c_rho = 0.0
-    for sa in box:
-        row = np.full(len(box), sa)
-        m1 = np.max(np.abs(_f_on_states(f.f1, x, row, box)), axis=1)
-        m2 = np.max(np.abs(_f_on_states(f.f2, x, row, box)), axis=1)
-        for a, b in zip(m1, m2):
-            c_rho = max(c_rho, float(a), float(b))  # NaN entries are skipped
-    return rho, c_rho
+    ranges = [_f_range(fi, x, box, box) for fi in (f.f1, f.f2)]
+    return rho, float(np.max(np.abs(ranges)))
 
 
 def construct_supersolution(
@@ -428,12 +446,6 @@ def construct_supersolution(
     return SupersolutionResult(u_sup1, u_sup2, constants, enl1, enl2)
 
 
-def _partner_min(fi, x, own, lo, hi) -> np.ndarray:
-    """min of fi(x, own, s) over 5 partner states s evenly from lo to hi."""
-    others = lo + np.linspace(0.0, 1.0, 5)[:, None] * (hi - lo)
-    return np.min(_f_on_states(fi, x, np.broadcast_to(own, others.shape), others), axis=0)
-
-
 def construct_subsolution(
     f: Nonlinearity,
     ctx1: OperatorContext,
@@ -478,13 +490,14 @@ def construct_subsolution(
 
             # defining inequality: flux pairing <= load of the boxwise
             # f-minimum with the own argument frozen at the candidate
-            other_lo = cands[1 - i].at_qp().ravel()
-            other_hi = u_sup[1 - i].at_qp().ravel()
-            fmin = _partner_min(f.own_first(i + 1), pts, cand.at_qp().ravel(), other_lo, other_hi)
+            own = cand.at_qp().reshape(1, -1)
+            partner = _states_between(cands[1 - i], u_sup[1 - i])
+            states = (own, partner) if i == 0 else (partner, own)
+            fmin, _ = _f_range(f.component(i + 1), pts, *states)
             lhs = assemble_residual(ctx, cand, rhs=None, eps_reg=0.0)
             rhs_f = load_vector(mesh, fmin.reshape(mesh.n_elements, mesh.n_qp))
             noise = eps ** (ctx.p.p_min - 1.0) * 10.0 * eig.residual / mesh.dual_scale
-            if np.any(lhs > rhs_f + noise + 1e-14):
+            if not np.all(lhs <= rhs_f + noise + 1e-14):
                 ok = False
                 break
 
@@ -557,30 +570,8 @@ class OrderedBox:
         return np.clip(values, lo, hi)
 
 
-# states per component at which the box verification samples f, and the sign
-# violation of a weak inequality it tolerates
-_BOX_SUBGRID = 5
+# the sign violation of a weak inequality the box verification tolerates
 _BOX_SLACK = 1e-10
-
-
-def _box_extrema_qp(box: OrderedBox, f: Nonlinearity, mesh):
-    """min/max of each f_i over the frozen box section at every quadrature point.
-
-    Each s1 state of the subgrid meets all s2 states in one stack, so only
-    _BOX_SUBGRID (not its square) point-varying states are held at a time.
-    """
-    fracs = np.linspace(0.0, 1.0, _BOX_SUBGRID)[:, None]
-    lo1, hi1 = box.u_sub1.at_qp().ravel(), box.u_sup1.at_qp().ravel()
-    lo2, hi2 = box.u_sub2.at_qp().ravel(), box.u_sup2.at_qp().ravel()
-    s2 = lo2 + fracs * (hi2 - lo2)
-    mins, maxs = [np.inf, np.inf], [-np.inf, -np.inf]
-    for s1 in lo1 + fracs * (hi1 - lo1):
-        for k, fi in enumerate((f.f1, f.f2)):
-            vals = _f_on_states(fi, mesh.quad_points_flat, np.broadcast_to(s1, s2.shape), s2)
-            mins[k] = np.minimum(mins[k], np.min(vals, axis=0))
-            maxs[k] = np.maximum(maxs[k], np.max(vals, axis=0))
-    shape = (mesh.n_elements, mesh.n_qp)
-    return [m.reshape(shape) for m in mins], [m.reshape(shape) for m in maxs]
 
 
 def verify_ordered_box(
@@ -598,17 +589,19 @@ def verify_ordered_box(
     stays the record of the f the box was built for.
     """
     mesh = ctx1.mesh
-    mins, maxs = _box_extrema_qp(box, f, mesh)
+    shape = (mesh.n_elements, mesh.n_qp)
+    section = (_states_between(box.u_sub1, box.u_sup1), _states_between(box.u_sub2, box.u_sup2))
     worst_sub = []
     worst_sup = []
-    for i, ctx in enumerate((ctx1, ctx2)):
-        sub_u = (box.u_sub1, box.u_sub2)[i]
-        sup_u = (box.u_sup1, box.u_sup2)[i]
-        sub_margin = assemble_residual(ctx, sub_u, rhs=mins[i], eps_reg=0.0)
-        sup_margin = assemble_residual(ctx, sup_u, rhs=maxs[i], eps_reg=0.0)
+    for ctx, fi, sub_u, sup_u in zip(
+        (ctx1, ctx2), (f.f1, f.f2), (box.u_sub1, box.u_sub2), (box.u_sup1, box.u_sup2)
+    ):
+        fmin, fmax = _f_range(fi, mesh.quad_points_flat, *section)
+        sub_margin = assemble_residual(ctx, sub_u, rhs=fmin.reshape(shape), eps_reg=0.0)
+        sup_margin = assemble_residual(ctx, sup_u, rhs=fmax.reshape(shape), eps_reg=0.0)
         worst_sub.append(float(np.max(sub_margin)))  # must be <= 0 (+slack)
         worst_sup.append(float(np.min(sup_margin)))  # must be >= 0 (-slack)
-    passed = max(worst_sub) <= _BOX_SLACK and min(worst_sup) >= -_BOX_SLACK
+    passed = all(w <= _BOX_SLACK for w in worst_sub) and all(w >= -_BOX_SLACK for w in worst_sup)
     return BoxVerification(
         worst_sub_margin=tuple(worst_sub),
         worst_sup_margin=tuple(worst_sup),
@@ -730,7 +723,7 @@ def solve_in_box(
         inc = max(float(np.max(np.abs(a.values - b.values))) for a, b in zip(new, u))
         u = new
         res = system_residuals(f, ctx1, ctx2, *u)
-        if inc <= increment_tol and max(res) <= residual_tol:
+        if inc <= increment_tol and all(r <= residual_tol for r in res):
             converged = True
             break
 

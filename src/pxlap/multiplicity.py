@@ -234,7 +234,6 @@ class HomotopyTrace:
 
     def summary(self) -> dict:
         return {
-            "family": "tilde",  # the only homotopy; the key keeps the schema
             "rng_seed": self.rng_seed,
             "max_pair_norm": self.max_pair_norm(),
             "steps": [

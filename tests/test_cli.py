@@ -288,14 +288,22 @@ def test_cli_rejected_mesh_or_exponent_is_config_error(
     "argv, cfg",
     [(["eig", "--margin", "1e20"], "mesh.n = 8\n"), (["theorem1"], "mesh.n = 8\nmargin = 1e300\n")],
 )
-def test_cli_huge_margin_is_a_typed_error(tmp_path, argv, cfg, capsys):
+def test_cli_huge_margin_is_a_typed_error(tmp_path, monkeypatch, argv, cfg, capsys):
     # the margin's cell count overflowed int64 in snap_margin, and the run
-    # exited 1 with a TypeError traceback
+    # exited 1 with a TypeError traceback; then it exited 2 after the first
+    # eigenpair solve; a margin is a setting, checked before any solve
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the margin was checked")
+
+    monkeypatch.setattr(cli, "first_eigenpair", no_solve)
     cfg_path = tmp_path / "m.cfg"
     cfg_path.write_text(cfg)
     rc = main([*argv, "--config", str(cfg_path), "--output-dir", str(tmp_path), "--quiet"])
-    assert rc == 2
-    assert "needs more cells per axis than a mesh can count" in capsys.readouterr().err
+    assert rc == 3
+    err = capsys.readouterr().err
+    assert err.count("config error") == 1
+    assert "config error: margin: " in err
+    assert "needs more cells per axis than a mesh can count" in err
     assert not (tmp_path / "summary.json").exists()
 
 
@@ -580,7 +588,9 @@ def test_cli_theorem2_pipeline(tmp_path):
     assert data["trivial_at_t0"]
     assert data["boundedness"]["passed"]
     assert data["nonexistence_probe"]["attempts"] == 4
-    assert "conventions" in data
+    # the conventions block and trace.family were constants of a deleted family
+    assert "conventions" not in data
+    assert set(data["trace"]) == {"rng_seed", "max_pair_norm", "steps"}
     assert len(data["trace"]["steps"]) == 3
     # annulus artifacts exist for every reported solution
     for k in range(len(data["annulus"]["solutions"])):

@@ -3,6 +3,7 @@ import pytest
 
 from pxlap import existence
 from pxlap.eigen import first_eigenpair
+from pxlap.errors import ConstructionError
 from pxlap.existence import (
     OrderedBox,
     Nonlinearity,
@@ -349,6 +350,44 @@ def test_reflected_box_verification(system64, box64, ctx2_64):
     f, hyp = system64
     rep = verify_ordered_box(box64, f.reflected(), ctx2_64, ctx2_64)
     assert rep.passed
+
+
+def _nan_band(base, i, arg, lo, hi):
+    """base with f_i NaN wherever its argument s_arg lies in (lo, hi)."""
+    fi = base.component(i)
+
+    def banded(x, s1, s2):
+        s = np.asarray((s1, s2)[arg - 1])
+        return np.where((lo < s) & (s < hi), np.nan, fi(x, s1, s2))
+
+    fs = (banded, base.f2) if i == 1 else (base.f1, banded)
+    return Nonlinearity(f1=fs[0], f2=fs[1], eta1=base.eta1, eta2=base.eta2)
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_nan_band_fails_box_verification(i, system64, box64, ctx2_64):
+    # f_i NaN on a band of own states that the box section samples; the
+    # verification took Python max/min over the two components, which
+    # dropped a NaN margin of component 2 and read passed
+    f = _nan_band(system64[0], i, i, 0.29, 0.31)
+    rep = verify_ordered_box(box64, f, ctx2_64, ctx2_64)
+    assert not rep.passed
+    assert np.isnan(rep.worst_sub_margin[i - 1]) and np.isnan(rep.worst_sup_margin[i - 1])
+    other = 2 - i
+    assert rep.worst_sub_margin[other] == box64.verification.worst_sub_margin[other]
+
+
+@pytest.mark.parametrize("i", [1, 2])
+def test_nan_band_fails_subsolution(i, system64, box64, ctx2_64, eig2_64):
+    # f_i NaN at the partner states below 1, where every partner range
+    # starts: the weak inequality fails at every eps_sub, so the eps search
+    # runs out instead of accepting
+    f = _nan_band(system64[0], i, 3 - i, 0.0, 1.0)
+    u_sup = (box64.u_sup1, box64.u_sup2)
+    with pytest.raises(ConstructionError, match="eps_sub underflow"):
+        existence.construct_subsolution(
+            f, ctx2_64, ctx2_64, eig2_64, eig2_64, system64[1], u_sup
+        )
 
 
 def test_verification_against_another_f_keeps_the_box_record(system64, ctx2_64, eig2_64):

@@ -4,9 +4,11 @@
 original one-state-per-call loops (one f call per constant state pair, the
 rho_hat square rescanned for every radius, the tail rescanned for every
 candidate).  The batched library code must reproduce every report field,
-witnesses included, and the rho / c_rho constants exactly.  ``_ref_*`` keep
-the loops over point-varying states (the box-verification subgrid and the
-subsolution partner range), which must match bit for bit.
+witnesses included, and the rho / c_rho constants exactly, for f finite at
+every probed state; the references skip NaN values, the library reports
+them.  ``_ref_*`` keep the loops over point-varying states (the
+box-verification subgrid and the subsolution partner range), which
+``_f_range`` must match bit for bit.
 """
 
 import numpy as np
@@ -19,9 +21,9 @@ from pxlap.existence import (
     HypothesesReport,
     Nonlinearity,
     OrderedBox,
-    _box_extrema_qp,
     _f_on_states,
-    _partner_min,
+    _f_range,
+    _states_between,
     _tail_constants,
     _x_samples,
     benchmark_family,
@@ -312,6 +314,24 @@ def test_hypotheses_match_reference(case, ctx2_64, eig2_64):
     f = CASES[case](ctx2_64, eig2_64)
     got = check_hypotheses(f, ctx2_64, ctx2_64, eig2_64, eig2_64)
     want = reference_check_hypotheses(f, ctx2_64, ctx2_64, eig2_64, eig2_64)
+    if case == "sqrt_nan":
+        # NaN at every negative own state: the reference skips it and passes
+        # the negative branch with no witness, the library fails the flags
+        # that sample it and names the first NaN state
+        assert want.small_growth_negative and want.witnesses["H2_negative_1"] is None
+        assert not (got.small_growth_negative or got.decay_at_infinity or got.bounded_on_boxes)
+        for i in (1, 2):
+            w = got.witnesses[f"H2_negative_{i}"]
+            assert (w["s_own"], w["s_partner"]) == (-SMALL_S[0], -PARTNER_GRID[0])
+            assert np.isnan(w["ratio"])
+            assert all(np.isnan(got.witnesses[f"H3_decades_{i}"]))
+        assert got.rho_hat_reflected is None
+        # the finite positive branch still matches the reference
+        assert got.small_growth_positive == want.small_growth_positive
+        assert repr(got.rho_hat) == repr(want.rho_hat)
+        for key in ("H2_positive_1", "H2_positive_2", "H1_violation"):
+            assert repr(got.witnesses[key]) == repr(want.witnesses[key])
+        return
     # repr compares every field, witnesses included, with exact digits and types
     assert repr(got) == repr(want)
     if case == "rho_hat_none":
@@ -320,8 +340,6 @@ def test_hypotheses_match_reference(case, ctx2_64, eig2_64):
         assert RHO_HAT_GRID[0] < got.rho_hat < RHO_HAT_GRID[-1]
     if case == "rho_hat_grid_max":
         assert got.rho_hat == float(RHO_HAT_GRID[-1])
-    if case == "sqrt_nan":
-        assert got.witnesses["H2_negative_1"] is None
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
@@ -330,6 +348,13 @@ def test_tail_constants_match_reference(case, ctx2_64, eig2_64, eta_bar_64):
     f = CASES[case](ctx2_64, eig2_64)
     x = _x_samples(ctx2_64, N_X_SAMPLES)
     pmin = (ctx2_64.p.p_min, ctx2_64.p.p_min)
+    if case == "sqrt_nan":
+        # the reference skips the NaN states and finds a tail; a NaN fails
+        # the tail bound at every scanned s
+        reference_tail_constants(f, x, eta_bar_64, pmin)
+        with pytest.raises(ConstructionError, match="no tail threshold"):
+            _tail_constants(f, x, eta_bar_64, pmin)
+        return
     try:
         want = reference_tail_constants(f, x, eta_bar_64, pmin)
     except ConstructionError:
@@ -338,6 +363,25 @@ def test_tail_constants_match_reference(case, ctx2_64, eig2_64, eta_bar_64):
         assert case in ("asymmetric", "rho_hat_grid_max")
         return
     assert repr(_tail_constants(f, x, eta_bar_64, pmin)) == repr(want)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_nan_inside_the_tail_box_fails_the_supersolution(ctx2_64, eig2_64, eta_bar_64):
+    # c_rho skipped NaN values, so an f with a NaN state inside the box
+    # |s| <= rho still got a finite bound and a supersolution
+    base = benchmark_family(ctx2_64, ctx2_64, eig2_64, eig2_64)
+    f = Nonlinearity(
+        f1=lambda x, s1, s2: np.where(np.asarray(s1) == 1.0, np.nan, base.f1(x, s1, s2)),
+        f2=base.f2,
+        eta1=base.eta1,
+        eta2=base.eta2,
+    )
+    x = _x_samples(ctx2_64, N_X_SAMPLES)
+    pmin = (ctx2_64.p.p_min, ctx2_64.p.p_min)
+    rho, c_rho = _tail_constants(f, x, eta_bar_64, pmin)
+    assert rho >= 1.0 and np.isnan(c_rho)
+    with pytest.raises(ConstructionError, match="eps underflow"):
+        construct_supersolution(f, ctx2_64, ctx2_64)
 
 
 def test_benchmark_on_variable_exponent_matches_reference(ctxvar_64, eigvar_64):
@@ -427,16 +471,47 @@ def test_state_stacks_match_loops_bit_for_bit(which, mesh_name, request, ctx2_64
     else:
         f = _expression_f(mesh.dimension)
     box = _random_box(mesh, 3)
-    got, want = _box_extrema_qp(box, f, mesh), _ref_box_extrema_qp(box, f, mesh)
-    for g, w in zip(got[0] + got[1], want[0] + want[1]):
-        assert g.tobytes() == w.tobytes()
-
     pts = mesh.quad_points_flat
+    section = (_states_between(box.u_sub1, box.u_sup1), _states_between(box.u_sub2, box.u_sup2))
+    mins, maxs = _ref_box_extrema_qp(box, f, mesh)
+    for k, fi in enumerate((f.f1, f.f2)):
+        lo, hi = _f_range(fi, pts, *section)
+        assert lo.tobytes() == mins[k].ravel().tobytes()
+        assert hi.tobytes() == maxs[k].ravel().tobytes()
+
+    # the subsolution's partner range: one own state against five partners
     own = box.u_sub1.at_qp().ravel()
+    partner = section[1]
     lo, hi = box.u_sub2.at_qp().ravel(), box.u_sup2.at_qp().ravel()
-    for i in (1, 2):
-        got = _partner_min(f.own_first(i), pts, own, lo, hi)
+    for i, states in ((1, (own[None], partner)), (2, (partner, own[None]))):
+        got, _ = _f_range(f.component(i), pts, *states)
         assert got.tobytes() == _ref_partner_min(f, i, pts, own, lo, hi).tobytes()
+
+    # constant states, as c_rho takes them
+    consts = np.array([-2.0, -0.5, 0.0, 0.3, 1.5])
+    for fi in (f.f1, f.f2):
+        want_lo, want_hi = np.full(len(pts), np.inf), np.full(len(pts), -np.inf)
+        for a in consts:
+            for b in consts:
+                vals = np.asarray(fi(pts, np.full(len(pts), a), np.full(len(pts), b)))
+                np.minimum(want_lo, vals, out=want_lo)
+                np.maximum(want_hi, vals, out=want_hi)
+        lo, hi = _f_range(fi, pts, consts, consts)
+        assert lo.tobytes() == want_lo.tobytes() and hi.tobytes() == want_hi.tobytes()
+
+    # NaN at one sampled state at one point: NaN there, the finite range elsewhere
+    j, state = len(pts) // 3, section[1][2]
+
+    def f1_nan(x, s1, s2):
+        hit = np.all(x == pts[j], axis=1) & (np.asarray(s2) == state[j])
+        return np.where(hit, np.nan, f.f1(x, s1, s2))
+
+    lo, hi = _f_range(f1_nan, pts, *section)
+    mask = np.arange(len(pts)) == j
+    assert np.isnan(lo[j]) and np.isnan(hi[j])
+    assert np.all(np.isfinite(lo[~mask])) and np.all(np.isfinite(hi[~mask]))
+    assert np.array_equal(lo[~mask], mins[0].ravel()[~mask])
+    assert np.array_equal(hi[~mask], maxs[0].ravel()[~mask])
 
 
 def test_no_f_call_exceeds_the_point_cap(ctx2_64, eig2_64):

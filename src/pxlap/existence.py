@@ -62,13 +62,10 @@ class Nonlinearity:
     def reflected(self) -> "Nonlinearity":
         """Sign-flipped pair whose positive solutions are the negated
         negative solutions of the original system."""
-        f1, f2 = self.f1, self.f2
-        return Nonlinearity(
-            f1=lambda x, s1, s2: -np.asarray(f1(x, -np.asarray(s1), -np.asarray(s2))),
-            f2=lambda x, s1, s2: -np.asarray(f2(x, -np.asarray(s1), -np.asarray(s2))),
-            eta1=self.eta1,
-            eta2=self.eta2,
-        )
+        def flip(fi):
+            return lambda x, s1, s2: -np.asarray(fi(x, -np.asarray(s1), -np.asarray(s2)))
+
+        return Nonlinearity(flip(self.f1), flip(self.f2), self.eta1, self.eta2)
 
 
 def eta_threshold(eig: EigenPair, p) -> float:
@@ -207,9 +204,9 @@ def _f_on_states(fi, x, own, part) -> np.ndarray:
 def _f_range(fi, x, s1, s2) -> tuple[np.ndarray, np.ndarray]:
     """Per-point min and max of fi(x, a, b) over every state a of s1 and b of s2.
 
-    fi takes the (s1, s2) order of f.  A state is a constant (shape (k,)) or
-    varies by point (shape (k, len(x))).  Each s1 state meets all s2 states
-    in one :func:`_f_on_states` stack.  A NaN at any state is kept.
+    A state is a constant (shape (k,)) or varies by point (shape
+    (k, len(x))).  Each s1 state meets all s2 states in one
+    :func:`_f_on_states` stack.  A NaN at any state is kept.
     """
     s2 = np.asarray(s2, dtype=float)
     lo, hi = np.inf, -np.inf
@@ -230,15 +227,28 @@ def _states_between(lo: GridFunction, hi: GridFunction) -> np.ndarray:
     return lo + np.linspace(0.0, 1.0, _BOX_SUBGRID)[:, None] * (hi - lo)
 
 
-def _min_ratio_small(fi, x, s_own_grid, partner_grid, pmin, sign):
-    """min over probes of f_i / (|s_i|^(p-2) s_i) near zero, on one branch."""
-    pairs = [(sign * s, sign * sp) for s in s_own_grid for sp in partner_grid]
-    own, part = zip(*pairs)
+def _state_pairs(own, part) -> tuple[np.ndarray, np.ndarray]:
+    """Every (own, partner) pair of two grids of constant states, own-major."""
+    return np.repeat(own, len(part)), np.tile(part, len(own))
+
+
+def _growth_ratios(fi, x, own, part, pmin) -> np.ndarray:
+    """f_i / (|s|^(pmin-2) s) at x over the :func:`_state_pairs` of own and
+    partner states, one row per pair; each denominator is a scalar power."""
+    own, part = _state_pairs(own, part)
     denom = np.array([np.abs(s) ** (pmin - 2.0) * s for s in own])
-    row_min = np.min(_f_on_states(fi, x, own, part) / denom[:, None], axis=1)
+    return _f_on_states(fi, x, own, part) / denom[:, None]
+
+
+def _min_ratio_small(fi, x, pmin, sign):
+    """min over probes of f_i / (|s_i|^(p-2) s_i) near zero, on one branch."""
+    own = tuple(sign * s for s in _SMALL_S)
+    part = tuple(sign * s for s in _PARTNER_GRID)
+    row_min = np.min(_growth_ratios(fi, x, own, part, pmin), axis=1)
     j = int(np.argmin(row_min))  # the first NaN row, if there is one
     worst = float(row_min[j])
-    return worst, {"s_own": own[j], "s_partner": part[j], "ratio": worst}
+    a, b = divmod(j, len(part))
+    return worst, {"s_own": own[a], "s_partner": part[b], "ratio": worst}
 
 
 def check_hypotheses(
@@ -267,30 +277,22 @@ def check_hypotheses(
     for i, ctx, eta in ((1, ctx1, f.eta1), (2, ctx2, f.eta2)):
         pmin = ctx.p.p_min
         fi = f.own_first(i)
-        m_pos, w_pos = _min_ratio_small(fi, x, _SMALL_S, _PARTNER_GRID, pmin, +1.0)
-        m_neg, w_neg = _min_ratio_small(fi, x, _SMALL_S, _PARTNER_GRID, pmin, -1.0)
+        m_pos, w_pos = _min_ratio_small(fi, x, pmin, +1.0)
+        m_neg, w_neg = _min_ratio_small(fi, x, pmin, -1.0)
         witnesses[f"H2_positive_{i}"] = w_pos
         witnesses[f"H2_negative_{i}"] = w_neg
         pos_ok &= m_pos >= eta
         neg_ok &= m_neg >= eta
 
-        partner_large = np.array([-1e4, -1.0, 1e-2, 1.0, 1e4])
-        decade_max = []
-        for s in _LARGE_S:
-            signed = (s, -s)
-            own = np.repeat(signed, len(partner_large))
-            part = np.tile(partner_large, 2)
-            denom = np.repeat(
-                [np.abs(v) ** (pmin - 2.0) * v for v in signed], len(partner_large)
-            )
-            ratios = _f_on_states(fi, x, own, part) / denom[:, None]
-            decade_max.append(float(np.max(np.abs(ratios))))
+        signed = [v for s in _LARGE_S for v in (s, -s)]
+        ratios = _growth_ratios(fi, x, signed, [-1e4, -1.0, 1e-2, 1.0, 1e4], pmin)
+        decade_max = np.max(np.abs(ratios).reshape(len(_LARGE_S), -1), axis=1).tolist()
         witnesses[f"H3_decades_{i}"] = decade_max
         decay_ok &= all(b < a for a, b in zip(decade_max, decade_max[1:]))
         decay_ok &= decade_max[-1] <= _H3_DECAY_FACTOR * np.maximum(decade_max[0], 1e-300)
 
         box = np.array([-max(_LARGE_S), -1.0, 0.0, 1.0, max(_LARGE_S)])
-        own, part = np.repeat(box, len(box)), np.tile(box, len(box))
+        own, part = _state_pairs(box, box)
         finite = np.all(np.isfinite(_f_on_states(fi, x, own, part)), axis=1)
         for sa, sb in zip(own[~finite], part[~finite]):
             bounded_ok = False
@@ -362,8 +364,7 @@ def _tail_constants(f: Nonlinearity, x, eta_bar: float, pmin) -> tuple[float, fl
     own_fns = (f.own_first(1), f.own_first(2))
 
     def violated(s):
-        own = np.repeat([s, -s], len(partner))
-        part = np.tile(partner, 2)
+        own, part = _state_pairs([s, -s], partner)
         return not all(
             np.all(np.abs(_f_on_states(fi, x, own, part)) <= eta_bar * s ** (pm - 1.0))
             for fi, pm in zip(own_fns, pmin)
@@ -381,9 +382,19 @@ def _tail_constants(f: Nonlinearity, x, eta_bar: float, pmin) -> tuple[float, fl
     rho = float(scan[k])
 
     box = np.concatenate([-scan[scan <= rho][::-1], [0.0], scan[scan <= rho]])
-    box = box[np.abs(box) <= rho]
     ranges = [_f_range(fi, x, box, box) for fi in (f.f1, f.f2)]
     return rho, float(np.max(np.abs(ranges)))
+
+
+def _dyadic_eps(accept, what: str) -> float:
+    """The first eps = 1/2, 1/4, ... that ``accept`` takes; the last tried is
+    2^-39, after which ConstructionError(``what``) is raised."""
+    eps = 0.5
+    while not accept(eps):
+        eps *= 0.5
+        if eps < 1e-12:
+            raise ConstructionError(what)
+    return eps
 
 
 def construct_supersolution(
@@ -417,22 +428,17 @@ def construct_supersolution(
 
     x = _x_samples(ctx1, _N_X_SAMPLES)
     rho, c_rho = _tail_constants(f, x, eta_bar, pmin)
-    eps = 0.5
-    while True:
-        if all(
+    eps = _dyadic_eps(
+        lambda eps: all(
             eps ** (-(pmin[i] - 1.0)) * 0.5 * lam[i] * tau ** (pmax[i] - 1.0) >= c_rho
             for i in range(2)
-        ):
-            break
-        eps *= 0.5
-        if eps < 1e-12:
-            raise ConstructionError(
-                "eps underflow while enforcing the load-domination inequality "
-                "eps^-(p_min-1) * lambda_tilde/2 * tau^(p_max-1) >= c_rho"
-            )
-
-    u_sup1 = enl1.phi_restricted.with_values(enl1.phi_restricted.values / eps)
-    u_sup2 = enl2.phi_restricted.with_values(enl2.phi_restricted.values / eps)
+        ),
+        "eps underflow while enforcing the load-domination inequality "
+        "eps^-(p_min-1) * lambda_tilde/2 * tau^(p_max-1) >= c_rho",
+    )
+    # eps is a power of two, so scaling by 1/eps divides exactly
+    u_sup1 = enl1.phi_restricted.scaled(1.0 / eps)
+    u_sup2 = enl2.phi_restricted.scaled(1.0 / eps)
     constants = {
         "eps_super": eps,
         "tau": tau,
@@ -472,34 +478,29 @@ def construct_subsolution(
     ctxs = (ctx1, ctx2)
     mesh = ctx1.mesh
     pts = mesh.quad_points_flat
-    eps = 0.5
-    while True:
-        ok = True
-        cands = [e.phi.with_values(eps * e.phi.values) for e in eigs]
+
+    def accept(eps):
+        cands = [e.phi.scaled(eps) for e in eigs]
         for i in range(2):
             ctx, eig, eta = ctxs[i], eigs[i], (f.eta1, f.eta2)[i]
             phi = eig.phi
             if eps * phi.max_abs() > hyp.rho_hat:
-                ok = False
-                break
+                return False
             cand = cands[i]
             diff = u_sup[i].values - cand.values
             if np.any(diff < 0) or np.any(diff[ctx.mesh.interior_nodes] <= 0):
-                ok = False
-                break
+                return False
 
             # defining inequality: flux pairing <= load of the boxwise
             # f-minimum with the own argument frozen at the candidate
             own = cand.at_qp().reshape(1, -1)
             partner = _states_between(cands[1 - i], u_sup[1 - i])
-            states = (own, partner) if i == 0 else (partner, own)
-            fmin, _ = _f_range(f.component(i + 1), pts, *states)
+            fmin, _ = _f_range(f.own_first(i + 1), pts, own, partner)
             lhs = assemble_residual(ctx, cand, rhs=None, eps_reg=0.0)
             rhs_f = load_vector(mesh, fmin.reshape(mesh.n_elements, mesh.n_qp))
             noise = eps ** (ctx.p.p_min - 1.0) * 10.0 * eig.residual / mesh.dual_scale
             if not np.all(lhs <= rhs_f + noise + 1e-14):
-                ok = False
-                break
+                return False
 
             # eta chain: exact (up to eigen residual) only at constant p
             if ctx.p.p_max - ctx.p.p_min < 1e-12:
@@ -510,19 +511,13 @@ def construct_subsolution(
                 )
                 rhs = eta * load_vector(mesh, (eps * phi_qp) ** (pmin - 1.0))
                 if np.any(lhs > mid + noise + 1e-14) or np.any(rhs - mid < -1e-14):
-                    ok = False
-                    break
-        if ok:
-            break
-        eps *= 0.5
-        if eps < 1e-12:
-            raise ConstructionError(
-                "eps_sub underflow while enforcing the discrete subsolution "
-                "inequalities"
-            )
-    u1 = eig1.phi.with_values(eps * eig1.phi.values)
-    u2 = eig2.phi.with_values(eps * eig2.phi.values)
-    return u1, u2, eps
+                    return False
+        return True
+
+    eps = _dyadic_eps(
+        accept, "eps_sub underflow while enforcing the discrete subsolution inequalities"
+    )
+    return eig1.phi.scaled(eps), eig2.phi.scaled(eps), eps
 
 
 # ---------------------------------------------------------------------------
@@ -763,6 +758,4 @@ def negative_solutions(
     res = solve_in_box(box, f.reflected(), ctx1, ctx2, **solve_kwargs)
     # the reflected pair is interior-positive exactly when the negated pair
     # is strictly negative inside, so ``interior_positive`` carries over
-    return dataclasses.replace(
-        res, u1=res.u1.with_values(-res.u1.values), u2=res.u2.with_values(-res.u2.values)
-    )
+    return dataclasses.replace(res, u1=res.u1.scaled(-1.0), u2=res.u2.scaled(-1.0))

@@ -119,7 +119,11 @@ def coordinate_expression(expr: str, dimension: int):
 
 
 def state_expression(expr: str, dimension: int):
-    """Callable f(points, s1, s2) from an expression in x[, y], s1, s2."""
+    """Callable f(points, s1, s2) from an expression in x[, y], s1, s2.
+
+    Evaluated with floating-point warnings off: a NaN or inf value of f is
+    an outcome the callers report (see :mod:`pxlap.existence`).
+    """
     names = ("x", "y")[:dimension] + ("s1", "s2")
     fn = compile_expression(expr, names)
 
@@ -128,7 +132,9 @@ def state_expression(expr: str, dimension: int):
         s1 = np.broadcast_to(np.asarray(s1, dtype=float), (len(points),))
         s2 = np.broadcast_to(np.asarray(s2, dtype=float), (len(points),))
         coords = tuple(points[:, d] for d in range(dimension))
-        return np.broadcast_to(fn(*coords, s1, s2), (len(points),))
+        with np.errstate(all="ignore"):
+            out = fn(*coords, s1, s2)
+        return np.broadcast_to(out, (len(points),))
 
     evaluate.expression = expr
     return evaluate

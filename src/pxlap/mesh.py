@@ -22,6 +22,18 @@ from .errors import DomainError, MeshMismatchError
 
 _CONTAINS_TOL = 1e-12  # bounding-box padding of Mesh.contains, relative to the diameter
 _COORD_TOL = 1e-9  # node-coordinate mismatch that load_grid_function_csv accepts
+# the assembly plan indexes its CSC pattern with int32, and a two-block pattern
+# holds up to 4 x 7 x n_nodes entries (7 is the largest node star, 3 in 1D), so
+# no larger mesh can be assembled
+_MAX_NODES = (2**31 - 1) // 28
+
+
+def _within_node_bound(cells) -> bool:
+    """Whether cell counts per axis (floats allowed; NaN is not) give at most
+    _MAX_NODES nodes, checked without overflow."""
+    cells = np.asarray(cells, dtype=float)
+    return bool(np.all(cells < _MAX_NODES) and np.prod(cells + 1.0) <= _MAX_NODES)
+
 
 # degree-5 Gauss-Legendre rule on [0, 1]
 _GL3_X, _GL3_W = np.polynomial.legendre.leggauss(3)
@@ -94,6 +106,11 @@ class Mesh:
     def __init__(self, lo, hi, cells):
         self.lo = _freeze(np.asarray(lo, dtype=float))
         self.hi = _freeze(np.asarray(hi, dtype=float))
+        if not _within_node_bound(cells):
+            raise DomainError(
+                f"{np.asarray(cells).tolist()} cells need more than the {_MAX_NODES} nodes "
+                "a mesh can hold"
+            )
         self.cells = _freeze(np.asarray(cells, dtype=int))
         self.dimension = len(self.cells)
         self.spacing = _freeze((self.hi - self.lo) / self.cells)
@@ -248,8 +265,7 @@ def dilate_domain(mesh: Mesh, margin: float) -> Mesh:
     if margin <= 0:
         raise DomainError(f"margin must be positive, got {margin}")
     lo, hi = mesh.lo - margin, mesh.hi + margin
-    cells = np.maximum(np.round((hi - lo) / mesh.spacing).astype(int), mesh.cells + 2)
-    return Mesh(lo, hi, cells)
+    return Mesh(lo, hi, np.maximum(np.round((hi - lo) / mesh.spacing), mesh.cells + 2))
 
 
 def snap_margin(mesh: Mesh, margin: float) -> float:
@@ -265,7 +281,7 @@ def snap_margin(mesh: Mesh, margin: float) -> float:
     h = mesh.spacing.max()
     # candidates stay below margin + diameter + 2h; a dilation adds two per axis
     cells = mesh.cells + 2.0 * (margin + mesh.diameter + 2.0 * h) / mesh.spacing
-    if not np.all(cells < np.iinfo(mesh.cells.dtype).max):
+    if not _within_node_bound(cells):
         raise DomainError(f"margin {margin} needs more cells per axis than a mesh can count")
     first = max(1, int(np.ceil(margin / h - 1e-12)))
     m = np.arange(first, first + int(mesh.diameter / h) + 2)
@@ -313,6 +329,10 @@ class GridFunction:
         if dirichlet_zero is None:
             dirichlet_zero = self.dirichlet_zero
         return GridFunction(self.mesh, values, dirichlet_zero=dirichlet_zero)
+
+    def scaled(self, c) -> "GridFunction":
+        """The field times the constant ``c``, with the same boundary flag."""
+        return self.with_values(c * self.values)
 
     def at_qp(self) -> np.ndarray:
         """Values at all quadrature points, shape (n_elements, n_qp)."""

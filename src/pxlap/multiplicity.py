@@ -23,7 +23,7 @@ from .eigen import EigenPair
 from .errors import ConfigError, NumericalError
 from .existence import Nonlinearity, OrderedBox
 from .mesh import GridFunction
-from .modular import luxemburg_norm_of_qp, sobolev_norm
+from .modular import luxemburg_norm_of_qp, pair_norm, sobolev_norm
 from .operator import OperatorContext, semilinear_solve
 from .operator import _newton, _state_loads  # the damped-Newton driver shared with the scalar solves
 from .report import HIDDEN, Report
@@ -252,7 +252,7 @@ class HomotopyTrace:
 def pair_distance(a, b, ctx1, ctx2) -> float:
     d1 = GridFunction(ctx1.mesh, a[0].values - b[0].values, dirichlet_zero=True)
     d2 = GridFunction(ctx2.mesh, a[1].values - b[1].values, dirichlet_zero=True)
-    return sobolev_norm(d1, ctx1.p) + sobolev_norm(d2, ctx2.p)
+    return pair_norm(d1, ctx1.p, d2, ctx2.p)
 
 
 def _multistart(seeds, solve, ctx1, ctx2) -> list:
@@ -272,8 +272,8 @@ def _multistart(seeds, solve, ctx1, ctx2) -> list:
         except NumericalError:
             continue
         if rep.converged and rep.residual <= _SOLUTION_TOL:
-            n1, n2 = rep.norms or (sobolev_norm(rep.u1, ctx1.p), sobolev_norm(rep.u2, ctx2.p))
-            found.append(Solution(rep.u1, rep.u2, n1 + n2, rep.residual, tag))
+            norm = sum(rep.norms) if rep.norms else pair_norm(rep.u1, ctx1.p, rep.u2, ctx2.p)
+            found.append(Solution(rep.u1, rep.u2, norm, rep.residual, tag))
     found.sort(key=lambda s: (s.pair_norm, tuple(s.u1.values), tuple(s.u2.values)))
     kept = []
     for s in found:
@@ -301,17 +301,13 @@ def continuation(
     mesh = ctx1.mesh
     trace = HomotopyTrace(rng_seed=cfg.rng_seed)
 
-    def eig_seed(scale):
-        return (
-            eig1.phi.with_values(scale * eig1.phi.values),
-            eig2.phi.with_values(scale * eig2.phi.values),
-        )
-
     previous = []
     for t in cfg.t_grid:
         seeds = [(GridFunction.zeros(mesh), GridFunction.zeros(mesh), "zero")]
         seeds += [(s.u1, s.u2, "continued") for s in previous]
-        seeds += [(*eig_seed(c), f"eig x{c}") for c in _CONTINUATION_EIG_SCALES]
+        seeds += [
+            (eig1.phi.scaled(c), eig2.phi.scaled(c), f"eig x{c}") for c in _CONTINUATION_EIG_SCALES
+        ]
         solve = functools.partial(solve_homotopy_system, cfg, t, f, ctx1, ctx2, eig1, eig2)
         previous = _multistart(seeds, solve, ctx1, ctx2)
         trace.steps.append(TraceStep(t=float(t), solutions=previous))
@@ -429,9 +425,7 @@ def nonexistence_probe(
     scales = np.logspace(-3, 1, n_eig)
     for k, c in enumerate(scales):
         sign = 1.0 if k % 2 == 0 else -1.0
-        seeds.append(
-            (eig.phi.with_values(sign * c * eig.phi.values), f"eig x{sign * c:.3g}")
-        )
+        seeds.append((eig.phi.scaled(sign * c), f"eig x{sign * c:.3g}"))
     while len(seeds) < attempts:
         vals = np.zeros(mesh.n_nodes)
         vals[mesh.interior_nodes] = rng.standard_normal(len(mesh.interior_nodes))
@@ -523,44 +517,27 @@ def annulus_search(
     if not R_hat < R:
         raise ConfigError([f"radii must satisfy R_hat < R, got {R_hat} >= {R}"])
 
-    eig_pair_norm = sobolev_norm(eig1.phi, ctx1.p) + sobolev_norm(eig2.phi, ctx2.p)
+    eig_pair_norm = pair_norm(eig1.phi, ctx1.p, eig2.phi, ctx2.p)
     rng = np.random.default_rng(cfg.rng_seed)
     seeds = []
     for target in np.geomspace(R_hat * 1.05, R * 0.95, _ANNULUS_EIG_SEEDS):
         c = target / eig_pair_norm
-        seeds.append(
-            (
-                eig1.phi.with_values(c * eig1.phi.values),
-                eig2.phi.with_values(c * eig2.phi.values),
-                f"eig@{target:.3g}",
-            )
-        )
+        seeds.append((eig1.phi.scaled(c), eig2.phi.scaled(c), f"eig@{target:.3g}"))
     for _ in range(_ANNULUS_RANDOM_SEEDS):
         target = float(rng.uniform(R_hat * 1.05, R * 0.95))
         comps = []
-        for ctx in (ctx1, ctx2):
+        for _ in range(2):
             vals = np.zeros(mesh.n_nodes)
             vals[mesh.interior_nodes] = np.abs(rng.standard_normal(len(mesh.interior_nodes)))
-            gf = GridFunction(mesh, vals, dirichlet_zero=True)
-            comps.append((gf, sobolev_norm(gf, ctx.p)))
-        total = comps[0][1] + comps[1][1]
+            comps.append(GridFunction(mesh, vals, dirichlet_zero=True))
+        total = pair_norm(comps[0], ctx1.p, comps[1], ctx2.p)
         seeds.append(
-            (
-                comps[0][0].with_values(comps[0][0].values * target / total),
-                comps[1][0].with_values(comps[1][0].values * target / total),
-                f"random@{target:.3g}",
-            )
+            (*(g.with_values(g.values * target / total) for g in comps), f"random@{target:.3g}")
         )
     # inside-box seeds: these converge back to the known solution and must
     # deduplicate with it
     seeds.append((u_plus[0], u_plus[1], "known"))
-    seeds.append(
-        (
-            u_plus[0].with_values(0.5 * u_plus[0].values),
-            u_plus[1].with_values(0.5 * u_plus[1].values),
-            "half-known",
-        )
-    )
+    seeds.append((u_plus[0].scaled(0.5), u_plus[1].scaled(0.5), "half-known"))
 
     if seed_order is not None:
         seeds = [seeds[k] for k in seed_order]

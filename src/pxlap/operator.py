@@ -581,15 +581,12 @@ def picone(
     w1: GridFunction,
     w2: GridFunction,
     p: ExponentField,
-    include_grad_p: bool = False,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Both Picone fields at every quadrature point.
 
     L1 combines the gradients and the ratio w1/w2 directly; L2 dots the
     w2-flux with the gradient of w1^p / w2^(p-1), expanded by the chain rule
-    with p frozen at each quadrature point.  ``include_grad_p`` adds the
-    grad-p log-correction for sensitivity studies (the pointwise identity
-    L1 = L2 then no longer holds exactly).
+    with p frozen at each quadrature point.
     """
     mesh = w1.mesh
     if w2.mesh is not mesh or p.mesh is not mesh:
@@ -606,12 +603,14 @@ def picone(
     g2 = w2.gradients()
     n1 = np.linalg.norm(g1, axis=1)
     n2 = np.linalg.norm(g2, axis=1)
-    dot12 = np.einsum("ed,ed->e", g2, g1)
+    # within |grad w2| |grad w1| also where a norm underflows to 0 (|grad| < 1e-154)
+    dot12 = np.clip(np.einsum("ed,ed->e", g2, g1), -n1 * n2, n1 * n2)
     t = np.clip(w1_qp, 0.0, None) / w2_qp
 
     n1_p = np.where(n1[:, None] > 0, n1[:, None] ** p_qp, 0.0)
     n2_p = np.where(n2[:, None] > 0, n2[:, None] ** p_qp, 0.0)
-    n2_pm2 = np.where(n2[:, None] > 0, n2[:, None] ** (p_qp - 2.0), 0.0)
+    with np.errstate(divide="ignore"):  # 0^(p-2) for p < 2, dropped by the where
+        n2_pm2 = np.where(n2[:, None] > 0, n2[:, None] ** (p_qp - 2.0), 0.0)
 
     L1 = n1_p + (p_qp - 1.0) * n2_p * t**p_qp
     L1 -= p_qp * n2_pm2 * dot12[:, None] * t ** (p_qp - 1.0)
@@ -620,11 +619,5 @@ def picone(
     coef1 = p_qp * t ** (p_qp - 1.0)  # multiplies grad w1
     coef2 = (p_qp - 1.0) * t**p_qp  # multiplies grad w2
     gF_dot_g2 = coef1 * dot12[:, None] - coef2 * (n2**2)[:, None]
-    if include_grad_p:
-        gp = GridFunction(mesh, p.evaluate(mesh.nodes)).gradients()
-        gp_dot_g2 = np.einsum("ed,ed->e", g2, gp)
-        F = np.where(w1_qp > 0, w1_qp**p_qp / w2_qp ** (p_qp - 1.0), 0.0)
-        logratio = np.where(w1_qp > 0, np.log(np.where(w1_qp > 0, w1_qp, 1.0) / w2_qp), 0.0)
-        gF_dot_g2 += F * logratio * gp_dot_g2[:, None]
     L2 = n1_p - n2_pm2 * gF_dot_g2
     return L1, L2

@@ -48,6 +48,18 @@ def rng():
     return np.random.default_rng(42)
 
 
+@pytest.fixture
+def no_large_linspace(monkeypatch):
+    """Fail, instead of allocating, when a mesh axis of over 10^6 nodes is built."""
+    linspace = np.linspace
+
+    def guarded(start, stop, num=50, **kwargs):
+        assert num <= 10**6, f"a mesh axis of {num} nodes was allocated"
+        return linspace(start, stop, num, **kwargs)
+
+    monkeypatch.setattr(np, "linspace", guarded)
+
+
 def random_dirichlet_field(mesh, rng, scale=1.0):
     vals = np.zeros(mesh.n_nodes)
     vals[mesh.interior_nodes] = scale * rng.standard_normal(len(mesh.interior_nodes))

@@ -286,7 +286,12 @@ def test_cli_rejected_mesh_or_exponent_is_config_error(
 
 @pytest.mark.parametrize(
     "argv, cfg",
-    [(["eig", "--margin", "1e20"], "mesh.n = 8\n"), (["theorem1"], "mesh.n = 8\nmargin = 1e300\n")],
+    [
+        (["eig", "--margin", "1e20"], "mesh.n = 8\n"),
+        (["theorem1"], "mesh.n = 8\nmargin = 1e300\n"),
+        # fits int64, and exited 1 allocating 114 PiB for the dilated mesh
+        (["eig", "--margin", "1e15"], "mesh.n = 8\n"),
+    ],
 )
 def test_cli_huge_margin_is_a_typed_error(tmp_path, monkeypatch, argv, cfg, capsys):
     # the margin's cell count overflowed int64 in snap_margin, and the run
@@ -305,6 +310,14 @@ def test_cli_huge_margin_is_a_typed_error(tmp_path, monkeypatch, argv, cfg, caps
     assert "config error: margin: " in err
     assert "needs more cells per axis than a mesh can count" in err
     assert not (tmp_path / "summary.json").exists()
+
+
+def test_cli_mesh_beyond_the_node_bound_is_a_config_error(tmp_path, capsys, no_large_linspace):
+    # the assembly plan's int32 indices bound the node count of every mesh
+    assert main(["eig", "--mesh", "n=1000000000", "--output-dir", str(tmp_path), "--quiet"]) == 3
+    err = capsys.readouterr().err
+    assert err.count("config error") == 1
+    assert "config error: mesh.a, mesh.b, mesh.n: " in err and "nodes a mesh can hold" in err
 
 
 def test_cli_probe_delta_flag_is_recorded(tmp_path):
@@ -556,6 +569,24 @@ def test_cli_theorem1_2d_p_below_two_raises_no_runtime_warning(tmp_path):
     data = json.loads((tmp_path / "summary.json").read_text())
     assert data["positive"]["converged"] and data["negative"]["converged"]
     assert data["box_verification"]["passed"]
+
+
+def test_cli_nan_of_f_is_reported_without_warnings(tmp_path):
+    # sqrt is NaN at every negative state: the hypothesis probe reports it,
+    # and stderr used to carry 12 lines of "invalid value encountered in sqrt"
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(
+        "mesh.n = 32\nf.benchmark = false\n"
+        "f1.expr = 30*sqrt(s1)\nf2.expr = 30*sqrt(s2)/(1+s1**2)\neta1 = 1\neta2 = 1\n"
+    )
+    rc = run_cli(
+        ["theorem1", "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"],
+        cwd=tmp_path,
+        timeout=120,
+    )
+    assert rc.returncode == 2, rc.stderr
+    assert "hypothesis probe failed" in rc.stderr
+    assert "RuntimeWarning" not in rc.stderr
 
 
 def test_cli_theorem1_with_explicit_expressions(tmp_path):

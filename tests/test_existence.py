@@ -424,3 +424,33 @@ def test_strong_variation_reported_honestly():
     rep = verify_ordered_box(box, f, ctx, ctx)
     assert not rep.passed
     assert min(rep.worst_sup_margin) < 0
+
+
+def test_dyadic_eps_returns_the_largest_accepted_power_of_two():
+    tried = []
+
+    def accept(eps):
+        tried.append(eps)
+        return eps <= 2.0**-5
+
+    assert existence._dyadic_eps(accept, "unused") == 2.0**-5
+    assert tried == [2.0**-k for k in range(1, 6)]
+    assert existence._dyadic_eps(lambda eps: True, "unused") == 0.5
+
+
+def test_dyadic_eps_raises_with_its_text_after_two_to_the_minus_39():
+    tried = []
+
+    def reject(eps):
+        tried.append(eps)
+        return False
+
+    with pytest.raises(ConstructionError, match="^nothing fits$"):
+        existence._dyadic_eps(reject, "nothing fits")
+    assert tried == [2.0**-k for k in range(1, 40)]
+
+
+def test_state_pairs_are_own_major():
+    own, part = existence._state_pairs([1.0, -2.0], [0.5, 0.0, 3.0])
+    assert own.tolist() == [1.0, 1.0, 1.0, -2.0, -2.0, -2.0]
+    assert part.tolist() == [0.5, 0.0, 3.0, 0.5, 0.0, 3.0]

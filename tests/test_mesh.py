@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
+from pxlap import mesh as mesh_module
 from pxlap.errors import DomainError, MeshMismatchError
+from pxlap.operator import assembly_plan
 from pxlap.mesh import (
     GridFunction,
     Mesh,
@@ -340,6 +342,45 @@ def test_snap_margin_without_common_multiple_rejected():
     m = build_rectangle_mesh(0.0, 0.0, 1.0, np.sqrt(2.0), 4, 4)
     with pytest.raises(DomainError, match="whole number of cells"):
         snap_margin(m, 0.25)
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: build_interval_mesh(0.0, 1.0, 10**9),
+        lambda: build_rectangle_mesh(0.0, 0.0, 1.0, 1.0, 10**7, 10),
+        # 1.6e19 cells wrapped in the int64 cast, and a 10-cell mesh came back
+        lambda: dilate_domain(build_interval_mesh(0.0, 1.0, 8), 1e18),
+    ],
+    ids=["interval", "rectangle", "dilation"],
+)
+def test_mesh_beyond_the_node_bound_is_rejected_before_allocating(no_large_linspace, build):
+    with pytest.raises(DomainError, match="nodes a mesh can hold"):
+        build()
+
+
+@pytest.mark.parametrize("args", [(0.0, 1.0, 16), (0.0, 0.0, 1.0, 1.0, 6, 5)])
+def test_two_block_pattern_fits_the_node_bound(args):
+    # the bound counts at most 7 entries per column of a block (the node
+    # star) and 4 blocks, so 28 n_nodes entries, below 2^31 for _MAX_NODES
+    m = (build_interval_mesh if len(args) == 3 else build_rectangle_mesh)(*args)
+    plan = assembly_plan(m)
+    assert np.diff(plan.indptr).max() <= 7
+    K = np.zeros((m.n_elements, m.dimension + 1, m.dimension + 1))
+    assert plan.matrix([[K, K], [K, K]]).nnz <= 28 * m.n_nodes
+    assert 28 * mesh_module._MAX_NODES < 2**31
+
+
+def test_scaled_equals_with_values_bit_for_bit(mesh64):
+    rng = np.random.default_rng(22)
+    u = GridFunction(mesh64, rng.standard_normal(mesh64.n_nodes))
+    v = GridFunction.zeros(mesh64).with_values(np.r_[0.0, rng.standard_normal(63), 0.0])
+    for field in (u, v):
+        for c in (0.5, -1.0, 1.0 / 3.0, 2.0**-39, 1e300):
+            got = field.scaled(c)
+            assert got.values.tobytes() == field.with_values(c * field.values).values.tobytes()
+            assert got.dirichlet_zero == field.dirichlet_zero
+    assert v.scaled(-1.0).dirichlet_zero
 
 
 @pytest.mark.parametrize("margin", [1e20, 1e300, float("inf"), float("nan")])

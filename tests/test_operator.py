@@ -187,14 +187,6 @@ def test_picone_rejects_vanishing_denominator(mesh64, pvar_64):
         picone(w1, w2, pvar_64)
 
 
-def test_picone_grad_p_mode_differs(mesh64, pvar_64, rng):
-    w1 = GridFunction(mesh64, 0.5 + rng.random(mesh64.n_nodes))
-    w2 = GridFunction(mesh64, 0.5 + rng.random(mesh64.n_nodes))
-    _, L2_frozen = picone(w1, w2, pvar_64)
-    _, L2_full = picone(w1, w2, pvar_64, include_grad_p=True)
-    assert np.max(np.abs(L2_frozen - L2_full)) > 0  # sensitivity mode differs
-
-
 def _dense_fd_jacobian(ctx, values, rhs_qp, eps, step=1e-6):
     interior = ctx.mesh.interior_nodes
     from pxlap.operator import _residual_full

@@ -1,13 +1,18 @@
 """Property tests of the two places hostile text enters: an expression fails
 only as a ConfigError, or evaluates to a float array, and a config file
-gives a ConfigError or the settings.  Derandomized, so a run is repeatable."""
+gives a ConfigError or the settings; and of two lemma checks on drawn
+fields: the Picone field L1 is nonnegative, and ordered loads give ordered
+solutions.  Derandomized, so a run is repeatable."""
 
 import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from pxlap.cli import _SCHEMA, parse_config
 from pxlap.errors import ConfigError
+from pxlap.exponents import ExponentField
 from pxlap.expressions import _FUNCS, compile_expression
+from pxlap.mesh import GridFunction, build_interval_mesh
+from pxlap.operator import OperatorContext, comparison_check, picone
 
 _SETTINGS = settings(derandomize=True, deadline=2000, database=None, max_examples=400)
 
@@ -77,3 +82,41 @@ def test_config_lines_are_config_error_or_settings(tmp_path, lines):
     except ConfigError:
         return
     assert set(cfg) == set(_SCHEMA)
+
+
+# ---------------------------------------------------------------------------
+# the lemma checks on drawn fields: interval n = 16, p = a + b x
+
+_MESH16 = build_interval_mesh(0.0, 1.0, 16)
+_NODES = _MESH16.n_nodes
+
+
+def _exponent(a, b):
+    return ExponentField(_MESH16, f"{a!r} + {b!r}*x")
+
+
+def _nodal(lo, hi):
+    return st.lists(st.floats(lo, hi), min_size=_NODES, max_size=_NODES).map(np.array)
+
+
+@_SETTINGS
+@given(w1=_nodal(0.0, 10.0), w2=_nodal(0.5, 10.0), a=st.floats(1.1, 3.0), b=st.floats(0.0, 1.0))
+def test_picone_L1_is_nonnegative(w1, w2, a, b):
+    # Young's inequality at each quadrature point, p frozen there
+    p = _exponent(a, b)
+    u1, u2 = GridFunction(_MESH16, w1), GridFunction(_MESH16, w2)
+    L1, _ = picone(u1, u2, p)
+    n1 = np.linalg.norm(u1.gradients(), axis=1)[:, None]
+    n2t = np.linalg.norm(u2.gradients(), axis=1)[:, None] * (u1.at_qp() / u2.at_qp())
+    terms = n1**p.qp + p.qp * n2t ** (p.qp - 1.0) * n1 + (p.qp - 1.0) * n2t**p.qp
+    # roundoff: relative to the terms, plus the underflow threshold
+    assert np.all(L1 >= -1e-13 * terms - np.finfo(float).tiny)
+
+
+@settings(_SETTINGS, max_examples=60)
+@given(h1=_nodal(-5.0, 5.0), gap=_nodal(0.0, 5.0), a=st.floats(2.0, 3.0), b=st.floats(0.0, 1.0))
+def test_comparison_of_ordered_loads_is_conclusive_and_passes(h1, gap, a, b):
+    ctx = OperatorContext(_MESH16, _exponent(a, min(b, 3.0 - a)))
+    rep = comparison_check(ctx, GridFunction(_MESH16, h1), GridFunction(_MESH16, h1 + gap))
+    assert rep.conclusive
+    assert rep.passed, rep.max_violation

@@ -70,15 +70,12 @@ _SCHEMA = {
     "f1.expr": (str, "", "f1(x[,y],s1,s2) expression"),
     "f2.expr": (str, "", "f2(x[,y],s1,s2) expression"),
     "f.benchmark": (bool, True, "use the built-in benchmark family"),
-    "f.amplitude_factor": (float, 2.5, "benchmark amplitude over threshold"),
-    "f.eta_factor": (float, 1.1, "declared eta over threshold"),
     "eta1": (float, 0.0, "declared growth constant (with f1.expr)"),
     "eta2": (float, 0.0, "declared growth constant (with f2.expr)"),
     "margin": (float, 0.0, "domain dilation margin; 0 = default quarter diameter"),
     "solver.tol": (float, 1e-10, "Newton residual tolerance"),
     "solver.max_iter": (int, 80, "Newton iteration cap"),
     "solver.eps_reg": (float, 1e-10, "gradient regularization"),
-    "tol.increment": (float, 1e-9, "monotone-iteration increment tolerance"),
     "tol.residual": (float, 1e-8, "system residual tolerance"),
     "homotopy.family": (str, "tilde", "tilde (the only family the trace runs)"),
     "homotopy.J_fraction": (float, 0.5, "J_i as a fraction of the spectral bound"),
@@ -161,7 +158,7 @@ def _validate(v: dict) -> list:
     errors = []
     if v["mesh.kind"] not in ("interval", "rectangle"):
         errors.append(f"mesh.kind must be interval or rectangle, got {v['mesh.kind']!r}")
-    for key in ("solver.tol", "tol.increment", "tol.residual"):
+    for key in ("solver.tol", "tol.residual"):
         if v[key] <= 0:
             errors.append(f"{key} must be positive")
     if v["homotopy.family"] != "tilde":
@@ -290,6 +287,15 @@ def build_contexts(v: dict):
     return mesh, ctxs[0], ctxs[1]
 
 
+def _no_tables_when_dilated(v: dict, *keys):
+    """A nodal table is defined on the configured mesh only: a config error,
+    found before any solve, of a command that also solves on the dilated domain."""
+    errors = [f"{key}: a nodal table is defined on the configured mesh only, and "
+              "this command also solves on the dilated domain" for key in keys if v[key]]
+    if errors:
+        raise ConfigError(errors)
+
+
 def build_nonlinearity(v: dict, ctx1, ctx2, eig1, eig2) -> Nonlinearity:
     if v["f1.expr"]:
         dim = ctx1.mesh.dimension
@@ -299,11 +305,7 @@ def build_nonlinearity(v: dict, ctx1, ctx2, eig1, eig2) -> Nonlinearity:
             eta1=v["eta1"],
             eta2=v["eta2"],
         )
-    return benchmark_family(
-        ctx1, ctx2, eig1, eig2,
-        amplitude_factor=v["f.amplitude_factor"],
-        eta_factor=v["f.eta_factor"],
-    )
+    return benchmark_family(ctx1, ctx2, eig1, eig2)
 
 
 # ---------------------------------------------------------------------------
@@ -362,8 +364,10 @@ def _exponent_warnings(*ctxs) -> list:
 
 
 def cmd_eig(v: dict, args):
+    if v["margin"] > 0:
+        _no_tables_when_dilated(v, "p1.table")
     mesh, ctx1, _ = build_contexts(v)
-    pair = first_eigenpair(ctx1, allow_unchecked_exponent=False)
+    pair = first_eigenpair(ctx1)
     payload = {"eigen": pair.summary(), "warnings": _exponent_warnings(ctx1)}
     fields = {"eigenfunction.csv": pair.phi}
     if v["margin"] > 0:
@@ -398,15 +402,14 @@ def cmd_solve(v: dict, args):
 def _positive_pair(v: dict):
     """The start shared by theorem1 and theorem2: eigenpairs, f, hypotheses,
     the ordered box (``margin`` 0 = auto) and the positive solution in it."""
+    _no_tables_when_dilated(v, "p1.table", "p2.table")
     mesh, ctx1, ctx2 = build_contexts(v)
     eig1 = first_eigenpair(ctx1)
     eig2 = eig1 if ctx2 == ctx1 else first_eigenpair(ctx2)
     f = build_nonlinearity(v, ctx1, ctx2, eig1, eig2)
     hyp = check_hypotheses(f, ctx1, ctx2, eig1, eig2)
     box = build_ordered_box(f, ctx1, ctx2, eig1, eig2, margin=v["margin"] or None, hyp=hyp)
-    pos = solve_in_box(
-        box, f, ctx1, ctx2, increment_tol=v["tol.increment"], residual_tol=v["tol.residual"]
-    )
+    pos = solve_in_box(box, f, ctx1, ctx2, residual_tol=v["tol.residual"])
     return ctx1, ctx2, eig1, eig2, f, hyp, box, pos
 
 
@@ -424,10 +427,7 @@ def build_homotopy(v: dict) -> HomotopyConfig:
 
 def cmd_theorem1(v: dict, args):
     ctx1, ctx2, eig1, eig2, f, hyp, box, pos = _positive_pair(v)
-    neg = negative_solutions(
-        box, f, ctx1, ctx2, hyp=hyp,
-        increment_tol=v["tol.increment"], residual_tol=v["tol.residual"],
-    )
+    neg = negative_solutions(box, f, ctx1, ctx2, hyp=hyp, residual_tol=v["tol.residual"])
     payload = {
         "hypotheses": hyp.summary(),
         "constants": box.constants,
@@ -565,7 +565,7 @@ def linear_hat(mesh) -> GridFunction:
         x = mesh.nodes[:, d]
         vals *= np.minimum(x - lo[d], hi[d] - x)
     vals[mesh.boundary_nodes] = 0.0
-    return GridFunction(mesh, vals, dirichlet_zero=True)
+    return GridFunction(mesh, vals)
 
 
 # ---------------------------------------------------------------------------

@@ -20,8 +20,8 @@ import numpy as np
 
 from .errors import DomainError, HypothesisError, NumericalError
 from .exponents import ExponentField, check_Hp
-from .mesh import GridFunction, Mesh, dilate_domain, integrate, restrict, snap_margin
-from .modular import luxemburg_norm, modular
+from .mesh import GridFunction, dilate_domain, restrict, snap_margin
+from .modular import luxemburg_norm, modular, modular_of_qp
 from .operator import (
     KeptFactor,
     OperatorContext,
@@ -50,9 +50,8 @@ def _signed_power(c, s: np.ndarray, p: np.ndarray) -> np.ndarray:
 
 def rayleigh_quotient(ctx: OperatorContext, u: GridFunction) -> float:
     """int |grad u|^p(x) / int |u|^p(x) with the unregularized gradient."""
-    p_qp = ctx.p.qp
-    num = integrate(u.grad_magnitude_qp() ** p_qp, ctx.mesh)
-    den = integrate(np.abs(u.at_qp()) ** p_qp, ctx.mesh)
+    num = modular_of_qp(u.grad_magnitude_qp(), ctx.p.qp, ctx.mesh)
+    den = modular_of_qp(u.at_qp(), ctx.p.qp, ctx.mesh)
     if den == 0.0:
         raise NumericalError("Rayleigh quotient of the zero field")
     return num / den
@@ -62,7 +61,7 @@ def rayleigh_quotient(ctx: OperatorContext, u: GridFunction) -> float:
 class EigenPair(Report):
     """(lambda1, phi1) with normalization and consistency diagnostics.
 
-    lambda1 equals the converged Rayleigh quotient; ``residual`` is the dual
+    lambda1 is the converged Rayleigh quotient; ``residual`` is the dual
     norm of the eigenvalue equation tested against interior hat functions;
     ``consistent`` records whether that residual is below the tolerance that
     constant exponents achieve.
@@ -70,7 +69,6 @@ class EigenPair(Report):
 
     lambda1: float
     phi: GridFunction = field(metadata=HIDDEN)
-    rayleigh: float
     residual: float
     modular_residual: float
     iterations: int
@@ -108,7 +106,7 @@ def first_eigenpair(
         initial = linear_poisson_solve(mesh, 1.0)
     vals = np.abs(initial.values)
     vals[mesh.boundary_nodes] = 0.0
-    u = GridFunction(mesh, vals, dirichlet_zero=True)
+    u = GridFunction(mesh, vals)
     if not np.any(u.values > 0):
         raise NumericalError("initial field must be nonzero")
     u = _normalize_modular(u, ctx.p)
@@ -164,7 +162,7 @@ def first_eigenpair(
 
     def equation_residual(field, value):
         rhs = _signed_power(value, field.at_qp(), p_qp)
-        return dual_norm(mesh, assemble_residual(ctx, field, rhs, eps_reg=0.0))
+        return dual_norm(mesh, assemble_residual(ctx, field, rhs))
 
     # polish: the quotient settles before the equation residual does; keep
     # sweeping while the residual still improves (variable exponents plateau
@@ -187,7 +185,6 @@ def first_eigenpair(
     pair = EigenPair(
         lambda1=R,
         phi=u,
-        rayleigh=R,
         residual=res,
         modular_residual=mod_res,
         iterations=it,
@@ -215,7 +212,6 @@ class EnlargedEigenResult:
     """Eigenpair on the dilated domain plus its restriction data."""
 
     pair: EigenPair
-    mesh_tilde: Mesh
     phi_restricted: GridFunction
     tau: float
     margin: float
@@ -238,9 +234,8 @@ def enlarged_eigenpair(
     if margin is None:
         margin = 0.25 * mesh.diameter
     margin = snap_margin(mesh, margin)
-    mesh_tilde = dilate_domain(mesh, margin)
-    ctx_tilde = dataclasses.replace(ctx, mesh=mesh_tilde, p=ctx.p.on_mesh(mesh_tilde))
-    pair = first_eigenpair(ctx_tilde)
+    outer = dilate_domain(mesh, margin)
+    pair = first_eigenpair(dataclasses.replace(ctx, mesh=outer, p=ctx.p.on_mesh(outer)))
     phi_r = restrict(pair.phi, mesh)
     tau = 0.5 * float(np.min(phi_r.values))
     if tau <= 0:
@@ -250,7 +245,6 @@ def enlarged_eigenpair(
         )
     return EnlargedEigenResult(
         pair=pair,
-        mesh_tilde=mesh_tilde,
         phi_restricted=phi_r,
         tau=tau,
         margin=margin,

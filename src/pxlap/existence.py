@@ -73,13 +73,16 @@ def eta_threshold(eig: EigenPair, p) -> float:
     return eig.lambda1 * eig.phi.max_abs() ** (p.p_max - 1.0)
 
 
+# the benchmark amplitudes and declared eta_i over the eigenvalue threshold
+_AMPLITUDE_FACTOR = 2.5
+_ETA_FACTOR = 1.1
+
+
 def benchmark_family(
     ctx1: OperatorContext,
     ctx2: OperatorContext,
     eig1: EigenPair,
     eig2: EigenPair,
-    amplitude_factor: float = 2.5,
-    eta_factor: float = 1.1,
 ) -> Nonlinearity:
     """Bounded-growth benchmark pair used across the test experiments.
 
@@ -89,12 +92,12 @@ def benchmark_family(
     Odd in its own argument with an even coupling factor, so the negative
     solution is exactly the negated positive one.  The ratio against
     s_i^(p_i_min - 1) tends to A_i * (coupling) near zero and to zero at
-    infinity; amplitudes sit ``amplitude_factor`` above the eigenvalue
-    threshold while the declared eta_i sit at ``eta_factor`` above it.
+    infinity; amplitudes sit ``_AMPLITUDE_FACTOR`` above the eigenvalue
+    threshold while the declared eta_i sit at ``_ETA_FACTOR`` above it.
     """
     thr1 = eta_threshold(eig1, ctx1.p)
     thr2 = eta_threshold(eig2, ctx2.p)
-    A1, A2 = amplitude_factor * thr1, amplitude_factor * thr2
+    A1, A2 = _AMPLITUDE_FACTOR * thr1, _AMPLITUDE_FACTOR * thr2
 
     def make(A, pmin):
         def f(x, s1_or_s2, partner):
@@ -113,8 +116,8 @@ def benchmark_family(
     return Nonlinearity(
         f1=lambda x, s1, s2: f1_core(x, s1, s2),
         f2=lambda x, s1, s2: f2_core(x, s2, s1),
-        eta1=eta_factor * thr1,
-        eta2=eta_factor * thr2,
+        eta1=_ETA_FACTOR * thr1,
+        eta2=_ETA_FACTOR * thr2,
     )
 
 
@@ -496,7 +499,7 @@ def construct_subsolution(
             own = cand.at_qp().reshape(1, -1)
             partner = _states_between(cands[1 - i], u_sup[1 - i])
             fmin, _ = _f_range(f.own_first(i + 1), pts, own, partner)
-            lhs = assemble_residual(ctx, cand, rhs=None, eps_reg=0.0)
+            lhs = assemble_residual(ctx, cand, 0.0)
             rhs_f = load_vector(mesh, fmin.reshape(mesh.n_elements, mesh.n_qp))
             noise = eps ** (ctx.p.p_min - 1.0) * 10.0 * eig.residual / mesh.dual_scale
             if not np.all(lhs <= rhs_f + noise + 1e-14):
@@ -592,8 +595,8 @@ def verify_ordered_box(
         (ctx1, ctx2), (f.f1, f.f2), (box.u_sub1, box.u_sub2), (box.u_sup1, box.u_sup2)
     ):
         fmin, fmax = _f_range(fi, mesh.quad_points_flat, *section)
-        sub_margin = assemble_residual(ctx, sub_u, rhs=fmin.reshape(shape), eps_reg=0.0)
-        sup_margin = assemble_residual(ctx, sup_u, rhs=fmax.reshape(shape), eps_reg=0.0)
+        sub_margin = assemble_residual(ctx, sub_u, fmin.reshape(shape))
+        sup_margin = assemble_residual(ctx, sup_u, fmax.reshape(shape))
         worst_sub.append(float(np.max(sub_margin)))  # must be <= 0 (+slack)
         worst_sup.append(float(np.min(sup_margin)))  # must be >= 0 (-slack)
     passed = all(w <= _BOX_SLACK for w in worst_sub) and all(w >= -_BOX_SLACK for w in worst_sup)
@@ -668,12 +671,13 @@ def system_residuals(
     u2: GridFunction,
 ) -> tuple[float, float]:
     """Dual norms of both component residuals at the current pair."""
-    r1 = assemble_residual(ctx1, u1, rhs=_f_at_state(f.f1, ctx1.mesh, u1, u2), eps_reg=0.0)
-    r2 = assemble_residual(ctx2, u2, rhs=_f_at_state(f.f2, ctx2.mesh, u1, u2), eps_reg=0.0)
+    r1 = assemble_residual(ctx1, u1, _f_at_state(f.f1, ctx1.mesh, u1, u2))
+    r2 = assemble_residual(ctx2, u2, _f_at_state(f.f2, ctx2.mesh, u1, u2))
     return dual_norm(ctx1.mesh, r1), dual_norm(ctx2.mesh, r2)
 
 
 _BOX_MAX_SWEEPS = 200
+_INCREMENT_TOL = 1e-9  # nodal increment of a sweep that, with small residuals, ends it
 
 
 def solve_in_box(
@@ -682,7 +686,6 @@ def solve_in_box(
     ctx1: OperatorContext,
     ctx2: OperatorContext,
     start: str = "sub",
-    increment_tol: float = 1e-9,
     residual_tol: float = 1e-8,
 ) -> BoxSolveResult:
     """Truncated Gauss-Seidel monotone iteration inside the ordered box.
@@ -699,7 +702,7 @@ def solve_in_box(
     for i, (lo, hi) in enumerate(bounds, start=1):
         vals = (lo if start == "sub" else hi).values.copy()
         vals[mesh.boundary_nodes] = 0.0
-        u.append(GridFunction(mesh, box.clip(i, vals), dirichlet_zero=True))
+        u.append(GridFunction(mesh, box.clip(i, vals)))
 
     res = (np.inf, np.inf)
     pretrunc = 0.0
@@ -714,11 +717,11 @@ def solve_in_box(
                 float(np.max(lo.values - raw, initial=0.0)),
                 float(np.max(raw - hi.values, initial=0.0)),
             )
-            new[i] = GridFunction(mesh, box.clip(i + 1, raw), dirichlet_zero=True)
+            new[i] = GridFunction(mesh, box.clip(i + 1, raw))
         inc = max(float(np.max(np.abs(a.values - b.values))) for a, b in zip(new, u))
         u = new
         res = system_residuals(f, ctx1, ctx2, *u)
-        if inc <= increment_tol and all(r <= residual_tol for r in res):
+        if inc <= _INCREMENT_TOL and all(r <= residual_tol for r in res):
             converged = True
             break
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import HypothesisError
+from .errors import DomainError, HypothesisError
 from .expressions import coordinate_expression
 from .mesh import GridFunction, Mesh, _freeze
 
@@ -32,18 +32,19 @@ class ExponentField:
         Mesh whose quadrature points and nodes define the cached bounds.
     rule : float | str | callable | GridFunction
         Constant value, expression in ``x``/``y``, callable of a point array,
-        or nodal table (interpolated piecewise-linearly).
+        or nodal table (interpolated piecewise-linearly), defined on the
+        domain of its own mesh only.
     """
 
     def __init__(self, mesh: Mesh, rule):
         self.mesh = mesh
-        self._table = None
         if isinstance(rule, GridFunction):
             if rule.mesh is not mesh:
-                self._table = GridFunction(mesh, rule.eval(mesh.nodes))
-            else:
-                self._table = rule
-            self._evaluate = self._table.eval
+                if not rule.mesh.contains(mesh.nodes):
+                    box = f"{rule.mesh.lo.tolist()} to {rule.mesh.hi.tolist()}"
+                    raise DomainError(f"a nodal-table exponent is defined on its mesh, {box}, only")
+                rule = GridFunction(mesh, rule.eval(mesh.nodes))
+            self._evaluate = rule.eval
             self.description = "nodal table"
         elif isinstance(rule, str):
             self._evaluate = coordinate_expression(rule, mesh.dimension)
@@ -84,12 +85,8 @@ class ExponentField:
         return np.asarray(self._evaluate(points), dtype=float)
 
     def on_mesh(self, mesh: Mesh) -> "ExponentField":
-        """Re-bind the same rule to another mesh (e.g. the enlarged domain).
-
-        Nodal tables only transfer to meshes contained in the current domain.
-        """
-        if self._table is not None:
-            return ExponentField(mesh, GridFunction(mesh, self._table.eval(mesh.nodes)))
+        """Re-bind the same rule to another mesh (e.g. the enlarged domain); a
+        nodal table transfers only to a mesh inside its own mesh's box."""
         return ExponentField(mesh, self._rule)
 
     def conjugate(self) -> "ExponentField":

@@ -294,15 +294,10 @@ def snap_margin(mesh: Mesh, margin: float) -> float:
 
 @dataclass
 class GridFunction:
-    """Nodal scalar field on a mesh (P1, continuous, piecewise linear).
-
-    ``dirichlet_zero`` marks fields that vanish on the boundary; it is
-    validated at construction.
-    """
+    """Nodal scalar field on a mesh (P1, continuous, piecewise linear)."""
 
     mesh: Mesh
     values: np.ndarray
-    dirichlet_zero: bool = False
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -311,27 +306,26 @@ class GridFunction:
                 f"value array length {self.values.shape} does not match "
                 f"{self.mesh.n_nodes} mesh nodes"
             )
-        if self.dirichlet_zero and np.any(self.values[self.mesh.boundary_nodes] != 0.0):
-            raise MeshMismatchError(
-                "field flagged Dirichlet-zero has nonzero boundary values"
-            )
+
+    @property
+    def dirichlet_zero(self) -> bool:
+        """Whether the field vanishes at every boundary node (zero trace)."""
+        return not np.any(self.values[self.mesh.boundary_nodes] != 0.0)
 
     @classmethod
     def zeros(cls, mesh: Mesh) -> "GridFunction":
-        return cls(mesh, np.zeros(mesh.n_nodes), dirichlet_zero=True)
+        return cls(mesh, np.zeros(mesh.n_nodes))
 
     @classmethod
     def from_callable(cls, mesh: Mesh, fn) -> "GridFunction":
         vals = np.asarray(fn(mesh.nodes), dtype=float)
         return cls(mesh, np.broadcast_to(vals, (mesh.n_nodes,)).copy())
 
-    def with_values(self, values, dirichlet_zero=None) -> "GridFunction":
-        if dirichlet_zero is None:
-            dirichlet_zero = self.dirichlet_zero
-        return GridFunction(self.mesh, values, dirichlet_zero=dirichlet_zero)
+    def with_values(self, values) -> "GridFunction":
+        return GridFunction(self.mesh, values)
 
     def scaled(self, c) -> "GridFunction":
-        """The field times the constant ``c``, with the same boundary flag."""
+        """The field times the constant ``c``."""
         return self.with_values(c * self.values)
 
     def at_qp(self) -> np.ndarray:
@@ -371,18 +365,19 @@ class GridFunction:
 
 
 def load_grid_function_csv(path, mesh: Mesh) -> GridFunction:
-    """Read a nodal CSV written by :meth:`GridFunction.save_csv`."""
+    """Read a nodal CSV written by :meth:`GridFunction.save_csv`; a
+    non-finite entry is a ValueError."""
     data = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2)
     if data.shape != (mesh.n_nodes, mesh.dimension + 1):
         raise MeshMismatchError(
             f"CSV shape {data.shape} does not match mesh "
             f"({mesh.n_nodes} nodes, {mesh.dimension}D)"
         )
+    if not np.all(np.isfinite(data)):
+        raise ValueError("CSV holds a non-finite number")
     if np.max(np.abs(data[:, : mesh.dimension] - mesh.nodes)) > _COORD_TOL:
         raise MeshMismatchError("CSV node coordinates do not match the mesh")
-    vals = data[:, -1]
-    dz = bool(np.all(vals[mesh.boundary_nodes] == 0.0))
-    return GridFunction(mesh, vals, dirichlet_zero=dz)
+    return GridFunction(mesh, data[:, -1])
 
 
 def restrict(fine: GridFunction, target: Mesh) -> GridFunction:

@@ -151,8 +151,8 @@ def solve_coupled(
         [ctx1, ctx2], *_state_loads(mesh, [g1, g2]), [seed1.values, seed2.values], tol
     )
     return CoupledReport(
-        u1=GridFunction(mesh, v1, dirichlet_zero=True),
-        u2=GridFunction(mesh, v2, dirichlet_zero=True),
+        u1=GridFunction(mesh, v1),
+        u2=GridFunction(mesh, v2),
         residual=residual,
         iterations=iterations,
         converged=converged,
@@ -250,8 +250,8 @@ class HomotopyTrace:
 
 
 def pair_distance(a, b, ctx1, ctx2) -> float:
-    d1 = GridFunction(ctx1.mesh, a[0].values - b[0].values, dirichlet_zero=True)
-    d2 = GridFunction(ctx2.mesh, a[1].values - b[1].values, dirichlet_zero=True)
+    d1 = GridFunction(ctx1.mesh, a[0].values - b[0].values)
+    d2 = GridFunction(ctx2.mesh, a[1].values - b[1].values)
     return pair_norm(d1, ctx1.p, d2, ctx2.p)
 
 
@@ -405,18 +405,16 @@ def nonexistence_probe(
         # no attempt would make ``passed`` true without any evidence
         raise ConfigError([f"the nonexistence probe needs at least one attempt, got {attempts}"])
     bound = spectral_bound(ctx, eig)
-    if not 0.0 < J < bound:
-        return NonexistenceReport(
-            applicable=False,
-            reason=(
-                f"J = {J} violates the spectral gate 0 < J < "
-                f"lambda1 * min(1, p_min - 1) = {bound}; the probe does not apply"
-            ),
-            tolerance=tolerance,
-            rng_seed=rng_seed,
-            J=J,
-            delta=delta,
-        )
+    applicable = 0.0 < J < bound
+    reason = "spectral gate satisfied" if applicable else (
+        f"J = {J} violates the spectral gate 0 < J < "
+        f"lambda1 * min(1, p_min - 1) = {bound}; the probe does not apply"
+    )
+    report = NonexistenceReport(
+        applicable, reason, tolerance=tolerance, rng_seed=rng_seed, J=J, delta=delta
+    )
+    if not applicable:
+        return report
 
     mesh = ctx.mesh
     rng = np.random.default_rng(rng_seed)
@@ -430,20 +428,12 @@ def nonexistence_probe(
         vals = np.zeros(mesh.n_nodes)
         vals[mesh.interior_nodes] = rng.standard_normal(len(mesh.interior_nodes))
         scale = 10.0 ** rng.uniform(-2, 1)
-        gf = GridFunction(mesh, vals, dirichlet_zero=True)
+        gf = GridFunction(mesh, vals)
         nrm = sobolev_norm(gf, ctx.p)
         seeds.append(
             (gf.with_values(scale * vals / max(nrm, 1e-30)), f"random x{scale:.3g}")
         )
 
-    report = NonexistenceReport(
-        applicable=True,
-        reason="spectral gate satisfied",
-        tolerance=tolerance,
-        rng_seed=rng_seed,
-        J=J,
-        delta=delta,
-    )
     # the shift delta * lambda1 * phi1^(p-1), at the quadrature points
     phi_qp = eig.phi.eval(mesh.quad_points_flat)
     shift = delta * eig.lambda1 * phi_qp ** (ctx.p.qp.ravel() - 1.0)
@@ -529,7 +519,7 @@ def annulus_search(
         for _ in range(2):
             vals = np.zeros(mesh.n_nodes)
             vals[mesh.interior_nodes] = np.abs(rng.standard_normal(len(mesh.interior_nodes)))
-            comps.append(GridFunction(mesh, vals, dirichlet_zero=True))
+            comps.append(GridFunction(mesh, vals))
         total = pair_norm(comps[0], ctx1.p, comps[1], ctx2.p)
         seeds.append(
             (*(g.with_values(g.values * target / total) for g in comps), f"random@{target:.3g}")

@@ -23,6 +23,7 @@ from .report import HIDDEN, Report
 
 _COMPARISON_TOL = 1e-8  # nodal excess u_low - u_high that comparison_check passes
 _PICONE_FLOOR = 1e-14  # picone needs w2 above this at every quadrature point
+_MAX_HALVINGS = 30  # Armijo step halvings before a Newton step is rejected
 
 
 @dataclass
@@ -39,7 +40,6 @@ class OperatorContext:
     eps_reg: float = 1e-10
     newton_max_iter: int = 80
     newton_tol: float = 1e-10
-    max_halvings: int = 30
 
     def __post_init__(self):
         if self.eps_reg < 0 or self.newton_tol <= 0:
@@ -190,17 +190,10 @@ def _flux_factor(grad_sq: np.ndarray, p_qp: np.ndarray, eps: float) -> np.ndarra
 
 
 def _rhs_at_qp(mesh: Mesh, rhs) -> np.ndarray:
-    """Normalize the rhs argument to per-quadrature-point values."""
+    """The load ``rhs``, a constant or an (n_elements, n_qp) array, as that array."""
     shape = (mesh.n_elements, mesh.n_qp)
-    if rhs is None:
-        return np.zeros(shape)
     if np.isscalar(rhs):
         return np.full(shape, float(rhs))
-    if isinstance(rhs, GridFunction):
-        return rhs.at_qp()
-    if callable(rhs):
-        flat = rhs(mesh.quad_points_flat)
-        return np.broadcast_to(np.asarray(flat, dtype=float), (shape[0] * shape[1],)).reshape(shape)
     arr = np.asarray(rhs, dtype=float)
     if arr.shape != shape:
         raise MeshMismatchError(f"rhs array shape {arr.shape}, expected {shape}")
@@ -220,17 +213,16 @@ def _residual_full(ctx: OperatorContext, values: np.ndarray, rhs_qp: np.ndarray,
     return np.bincount(mesh.elements.ravel(), weights=r_el.ravel(), minlength=mesh.n_nodes)
 
 
-def assemble_residual(ctx: OperatorContext, u: GridFunction, rhs=None, eps_reg=None) -> np.ndarray:
+def assemble_residual(ctx: OperatorContext, u: GridFunction, rhs) -> np.ndarray:
     """Weak residual against every interior basis function.
 
-    Entry k is the regularized flux integral against hat function k minus the
-    load integral; Dirichlet rows are dropped.
+    Entry k is the unregularized flux integral against hat function k minus
+    the load integral; Dirichlet rows are dropped.
     """
     if u.mesh is not ctx.mesh:
         raise MeshMismatchError("field and context meshes differ")
-    eps = ctx.eps_reg if eps_reg is None else eps_reg
     rhs_qp = _rhs_at_qp(ctx.mesh, rhs)
-    return _residual_full(ctx, u.values, rhs_qp, eps)[ctx.mesh.interior_nodes]
+    return _residual_full(ctx, u.values, rhs_qp, 0.0)[ctx.mesh.interior_nodes]
 
 
 def _mass_block(mesh: Mesh, coeff_qp: np.ndarray) -> np.ndarray:
@@ -289,7 +281,7 @@ def linear_poisson_solve(mesh: Mesh, rhs) -> GridFunction:
     sol = _solve(_factor(A, "Poisson"), load_vector(mesh, rhs_qp), "Poisson")
     vals = np.zeros(mesh.n_nodes)
     vals[mesh.interior_nodes] = sol
-    return GridFunction(mesh, vals, dirichlet_zero=True)
+    return GridFunction(mesh, vals)
 
 
 # regularization ladder: Newton is run at decreasing eps, each rung
@@ -366,7 +358,7 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float, kept: KeptFactor | None 
     if kept is not None and (k != 1 or slope_fn is not None):
         raise ValueError("a kept factor serves one block whose load does not depend on u")
     eps_reg = max(ctx.eps_reg for ctx in ctxs)
-    max_iter, max_halvings = ctxs[0].newton_max_iter, ctxs[0].max_halvings
+    max_iter = ctxs[0].newton_max_iter
     values = [v.copy() for v in values]
     for v in values:
         v[mesh.boundary_nodes] = 0.0
@@ -426,7 +418,7 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float, kept: KeptFactor | None 
                 delta = [_solve(kept.lu, -r[0], "Newton")]
             step = 1.0
             accepted = False
-            for _ in range(max_halvings + 1):
+            for _ in range(_MAX_HALVINGS + 1):
                 trial = [v.copy() for v in values]
                 for t, d in zip(trial, delta):
                     t[interior] += step * d
@@ -467,7 +459,7 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float, kept: KeptFactor | None 
 
 def _scalar_report(ctx: OperatorContext, rhs_fn, slope_fn, initial: GridFunction, kept=None) -> SolveReport:
     (u,), *outcome = _newton([ctx], rhs_fn, slope_fn, [initial.values], ctx.newton_tol, kept)
-    return SolveReport(GridFunction(ctx.mesh, u, dirichlet_zero=True), *outcome)
+    return SolveReport(GridFunction(ctx.mesh, u), *outcome)
 
 
 def dirichlet_solve(
@@ -478,9 +470,10 @@ def dirichlet_solve(
 ) -> SolveReport:
     """Solve -Delta_p(x) u = rhs, u = 0 on the boundary, by damped Newton.
 
-    The rhs does not depend on u (callable of coordinates, array of
-    quadrature values, scalar, or GridFunction).  When no initial iterate is
-    given the plain-Laplacian solution of the same rhs seeds the iteration.
+    The rhs does not depend on u: it is a constant or an array of shape
+    (n_elements, n_qp) of its values at the quadrature points.  When no
+    initial iterate is given the plain-Laplacian solution of the same rhs
+    seeds the iteration.
     ``kept`` carries a Jacobian factor from one solve to the next and lets
     Newton take chord steps with it (see ``_newton``).
     """

@@ -65,7 +65,14 @@ def random_dirichlet_field(mesh, rng, scale=1.0):
     vals[mesh.interior_nodes] = scale * rng.standard_normal(len(mesh.interior_nodes))
     from pxlap.mesh import GridFunction
 
-    return GridFunction(mesh, vals, dirichlet_zero=True)
+    return GridFunction(mesh, vals)
+
+
+def load_at_qp(mesh, fn):
+    """The load ``fn`` of a point array at the quadrature points of ``mesh``,
+    as the solvers take it: shape (n_elements, n_qp)."""
+    flat = np.asarray(fn(mesh.quad_points_flat), dtype=float)
+    return np.broadcast_to(flat, (len(mesh.quad_points_flat),)).reshape(mesh.n_elements, mesh.n_qp)
 
 
 def _ref_matrix(mesh, blocks):

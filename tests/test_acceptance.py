@@ -9,6 +9,7 @@ import time
 import numpy as np
 import pytest
 
+from conftest import load_at_qp
 from oracles import constant_p_eigenvalue, eigenvalue_by_shooting
 from pxlap.eigen import first_eigenpair
 from pxlap.existence import (
@@ -154,9 +155,7 @@ def test_criterion_03_picone_suite():
 def test_criterion_04_mean_value_suite():
     mesh = build_interval_mesh(0.0, 1.0, 64)
     ctx = OperatorContext(mesh, ExponentField(mesh, "2 + x"))
-    phi = GridFunction(
-        mesh, mesh.nodes[:, 0] * (1.0 - mesh.nodes[:, 0]), dirichlet_zero=True
-    )
+    phi = GridFunction(mesh, mesh.nodes[:, 0] * (1.0 - mesh.nodes[:, 0]))
     rng = np.random.default_rng(4)
     m, M = 1.0, 2.0
     all_inside = True
@@ -200,7 +199,7 @@ def test_criterion_05_comparison_suite():
     while count < 50:
         a = 0.3 + rng.random()
         rep = comparison_check(
-            ctx, a, lambda pts, a=a: a + 0.5 + 0.5 * np.sin(3 * pts[:, 0]) ** 2
+            ctx, a, load_at_qp(mesh, lambda pts: a + 0.5 + 0.5 * np.sin(3 * pts[:, 0]) ** 2)
         )
         worst = max(worst, rep.max_violation)
         count += 1
@@ -324,7 +323,7 @@ def test_criterion_08_trivial_reference_family(bench256):
     for _ in range(4):
         vals = np.zeros(mesh.n_nodes)
         vals[mesh.interior_nodes] = rng.standard_normal(len(mesh.interior_nodes))
-        seeds.append(GridFunction(mesh, vals, dirichlet_zero=True))
+        seeds.append(GridFunction(mesh, vals))
     worst = 0.0
     all_conv = True
     for s in seeds:

@@ -193,7 +193,8 @@ def test_cli_rejects_hostile_flags(tmp_path, monkeypatch, argv, message, capsys)
     "case",
     ["missing input", "non-numeric input", "missing table", "output dir is a file",
      "output dir under a file", "input on another mesh", "input on another domain",
-     "p1 table on another mesh", "p2 table on another mesh"],
+     "p1 table on another mesh", "p2 table on another mesh", "nan input", "inf input",
+     "nan coordinate"],
 )
 def test_cli_file_problems_are_config_errors(tmp_path, monkeypatch, case, capsys):
     # each exited 1 with a traceback; an output directory that cannot be made
@@ -210,6 +211,12 @@ def test_cli_file_problems_are_config_errors(tmp_path, monkeypatch, case, capsys
     fine, wide = tmp_path / "fine.csv", tmp_path / "wide.csv"
     fine.write_text("x,value\n" + "".join(f"{x:.17g},2.0\n" for x in np.linspace(0, 1, 17)))
     wide.write_text("x,value\n" + "".join(f"{x:.17g},2.0\n" for x in np.linspace(0, 2, 9)))
+    # a non-finite value exited 2 after about 400 Luxemburg Newton steps,
+    # and a nan coordinate passed the coordinate check
+    nan, inf, nan_x = tmp_path / "nan.csv", tmp_path / "inf.csv", tmp_path / "nan_x.csv"
+    for path, value in ((nan, "nan"), (inf, "inf")):
+        path.write_text("x,value\n" + "".join(f"{x:.17g},{value}\n" for x in np.linspace(0, 1, 9)))
+    nan_x.write_text("x,value\n" + "".join(f"{x:.17g},1.0\n" for x in np.r_[0.0, np.nan, np.linspace(0.25, 1, 7)]))
     (tmp_path / "t.cfg").write_text(f"p1.table = {missing}\n")
     (tmp_path / "t1.cfg").write_text(f"p1.table = {fine}\n")
     (tmp_path / "t2.cfg").write_text(f"p2.table = {fine}\n")
@@ -220,6 +227,9 @@ def test_cli_file_problems_are_config_errors(tmp_path, monkeypatch, case, capsys
         "missing table": (["eig", "--config", str(tmp_path / "t.cfg"), *out], missing),
         "input on another mesh": (["norm", "--input", str(fine), *out], fine),
         "input on another domain": (["norm", "--input", str(wide), *out], wide),
+        "nan input": (["norm", "--input", str(nan), *out], nan),
+        "inf input": (["norm", "--input", str(inf), *out], inf),
+        "nan coordinate": (["norm", "--input", str(nan_x), *out], nan_x),
         "p1 table on another mesh": (["eig", "--config", str(tmp_path / "t1.cfg"), *out], fine),
         "p2 table on another mesh": (["eig", "--config", str(tmp_path / "t2.cfg"), *out], fine),
         "output dir is a file": (["eig", "--output-dir", str(plain)], plain),
@@ -229,6 +239,37 @@ def test_cli_file_problems_are_config_errors(tmp_path, monkeypatch, case, capsys
     err = capsys.readouterr().err
     assert err.count("config error") == 1 and str(path) in err
     assert not list(tmp_path.rglob("summary.json"))
+
+
+@pytest.mark.parametrize("argv", [["theorem1"], ["theorem2"], ["eig", "--margin", "0.25"], ["eig"]])
+def test_cli_table_exponent_on_the_dilated_domain_is_a_config_error(tmp_path, monkeypatch, argv, capsys):
+    # a table is defined on the configured mesh only; a run that also solves
+    # on the dilated domain exited 2 after the first eigenpair solve
+    table, cfg = tmp_path / "p.csv", tmp_path / "t.cfg"
+    table.write_text("x,value\n" + "".join(f"{x:.17g},{2 + 0.1 * x:.17g}\n" for x in np.linspace(0, 1, 33)))
+    cfg.write_text(f"mesh.n = 32\np1.table = {table}\n")
+    run = [*argv, "--config", str(cfg), "--output-dir", str(tmp_path / "out"), "--quiet"]
+    if argv == ["eig"]:
+        assert main(run) == 0  # no dilation: the table serves
+        return
+
+    def no_solve(*args, **kwargs):
+        raise AssertionError("a solve ran before the table check")
+
+    monkeypatch.setattr(cli, "first_eigenpair", no_solve)
+    assert main(run) == 3
+    err = capsys.readouterr().err
+    assert err.count("config error") == 1 and "config error: p1.table:" in err
+    assert "dilated domain" in err
+
+
+@pytest.mark.parametrize("key", ["f.amplitude_factor", "f.eta_factor", "tol.increment"])
+def test_cli_removed_keys_are_unknown(tmp_path, key, capsys):
+    # the benchmark factors and the monotone-iteration increment tolerance
+    # are constants of pxlap.existence
+    (tmp_path / "old.cfg").write_text(f"{key} = 1.0\n")
+    assert main(["theorem1", "--config", str(tmp_path / "old.cfg"), "--quiet"]) == 3
+    assert f"unknown key {key!r}" in capsys.readouterr().err
 
 
 def test_cli_reports_homotopy_errors_with_the_others(tmp_path, monkeypatch, capsys):
@@ -375,7 +416,7 @@ def test_cli_eig_reads_margin_from_config(tmp_path):
     assert (tmp_path / "eigenfunction_enlarged.csv").exists()
     # report field names are the on-disk keys
     assert set(data["eigen"]) == {
-        "lambda1", "rayleigh", "residual", "modular_residual",
+        "lambda1", "residual", "modular_residual",
         "iterations", "converged", "consistent",
     }
     assert set(data["enlarged"]) == {"lambda1", "tau", "margin"}

@@ -17,7 +17,7 @@ from pxlap.eigen import (
     rayleigh_quotient,
 )
 from pxlap.exponents import ExponentField
-from pxlap.mesh import GridFunction, build_interval_mesh, build_rectangle_mesh
+from pxlap.mesh import GridFunction, build_interval_mesh, build_rectangle_mesh, integrate
 from pxlap.operator import (
     OperatorContext,
     assemble_residual,
@@ -41,18 +41,18 @@ def test_lambda1_p3():
     assert pair.lambda1 == pytest.approx(constant_p_eigenvalue(3.0), rel=2e-2)
 
 
-def test_eigen_invariants(eig2_64, mesh64):
+def test_eigen_invariants(eig2_64, ctx2_64, mesh64):
     assert eig2_64.lambda1 > 0
     assert np.all(eig2_64.phi.values[mesh64.interior_nodes] > 0)
     assert eig2_64.modular_residual <= 1e-10
-    assert abs(eig2_64.rayleigh - eig2_64.lambda1) <= 1e-8 * eig2_64.lambda1
+    assert abs(rayleigh_quotient(ctx2_64, eig2_64.phi) - eig2_64.lambda1) <= 1e-8 * eig2_64.lambda1
 
 
 def test_eigen_equation_residual(eig2_64, ctx2_64):
     p_qp = ctx2_64.p.qp
     phi_qp = eig2_64.phi.at_qp()
     rhs = eig2_64.lambda1 * np.abs(phi_qp) ** (p_qp - 2.0) * phi_qp
-    res = dual_norm(ctx2_64.mesh, assemble_residual(ctx2_64, eig2_64.phi, rhs, eps_reg=0.0))
+    res = dual_norm(ctx2_64.mesh, assemble_residual(ctx2_64, eig2_64.phi, rhs))
     assert res <= 1e-7
 
 
@@ -109,7 +109,7 @@ def test_variable_exponent_consistency_reporting(ctxvar_64):
     assert pair.residual >= 0
     assert isinstance(pair.consistent, bool)
     summary = pair.summary()
-    assert set(summary) >= {"lambda1", "rayleigh", "residual", "consistent"}
+    assert set(summary) >= {"lambda1", "residual", "consistent"}
 
 
 def test_mesh_refinement_consistency():
@@ -152,6 +152,19 @@ def test_zero_initial_field_is_a_numerical_error(mesh64, ctx2_64):
         first_eigenpair(ctx2_64, initial=GridFunction.zeros(mesh64))
 
 
+@pytest.mark.parametrize("mesh_args", [(0.0, 1.0, 256), (0.0, 0.0, 1.0, 1.0, 64, 64)])
+@pytest.mark.parametrize("p", ["2 + 0.1*x", "1.5 + x", 3.0])
+def test_rayleigh_quotient_is_the_ratio_of_modulars_bit_for_bit(mesh_args, p, rng):
+    # the quadrature sums of |grad u|^p and |u|^p, as integrate() formed them
+    mesh = (build_interval_mesh if len(mesh_args) == 3 else build_rectangle_mesh)(*mesh_args)
+    ctx = OperatorContext(mesh, ExponentField(mesh, p))
+    for _ in range(3):
+        u = random_dirichlet_field(mesh, rng, scale=10.0 ** rng.uniform(-2, 2))
+        num = integrate(u.grad_magnitude_qp() ** ctx.p.qp, mesh)
+        den = integrate(np.abs(u.at_qp()) ** ctx.p.qp, mesh)
+        assert rayleigh_quotient(ctx, u) == num / den
+
+
 def test_rayleigh_quotient_of_zero_is_a_numerical_error(mesh64, ctx2_64):
     with pytest.raises(NumericalError, match="zero field"):
         rayleigh_quotient(ctx2_64, GridFunction.zeros(mesh64))
@@ -167,7 +180,7 @@ def _ref_first_eigenpair(ctx):
     mesh = ctx.mesh
     vals = np.abs(linear_poisson_solve(mesh, 1.0).values)
     vals[mesh.boundary_nodes] = 0.0
-    u = _normalize_modular(GridFunction(mesh, vals, dirichlet_zero=True), ctx.p)
+    u = _normalize_modular(GridFunction(mesh, vals), ctx.p)
     p_qp = ctx.p.qp
 
     def sweep(u, R):
@@ -192,7 +205,7 @@ def _ref_first_eigenpair(ctx):
 
     def equation_residual(field, value):
         rhs = _signed_power(value, field.at_qp(), p_qp)
-        return dual_norm(mesh, assemble_residual(ctx, field, rhs, eps_reg=0.0))
+        return dual_norm(mesh, assemble_residual(ctx, field, rhs))
 
     res = equation_residual(u, R)
     while res > 0.5 * EIGEN_RESIDUAL_TOL and it < _MAX_SWEEPS:

@@ -65,10 +65,11 @@ def test_eta_below_threshold_fails(ctx2_64, eig2_64):
     assert not hyp.passed
 
 
-def test_threshold_sharpness(ctx2_64, eig2_64):
+def test_threshold_sharpness(ctx2_64, eig2_64, monkeypatch):
     # scaling the benchmark eta across the threshold flips the verdict
     thr = eta_threshold(eig2_64, ctx2_64.p)
-    f = benchmark_family(ctx2_64, ctx2_64, eig2_64, eig2_64, eta_factor=1.01)
+    monkeypatch.setattr(existence, "_ETA_FACTOR", 1.01)
+    f = benchmark_family(ctx2_64, ctx2_64, eig2_64, eig2_64)
     assert check_hypotheses(f, ctx2_64, ctx2_64, eig2_64, eig2_64).eta_above_threshold
     below = Nonlinearity(f1=f.f1, f2=f.f2, eta1=0.99 * thr, eta2=0.99 * thr)
     assert not check_hypotheses(below, ctx2_64, ctx2_64, eig2_64, eig2_64).eta_above_threshold
@@ -210,12 +211,8 @@ def test_solve_in_box_newton_crosscheck(system64, box64, ctx2_64):
 
     f, hyp = system64
     res = solve_in_box(box64, f, ctx2_64, ctx2_64)
-    mid1 = box64.u_sub1.with_values(
-        0.5 * (box64.u_sub1.values + box64.u_sup1.values), dirichlet_zero=False
-    )
-    mid2 = box64.u_sub2.with_values(
-        0.5 * (box64.u_sub2.values + box64.u_sup2.values), dirichlet_zero=False
-    )
+    mid1 = box64.u_sub1.with_values(0.5 * (box64.u_sub1.values + box64.u_sup1.values))
+    mid2 = box64.u_sub2.with_values(0.5 * (box64.u_sub2.values + box64.u_sup2.values))
     rep = solve_coupled(ctx2_64, ctx2_64, f.f1, f.f2, mid1, mid2, tol=1e-11)
     assert rep.converged
     assert np.max(np.abs(rep.u1.values - res.u1.values)) < 1e-7

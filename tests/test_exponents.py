@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from pxlap.eigen import first_eigenpair
-from pxlap.errors import HypothesisError
+from pxlap.errors import DomainError, HypothesisError
 from pxlap.exponents import ExponentField, check_Hp
-from pxlap.mesh import GridFunction, build_interval_mesh, build_rectangle_mesh
+from pxlap.mesh import GridFunction, build_interval_mesh, build_rectangle_mesh, dilate_domain
 from pxlap.modular import luxemburg_norm, sobolev_norm
 from pxlap.operator import OperatorContext, dirichlet_solve
 
@@ -125,6 +125,13 @@ def test_nodal_table_exponent(mesh64):
     p = ExponentField(mesh64, table)
     assert p.p_min == pytest.approx(2.0, abs=1e-12)
     assert p.p_max == pytest.approx(3.0, abs=1e-12)
+    # a table moves to a mesh inside its own by interpolation, and to no other
+    inner = build_interval_mesh(0.25, 0.75, 8)
+    moved = p.on_mesh(inner)
+    assert np.allclose(moved.qp, 2.0 + inner.quad_points[:, :, 0], rtol=0.0, atol=1e-14)
+    assert moved.on_mesh(inner).qp.tobytes() == moved.qp.tobytes()
+    with pytest.raises(DomainError, match="nodal-table exponent is defined on its mesh"):
+        p.on_mesh(dilate_domain(mesh64, 0.25))
 
 
 @pytest.mark.parametrize(
@@ -154,7 +161,7 @@ def test_norms_solves_and_eigenpairs_evaluate_no_exponent(mesh64, monkeypatch):
     ctx = OperatorContext(mesh64, p)
     vals = np.sin(np.pi * mesh64.nodes[:, 0])
     vals[mesh64.boundary_nodes] = 0.0
-    u = GridFunction(mesh64, vals, dirichlet_zero=True)
+    u = GridFunction(mesh64, vals)
     calls = []
     evaluate = ExponentField.evaluate
 

@@ -115,10 +115,17 @@ def test_integrate_convergence_order():
 
 
 def test_gridfunction_dirichlet_flag():
+    # the zero trace is read from the boundary values
     m = build_interval_mesh(0.0, 1.0, 4)
-    with pytest.raises(MeshMismatchError):
-        GridFunction(m, np.ones(m.n_nodes), dirichlet_zero=True)
-    GridFunction.zeros(m)  # valid
+    assert GridFunction.zeros(m).dirichlet_zero
+    assert not GridFunction(m, np.ones(m.n_nodes)).dirichlet_zero
+    interior = np.zeros(m.n_nodes)
+    interior[m.interior_nodes] = 1.0
+    assert GridFunction(m, interior).dirichlet_zero
+    for value in (1e-300, -0.5, np.nan):
+        boundary = interior.copy()
+        boundary[m.boundary_nodes[-1]] = value
+        assert not GridFunction(m, boundary).dirichlet_zero
 
 
 def test_gridfunction_eval_reproduces_linears():

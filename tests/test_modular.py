@@ -99,7 +99,7 @@ def test_sobolev_norm_hat(p2_64, mesh64):
     # hat peaking at 1 in the middle: |u'| = 2 on both halves, so the
     # classical H1_0 seminorm is sqrt(int 4) = 2
     x = mesh64.nodes[:, 0]
-    u = GridFunction(mesh64, 1.0 - 2.0 * np.abs(x - 0.5), dirichlet_zero=True)
+    u = GridFunction(mesh64, 1.0 - 2.0 * np.abs(x - 0.5))
     assert sobolev_norm(u, p2_64) == pytest.approx(2.0, abs=1e-9)
 
 

@@ -240,8 +240,8 @@ def _ref_sobolev_norm_or_zero(u, ctx):
 
 
 def _ref_pair_distance(a, b, ctx1, ctx2):
-    d1 = GridFunction(ctx1.mesh, a[0].values - b[0].values, dirichlet_zero=True)
-    d2 = GridFunction(ctx2.mesh, a[1].values - b[1].values, dirichlet_zero=True)
+    d1 = GridFunction(ctx1.mesh, a[0].values - b[0].values)
+    d2 = GridFunction(ctx2.mesh, a[1].values - b[1].values)
     return _ref_sobolev_norm_or_zero(d1, ctx1) + _ref_sobolev_norm_or_zero(d2, ctx2)
 
 

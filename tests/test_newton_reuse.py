@@ -30,7 +30,7 @@ from pxlap.operator import (
     dirichlet_solve,
     semilinear_solve,
 )
-from conftest import _ref_matrix, random_dirichlet_field
+from conftest import _ref_matrix, load_at_qp, random_dirichlet_field
 
 _MESHES = {
     "interval64": lambda: build_interval_mesh(0.0, 1.0, 64),
@@ -76,7 +76,7 @@ def _interval_problem():
 
 
 def _scalar_solve(ctx):
-    return dirichlet_solve(ctx, lambda pts: 1.0 + np.sin(3.0 * pts[:, 0]) ** 2)
+    return dirichlet_solve(ctx, load_at_qp(ctx.mesh, lambda pts: 1.0 + np.sin(3.0 * pts[:, 0]) ** 2))
 
 
 def _coupled_solve(ctx):

@@ -22,7 +22,6 @@ from pxlap.operator import (
     _flux_factor,
     _mass_block,
     _residual_full,
-    _rhs_at_qp,
     _solve,
     assemble_jacobian,
     assemble_residual,
@@ -36,7 +35,7 @@ from pxlap.operator import (
     picone,
     semilinear_solve,
 )
-from conftest import _ref_matrix, random_dirichlet_field
+from conftest import _ref_matrix, load_at_qp, random_dirichlet_field
 
 
 def test_residual_zero_state(ctx2_64, mesh64):
@@ -112,7 +111,7 @@ def test_comparison_p2_closed_forms(ctx2_64, mesh64):
 
 
 def test_comparison_variable_exponent(ctxvar_64):
-    rep = comparison_check(ctxvar_64, 1.0, lambda pts: 1.0 + pts[:, 0])
+    rep = comparison_check(ctxvar_64, 1.0, load_at_qp(ctxvar_64.mesh, lambda pts: 1.0 + pts[:, 0]))
     assert rep.passed
 
 
@@ -122,9 +121,7 @@ def test_comparison_rejects_unordered(ctx2_64):
 
 
 def test_mean_value_constant_recovers_constant(ctxvar_64, mesh64):
-    phi = GridFunction(
-        mesh64, mesh64.nodes[:, 0] * (1 - mesh64.nodes[:, 0]), dirichlet_zero=True
-    )
+    phi = GridFunction(mesh64, mesh64.nodes[:, 0] * (1 - mesh64.nodes[:, 0]))
     khat = mean_value_constant(ctxvar_64, 1.4, 1.0, 2.0, h=1.0, phi=phi)
     assert khat == pytest.approx(1.4, abs=1e-12)
 
@@ -147,11 +144,18 @@ def test_mean_value_random_multipliers(ctxvar_64, mesh64, eig2_64, rng):
 
 
 def test_mean_value_rejects_nonpositive_source(ctx2_64, mesh64):
-    phi = GridFunction(
-        mesh64, mesh64.nodes[:, 0] * (1 - mesh64.nodes[:, 0]), dirichlet_zero=True
-    )
+    phi = GridFunction(mesh64, mesh64.nodes[:, 0] * (1 - mesh64.nodes[:, 0]))
     with pytest.raises(HypothesisError):
         mean_value_constant(ctx2_64, 1.5, 1.0, 2.0, h=-1.0, phi=phi)
+
+
+def test_mean_value_rejects_a_test_function_with_nonzero_trace(ctx2_64, mesh64):
+    x = mesh64.nodes[:, 0]
+    phi = GridFunction(mesh64, x * (1 - x))
+    phi.values[-1] = 1e-3
+    assert not phi.dirichlet_zero
+    with pytest.raises(HypothesisError, match="Dirichlet-zero"):
+        mean_value_constant(ctx2_64, 1.5, 1.0, 2.0, h=1.0, phi=phi)
 
 
 def test_picone_equal_arguments(mesh64, pvar_64, rng):
@@ -234,15 +238,15 @@ def test_monotone_operator_pairing(ctxvar_64, mesh64, rng):
     for _ in range(30):
         u = random_dirichlet_field(mesh64, rng)
         v = random_dirichlet_field(mesh64, rng)
-        ru = assemble_residual(ctxvar_64, u, rhs=0.0, eps_reg=0.0)
-        rv = assemble_residual(ctxvar_64, v, rhs=0.0, eps_reg=0.0)
+        ru = assemble_residual(ctxvar_64, u, rhs=0.0)
+        rv = assemble_residual(ctxvar_64, v, rhs=0.0)
         diff = (u.values - v.values)[mesh64.interior_nodes]
         assert np.dot(ru - rv, diff) >= -1e-12
 
 
 def test_discrete_maximum_principle(ctx2_64, ctxvar_64, mesh64):
     for ctx in (ctx2_64, ctxvar_64):
-        rep = dirichlet_solve(ctx, lambda pts: 1.0 + np.sin(3 * pts[:, 0]) ** 2)
+        rep = dirichlet_solve(ctx, load_at_qp(mesh64, lambda pts: 1.0 + np.sin(3 * pts[:, 0]) ** 2))
         assert rep.converged
         assert np.all(rep.u.values[mesh64.interior_nodes] > 0)
 
@@ -482,7 +486,7 @@ def _ref_newton_at_eps(ctx, rhs_fn, rhs_slope_fn, u, eps, tol, max_iter, stats):
 
         step = 1.0
         accepted = False
-        for _ in range(ctx.max_halvings + 1):
+        for _ in range(operator_module._MAX_HALVINGS + 1):
             stats["trials"] += 1
             trial = u.copy()
             trial[interior] += step * delta
@@ -521,7 +525,7 @@ def _ref_newton(ctx, rhs_fn, rhs_slope_fn, initial_values, tol, max_iter, stats)
     history.extend(hist)
     rn0 = dual_norm(mesh, _residual_full(ctx, u, rhs_fn(u), 0.0)[mesh.interior_nodes])
     return SolveReport(
-        u=GridFunction(mesh, u, dirichlet_zero=True),
+        u=GridFunction(mesh, u),
         residual=rn0,
         iterations=total_iters,
         converged=bool(converged and rn0 <= tol),
@@ -531,7 +535,7 @@ def _ref_newton(ctx, rhs_fn, rhs_slope_fn, initial_values, tol, max_iter, stats)
 
 def _ref_dirichlet_solve(ctx, rhs, stats):
     mesh = ctx.mesh
-    rhs_qp = _rhs_at_qp(mesh, rhs)
+    rhs_qp = load_at_qp(mesh, rhs)
     initial = linear_poisson_solve(mesh, rhs_qp)
     u = initial.values.copy()
     u[mesh.boundary_nodes] = 0.0
@@ -547,7 +551,7 @@ def _ref_dirichlet_solve(ctx, rhs, stats):
         return ladder
     rn0 = dual_norm(mesh, _residual_full(ctx, u, rhs_qp, 0.0)[mesh.interior_nodes])
     return SolveReport(
-        u=GridFunction(mesh, u, dirichlet_zero=True),
+        u=GridFunction(mesh, u),
         residual=rn0,
         iterations=it,
         converged=bool(rn0 <= tol),
@@ -583,7 +587,7 @@ def _ref_state_qp(mesh, values):
     return np.einsum("qa,ea->eq", mesh.basis, values[mesh.elements]).ravel()
 
 
-def _ref_coupled_newton_once(ctx1, ctx2, g1, g2, v1, v2, eps, tol, max_iter, max_halvings, stats):
+def _ref_coupled_newton_once(ctx1, ctx2, g1, g2, v1, v2, eps, tol, max_iter, stats):
     mesh = ctx1.mesh
     pts = mesh.quad_points.reshape(-1, mesh.dimension)
     shape = (mesh.n_elements, mesh.n_qp)
@@ -633,7 +637,7 @@ def _ref_coupled_newton_once(ctx1, ctx2, g1, g2, v1, v2, eps, tol, max_iter, max
         d1, d2 = delta[:n_int], delta[n_int:]
 
         step, accepted = 1.0, False
-        for _ in range(max_halvings + 1):
+        for _ in range(operator_module._MAX_HALVINGS + 1):
             stats["trials"] += 1
             t1, t2 = v1.copy(), v2.copy()
             t1[interior] += step * d1
@@ -664,12 +668,12 @@ def _ref_solve_coupled(ctx1, ctx2, g1, g2, seed1, seed2, stats):
     for eps in ladder:
         v1, v2, _, it, _ = _ref_coupled_newton_once(
             ctx1, ctx2, g1, g2, v1, v2, eps, max(tol, 1e-9),
-            ctx1.newton_max_iter, ctx1.max_halvings, stats,
+            ctx1.newton_max_iter, stats,
         )
         total += it
     v1, v2, rn, it, converged = _ref_coupled_newton_once(
         ctx1, ctx2, g1, g2, v1, v2, max(ctx1.eps_reg, ctx2.eps_reg), tol,
-        ctx1.newton_max_iter, ctx1.max_halvings, stats,
+        ctx1.newton_max_iter, stats,
     )
     total += it
     pts = mesh.quad_points.reshape(-1, mesh.dimension)
@@ -680,8 +684,8 @@ def _ref_solve_coupled(ctx1, ctx2, g1, g2, seed1, seed2, stats):
     interior = mesh.interior_nodes
     rn0 = float(np.hypot(dual_norm(mesh, r1[interior]), dual_norm(mesh, r2[interior])))
     return CoupledReport(
-        u1=GridFunction(mesh, v1, dirichlet_zero=True),
-        u2=GridFunction(mesh, v2, dirichlet_zero=True),
+        u1=GridFunction(mesh, v1),
+        u2=GridFunction(mesh, v2),
         residual=rn0,
         iterations=total,
         picard_sweeps=0,
@@ -733,18 +737,20 @@ _DRIVER_CASES = {
     "interval-p2.5": (lambda: build_interval_mesh(0.0, 1.0, 64), 2.5, {}),
     "rect16x12": (lambda: build_rectangle_mesh(0.0, 0.0, 1.0, 0.75, 16, 12), "2.5 + 0.5*x", {}),
     "capped": (lambda: build_interval_mesh(0.0, 1.0, 64), 1.3, {"newton_max_iter": 2}),
-    "no-halving": (lambda: build_interval_mesh(0.0, 1.0, 64), 1.3, {"max_halvings": 0}),
+    "no-halving": (lambda: build_interval_mesh(0.0, 1.0, 64), 1.3, {}),
 }
 
 
 @pytest.mark.parametrize("case", list(_DRIVER_CASES))
-def test_dirichlet_solve_matches_reference_newton(case, residual_calls):
+def test_dirichlet_solve_matches_reference_newton(case, residual_calls, monkeypatch):
     build, p, settings = _DRIVER_CASES[case]
+    if case == "no-halving":
+        monkeypatch.setattr(operator_module, "_MAX_HALVINGS", 0)
     mesh = build()
     ctx = OperatorContext(mesh, ExponentField(mesh, p), **settings)
     stats = Counter()
     ref = _ref_dirichlet_solve(ctx, _dirichlet_rhs, stats)
-    rep = dirichlet_solve(ctx, _dirichlet_rhs)
+    rep = dirichlet_solve(ctx, load_at_qp(mesh, _dirichlet_rhs))
     _assert_same_solve(rep, ref)
     # one residual per rung and per line-search trial, one for the recheck
     assert len(residual_calls) == stats["rungs"] + stats["trials"] + 1
@@ -777,7 +783,7 @@ def test_target_eps_first_reaches_the_ladder_solution(case):
     build, p = _SAME_SOLUTION_CASES[case]
     mesh = build()
     ctx = OperatorContext(mesh, ExponentField(mesh, p))
-    rhs_qp = _rhs_at_qp(mesh, _dirichlet_rhs)
+    rhs_qp = load_at_qp(mesh, _dirichlet_rhs)
     initial = linear_poisson_solve(mesh, rhs_qp)
     ladder = _ref_newton(
         ctx, lambda vals: rhs_qp, None, initial.values, ctx.newton_tol, ctx.newton_max_iter, Counter()
@@ -887,17 +893,17 @@ def _assert_converged(rep, ctx):
 def test_kept_factor_at_another_eps_is_never_solved_with():
     ctx = _kept_factor_ctx()
     kept = KeptFactor(eps=1e-2, lu=_UnusableFactor())
-    rep = dirichlet_solve(ctx, _dirichlet_rhs, kept=kept)
+    rep = dirichlet_solve(ctx, load_at_qp(ctx.mesh, _dirichlet_rhs), kept=kept)
     _assert_converged(rep, ctx)
     assert kept.eps == ctx.eps_reg and not isinstance(kept.lu, _UnusableFactor)
 
 
 def test_kept_factor_from_a_distant_state_is_replaced():
     ctx = _kept_factor_ctx()
-    plain = dirichlet_solve(ctx, _dirichlet_rhs)
+    plain = dirichlet_solve(ctx, load_at_qp(ctx.mesh, _dirichlet_rhs))
     distant = _factor(_ref_matrix(ctx.mesh, [[assemble_jacobian(ctx, 10.0 * plain.u.values, ctx.eps_reg)]]), "test")
     kept = KeptFactor(eps=ctx.eps_reg, lu=distant)
-    rep = dirichlet_solve(ctx, _dirichlet_rhs, kept=kept)
+    rep = dirichlet_solve(ctx, load_at_qp(ctx.mesh, _dirichlet_rhs), kept=kept)
     _assert_converged(rep, ctx)
     # its chord step cuts the residual by less than _CHORD_RATE, so the
     # first iteration is the plain Newton step from a fresh factor
@@ -910,7 +916,7 @@ def test_non_finite_chord_step_is_rejected(value):
     # at p < 2 a residual at an infinite state would multiply 0 by inf
     ctx = _kept_factor_ctx("1.6 + 0.2*x")
     kept = KeptFactor(eps=ctx.eps_reg, lu=_NonFiniteFactor(value))
-    rep = dirichlet_solve(ctx, _dirichlet_rhs, kept=kept)
+    rep = dirichlet_solve(ctx, load_at_qp(ctx.mesh, _dirichlet_rhs), kept=kept)
     _assert_converged(rep, ctx)
     assert np.all(np.isfinite(rep.history))
 
@@ -931,7 +937,7 @@ def test_old_factor_is_released_before_each_factorization(monkeypatch):
     entries.clear()
     # loads far apart, so that the kept factor stops contracting
     for scale in (1.0, 30.0, 900.0):
-        rep = dirichlet_solve(ctx, lambda pts: scale * _dirichlet_rhs(pts), initial=u, kept=kept)
+        rep = dirichlet_solve(ctx, scale * load_at_qp(ctx.mesh, _dirichlet_rhs), initial=u, kept=kept)
         _assert_converged(rep, ctx)
         u = rep.u
     assert len(entries) >= 3

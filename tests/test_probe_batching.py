@@ -14,6 +14,7 @@ box-verification subgrid and the subsolution partner range), which
 import numpy as np
 import pytest
 
+from pxlap import existence
 from pxlap.eigen import first_eigenpair
 from pxlap.errors import ConstructionError
 from pxlap.existence import (
@@ -265,7 +266,9 @@ def _sqrt_f(ctx, eig):
 
 def _eta_above_amplitude(ctx, eig):
     # declared eta beats the amplitude, so the first rho_hat square fails
-    return benchmark_family(ctx, ctx, eig, eig, eta_factor=3.0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(existence, "_ETA_FACTOR", 3.0)
+        return benchmark_family(ctx, ctx, eig, eig)
 
 
 def _linear_f(ctx, eig):

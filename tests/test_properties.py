@@ -117,6 +117,6 @@ def test_picone_L1_is_nonnegative(w1, w2, a, b):
 @given(h1=_nodal(-5.0, 5.0), gap=_nodal(0.0, 5.0), a=st.floats(2.0, 3.0), b=st.floats(0.0, 1.0))
 def test_comparison_of_ordered_loads_is_conclusive_and_passes(h1, gap, a, b):
     ctx = OperatorContext(_MESH16, _exponent(a, min(b, 3.0 - a)))
-    rep = comparison_check(ctx, GridFunction(_MESH16, h1), GridFunction(_MESH16, h1 + gap))
+    rep = comparison_check(ctx, GridFunction(_MESH16, h1).at_qp(), GridFunction(_MESH16, h1 + gap).at_qp())
     assert rep.conclusive
     assert rep.passed, rep.max_violation

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import __version__
 from .errors import ConfigError, DomainError, HypothesisError, MeshMismatchError, PxlapError
-from .eigen import enlarged_eigenpair, first_eigenpair
+from .eigen import dilated_mesh, enlarged_eigenpair, first_eigenpair
 from .existence import (
     Nonlinearity,
     benchmark_family,
@@ -37,7 +37,6 @@ from .mesh import (
     build_interval_mesh,
     build_rectangle_mesh,
     load_grid_function_csv,
-    snap_margin,
 )
 from .modular import check_norm_modular, luxemburg_norm
 from .multiplicity import (
@@ -253,21 +252,20 @@ def _load_csv(what: str, path, mesh) -> GridFunction:
         raise ConfigError([f"{what}: cannot read nodal CSV {path}: {exc}"]) from exc
 
 
+def _exponent_key(v: dict, i: int) -> str:
+    """The setting exponent ``i`` comes from: its table, if one is given."""
+    return f"p{i}.table" if v[f"p{i}.table"] else f"p{i}.expr"
+
+
 def build_contexts(v: dict):
     mesh = build_mesh(v)
-    # a margin the mesh cannot hold is a setting error, found before any solve
-    if v["margin"] > 0:
-        try:
-            snap_margin(mesh, v["margin"])
-        except DomainError as exc:
-            raise ConfigError([f"margin: {exc}"]) from exc
     fields = []
     for i in (1, 2):
         table = v[f"p{i}.table"]
         if i == 2 and table == v["p1.table"] and v["p2.expr"] == v["p1.expr"]:
             fields.append(fields[0])  # identical spec: share the field
             continue
-        key = f"p{i}.table" if table else f"p{i}.expr"
+        key = _exponent_key(v, i)
         rule = _load_csv(key, table, mesh) if table else v[key]
         # p_min > 1 is checked at the mesh's points, so only once it exists
         try:
@@ -287,11 +285,22 @@ def build_contexts(v: dict):
     return mesh, ctxs[0], ctxs[1]
 
 
-def _no_tables_when_dilated(v: dict, *keys):
-    """A nodal table is defined on the configured mesh only: a config error,
-    found before any solve, of a command that also solves on the dilated domain."""
-    errors = [f"{key}: a nodal table is defined on the configured mesh only, and "
-              "this command also solves on the dilated domain" for key in keys if v[key]]
+def check_dilated(v: dict, *ctxs):
+    """Build the dilated domain of :func:`enlarged_eigenpair` and each
+    context's exponent on it, before any solve: a margin the mesh cannot
+    hold, and an exponent that is not admissible there, are config errors."""
+    try:
+        outer, _ = dilated_mesh(ctxs[0].mesh, v["margin"] or None)
+    except DomainError as exc:
+        raise ConfigError([f"margin: {exc}"]) from exc
+    errors = []
+    for i, ctx in enumerate(ctxs, start=1):
+        if i == 2 and ctx.p is ctxs[0].p:
+            continue  # one field serves both components
+        try:
+            ctx.p.on_mesh(outer)
+        except (DomainError, HypothesisError) as exc:
+            errors.append(f"{_exponent_key(v, i)}: on the dilated domain: {exc}")
     if errors:
         raise ConfigError(errors)
 
@@ -364,9 +373,9 @@ def _exponent_warnings(*ctxs) -> list:
 
 
 def cmd_eig(v: dict, args):
-    if v["margin"] > 0:
-        _no_tables_when_dilated(v, "p1.table")
     mesh, ctx1, _ = build_contexts(v)
+    if v["margin"] > 0:
+        check_dilated(v, ctx1)
     pair = first_eigenpair(ctx1)
     payload = {"eigen": pair.summary(), "warnings": _exponent_warnings(ctx1)}
     fields = {"eigenfunction.csv": pair.phi}
@@ -402,8 +411,8 @@ def cmd_solve(v: dict, args):
 def _positive_pair(v: dict):
     """The start shared by theorem1 and theorem2: eigenpairs, f, hypotheses,
     the ordered box (``margin`` 0 = auto) and the positive solution in it."""
-    _no_tables_when_dilated(v, "p1.table", "p2.table")
     mesh, ctx1, ctx2 = build_contexts(v)
+    check_dilated(v, ctx1, ctx2)
     eig1 = first_eigenpair(ctx1)
     eig2 = eig1 if ctx2 == ctx1 else first_eigenpair(ctx2)
     f = build_nonlinearity(v, ctx1, ctx2, eig1, eig2)

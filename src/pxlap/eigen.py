@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import DomainError, HypothesisError, NumericalError
 from .exponents import ExponentField, check_Hp
-from .mesh import GridFunction, dilate_domain, restrict, snap_margin
+from .mesh import GridFunction, Mesh, dilate_domain, restrict, snap_margin
 from .modular import luxemburg_norm, modular, modular_of_qp
 from .operator import (
     KeptFactor,
@@ -218,23 +218,25 @@ class EnlargedEigenResult:
     sup_phi_tilde: float
 
 
-def enlarged_eigenpair(
-    ctx: OperatorContext,
-    margin: float | None = None,
-) -> EnlargedEigenResult:
-    """First eigenpair on the box-dilated domain, restricted back to the base mesh.
+def dilated_mesh(mesh: Mesh, margin: float | None = None) -> tuple[Mesh, float]:
+    """The mesh of the dilated domain and the margin it is grown by.
 
     ``margin`` defaults to a quarter of the domain diameter and is rounded up
     to whole cells, so the inner grid nests in the outer one and restriction
     is exact nodal pickup.
+    """
+    margin = snap_margin(mesh, 0.25 * mesh.diameter if margin is None else margin)
+    return dilate_domain(mesh, margin), margin
+
+
+def enlarged_eigenpair(ctx: OperatorContext, margin: float | None = None) -> EnlargedEigenResult:
+    """First eigenpair on the :func:`dilated_mesh` domain, restricted to the base mesh.
+
     Returns tau = half the minimum of the restricted eigenfunction over all
     base-mesh nodes; tau > 0 certifies the strict interior bound.
     """
     mesh = ctx.mesh
-    if margin is None:
-        margin = 0.25 * mesh.diameter
-    margin = snap_margin(mesh, margin)
-    outer = dilate_domain(mesh, margin)
+    outer, margin = dilated_mesh(mesh, margin)
     pair = first_eigenpair(dataclasses.replace(ctx, mesh=outer, p=ctx.p.on_mesh(outer)))
     phi_r = restrict(pair.phi, mesh)
     tau = 0.5 * float(np.min(phi_r.values))

@@ -31,7 +31,5 @@ class ConfigError(PxlapError):
     individual messages so a config file is reported in one pass."""
 
     def __init__(self, errors):
-        if isinstance(errors, str):
-            errors = [errors]
         self.errors = list(errors)
         super().__init__("; ".join(self.errors))

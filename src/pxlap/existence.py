@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConstructionError, HypothesisError, MeshMismatchError
-from .eigen import EigenPair, EnlargedEigenResult, enlarged_eigenpair
+from .eigen import EigenPair, EnlargedEigenResult, _signed_power, enlarged_eigenpair
 from .mesh import GridFunction
 from .operator import (
     OperatorContext,
@@ -103,18 +103,15 @@ def benchmark_family(
         def f(x, s1_or_s2, partner):
             s = np.asarray(s1_or_s2, dtype=float)
             t = np.asarray(partner, dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                own = np.abs(s) ** (pmin - 2.0) * s / (1.0 + np.abs(s))
-            own = np.where(s == 0.0, 0.0, own)  # |0|^(p-2)*0 is 0 for p > 1
+            own = _signed_power(1.0, s, pmin) / (1.0 + np.abs(s))
             coupling = 1.0 + t**2 / (1.0 + t**2)
             return A * own * coupling
 
         return f
 
-    f1_core = make(A1, ctx1.p.p_min)
     f2_core = make(A2, ctx2.p.p_min)
     return Nonlinearity(
-        f1=lambda x, s1, s2: f1_core(x, s1, s2),
+        f1=make(A1, ctx1.p.p_min),
         f2=lambda x, s1, s2: f2_core(x, s2, s1),
         eta1=_ETA_FACTOR * thr1,
         eta2=_ETA_FACTOR * thr2,
@@ -546,8 +543,13 @@ class OrderedBox:
     constants: dict = field(default_factory=dict)
     verification: BoxVerification | None = None
 
+    @property
+    def sections(self) -> tuple:
+        """((u_sub1, u_sup1), (u_sub2, u_sup2)): each component's bounds."""
+        return (self.u_sub1, self.u_sup1), (self.u_sub2, self.u_sup2)
+
     def __post_init__(self):
-        for lo, hi in [(self.u_sub1, self.u_sup1), (self.u_sub2, self.u_sup2)]:
+        for lo, hi in self.sections:
             mesh = lo.mesh
             if np.any(lo.values > hi.values):
                 raise ConstructionError("box ordering violated at some node")
@@ -555,17 +557,14 @@ class OrderedBox:
                 raise ConstructionError("box ordering must be strict at interior nodes")
 
     def contains(self, u1: GridFunction, u2: GridFunction, tol: float = 1e-8) -> bool:
-        return bool(
-            np.all(u1.values >= self.u_sub1.values - tol)
-            and np.all(u1.values <= self.u_sup1.values + tol)
-            and np.all(u2.values >= self.u_sub2.values - tol)
-            and np.all(u2.values <= self.u_sup2.values + tol)
+        return all(
+            np.all(u.values >= lo.values - tol) and np.all(u.values <= hi.values + tol)
+            for u, (lo, hi) in zip((u1, u2), self.sections)
         )
 
     def clip(self, i: int, values: np.ndarray) -> np.ndarray:
-        lo = (self.u_sub1, self.u_sub2)[i - 1].values
-        hi = (self.u_sup1, self.u_sup2)[i - 1].values
-        return np.clip(values, lo, hi)
+        lo, hi = self.sections[i - 1]
+        return np.clip(values, lo.values, hi.values)
 
 
 # the sign violation of a weak inequality the box verification tolerates
@@ -588,12 +587,10 @@ def verify_ordered_box(
     """
     mesh = ctx1.mesh
     shape = (mesh.n_elements, mesh.n_qp)
-    section = (_states_between(box.u_sub1, box.u_sup1), _states_between(box.u_sub2, box.u_sup2))
+    section = [_states_between(lo, hi) for lo, hi in box.sections]
     worst_sub = []
     worst_sup = []
-    for ctx, fi, sub_u, sup_u in zip(
-        (ctx1, ctx2), (f.f1, f.f2), (box.u_sub1, box.u_sub2), (box.u_sup1, box.u_sup2)
-    ):
+    for ctx, fi, (sub_u, sup_u) in zip((ctx1, ctx2), (f.f1, f.f2), box.sections):
         fmin, fmax = _f_range(fi, mesh.quad_points_flat, *section)
         sub_margin = assemble_residual(ctx, sub_u, fmin.reshape(shape))
         sup_margin = assemble_residual(ctx, sup_u, fmax.reshape(shape))
@@ -633,7 +630,7 @@ def build_ordered_box(
     constants["rho_hat"] = hyp.rho_hat
     box = OrderedBox(u1, u2, sup.u_sup1, sup.u_sup2, constants=constants)
     interior = ctx1.mesh.interior_nodes
-    for lo, hi in ((u1, sup.u_sup1), (u2, sup.u_sup2)):
+    for lo, hi in box.sections:
         if np.any(lo.values[interior] <= 0) or np.any(hi.values <= 0):
             raise ConstructionError(
                 "constructed box lost positivity (subsolution interior / "
@@ -697,9 +694,8 @@ def solve_in_box(
     hitting the sweep cap returns a non-converged report, never raises.
     """
     mesh = ctx1.mesh
-    bounds = ((box.u_sub1, box.u_sup1), (box.u_sub2, box.u_sup2))
     u = []
-    for i, (lo, hi) in enumerate(bounds, start=1):
+    for i, (lo, hi) in enumerate(box.sections, start=1):
         vals = (lo if start == "sub" else hi).values.copy()
         vals[mesh.boundary_nodes] = 0.0
         u.append(GridFunction(mesh, box.clip(i, vals)))
@@ -710,7 +706,7 @@ def solve_in_box(
     it = 0
     for it in range(1, _BOX_MAX_SWEEPS + 1):
         new = list(u)  # component 2 sees the fresh component 1
-        for i, (ctx, fi, (lo, hi)) in enumerate(zip((ctx1, ctx2), (f.f1, f.f2), bounds)):
+        for i, (ctx, fi, (lo, hi)) in enumerate(zip((ctx1, ctx2), (f.f1, f.f2), box.sections)):
             raw = dirichlet_solve(ctx, _f_at_state(fi, mesh, *new), initial=u[i]).u.values
             pretrunc = max(
                 pretrunc,

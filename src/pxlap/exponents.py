@@ -3,12 +3,12 @@
 An :class:`ExponentField` wraps either a coordinate expression/callable or a
 nodal table and caches its values at the quadrature points of its mesh and
 the bounds (p_min, p_max) obtained by sampling every quadrature point and
-node.  Construction enforces 1 < p_min.
+node.  Construction enforces 1 < p_min and p_max < inf.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,16 +61,19 @@ class ExponentField:
             self.description = repr(value)
         self._rule = rule
 
-        self.qp = _freeze(
-            self.evaluate(mesh.quad_points_flat).reshape(mesh.n_elements, mesh.n_qp)
-        )
-        nodal = self.evaluate(mesh.nodes)
-        self.p_min = float(min(self.qp.min(), nodal.min()))
-        self.p_max = float(max(self.qp.max(), nodal.max()))
+        # a NaN or an infinity fails a bound check below, with no warning
+        with np.errstate(all="ignore"):
+            qp = self.evaluate(mesh.quad_points_flat)
+            nodal = self.evaluate(mesh.nodes)
+        self.qp = _freeze(qp.reshape(mesh.n_elements, mesh.n_qp))
+        self.p_min = float(np.minimum(self.qp.min(), nodal.min()))
+        self.p_max = float(np.maximum(self.qp.max(), nodal.max()))
         if not self.p_min > 1.0:
             raise HypothesisError(
                 f"exponent must satisfy p_min > 1, sampled minimum {self.p_min}"
             )
+        if not self.p_max < np.inf:
+            raise HypothesisError(f"exponent must be finite, sampled maximum {self.p_max}")
         # p_max < dimension is a Sobolev-embedding hypothesis; it cannot hold
         # in 1D desk experiments, so it is recorded rather than enforced.
         self.embedding_warning = None
@@ -110,8 +113,6 @@ class ExponentField:
 
 @dataclass
 class LineCheck:
-    direction: tuple
-    n_lines: int
     passed: bool
     witness: dict | None = None
 
@@ -124,8 +125,8 @@ class HpReport:
     monotone.  A failing report is a legitimate outcome, not an error.
     """
 
-    checks: list = field(default_factory=list)
-    passed: bool = False
+    checks: list
+    passed: bool
 
 
 def _line_monotone(p, mesh, x0, direction):
@@ -163,47 +164,29 @@ def _base_points(mesh) -> np.ndarray:
     return mesh.nodes[::step]
 
 
-def _check_lines(p, mesh, label, lines) -> LineCheck:
+def _check_lines(p, mesh, lines) -> LineCheck:
     """Test p along every ``(x0, unit direction)`` line; degenerate lines are
     skipped and the first non-monotone one is the witness."""
-    ok = True
-    witness = None
-    n_lines = 0
     for x0, direction in lines:
         result = _line_monotone(p, mesh, x0, direction)
-        if result is None:
-            continue
-        n_lines += 1
-        monotone, w = result
-        if not monotone and ok:
-            ok, witness = False, w
-    return LineCheck(label, n_lines, ok, witness)
+        if result is not None and not result[0]:
+            return LineCheck(False, result[1])
+    return LineCheck(True)
 
 
-def check_Hp(p: ExponentField, mesh: Mesh, directions=None) -> HpReport:
+def check_Hp(p: ExponentField, mesh: Mesh) -> HpReport:
     """Sample p along lines through the domain and test monotonicity.
 
-    For each direction l, lines x0 + t*l through a grid of base points are
-    sampled inside the bounding box; a direction passes when every sampled
-    restriction is monotone (non-increasing or non-decreasing up to _MONOTONE_TOL).
+    For each coordinate direction l, lines x0 + t*l through a grid of base
+    points are sampled inside the bounding box; a direction passes when every
+    sampled restriction is monotone (non-increasing or non-decreasing up to
+    _MONOTONE_TOL).
     """
-    dim = mesh.dimension
-    if directions is None:
-        directions = [tuple(np.eye(dim)[d]) for d in range(dim)]
-    if len(directions) == 0:
-        raise ValueError("need at least one direction")
-
-    report = HpReport()
-    for direction in directions:
-        l = np.asarray(direction, dtype=float)
-        norm = np.linalg.norm(l)
-        if norm == 0:
-            raise ValueError("direction vectors must be nonzero")
-        l = l / norm
-        lines = ((x0, l) for x0 in _base_points(mesh))
-        report.checks.append(_check_lines(p, mesh, tuple(direction), lines))
-    report.passed = any(c.passed for c in report.checks)
-    return report
+    checks = [
+        _check_lines(p, mesh, ((x0, l) for x0 in _base_points(mesh)))
+        for l in np.eye(mesh.dimension)
+    ]
+    return HpReport(checks, any(c.passed for c in checks))
 
 
 def check_Hp_rays(p: ExponentField, mesh: Mesh, exterior_point) -> HpReport:
@@ -214,5 +197,5 @@ def check_Hp_rays(p: ExponentField, mesh: Mesh, exterior_point) -> HpReport:
         raise ValueError("ray base point must lie outside the closed domain")
     rays = (target - x_ext for target in _base_points(mesh))
     lines = ((x_ext, w / n) for w in rays if (n := np.linalg.norm(w)) != 0)
-    check = _check_lines(p, mesh, tuple(x_ext.tolist()), lines)
-    return HpReport(checks=[check], passed=check.passed)
+    check = _check_lines(p, mesh, lines)
+    return HpReport([check], check.passed)

@@ -226,7 +226,6 @@ class TraceStep:
 
 @dataclass
 class HomotopyTrace:
-    rng_seed: int
     steps: list = field(default_factory=list)
 
     def max_pair_norm(self) -> float:
@@ -234,7 +233,6 @@ class HomotopyTrace:
 
     def summary(self) -> dict:
         return {
-            "rng_seed": self.rng_seed,
             "max_pair_norm": self.max_pair_norm(),
             "steps": [
                 {
@@ -299,7 +297,7 @@ def continuation(
     in the trace, never fatal.
     """
     mesh = ctx1.mesh
-    trace = HomotopyTrace(rng_seed=cfg.rng_seed)
+    trace = HomotopyTrace()
 
     previous = []
     for t in cfg.t_grid:
@@ -343,6 +341,13 @@ def boundedness_probe(trace: HomotopyTrace, R: float | None = None) -> Boundedne
     )
 
 
+def _random_interior(mesh, rng) -> np.ndarray:
+    """Nodal values: standard normal at the interior nodes, zero on the boundary."""
+    vals = np.zeros(mesh.n_nodes)
+    vals[mesh.interior_nodes] = rng.standard_normal(len(mesh.interior_nodes))
+    return vals
+
+
 @dataclass
 class AttemptRecord:
     tag: str
@@ -358,13 +363,19 @@ class NonexistenceReport(Report):
     applicable: bool
     reason: str
     attempts: list = field(default_factory=list, metadata=HIDDEN)
-    min_residual: float = np.inf
-    converged_count: int = 0
-    falsifications: list = field(default_factory=list, metadata=HIDDEN)
     tolerance: float = 1e-8
     rng_seed: int = 42
     J: float = 0.0
     delta: float = 0.0
+
+    @property
+    def min_residual(self) -> float:
+        # inf first, so a NaN residual is passed over as the attempt loop did
+        return min([np.inf, *(a.residual for a in self.attempts)])
+
+    @property
+    def converged_count(self) -> int:
+        return sum(a.converged for a in self.attempts)
 
     @property
     def passed(self) -> bool:
@@ -425,14 +436,10 @@ def nonexistence_probe(
         sign = 1.0 if k % 2 == 0 else -1.0
         seeds.append((eig.phi.scaled(sign * c), f"eig x{sign * c:.3g}"))
     while len(seeds) < attempts:
-        vals = np.zeros(mesh.n_nodes)
-        vals[mesh.interior_nodes] = rng.standard_normal(len(mesh.interior_nodes))
+        vals = _random_interior(mesh, rng)
         scale = 10.0 ** rng.uniform(-2, 1)
-        gf = GridFunction(mesh, vals)
-        nrm = sobolev_norm(gf, ctx.p)
-        seeds.append(
-            (gf.with_values(scale * vals / max(nrm, 1e-30)), f"random x{scale:.3g}")
-        )
+        nrm = sobolev_norm(GridFunction(mesh, vals), ctx.p)
+        seeds.append((GridFunction(mesh, scale * vals / max(nrm, 1e-30)), f"random x{scale:.3g}"))
 
     # the shift delta * lambda1 * phi1^(p-1), at the quadrature points
     phi_qp = eig.phi.eval(mesh.quad_points_flat)
@@ -446,12 +453,7 @@ def nonexistence_probe(
     for seed, tag in seeds[:attempts]:
         rep, _, (norm,) = _picard((ctx,), sweep, (seed,))
         conv = bool(rep.converged and rep.residual <= tolerance)
-        record = AttemptRecord(tag=tag, converged=conv, residual=float(rep.residual), norm=norm)
-        report.attempts.append(record)
-        report.min_residual = min(report.min_residual, record.residual)
-        if conv:
-            report.converged_count += 1
-            report.falsifications.append(record)
+        report.attempts.append(AttemptRecord(tag, conv, float(rep.residual), norm))
     return report
 
 
@@ -515,11 +517,7 @@ def annulus_search(
         seeds.append((eig1.phi.scaled(c), eig2.phi.scaled(c), f"eig@{target:.3g}"))
     for _ in range(_ANNULUS_RANDOM_SEEDS):
         target = float(rng.uniform(R_hat * 1.05, R * 0.95))
-        comps = []
-        for _ in range(2):
-            vals = np.zeros(mesh.n_nodes)
-            vals[mesh.interior_nodes] = np.abs(rng.standard_normal(len(mesh.interior_nodes)))
-            comps.append(GridFunction(mesh, vals))
+        comps = [GridFunction(mesh, np.abs(_random_interior(mesh, rng))) for _ in range(2)]
         total = pair_norm(comps[0], ctx1.p, comps[1], ctx2.p)
         seeds.append(
             (*(g.with_values(g.values * target / total) for g in comps), f"random@{target:.3g}")

@@ -294,6 +294,14 @@ def test_cli_reports_homotopy_errors_with_the_others(tmp_path, monkeypatch, caps
     assert not (tmp_path / "summary.json").exists()
 
 
+# exponents admissible on [0, 1] that fail on the domain dilated by 0.25
+_DILATED_FAULTS = {
+    "1.2 + x": "exponent must satisfy p_min > 1, sampled minimum 0.95",
+    "2 + sqrt(x)": "exponent must satisfy p_min > 1, sampled minimum nan",
+    "2 + 1/(x+0.25)": "exponent must be finite, sampled maximum inf",
+}
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -303,19 +311,35 @@ def test_cli_reports_homotopy_errors_with_the_others(tmp_path, monkeypatch, caps
         (["eig", "--p", "1", "--mesh", "n=8"], "p1.expr: exponent must satisfy p_min > 1"),
         (["theorem1", "--config", "p2.cfg"], "p2.expr: exponent must satisfy p_min > 1"),
         (["eig", "--config", "t.cfg"], "p1.table: exponent must satisfy p_min > 1"),
+        # infinite at the node x = 1/3
+        (["eig", "--p", "2 + 1/(x - 1/3)**2", "--mesh", "n=6"], "p1.expr: exponent must be finite"),
+        *(
+            ([cmd, "--config", f"d{k}.cfg"], f"p1.expr: on the dilated domain: {message}")
+            for cmd in ("theorem1", "theorem2")
+            for k, message in enumerate(_DILATED_FAULTS.values())
+        ),
+        *(
+            (["eig", "--p", p, "--mesh", "n=32", "--margin", "0.25"],
+             f"p1.expr: on the dilated domain: {message}")
+            for p, message in _DILATED_FAULTS.items()
+        ),
     ],
 )
 def test_cli_rejected_mesh_or_exponent_is_config_error(
     tmp_path, monkeypatch, argv, message, capsys
 ):
     # a mesh or an exponent its constructor rejects exited 2, the
-    # non-convergence code, with a DomainError or a HypothesisError
+    # non-convergence code, with a DomainError or a HypothesisError; an
+    # exponent that fails on the dilated domain only did so after the
+    # first eigenpair solve
     def no_solve(*args, **kwargs):
         raise AssertionError("a solve ran before the mesh and exponents were built")
 
     monkeypatch.setattr(cli, "first_eigenpair", no_solve)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "p2.cfg").write_text("mesh.n = 8\np2.expr = 0.5 + x\n")
+    for k, p in enumerate(_DILATED_FAULTS):
+        (tmp_path / f"d{k}.cfg").write_text(f"mesh.n = 32\np1.expr = {p}\np2.expr = {p}\n")
     table = tmp_path / "one.csv"
     table.write_text("x,value\n" + "".join(f"{x:.17g},1.0\n" for x in np.linspace(0, 1, 9)))
     (tmp_path / "t.cfg").write_text(f"mesh.n = 8\np1.table = {table}\n")
@@ -323,6 +347,14 @@ def test_cli_rejected_mesh_or_exponent_is_config_error(
     err = capsys.readouterr().err
     assert err.count("config error") == 1 and message in err
     assert not list(tmp_path.rglob("summary.json"))
+
+
+def test_cli_eig_without_a_margin_solves_on_the_configured_domain_only(tmp_path):
+    # p = 1.2 + x dips below 1 on the dilated domain, which eig without a
+    # margin never builds
+    argv = ["eig", "--p", "1.2 + x", "--mesh", "n=32", "--output-dir", str(tmp_path), "--quiet"]
+    assert main(argv) == 0
+    assert "enlarged" not in json.loads((tmp_path / "summary.json").read_text())
 
 
 @pytest.mark.parametrize(
@@ -662,7 +694,7 @@ def test_cli_theorem2_pipeline(tmp_path):
     assert data["nonexistence_probe"]["attempts"] == 4
     # the conventions block and trace.family were constants of a deleted family
     assert "conventions" not in data
-    assert set(data["trace"]) == {"rng_seed", "max_pair_norm", "steps"}
+    assert set(data["trace"]) == {"max_pair_norm", "steps"}
     assert len(data["trace"]["steps"]) == 3
     # annulus artifacts exist for every reported solution
     for k in range(len(data["annulus"]["solutions"])):

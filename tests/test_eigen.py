@@ -12,6 +12,7 @@ from pxlap.eigen import (
     _RAYLEIGH_RTOL,
     _normalize_modular,
     _signed_power,
+    dilated_mesh,
     enlarged_eigenpair,
     first_eigenpair,
     rayleigh_quotient,
@@ -88,6 +89,27 @@ def test_enlarged_eigenpair(ctx2_64):
     assert res.pair.lambda1 == pytest.approx(np.pi**2 / 1.5**2, rel=1e-2)
     assert res.tau > 0
     assert np.all(res.phi_restricted.values > res.tau)
+
+
+@pytest.mark.parametrize(
+    "mesh, margin, want",
+    [
+        (build_interval_mesh(0.0, 1.0, 16), None, 0.25),  # a quarter of the diameter
+        (build_interval_mesh(0.0, 1.0, 16), 0.1, 0.125),  # rounded up to whole cells
+        # cells 0.125 x 0.1875: the margin is a whole number of both
+        (build_rectangle_mesh(0.0, 0.0, 1.0, 0.75, 8, 4), 0.2, 0.375),
+    ],
+)
+def test_dilated_mesh_is_the_enlarged_domain(mesh, margin, want):
+    outer, snapped = dilated_mesh(mesh, margin)
+    assert snapped == want
+    assert np.array_equal(outer.lo, mesh.lo - want) and np.array_equal(outer.hi, mesh.hi + want)
+    assert np.allclose(outer.spacing, mesh.spacing, rtol=1e-12, atol=0.0)
+    res = enlarged_eigenpair(OperatorContext(mesh, ExponentField(mesh, 2.0)), margin)
+    used = res.pair.phi.mesh
+    assert res.margin == snapped
+    assert np.array_equal(used.lo, outer.lo) and np.array_equal(used.hi, outer.hi)
+    assert np.array_equal(used.cells, outer.cells)
 
 
 def test_enlarged_domain_monotonicity(ctx2_64):

@@ -55,12 +55,12 @@ def test_check_hp_constant_passes(mesh64):
 
 
 def test_check_hp_linear_passes(mesh64):
-    assert check_Hp(ExponentField(mesh64, "2 + x"), mesh64, directions=[(1.0,)]).passed
+    assert check_Hp(ExponentField(mesh64, "2 + x"), mesh64).passed
 
 
 def test_check_hp_sine_fails(mesh64):
     p = ExponentField(mesh64, "2 + 0.5*sin(4*pi*x)")
-    report = check_Hp(p, mesh64, directions=[(1.0,)])
+    report = check_Hp(p, mesh64)
     assert not report.passed
     assert report.checks[0].witness is not None
 
@@ -106,6 +106,13 @@ def test_check_hp_rays_2d():
 def test_embedding_warning_recorded(mesh64):
     p = ExponentField(mesh64, 2.0)
     assert p.embedding_warning is not None  # p_max >= 1 always in 1D
+
+
+@pytest.mark.parametrize("rule", ["2 + 1/x", "2 + 1/(x - 0.5)**2", np.inf])
+def test_non_finite_exponent_rejected(mesh64, rule):
+    # an infinite p passed the p_min > 1 check and failed later, in a solve
+    with pytest.raises(HypothesisError, match="exponent must be finite, sampled maximum inf"):
+        ExponentField(mesh64, rule)
 
 
 def test_bounds_on_larger_mesh_can_violate(mesh64):

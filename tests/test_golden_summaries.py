@@ -1,15 +1,18 @@
-"""Byte-for-byte answers of four CLI runs.
+"""Byte-for-byte answers of six CLI runs.
 
 Each case runs ``pxlap.cli.main`` in-process and compares its ``summary.json``
 and every CSV with the files under ``tests/golden/<case>/``.  ``runmeta.json``
-holds a timestamp and a path, so it is left out.  A refactor leaves these
-files as they are.  They change only with the answers, and the reason for
-that change is recorded in CHANGES.md.  A differing ``summary.json`` is
-reported by the JSON paths added, removed or changed.  Regenerate them with
+holds a timestamp and a path, so it is left out.  The two ``bench-`` cases
+are the benchmark's own theorem runs: ``CONFIG_1D`` of ``bench/workloads.py``
+at seed 42.  A refactor leaves these files as they are.  They change only
+with the answers, and the reason for that change is recorded in CHANGES.md.
+A differing ``summary.json`` is reported by the JSON paths added, removed or
+changed.  Regenerate them with
 
     PYTHONPATH=src python tests/test_golden_summaries.py
 """
 
+import importlib.util
 import json
 import shutil
 import sys
@@ -20,6 +23,17 @@ import pytest
 from pxlap.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
+_WORKLOADS_PATH = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+
+
+def _bench_config_1d() -> str:
+    spec = importlib.util.spec_from_file_location("pxlap_bench_workloads", _WORKLOADS_PATH)
+    module = importlib.util.module_from_spec(spec)
+    # dataclasses looks the defining module up in sys.modules
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module.CONFIG_1D
+
 
 _CONFIG_1D = """\
 mesh.n = 32
@@ -30,20 +44,29 @@ homotopy.t_steps = 3
 homotopy.seeds = 4
 """
 
+_BENCH_CONFIG_1D = _bench_config_1d()
+
+# case -> (config text, CLI arguments)
 CASES = {
-    "theorem1": ["theorem1", "--config", "{config}"],
-    "theorem2": ["theorem2", "--config", "{config}"],
-    "probe-L9": ["probe-L9", "--config", "{config}"],
-    "eig-2d": ["eig", "--p", "2 + 0.1*x", "--mesh", "kind=rectangle,nx=8,ny=8", "--margin", "0.25"],
+    "theorem1": (_CONFIG_1D, ["theorem1", "--config", "{config}"]),
+    "theorem2": (_CONFIG_1D, ["theorem2", "--config", "{config}"]),
+    "probe-L9": (_CONFIG_1D, ["probe-L9", "--config", "{config}"]),
+    "eig-2d": (
+        _CONFIG_1D,
+        ["eig", "--p", "2 + 0.1*x", "--mesh", "kind=rectangle,nx=8,ny=8", "--margin", "0.25"],
+    ),
+    "bench-theorem1-1d": (_BENCH_CONFIG_1D, ["theorem1", "--config", "{config}", "--seed", "42"]),
+    "bench-theorem2-1d": (_BENCH_CONFIG_1D, ["theorem2", "--config", "{config}", "--seed", "42"]),
 }
 
 
 def _run(case: str, outdir: Path) -> dict:
     """Run ``case`` into ``outdir``; return its compared files, name -> bytes."""
     outdir.mkdir(parents=True, exist_ok=True)
+    text, args = CASES[case]
     config = outdir / "run.cfg"
-    config.write_text(_CONFIG_1D)
-    argv = [a.format(config=config) for a in CASES[case]]
+    config.write_text(text)
+    argv = [a.format(config=config) for a in args]
     assert main([*argv, "--output-dir", str(outdir), "--quiet"]) == 0
     config.unlink()
     return {

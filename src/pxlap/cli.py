@@ -30,7 +30,7 @@ from .existence import (
     negative_solutions,
     solve_in_box,
 )
-from .exponents import ExponentField
+from .exponents import ExponentField, check_Hp
 from .expressions import coordinate_expression, state_expression
 from .mesh import (
     GridFunction,
@@ -285,24 +285,38 @@ def build_contexts(v: dict):
     return mesh, ctxs[0], ctxs[1]
 
 
-def check_dilated(v: dict, *ctxs):
-    """Build the dilated domain of :func:`enlarged_eigenpair` and each
-    context's exponent on it, before any solve: a margin the mesh cannot
-    hold, and an exponent that is not admissible there, are config errors."""
-    try:
-        outer, _ = dilated_mesh(ctxs[0].mesh, v["margin"] or None)
-    except DomainError as exc:
-        raise ConfigError([f"margin: {exc}"]) from exc
+def check_exponents(v: dict, *ctxs, mesh=None, where: str = ""):
+    """Build each context's exponent on ``mesh`` (default: its own) and run
+    :func:`check_Hp` on it, before any solve: an exponent that is not
+    admissible or fails the check is a config error, one line each."""
+    mesh = mesh or ctxs[0].mesh
     errors = []
     for i, ctx in enumerate(ctxs, start=1):
         if i == 2 and ctx.p is ctxs[0].p:
             continue  # one field serves both components
         try:
-            ctx.p.on_mesh(outer)
+            p = ctx.p if mesh is ctx.mesh else ctx.p.on_mesh(mesh)
         except (DomainError, HypothesisError) as exc:
-            errors.append(f"{_exponent_key(v, i)}: on the dilated domain: {exc}")
+            errors.append(f"{_exponent_key(v, i)}: {where}{exc}")
+            continue
+        if not check_Hp(p, mesh).passed:
+            errors.append(
+                f"{_exponent_key(v, i)}: {where}exponent fails the direction-monotonicity "
+                "check in every coordinate direction"
+            )
     if errors:
         raise ConfigError(errors)
+
+
+def check_dilated(v: dict, *ctxs):
+    """:func:`check_exponents` on the dilated domain of
+    :func:`enlarged_eigenpair`; a margin the mesh cannot hold is a config
+    error too."""
+    try:
+        outer, _ = dilated_mesh(ctxs[0].mesh, v["margin"] or None)
+    except DomainError as exc:
+        raise ConfigError([f"margin: {exc}"]) from exc
+    check_exponents(v, *ctxs, mesh=outer, where="on the dilated domain: ")
 
 
 def build_nonlinearity(v: dict, ctx1, ctx2, eig1, eig2) -> Nonlinearity:
@@ -374,6 +388,7 @@ def _exponent_warnings(*ctxs) -> list:
 
 def cmd_eig(v: dict, args):
     mesh, ctx1, _ = build_contexts(v)
+    check_exponents(v, ctx1)
     if v["margin"] > 0:
         check_dilated(v, ctx1)
     pair = first_eigenpair(ctx1)
@@ -412,6 +427,7 @@ def _positive_pair(v: dict):
     """The start shared by theorem1 and theorem2: eigenpairs, f, hypotheses,
     the ordered box (``margin`` 0 = auto) and the positive solution in it."""
     mesh, ctx1, ctx2 = build_contexts(v)
+    check_exponents(v, ctx1, ctx2)
     check_dilated(v, ctx1, ctx2)
     eig1 = first_eigenpair(ctx1)
     eig2 = eig1 if ctx2 == ctx1 else first_eigenpair(ctx2)
@@ -493,6 +509,7 @@ def cmd_theorem2(v: dict, args):
 def cmd_probe_l9(v: dict, args):
     hcfg = build_homotopy(v)
     mesh, ctx1, _ = build_contexts(v)
+    check_exponents(v, ctx1)
     eig1 = first_eigenpair(ctx1)
     probe = nonexistence_probe(
         ctx1, eig1, hcfg.J(ctx1, eig1), hcfg.delta, v["homotopy.seeds"], rng_seed=hcfg.rng_seed

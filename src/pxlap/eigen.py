@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, HypothesisError, NumericalError
-from .exponents import ExponentField, check_Hp
+from .errors import DomainError, NumericalError
+from .exponents import ExponentField
 from .mesh import GridFunction, Mesh, dilate_domain, restrict, snap_margin
 from .modular import luxemburg_norm, modular, modular_of_qp
 from .operator import (
@@ -84,22 +84,9 @@ def _normalize_modular(u: GridFunction, p: ExponentField) -> GridFunction:
     return u.with_values(u.values / c)
 
 
-def first_eigenpair(
-    ctx: OperatorContext,
-    initial: GridFunction | None = None,
-    allow_unchecked_exponent: bool = False,
-) -> EigenPair:
-    """Minimize the Rayleigh quotient over Dirichlet-zero fields.
-
-    The direction-monotonicity hypothesis guards the spectral property; it is
-    checked up front (coordinate directions) unless explicitly overridden.
-    """
-    if not allow_unchecked_exponent and not check_Hp(ctx.p, ctx.mesh).passed:
-        raise HypothesisError(
-            "exponent failed the direction-monotonicity check; pass "
-            "allow_unchecked_exponent=True to proceed anyway"
-        )
-
+def first_eigenpair(ctx: OperatorContext, initial: GridFunction | None = None) -> EigenPair:
+    """Minimize the Rayleigh quotient over Dirichlet-zero fields; the CLI
+    checks the exponent with :func:`pxlap.exponents.check_Hp` beforehand."""
     mesh = ctx.mesh
     if initial is None:
         # smoothed positive dome: one plain-Laplacian solve of unit load

@@ -14,6 +14,7 @@ read-only so they can be shared freely.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -57,6 +58,9 @@ _TRI7_W = np.array(
     + [0.13239415278850618] * 3
     + [0.12593918054482715] * 3
 )
+
+# per dimension: barycentric coordinates of the quadrature points, weights
+_RULES = {1: (np.stack([1.0 - _GL3_X, _GL3_X], axis=1), _GL3_W), 2: (_TRI7_BARY, _TRI7_W)}
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -141,42 +145,18 @@ class Mesh:
     # -- construction helpers -------------------------------------------------
 
     def _build_quadrature(self):
-        conn = self.elements
-        coords = self.nodes[conn]  # (n_el, nloc, dim)
-        if self.dimension == 1:
-            x0 = coords[:, 0, 0]
-            h = coords[:, 1, 0] - x0
-            self.element_measures = _freeze(np.abs(h))
-            qp = x0[:, None] + np.outer(h, _GL3_X)
-            self.quad_points = _freeze(qp[:, :, None])
-            self.quad_weights = _freeze(np.outer(np.abs(h), _GL3_W))
-            self.basis = _freeze(np.stack([1.0 - _GL3_X, _GL3_X], axis=1))
-            grads = np.stack([-1.0 / h, 1.0 / h], axis=1)[:, :, None]
-            self.basis_grads = _freeze(grads)
-        else:
-            v0 = coords[:, 0, :]
-            e1 = coords[:, 1, :] - v0
-            e2 = coords[:, 2, :] - v0
-            det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
-            area = np.abs(det) / 2.0
-            self.element_measures = _freeze(area)
-            lam = _TRI7_BARY
-            qp = (
-                lam[None, :, 0, None] * coords[:, None, 0, :]
-                + lam[None, :, 1, None] * coords[:, None, 1, :]
-                + lam[None, :, 2, None] * coords[:, None, 2, :]
-            )
-            self.quad_points = _freeze(qp)
-            self.quad_weights = _freeze(np.outer(area, _TRI7_W))
-            self.basis = _freeze(lam.copy())
-            # grad N_ref = [[-1,-1],[1,0],[0,1]];  grad N = grad N_ref @ J^{-1}
-            inv = np.empty((len(conn), 2, 2))
-            inv[:, 0, 0] = e2[:, 1] / det
-            inv[:, 0, 1] = -e2[:, 0] / det
-            inv[:, 1, 0] = -e1[:, 1] / det
-            inv[:, 1, 1] = e1[:, 0] / det
-            ref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
-            self.basis_grads = _freeze(np.einsum("ad,edk->eak", ref, inv))
+        # every element is a right simplex whose edges from vertex 0 run along
+        # the axes, so its edge matrix is diagonal; its entries are the legs
+        bary, weights = _RULES[self.dimension]
+        coords = self.nodes[self.elements]  # (n_el, dimension + 1, dimension)
+        v0 = coords[:, 0, :]
+        legs = np.einsum("ekk->ek", coords[:, 1:, :] - v0[:, None, :])
+        self.element_measures = _freeze(np.abs(np.prod(legs, axis=1)) / math.factorial(self.dimension))
+        self.quad_points = _freeze(v0[:, None, :] + bary[None, :, 1:] * legs[:, None, :])
+        self.quad_weights = _freeze(np.outer(self.element_measures, weights))
+        self.basis = _freeze(bary)
+        ref = np.vstack([-np.ones(self.dimension), np.eye(self.dimension)])
+        self.basis_grads = _freeze(ref[None, :, :] / legs[:, None, :])
 
     # -- basic queries ---------------------------------------------------------
 
@@ -194,7 +174,7 @@ class Mesh:
 
     @property
     def diameter(self) -> float:
-        return float(np.linalg.norm(self.hi - self.lo))
+        return float(np.sqrt((self.hi - self.lo) @ (self.hi - self.lo)))
 
     def contains(self, points: np.ndarray) -> bool:
         points = np.atleast_2d(np.asarray(points, dtype=float))
@@ -340,7 +320,7 @@ class GridFunction:
 
     def grad_magnitude_qp(self) -> np.ndarray:
         """|grad u| at quadrature points (constant within each element)."""
-        g = np.linalg.norm(self.gradients(), axis=1)
+        g = np.sqrt(np.sum(np.square(self.gradients()), axis=1))
         return np.broadcast_to(g[:, None], (self.mesh.n_elements, self.mesh.n_qp))
 
     def eval(self, points: np.ndarray) -> np.ndarray:
@@ -381,13 +361,9 @@ def load_grid_function_csv(path, mesh: Mesh) -> GridFunction:
 
 
 def restrict(fine: GridFunction, target: Mesh) -> GridFunction:
-    """Interpolate a field from an enclosing mesh onto ``target`` nodes."""
-    if not fine.mesh.contains(target.nodes):
-        raise DomainError(
-            "target mesh is not geometrically contained in the source domain"
-        )
-    vals = fine.eval(target.nodes)
-    return GridFunction(target, vals)
+    """Interpolate a field from an enclosing mesh onto ``target`` nodes; a
+    node outside the source domain is a DomainError."""
+    return GridFunction(target, fine.eval(target.nodes))
 
 
 def integrate(field: np.ndarray, mesh: Mesh) -> float:

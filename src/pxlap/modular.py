@@ -78,19 +78,24 @@ def luxemburg_norm_of_qp(
 
     Newton on F(s) = log rho(e^s), with rho(tau) the modular of v / tau and
     dF/ds = -(integral of p |v/tau|^p) / rho.  It starts at tau = 1 and steps
-    s by log 2 while rho or that integral overflows.
+    s up by log 2 while rho or that integral overflows, and down by log 2
+    while rho underflows to 0, so a nonzero field never has norm 0.
     """
     values_qp = np.abs(np.asarray(values_qp, dtype=float))
     rho0, moment = modular_of_qp(values_qp, p_qp, mesh, moment=True)
-    if rho0 == 0.0 or not np.any(values_qp > 0):
+    if not np.any(values_qp > 0):
         return ModularReport(modular=rho0, norm=0.0, iterations=0, residual=0.0)
 
     s, tau, r = 0.0, 1.0, rho0
     steps = 0
     while not abs(r - 1.0) <= NORM_RESIDUAL_TOL:
         # the Newton step -F/F' is log(rho) / (moment / rho); where the
-        # powers overflow, tau is far below the root and s moves by log 2
-        step = math.log(r) / (moment / r) if math.isfinite(moment) else _LN2
+        # powers overflow (all underflow to 0), tau is far below (above) the
+        # root and s moves up (down) by log 2
+        if r == 0.0 or not math.isfinite(moment):
+            step = _LN2 if r else -_LN2
+        else:
+            step = math.log(r) / (moment / r)
         # only the first step can overshoot (to the left of the root); a
         # landing past the limit is pulled back to it
         s_next = max(s + step, -_LOG_TAU_LIMIT)

@@ -300,6 +300,9 @@ _DILATED_FAULTS = {
     "2 + sqrt(x)": "exponent must satisfy p_min > 1, sampled minimum nan",
     "2 + 1/(x+0.25)": "exponent must be finite, sampled maximum inf",
 }
+_NOT_MONOTONE = "exponent fails the direction-monotonicity check in every coordinate direction"
+_POLE = "2 + 1/(x - 0.3)**2"
+_BOWL = "2 + (x - 1.1)**2"
 
 
 @pytest.mark.parametrize(
@@ -323,6 +326,14 @@ _DILATED_FAULTS = {
              f"p1.expr: on the dilated domain: {message}")
             for p, message in _DILATED_FAULTS.items()
         ),
+        # not monotone in x on [0, 1]; exited 2 naming a library keyword
+        (["eig", "--p", _POLE, "--mesh", "n=16"], f"p1.expr: {_NOT_MONOTONE}"),
+        (["probe-L9", "--config", "pole.cfg"], f"p1.expr: {_NOT_MONOTONE}"),
+        # monotone on [0, 1], not on [-0.25, 1.25]; theorem1 exited 2 after
+        # the base eigenpair solve
+        (["theorem1", "--config", "bowl.cfg"], f"p1.expr: on the dilated domain: {_NOT_MONOTONE}"),
+        (["eig", "--p", _BOWL, "--mesh", "n=32", "--margin", "0.25"],
+         f"p1.expr: on the dilated domain: {_NOT_MONOTONE}"),
     ],
 )
 def test_cli_rejected_mesh_or_exponent_is_config_error(
@@ -338,6 +349,8 @@ def test_cli_rejected_mesh_or_exponent_is_config_error(
     monkeypatch.setattr(cli, "first_eigenpair", no_solve)
     monkeypatch.chdir(tmp_path)
     (tmp_path / "p2.cfg").write_text("mesh.n = 8\np2.expr = 0.5 + x\n")
+    for name, n, p in (("pole", 16, _POLE), ("bowl", 32, _BOWL)):
+        (tmp_path / f"{name}.cfg").write_text(f"mesh.n = {n}\np1.expr = {p}\np2.expr = {p}\n")
     for k, p in enumerate(_DILATED_FAULTS):
         (tmp_path / f"d{k}.cfg").write_text(f"mesh.n = 32\np1.expr = {p}\np2.expr = {p}\n")
     table = tmp_path / "one.csv"
@@ -743,6 +756,15 @@ def test_cli_nonconvergence_exit_code(tmp_path):
         "--output-dir", str(tmp_path), "--quiet",
     ])
     assert rc == 2
+
+
+def test_cli_huge_exponent_names_the_norm_not_a_zero_field(tmp_path, capsys):
+    # the nonzero initial field's powers all underflow or overflow; the norm
+    # read 0.0 and the run ended with "cannot normalize the zero field"
+    argv = ["eig", "--p", "2 + 1e300*x", "--mesh", "n=16", "--output-dir", str(tmp_path), "--quiet"]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Luxemburg Newton stalled" in err and "zero field" not in err
 
 
 def test_default_config_validates():

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import constant_p_eigenvalue
 from pxlap import operator as operator_module
-from pxlap.errors import HypothesisError, NumericalError
+from pxlap.errors import NumericalError
 from pxlap.eigen import (
     EIGEN_RESIDUAL_TOL,
     _MAX_SWEEPS,
@@ -118,12 +118,11 @@ def test_enlarged_domain_monotonicity(ctx2_64):
     assert lam_big < lam_small
 
 
-def test_hp_gate_blocks_nonmonotone(mesh64):
+def test_first_eigenpair_solves_a_nonmonotone_exponent(mesh64):
+    # the direction-monotonicity gate is the CLI's pre-solve check
+    # (tests/test_cli.py); the library call solves
     ctx = OperatorContext(mesh64, ExponentField(mesh64, "2 + 0.5*sin(4*pi*x)"))
-    with pytest.raises(HypothesisError):
-        first_eigenpair(ctx)
-    pair = first_eigenpair(ctx, allow_unchecked_exponent=True)
-    assert pair.lambda1 > 0
+    assert first_eigenpair(ctx).lambda1 > 0
 
 
 def test_variable_exponent_consistency_reporting(ctxvar_64):

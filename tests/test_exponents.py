@@ -180,7 +180,6 @@ def test_norms_solves_and_eigenpairs_evaluate_no_exponent(mesh64, monkeypatch):
     luxemburg_norm(u, p)
     sobolev_norm(u, p)
     assert dirichlet_solve(ctx, 1.0).converged
-    # the direction check samples p on lines; it is skipped here, and the
-    # default Poisson seed needs no exponent
-    first_eigenpair(ctx, allow_unchecked_exponent=True)
+    # the default Poisson seed needs no exponent
+    first_eigenpair(ctx)
     assert calls == []

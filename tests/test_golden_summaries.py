@@ -1,4 +1,4 @@
-"""Byte-for-byte answers of six CLI runs.
+"""Byte-for-byte answers of seven CLI runs.
 
 Each case runs ``pxlap.cli.main`` in-process and compares its ``summary.json``
 and every CSV with the files under ``tests/golden/<case>/``.  ``runmeta.json``
@@ -44,6 +44,16 @@ homotopy.t_steps = 3
 homotopy.seeds = 4
 """
 
+# a 2D theorem1 run on a non-dyadic spacing, where element rounding shows
+_CONFIG_2D = """\
+mesh.kind = rectangle
+mesh.nx = 12
+mesh.ny = 12
+p1.expr = 2 + 0.1*x
+p2.expr = 2 + 0.1*x
+margin = 0.25
+"""
+
 _BENCH_CONFIG_1D = _bench_config_1d()
 
 # case -> (config text, CLI arguments)
@@ -55,6 +65,7 @@ CASES = {
         _CONFIG_1D,
         ["eig", "--p", "2 + 0.1*x", "--mesh", "kind=rectangle,nx=8,ny=8", "--margin", "0.25"],
     ),
+    "theorem1-2d": (_CONFIG_2D, ["theorem1", "--config", "{config}"]),
     "bench-theorem1-1d": (_BENCH_CONFIG_1D, ["theorem1", "--config", "{config}", "--seed", "42"]),
     "bench-theorem2-1d": (_BENCH_CONFIG_1D, ["theorem2", "--config", "{config}", "--seed", "42"]),
 }

@@ -188,13 +188,49 @@ def test_mesh_arrays_are_readonly():
 # -- reference: the per-kind geometry code the per-axis Mesh replaced ---------
 # Each _ref_* function works on the geometry record the builders used to keep
 # ({"kind": "interval", a, b, n} or {"kind": "rectangle", ax, ay, bx, by, nx,
-# ny}); the per-axis code must reproduce them bit for bit.
+# ny}); the per-axis code must reproduce them bit for bit.  _ref_interval and
+# _ref_rectangle also return the per-kind element data (measures, quadrature
+# points and weights, basis, gradients) that the one simplex formula replaced.
 
 
 def _ref_interval(a, b, n):
     nodes = np.linspace(a, b, n + 1)[:, None]
     elements = np.stack([np.arange(n), np.arange(1, n + 1)], axis=1)
-    return nodes, elements, [0, n], {"kind": "interval", "a": a, "b": b, "n": n}
+    x = mesh_module._GL3_X
+    coords = nodes[elements]
+    x0 = coords[:, 0, 0]
+    h = coords[:, 1, 0] - x0
+    quad = (
+        np.abs(h),
+        (x0[:, None] + np.outer(h, x))[:, :, None],
+        np.outer(np.abs(h), mesh_module._GL3_W),
+        np.stack([1.0 - x, x], axis=1),
+        np.stack([-1.0 / h, 1.0 / h], axis=1)[:, :, None],
+    )
+    return nodes, elements, [0, n], {"kind": "interval", "a": a, "b": b, "n": n}, quad
+
+
+def _ref_triangle_quadrature(coords):
+    v0 = coords[:, 0, :]
+    e1 = coords[:, 1, :] - v0
+    e2 = coords[:, 2, :] - v0
+    det = e1[:, 0] * e2[:, 1] - e1[:, 1] * e2[:, 0]
+    area = np.abs(det) / 2.0
+    lam = mesh_module._TRI7_BARY
+    qp = (
+        lam[None, :, 0, None] * coords[:, None, 0, :]
+        + lam[None, :, 1, None] * coords[:, None, 1, :]
+        + lam[None, :, 2, None] * coords[:, None, 2, :]
+    )
+    # grad N_ref = [[-1,-1],[1,0],[0,1]];  grad N = grad N_ref @ J^{-1}
+    inv = np.empty((len(coords), 2, 2))
+    inv[:, 0, 0] = e2[:, 1] / det
+    inv[:, 0, 1] = -e2[:, 0] / det
+    inv[:, 1, 0] = -e1[:, 1] / det
+    inv[:, 1, 1] = e1[:, 0] / det
+    ref = np.array([[-1.0, -1.0], [1.0, 0.0], [0.0, 1.0]])
+    grads = np.einsum("ad,edk->eak", ref, inv)
+    return area, qp, np.outer(area, mesh_module._TRI7_W), lam.copy(), grads
 
 
 def _ref_rectangle(ax, ay, bx, by, nx, ny):
@@ -220,7 +256,8 @@ def _ref_rectangle(ax, ay, bx, by, nx, ny):
         if i in (0, nx) or j in (0, ny)
     ]
     s = {"kind": "rectangle", "ax": ax, "ay": ay, "bx": bx, "by": by, "nx": nx, "ny": ny}
-    return nodes, np.array(elements), boundary, s
+    elements = np.array(elements)
+    return nodes, elements, boundary, s, _ref_triangle_quadrature(nodes[elements])
 
 
 def _ref_locate(s, points):
@@ -312,10 +349,23 @@ def test_box_mesh_matches_per_kind_reference(kind, args):
         "rectangle": (build_rectangle_mesh, _ref_rectangle),
     }[kind]
     m = build(*args)
-    nodes, elements, boundary, s = ref(*args)
+    nodes, elements, boundary, s, quad = ref(*args)
     assert np.array_equal(m.nodes, nodes)
     assert np.array_equal(m.elements, elements)
     assert np.array_equal(m.boundary_nodes, np.sort(boundary))
+
+    measures, qp, weights, basis, grads = quad
+    assert np.array_equal(m.element_measures, measures)
+    assert np.array_equal(m.quad_weights, weights)
+    assert np.array_equal(m.basis, basis)
+    if kind == "interval":
+        assert np.array_equal(m.quad_points, qp)
+        assert np.array_equal(m.basis_grads, grads)
+    else:
+        # v0 + l1 leg replaces l0 c0 + l1 c1 + l2 c2: at most 1 ulp of the
+        # axis's largest coordinate, more ulps of a point near 0
+        assert np.all(np.abs(m.quad_points - qp) <= np.spacing(np.abs(nodes).max(axis=0)))
+        assert np.max(np.abs(m.basis_grads - grads)) <= 4e-15
 
     pts = _probe_points(m, np.random.default_rng(len(m.nodes)))
     e, w = m.locate(pts)
@@ -324,7 +374,7 @@ def test_box_mesh_matches_per_kind_reference(kind, args):
 
     for margin in (0.1, 0.25, 0.37):
         big = dilate_domain(m, margin)
-        nodes2, elements2, boundary2, _ = _ref_dilate(s, margin)
+        nodes2, elements2, boundary2, *_ = _ref_dilate(s, margin)
         assert np.array_equal(big.nodes, nodes2)
         assert np.array_equal(big.elements, elements2)
         assert np.array_equal(big.boundary_nodes, np.sort(boundary2))

@@ -223,6 +223,26 @@ def test_luxemburg_tiny_norm_outside_domain_raises(mesh64, pvar_64):
         luxemburg_norm(tiny, pvar_64)
 
 
+def test_luxemburg_norm_with_underflowing_powers_is_not_zero(mesh64):
+    # every power (1e-50 sin)^8 underflows to 0 at tau = 1, and the norm
+    # read 0.0 for this nonzero field; s now steps down by log 2 until the
+    # powers are representable, and homogeneity gives the answer
+    sine = GridFunction.from_callable(mesh64, lambda x: np.sin(np.pi * x[:, 0]))
+    p8 = ExponentField(mesh64, 8.0)
+    rep = luxemburg_norm(sine.scaled(1e-50), p8)
+    assert rep.modular == 0.0 and rep.residual <= 1e-10
+    assert rep.norm == pytest.approx(1e-50 * luxemburg_norm(sine, p8).norm, rel=1e-9, abs=0.0)
+
+
+def test_luxemburg_norm_below_the_domain_with_underflowing_powers_raises(mesh64, p2_64):
+    # the norm 1e-170 * ||sin|| lies below 2^-200; it read 0.0
+    from pxlap.errors import NumericalError
+
+    sine = GridFunction.from_callable(mesh64, lambda x: np.sin(np.pi * x[:, 0]))
+    with pytest.raises(NumericalError, match=r"outside \[2\^-200, 2\^200\]"):
+        luxemburg_norm(sine.scaled(1e-170), p2_64)
+
+
 @pytest.fixture(scope="module")
 def dome128():
     mesh = build_rectangle_mesh(0.0, 0.0, 1.0, 1.0, 128, 128)

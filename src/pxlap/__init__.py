@@ -18,6 +18,7 @@ from .errors import (
 from .existence import (
     Nonlinearity,
     OrderedBox,
+    System,
     benchmark_family,
     build_ordered_box,
     check_hypotheses,

@@ -24,6 +24,7 @@ from .errors import ConfigError, DomainError, HypothesisError, MeshMismatchError
 from .eigen import dilated_mesh, enlarged_eigenpair, first_eigenpair
 from .existence import (
     Nonlinearity,
+    System,
     benchmark_family,
     build_ordered_box,
     check_hypotheses,
@@ -285,50 +286,54 @@ def build_contexts(v: dict):
     return mesh, ctxs[0], ctxs[1]
 
 
-def check_exponents(v: dict, *ctxs, mesh=None, where: str = ""):
-    """Build each context's exponent on ``mesh`` (default: its own) and run
-    :func:`check_Hp` on it, before any solve: an exponent that is not
-    admissible or fails the check is a config error, one line each."""
+def check_exponents(v: dict, *ctxs, mesh=None, where: str = "") -> tuple:
+    """The contexts on ``mesh`` (default: their own), each exponent checked
+    by :func:`check_Hp` before any solve: an exponent that is not admissible
+    there or fails the check is a config error, one line each.  Equal
+    contexts share one field and one check."""
     mesh = mesh or ctxs[0].mesh
-    errors = []
+    errors, out = [], []
     for i, ctx in enumerate(ctxs, start=1):
-        if i == 2 and ctx.p is ctxs[0].p:
-            continue  # one field serves both components
+        if i == 2 and ctx == ctxs[0]:
+            out += out[:1]  # one moved context serves both
+            continue
         try:
-            p = ctx.p if mesh is ctx.mesh else ctx.p.on_mesh(mesh)
+            moved = ctx if mesh is ctx.mesh else ctx.on_mesh(mesh)
         except (DomainError, HypothesisError) as exc:
             errors.append(f"{_exponent_key(v, i)}: {where}{exc}")
             continue
-        if not check_Hp(p, mesh).passed:
+        if not check_Hp(moved.p, mesh).passed:
             errors.append(
                 f"{_exponent_key(v, i)}: {where}exponent fails the direction-monotonicity "
                 "check in every coordinate direction"
             )
+        out.append(moved)
     if errors:
         raise ConfigError(errors)
+    return tuple(out)
 
 
-def check_dilated(v: dict, *ctxs):
-    """:func:`check_exponents` on the dilated domain of
-    :func:`enlarged_eigenpair`; a margin the mesh cannot hold is a config
-    error too."""
+def dilated_contexts(v: dict, *ctxs) -> tuple[tuple, float]:
+    """The contexts on the domain dilated by the configured margin, checked
+    by :func:`check_exponents`, and the margin as snapped; a margin the mesh
+    cannot hold is a config error too."""
     try:
-        outer, _ = dilated_mesh(ctxs[0].mesh, v["margin"] or None)
+        outer, margin = dilated_mesh(ctxs[0].mesh, v["margin"] or None)
     except DomainError as exc:
         raise ConfigError([f"margin: {exc}"]) from exc
-    check_exponents(v, *ctxs, mesh=outer, where="on the dilated domain: ")
+    return check_exponents(v, *ctxs, mesh=outer, where="on the dilated domain: "), margin
 
 
-def build_nonlinearity(v: dict, ctx1, ctx2, eig1, eig2) -> Nonlinearity:
+def build_nonlinearity(v: dict, system: System) -> Nonlinearity:
     if v["f1.expr"]:
-        dim = ctx1.mesh.dimension
+        dim = system.mesh.dimension
         return Nonlinearity(
             f1=state_expression(v["f1.expr"], dim),
             f2=state_expression(v["f2.expr"], dim),
             eta1=v["eta1"],
             eta2=v["eta2"],
         )
-    return benchmark_family(ctx1, ctx2, eig1, eig2)
+    return benchmark_family(system)
 
 
 # ---------------------------------------------------------------------------
@@ -389,14 +394,14 @@ def _exponent_warnings(*ctxs) -> list:
 def cmd_eig(v: dict, args):
     mesh, ctx1, _ = build_contexts(v)
     check_exponents(v, ctx1)
-    if v["margin"] > 0:
-        check_dilated(v, ctx1)
+    dilated = dilated_contexts(v, ctx1) if v["margin"] > 0 else None
     pair = first_eigenpair(ctx1)
     payload = {"eigen": pair.summary(), "warnings": _exponent_warnings(ctx1)}
     fields = {"eigenfunction.csv": pair.phi}
-    if v["margin"] > 0:
-        enl = enlarged_eigenpair(ctx1, v["margin"])
-        payload["enlarged"] = {"lambda1": enl.pair.lambda1, "tau": enl.tau, "margin": enl.margin}
+    if dilated:
+        (outer,), margin = dilated
+        enl = enlarged_eigenpair(outer, mesh)
+        payload["enlarged"] = {"lambda1": enl.pair.lambda1, "tau": enl.tau, "margin": margin}
         fields["eigenfunction_enlarged.csv"] = enl.phi_restricted
     return payload, fields, 0
 
@@ -424,18 +429,17 @@ def cmd_solve(v: dict, args):
 
 
 def _positive_pair(v: dict):
-    """The start shared by theorem1 and theorem2: eigenpairs, f, hypotheses,
-    the ordered box (``margin`` 0 = auto) and the positive solution in it."""
+    """The start shared by theorem1 and theorem2: the checked system
+    (``margin`` 0 = auto), f, hypotheses, the ordered box and the positive
+    solution in it."""
     mesh, ctx1, ctx2 = build_contexts(v)
     check_exponents(v, ctx1, ctx2)
-    check_dilated(v, ctx1, ctx2)
-    eig1 = first_eigenpair(ctx1)
-    eig2 = eig1 if ctx2 == ctx1 else first_eigenpair(ctx2)
-    f = build_nonlinearity(v, ctx1, ctx2, eig1, eig2)
-    hyp = check_hypotheses(f, ctx1, ctx2, eig1, eig2)
-    box = build_ordered_box(f, ctx1, ctx2, eig1, eig2, margin=v["margin"] or None, hyp=hyp)
-    pos = solve_in_box(box, f, ctx1, ctx2, residual_tol=v["tol.residual"])
-    return ctx1, ctx2, eig1, eig2, f, hyp, box, pos
+    system = System(ctx1, ctx2, *dilated_contexts(v, ctx1, ctx2))
+    f = build_nonlinearity(v, system)
+    hyp = check_hypotheses(f, system)
+    box = build_ordered_box(f, system, hyp=hyp)
+    pos = solve_in_box(box, f, system, residual_tol=v["tol.residual"])
+    return system, f, hyp, box, pos
 
 
 def build_homotopy(v: dict) -> HomotopyConfig:
@@ -451,15 +455,15 @@ def build_homotopy(v: dict) -> HomotopyConfig:
 
 
 def cmd_theorem1(v: dict, args):
-    ctx1, ctx2, eig1, eig2, f, hyp, box, pos = _positive_pair(v)
-    neg = negative_solutions(box, f, ctx1, ctx2, hyp=hyp, residual_tol=v["tol.residual"])
+    system, f, hyp, box, pos = _positive_pair(v)
+    neg = negative_solutions(box, f, system, hyp=hyp, residual_tol=v["tol.residual"])
     payload = {
         "hypotheses": hyp.summary(),
         "constants": box.constants,
         "box_verification": box.verification.summary(),
         "positive": pos.summary(),
         "negative": neg.summary(),
-        "warnings": _exponent_warnings(ctx1, ctx2),
+        "warnings": _exponent_warnings(*system.ctxs),
     }
     fields = {
         "u1_positive.csv": pos.u1,
@@ -471,18 +475,19 @@ def cmd_theorem1(v: dict, args):
 
 
 def cmd_theorem2(v: dict, args):
-    ctx1, ctx2, eig1, eig2, f, hyp, box, pos = _positive_pair(v)
+    system, f, hyp, box, pos = _positive_pair(v)
     if not pos.converged:
         return {"error": "base solution did not converge"}, {}, 2
 
     hcfg = build_homotopy(v)
-    trace = continuation(hcfg, f, ctx1, ctx2, eig1, eig2)
+    trace = continuation(hcfg, f, system)
     bnd = boundedness_probe(trace, R=v["homotopy.R_tilde"] or None)
+    ctx1, eig1 = system.ctx1, system.eigs[0]
     probe = nonexistence_probe(
         ctx1, eig1, hcfg.J(ctx1, eig1), hcfg.delta, v["homotopy.seeds"], rng_seed=hcfg.rng_seed
     )
     triviality = all(s.pair_norm <= 1e-8 for s in trace.steps[0].solutions)
-    ann = annulus_search(hcfg, f, ctx1, ctx2, box, (pos.u1, pos.u2), eig1, eig2)
+    ann = annulus_search(hcfg, f, system, box, (pos.u1, pos.u2))
 
     payload = {
         "trace": trace.summary(),
@@ -490,7 +495,7 @@ def cmd_theorem2(v: dict, args):
         "nonexistence_probe": probe.summary(),
         "trivial_at_t0": triviality,
         "annulus": ann.summary(),
-        "warnings": _exponent_warnings(ctx1, ctx2),
+        "warnings": _exponent_warnings(*system.ctxs),
     }
     fields = {}
     for k, s in enumerate(ann.solutions):

@@ -13,7 +13,6 @@ hiding it.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -201,7 +200,6 @@ class EnlargedEigenResult:
     pair: EigenPair
     phi_restricted: GridFunction
     tau: float
-    margin: float
     sup_phi_tilde: float
 
 
@@ -216,15 +214,13 @@ def dilated_mesh(mesh: Mesh, margin: float | None = None) -> tuple[Mesh, float]:
     return dilate_domain(mesh, margin), margin
 
 
-def enlarged_eigenpair(ctx: OperatorContext, margin: float | None = None) -> EnlargedEigenResult:
-    """First eigenpair on the :func:`dilated_mesh` domain, restricted to the base mesh.
+def enlarged_eigenpair(dilated: OperatorContext, mesh: Mesh) -> EnlargedEigenResult:
+    """First eigenpair of a context on the :func:`dilated_mesh` domain, restricted to ``mesh``.
 
     Returns tau = half the minimum of the restricted eigenfunction over all
     base-mesh nodes; tau > 0 certifies the strict interior bound.
     """
-    mesh = ctx.mesh
-    outer, margin = dilated_mesh(mesh, margin)
-    pair = first_eigenpair(dataclasses.replace(ctx, mesh=outer, p=ctx.p.on_mesh(outer)))
+    pair = first_eigenpair(dilated)
     phi_r = restrict(pair.phi, mesh)
     tau = 0.5 * float(np.min(phi_r.values))
     if tau <= 0:
@@ -236,6 +232,5 @@ def enlarged_eigenpair(ctx: OperatorContext, margin: float | None = None) -> Enl
         pair=pair,
         phi_restricted=phi_r,
         tau=tau,
-        margin=margin,
         sup_phi_tilde=pair.phi.max_abs(),
     )

@@ -16,13 +16,15 @@ max/min), and every accept test fails on NaN (``np.all(v <= bound)``).
 from __future__ import annotations
 
 import dataclasses
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import ConstructionError, HypothesisError, MeshMismatchError
-from .eigen import EigenPair, EnlargedEigenResult, _signed_power, enlarged_eigenpair
+from .eigen import EigenPair, _signed_power, dilated_mesh, enlarged_eigenpair, first_eigenpair
 from .mesh import GridFunction
+from .modular import pair_norm
 from .operator import (
     OperatorContext,
     assemble_residual,
@@ -68,6 +70,64 @@ class Nonlinearity:
         return Nonlinearity(flip(self.f1), flip(self.f2), self.eta1, self.eta2)
 
 
+def _shared(solve, a, b) -> tuple:
+    """(solve(a), solve(b)), solved once when a == b: equal contexts (one
+    mesh, one exponent field, equal settings) share one result."""
+    first = solve(a)
+    return first, first if b == a else solve(b)
+
+
+@dataclass(frozen=True, eq=False)
+class System:
+    """The coupled problem on one mesh: both operator contexts, their twins
+    on the dilated domain with the margin it is grown by, and the base and
+    enlarged eigenpairs, each solved on first use and only once.
+
+    :meth:`build` dilates the contexts; the CLI passes the ``dilated``
+    contexts it has checked before any solve.
+    """
+
+    ctx1: OperatorContext
+    ctx2: OperatorContext
+    dilated: tuple  # (ctx1, ctx2) on the dilated domain
+    margin: float  # as :func:`pxlap.eigen.dilated_mesh` snapped it
+
+    def __post_init__(self):
+        for a, b in (self.ctxs, self.dilated):
+            if a.mesh is not b.mesh:
+                raise MeshMismatchError("both components must share one mesh")
+
+    @classmethod
+    def build(cls, ctx1: OperatorContext, ctx2: OperatorContext, margin: float | None = None):
+        """The system of two contexts on the :func:`dilated_mesh` domain of
+        their mesh (``margin`` None = a quarter of its diameter)."""
+        outer, margin = dilated_mesh(ctx1.mesh, margin)
+        return cls(ctx1, ctx2, _shared(lambda c: c.on_mesh(outer), ctx1, ctx2), margin)
+
+    @property
+    def mesh(self):
+        return self.ctx1.mesh
+
+    @property
+    def ctxs(self) -> tuple:
+        return self.ctx1, self.ctx2
+
+    @functools.cached_property
+    def eigs(self) -> tuple:
+        """The first :class:`EigenPair` of both components."""
+        return _shared(first_eigenpair, self.ctx1, self.ctx2)
+
+    @functools.cached_property
+    def enlarged(self) -> tuple:
+        """The first eigenpairs on the dilated domain, restricted to the mesh
+        (:class:`pxlap.eigen.EnlargedEigenResult`)."""
+        return _shared(lambda d: enlarged_eigenpair(d, self.mesh), *self.dilated)
+
+    def pair_norm(self, u1: GridFunction, u2: GridFunction) -> float:
+        """:func:`pxlap.modular.pair_norm` of a pair under the components' exponents."""
+        return pair_norm(u1, self.ctx1.p, u2, self.ctx2.p)
+
+
 def eta_threshold(eig: EigenPair, p) -> float:
     """Smallest admissible growth constant: lambda1 * sup|phi1|^(p_max - 1)."""
     return eig.lambda1 * eig.phi.max_abs() ** (p.p_max - 1.0)
@@ -78,12 +138,7 @@ _AMPLITUDE_FACTOR = 2.5
 _ETA_FACTOR = 1.1
 
 
-def benchmark_family(
-    ctx1: OperatorContext,
-    ctx2: OperatorContext,
-    eig1: EigenPair,
-    eig2: EigenPair,
-) -> Nonlinearity:
+def benchmark_family(system: System) -> Nonlinearity:
     """Bounded-growth benchmark pair used across the test experiments.
 
         f_i(x, s1, s2) = A_i |s_i|^(p_i_min - 2) s_i / (1 + |s_i|)
@@ -95,8 +150,7 @@ def benchmark_family(
     infinity; amplitudes sit ``_AMPLITUDE_FACTOR`` above the eigenvalue
     threshold while the declared eta_i sit at ``_ETA_FACTOR`` above it.
     """
-    thr1 = eta_threshold(eig1, ctx1.p)
-    thr2 = eta_threshold(eig2, ctx2.p)
+    thr1, thr2 = (eta_threshold(eig, ctx.p) for eig, ctx in zip(system.eigs, system.ctxs))
     A1, A2 = _AMPLITUDE_FACTOR * thr1, _AMPLITUDE_FACTOR * thr2
 
     def make(A, pmin):
@@ -109,9 +163,9 @@ def benchmark_family(
 
         return f
 
-    f2_core = make(A2, ctx2.p.p_min)
+    f2_core = make(A2, system.ctx2.p.p_min)
     return Nonlinearity(
-        f1=make(A1, ctx1.p.p_min),
+        f1=make(A1, system.ctx1.p.p_min),
         f2=lambda x, s1, s2: f2_core(x, s2, s1),
         eta1=_ETA_FACTOR * thr1,
         eta2=_ETA_FACTOR * thr2,
@@ -251,13 +305,7 @@ def _min_ratio_small(fi, x, pmin, sign):
     return worst, {"s_own": own[a], "s_partner": part[b], "ratio": worst}
 
 
-def check_hypotheses(
-    f: Nonlinearity,
-    ctx1: OperatorContext,
-    ctx2: OperatorContext,
-    eig1: EigenPair,
-    eig2: EigenPair,
-) -> HypothesesReport:
+def check_hypotheses(f: Nonlinearity, system: System) -> HypothesesReport:
     """Numerically probe the growth hypotheses on both components.
 
     Small-argument growth is sampled on both sign branches at the probe
@@ -266,15 +314,15 @@ def check_hypotheses(
     per-decade ratio maxima shrink by ``_H3_DECAY_FACTOR``; boundedness is
     checked for finite values on the sampled boxes.
     """
-    x = _x_samples(ctx1, _N_X_SAMPLES)
-    thr = (eta_threshold(eig1, ctx1.p), eta_threshold(eig2, ctx2.p))
+    x = _x_samples(system.ctx1, _N_X_SAMPLES)
+    thr = tuple(eta_threshold(eig, ctx.p) for eig, ctx in zip(system.eigs, system.ctxs))
     etas = (f.eta1, f.eta2)
     eta_ok = etas[0] > thr[0] and etas[1] > thr[1]
 
     witnesses = {}
     pos_ok = neg_ok = True
     decay_ok = bounded_ok = True
-    for i, ctx, eta in ((1, ctx1, f.eta1), (2, ctx2, f.eta2)):
+    for i, ctx, eta in zip((1, 2), system.ctxs, etas):
         pmin = ctx.p.p_min
         fi = f.own_first(i)
         m_pos, w_pos = _min_ratio_small(fi, x, pmin, +1.0)
@@ -299,8 +347,8 @@ def check_hypotheses(
             witnesses["H1_violation"] = {"s_own": sa, "s_partner": sb}
 
     grid = np.asarray(_RHO_HAT_GRID)
-    floor1 = np.array([f.eta1 * s ** (ctx1.p.p_min - 1.0) for s in _RHO_HAT_GRID])
-    floor2 = np.array([f.eta2 * s ** (ctx2.p.p_min - 1.0) for s in _RHO_HAT_GRID])
+    floor1 = np.array([f.eta1 * s ** (system.ctx1.p.p_min - 1.0) for s in _RHO_HAT_GRID])
+    floor2 = np.array([f.eta2 * s ** (system.ctx2.p.p_min - 1.0) for s in _RHO_HAT_GRID])
 
     def rho_hat_for(g1, g2):
         """Largest r whose square [grid <= r]^2 has g_i >= eta_i s_i^(p_i_min - 1)
@@ -348,8 +396,6 @@ class SupersolutionResult:
     u_sup1: GridFunction
     u_sup2: GridFunction
     constants: dict
-    enlarged1: EnlargedEigenResult
-    enlarged2: EnlargedEigenResult
 
 
 def _tail_constants(f: Nonlinearity, x, eta_bar: float, pmin) -> tuple[float, float]:
@@ -397,12 +443,7 @@ def _dyadic_eps(accept, what: str) -> float:
     return eps
 
 
-def construct_supersolution(
-    f: Nonlinearity,
-    ctx1: OperatorContext,
-    ctx2: OperatorContext,
-    margin: float | None = None,
-) -> SupersolutionResult:
+def construct_supersolution(f: Nonlinearity, system: System) -> SupersolutionResult:
     """Supersolution pair eps^-1 * (restricted enlarged eigenfunctions).
 
     The constants are produced in the order the construction needs them:
@@ -410,23 +451,19 @@ def construct_supersolution(
     (0.99 of the admissible growth bound), then rho / c_rho from scanning f,
     and finally eps by halving until the load-domination inequality holds.
     """
-    if ctx1.mesh is not ctx2.mesh:
-        raise MeshMismatchError("both components must share one mesh")
-    enl1 = enlarged_eigenpair(ctx1, margin)
-    # equal contexts (one mesh, one exponent field, equal settings) share it
-    enl2 = enl1 if ctx2 == ctx1 else enlarged_eigenpair(ctx2, margin)
+    enl1, enl2 = system.enlarged
     tau = min(enl1.tau, enl2.tau)
 
     lam = (enl1.pair.lambda1, enl2.pair.lambda1)
     sup_phi = (enl1.sup_phi_tilde, enl2.sup_phi_tilde)
-    pmin = (ctx1.p.p_min, ctx2.p.p_min)
-    pmax = (ctx1.p.p_max, ctx2.p.p_max)
+    pmin = tuple(ctx.p.p_min for ctx in system.ctxs)
+    pmax = tuple(ctx.p.p_max for ctx in system.ctxs)
     eta_bar = 0.99 * min(
         0.5 * lam[i] * tau ** (pmax[i] - 1.0) * sup_phi[i] ** (-(pmin[i] - 1.0))
         for i in range(2)
     )
 
-    x = _x_samples(ctx1, _N_X_SAMPLES)
+    x = _x_samples(system.ctx1, _N_X_SAMPLES)
     rho, c_rho = _tail_constants(f, x, eta_bar, pmin)
     eps = _dyadic_eps(
         lambda eps: all(
@@ -445,19 +482,16 @@ def construct_supersolution(
         "eta_bar": eta_bar,
         "rho": rho,
         "c_rho": c_rho,
-        "margin": enl1.margin,
+        "margin": system.margin,
         "lambda_tilde": list(lam),
         "sup_phi_tilde": list(sup_phi),
     }
-    return SupersolutionResult(u_sup1, u_sup2, constants, enl1, enl2)
+    return SupersolutionResult(u_sup1, u_sup2, constants)
 
 
 def construct_subsolution(
     f: Nonlinearity,
-    ctx1: OperatorContext,
-    ctx2: OperatorContext,
-    eig1: EigenPair,
-    eig2: EigenPair,
+    system: System,
     hyp: HypothesesReport,
     u_sup: tuple[GridFunction, GridFunction],
 ) -> tuple[GridFunction, GridFunction, float]:
@@ -474,9 +508,8 @@ def construct_subsolution(
     """
     if hyp.rho_hat is None:
         raise ConstructionError("no small-growth threshold rho_hat available")
-    eigs = (eig1, eig2)
-    ctxs = (ctx1, ctx2)
-    mesh = ctx1.mesh
+    eigs, ctxs = system.eigs, system.ctxs
+    mesh = system.mesh
     pts = mesh.quad_points_flat
 
     def accept(eps):
@@ -517,7 +550,7 @@ def construct_subsolution(
     eps = _dyadic_eps(
         accept, "eps_sub underflow while enforcing the discrete subsolution inequalities"
     )
-    return eig1.phi.scaled(eps), eig2.phi.scaled(eps), eps
+    return eigs[0].phi.scaled(eps), eigs[1].phi.scaled(eps), eps
 
 
 # ---------------------------------------------------------------------------
@@ -571,12 +604,7 @@ class OrderedBox:
 _BOX_SLACK = 1e-10
 
 
-def verify_ordered_box(
-    box: OrderedBox,
-    f: Nonlinearity,
-    ctx1: OperatorContext,
-    ctx2: OperatorContext,
-) -> BoxVerification:
+def verify_ordered_box(box: OrderedBox, f: Nonlinearity, system: System) -> BoxVerification:
     """Re-check the weak sub/super inequalities by direct assembly.
 
     For every interior hat function the subsolution flux pairing must not
@@ -585,12 +613,12 @@ def verify_ordered_box(
     ``_BOX_SLACK``.  The report is returned, not stored: ``box.verification``
     stays the record of the f the box was built for.
     """
-    mesh = ctx1.mesh
+    mesh = system.mesh
     shape = (mesh.n_elements, mesh.n_qp)
     section = [_states_between(lo, hi) for lo, hi in box.sections]
     worst_sub = []
     worst_sup = []
-    for ctx, fi, (sub_u, sup_u) in zip((ctx1, ctx2), (f.f1, f.f2), box.sections):
+    for ctx, fi, (sub_u, sup_u) in zip(system.ctxs, (f.f1, f.f2), box.sections):
         fmin, fmax = _f_range(fi, mesh.quad_points_flat, *section)
         sub_margin = assemble_residual(ctx, sub_u, fmin.reshape(shape))
         sup_margin = assemble_residual(ctx, sup_u, fmax.reshape(shape))
@@ -606,37 +634,29 @@ def verify_ordered_box(
 
 
 def build_ordered_box(
-    f: Nonlinearity,
-    ctx1: OperatorContext,
-    ctx2: OperatorContext,
-    eig1: EigenPair,
-    eig2: EigenPair,
-    margin: float | None = None,
-    hyp: HypothesesReport | None = None,
+    f: Nonlinearity, system: System, hyp: HypothesesReport | None = None
 ) -> OrderedBox:
     """Full construction: probe hypotheses, build both sides, verify."""
     if hyp is None:
-        hyp = check_hypotheses(f, ctx1, ctx2, eig1, eig2)
+        hyp = check_hypotheses(f, system)
     if not hyp.passed:
         raise HypothesisError(
             f"hypothesis probe failed: {hyp.summary()}"
         )
-    sup = construct_supersolution(f, ctx1, ctx2, margin=margin)
-    u1, u2, eps_sub = construct_subsolution(
-        f, ctx1, ctx2, eig1, eig2, hyp, u_sup=(sup.u_sup1, sup.u_sup2)
-    )
+    sup = construct_supersolution(f, system)
+    u1, u2, eps_sub = construct_subsolution(f, system, hyp, u_sup=(sup.u_sup1, sup.u_sup2))
     constants = dict(sup.constants)
     constants["eps_sub"] = eps_sub
     constants["rho_hat"] = hyp.rho_hat
     box = OrderedBox(u1, u2, sup.u_sup1, sup.u_sup2, constants=constants)
-    interior = ctx1.mesh.interior_nodes
+    interior = system.mesh.interior_nodes
     for lo, hi in box.sections:
         if np.any(lo.values[interior] <= 0) or np.any(hi.values <= 0):
             raise ConstructionError(
                 "constructed box lost positivity (subsolution interior / "
                 "supersolution everywhere)"
             )
-    box.verification = verify_ordered_box(box, f, ctx1, ctx2)
+    box.verification = verify_ordered_box(box, f, system)
     return box
 
 
@@ -660,19 +680,6 @@ def _f_at_state(fi, mesh, u1: GridFunction, u2: GridFunction) -> np.ndarray:
     return _f_on_states(fi, mesh.quad_points_flat, *states).reshape(mesh.n_elements, mesh.n_qp)
 
 
-def system_residuals(
-    f: Nonlinearity,
-    ctx1: OperatorContext,
-    ctx2: OperatorContext,
-    u1: GridFunction,
-    u2: GridFunction,
-) -> tuple[float, float]:
-    """Dual norms of both component residuals at the current pair."""
-    r1 = assemble_residual(ctx1, u1, _f_at_state(f.f1, ctx1.mesh, u1, u2))
-    r2 = assemble_residual(ctx2, u2, _f_at_state(f.f2, ctx2.mesh, u1, u2))
-    return dual_norm(ctx1.mesh, r1), dual_norm(ctx2.mesh, r2)
-
-
 _BOX_MAX_SWEEPS = 200
 _INCREMENT_TOL = 1e-9  # nodal increment of a sweep that, with small residuals, ends it
 
@@ -680,8 +687,7 @@ _INCREMENT_TOL = 1e-9  # nodal increment of a sweep that, with small residuals, 
 def solve_in_box(
     box: OrderedBox,
     f: Nonlinearity,
-    ctx1: OperatorContext,
-    ctx2: OperatorContext,
+    system: System,
     start: str = "sub",
     residual_tol: float = 1e-8,
 ) -> BoxSolveResult:
@@ -693,7 +699,8 @@ def solve_in_box(
     Stops when both nodal increments and both system residuals are small;
     hitting the sweep cap returns a non-converged report, never raises.
     """
-    mesh = ctx1.mesh
+    mesh = system.mesh
+    fs = (f.f1, f.f2)
     u = []
     for i, (lo, hi) in enumerate(box.sections, start=1):
         vals = (lo if start == "sub" else hi).values.copy()
@@ -706,7 +713,7 @@ def solve_in_box(
     it = 0
     for it in range(1, _BOX_MAX_SWEEPS + 1):
         new = list(u)  # component 2 sees the fresh component 1
-        for i, (ctx, fi, (lo, hi)) in enumerate(zip((ctx1, ctx2), (f.f1, f.f2), box.sections)):
+        for i, (ctx, fi, (lo, hi)) in enumerate(zip(system.ctxs, fs, box.sections)):
             raw = dirichlet_solve(ctx, _f_at_state(fi, mesh, *new), initial=u[i]).u.values
             pretrunc = max(
                 pretrunc,
@@ -716,16 +723,16 @@ def solve_in_box(
             new[i] = GridFunction(mesh, box.clip(i + 1, raw))
         inc = max(float(np.max(np.abs(a.values - b.values))) for a, b in zip(new, u))
         u = new
-        res = system_residuals(f, ctx1, ctx2, *u)
+        res = tuple(
+            dual_norm(mesh, assemble_residual(ctx, ui, _f_at_state(fi, mesh, *u)))
+            for ctx, fi, ui in zip(system.ctxs, fs, u)
+        )
         if inc <= _INCREMENT_TOL and all(r <= residual_tol for r in res):
             converged = True
             break
 
     u1, u2 = u
-    interior_positive = bool(
-        np.all(u1.values[mesh.interior_nodes] > 0)
-        and np.all(u2.values[mesh.interior_nodes] > 0)
-    )
+    interior_positive = all(bool(np.all(ui.values[mesh.interior_nodes] > 0)) for ui in u)
     return BoxSolveResult(
         u1=u1,
         u2=u2,
@@ -740,8 +747,7 @@ def solve_in_box(
 def negative_solutions(
     box: OrderedBox,
     f: Nonlinearity,
-    ctx1: OperatorContext,
-    ctx2: OperatorContext,
+    system: System,
     hyp: HypothesesReport | None = None,
     **solve_kwargs,
 ) -> BoxSolveResult:
@@ -754,7 +760,7 @@ def negative_solutions(
         raise HypothesisError(
             "the negative small-argument growth branch failed its probe"
         )
-    res = solve_in_box(box, f.reflected(), ctx1, ctx2, **solve_kwargs)
+    res = solve_in_box(box, f.reflected(), system, **solve_kwargs)
     # the reflected pair is interior-positive exactly when the negated pair
     # is strictly negative inside, so ``interior_positive`` carries over
     return dataclasses.replace(res, u1=res.u1.scaled(-1.0), u2=res.u2.scaled(-1.0))

@@ -21,9 +21,9 @@ import numpy as np
 
 from .eigen import EigenPair
 from .errors import ConfigError, NumericalError
-from .existence import Nonlinearity, OrderedBox
+from .existence import Nonlinearity, OrderedBox, System
 from .mesh import GridFunction
-from .modular import luxemburg_norm_of_qp, pair_norm, sobolev_norm
+from .modular import luxemburg_norm_of_qp, sobolev_norm
 from .operator import OperatorContext, semilinear_solve
 from .operator import _newton, _state_loads  # the damped-Newton driver shared with the scalar solves
 from .report import HIDDEN, Report
@@ -97,7 +97,7 @@ def _reference_load(ctx, J, den):
     return lambda s: J * np.clip(s, 0.0, None) ** pm1 / den_pm1
 
 
-def _homotopy_loads(cfg, t, dens, f, ctx1, ctx2, eig1, eig2):
+def _homotopy_loads(cfg, t, dens, f, system):
     """Loads (g1, g2) of the homotopy at parameter t.
 
     Component i is t f_i + (1 - t) times the reference load of
@@ -115,7 +115,7 @@ def _homotopy_loads(cfg, t, dens, f, ctx1, ctx2, eig1, eig2):
 
         return g
 
-    return make(1, ctx1, eig1), make(2, ctx2, eig2)
+    return tuple(make(i, ctx, eig) for i, ctx, eig in zip((1, 2), system.ctxs, system.eigs))
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +185,7 @@ def solve_homotopy_system(
     cfg: HomotopyConfig,
     t: float,
     f: Nonlinearity,
-    ctx1: OperatorContext,
-    ctx2: OperatorContext,
-    eig1: EigenPair,
-    eig2: EigenPair,
+    system: System,
     seed1: GridFunction,
     seed2: GridFunction,
 ) -> CoupledReport:
@@ -196,11 +193,10 @@ def solve_homotopy_system(
     report carries the sweep count and the norms of its solutions."""
 
     def sweep(dens, fields):
-        g1, g2 = _homotopy_loads(cfg, t, dens, f, ctx1, ctx2, eig1, eig2)
-        rep = solve_coupled(ctx1, ctx2, g1, g2, *fields)
+        rep = solve_coupled(*system.ctxs, *_homotopy_loads(cfg, t, dens, f, system), *fields)
         return rep, (rep.u1, rep.u2)
 
-    rep, sweeps, norms = _picard((ctx1, ctx2), sweep, (seed1, seed2))
+    rep, sweeps, norms = _picard(system.ctxs, sweep, (seed1, seed2))
     return dataclasses.replace(rep, picard_sweeps=sweeps, norms=norms)
 
 
@@ -247,13 +243,12 @@ class HomotopyTrace:
         }
 
 
-def pair_distance(a, b, ctx1, ctx2) -> float:
-    d1 = GridFunction(ctx1.mesh, a[0].values - b[0].values)
-    d2 = GridFunction(ctx2.mesh, a[1].values - b[1].values)
-    return pair_norm(d1, ctx1.p, d2, ctx2.p)
+def pair_distance(a, b, system: System) -> float:
+    d1, d2 = (GridFunction(system.mesh, a[i].values - b[i].values) for i in (0, 1))
+    return system.pair_norm(d1, d2)
 
 
-def _multistart(seeds, solve, ctx1, ctx2) -> list:
+def _multistart(seeds, solve, system: System) -> list:
     """Solve from every ``(seed1, seed2, tag)`` and keep the distinct solutions.
 
     ``solve(seed1, seed2)`` returns a :class:`CoupledReport`.  A seed is
@@ -270,24 +265,17 @@ def _multistart(seeds, solve, ctx1, ctx2) -> list:
         except NumericalError:
             continue
         if rep.converged and rep.residual <= _SOLUTION_TOL:
-            norm = sum(rep.norms) if rep.norms else pair_norm(rep.u1, ctx1.p, rep.u2, ctx2.p)
+            norm = sum(rep.norms) if rep.norms else system.pair_norm(rep.u1, rep.u2)
             found.append(Solution(rep.u1, rep.u2, norm, rep.residual, tag))
     found.sort(key=lambda s: (s.pair_norm, tuple(s.u1.values), tuple(s.u2.values)))
     kept = []
     for s in found:
-        if not any(pair_distance(s, k, ctx1, ctx2) < DEDUP_DISTANCE for k in kept):
+        if not any(pair_distance(s, k, system) < DEDUP_DISTANCE for k in kept):
             kept.append(s)
     return kept
 
 
-def continuation(
-    cfg: HomotopyConfig,
-    f: Nonlinearity,
-    ctx1: OperatorContext,
-    ctx2: OperatorContext,
-    eig1: EigenPair,
-    eig2: EigenPair,
-) -> HomotopyTrace:
+def continuation(cfg: HomotopyConfig, f: Nonlinearity, system: System) -> HomotopyTrace:
     """March the t-grid recording every converged, deduplicated solution.
 
     Each step is seeded from the previous step's solutions plus the zero
@@ -296,7 +284,8 @@ def continuation(
     what pick up nontrivial branches).  Per-step non-convergence is recorded
     in the trace, never fatal.
     """
-    mesh = ctx1.mesh
+    mesh = system.mesh
+    eig1, eig2 = system.eigs
     trace = HomotopyTrace()
 
     previous = []
@@ -306,8 +295,8 @@ def continuation(
         seeds += [
             (eig1.phi.scaled(c), eig2.phi.scaled(c), f"eig x{c}") for c in _CONTINUATION_EIG_SCALES
         ]
-        solve = functools.partial(solve_homotopy_system, cfg, t, f, ctx1, ctx2, eig1, eig2)
-        previous = _multistart(seeds, solve, ctx1, ctx2)
+        solve = functools.partial(solve_homotopy_system, cfg, t, f, system)
+        previous = _multistart(seeds, solve, system)
         trace.steps.append(TraceStep(t=float(t), solutions=previous))
     return trace
 
@@ -479,12 +468,9 @@ class AnnulusReport(Report):
 def annulus_search(
     cfg: HomotopyConfig,
     f: Nonlinearity,
-    ctx1: OperatorContext,
-    ctx2: OperatorContext,
+    system: System,
     box: OrderedBox,
     u_plus: tuple[GridFunction, GridFunction],
-    eig1: EigenPair,
-    eig2: EigenPair,
     seed_order: list | None = None,
 ) -> AnnulusReport:
     """Multi-start damped Newton on the original (t = 1) system from seeds
@@ -497,19 +483,20 @@ def annulus_search(
     distance > 1e-3 from the known pair.  An empty outside-box list is a
     reported outcome: the seeds are not guaranteed to land in every basin.
     """
-    mesh = ctx1.mesh
+    mesh = system.mesh
+    eig1, eig2 = system.eigs
     # the supersolution pair has nonzero trace; size R_hat by its gradient
     # Luxemburg seminorm
-    sup_pair_norm = (
-        luxemburg_norm_of_qp(box.u_sup1.grad_magnitude_qp(), ctx1.p.qp, mesh).norm
-        + luxemburg_norm_of_qp(box.u_sup2.grad_magnitude_qp(), ctx2.p.qp, mesh).norm
+    sup_pair_norm = sum(
+        luxemburg_norm_of_qp(u.grad_magnitude_qp(), ctx.p.qp, mesh).norm
+        for u, ctx in zip((box.u_sup1, box.u_sup2), system.ctxs)
     )
     R_hat = cfg.R_hat if cfg.R_hat is not None else 1.5 * sup_pair_norm
     R = cfg.R if cfg.R is not None else 2.0 * (R_hat + 1.0)
     if not R_hat < R:
         raise ConfigError([f"radii must satisfy R_hat < R, got {R_hat} >= {R}"])
 
-    eig_pair_norm = pair_norm(eig1.phi, ctx1.p, eig2.phi, ctx2.p)
+    eig_pair_norm = system.pair_norm(eig1.phi, eig2.phi)
     rng = np.random.default_rng(cfg.rng_seed)
     seeds = []
     for target in np.geomspace(R_hat * 1.05, R * 0.95, _ANNULUS_EIG_SEEDS):
@@ -518,7 +505,7 @@ def annulus_search(
     for _ in range(_ANNULUS_RANDOM_SEEDS):
         target = float(rng.uniform(R_hat * 1.05, R * 0.95))
         comps = [GridFunction(mesh, np.abs(_random_interior(mesh, rng))) for _ in range(2)]
-        total = pair_norm(comps[0], ctx1.p, comps[1], ctx2.p)
+        total = system.pair_norm(*comps)
         seeds.append(
             (*(g.with_values(g.values * target / total) for g in comps), f"random@{target:.3g}")
         )
@@ -530,8 +517,8 @@ def annulus_search(
     if seed_order is not None:
         seeds = [seeds[k] for k in seed_order]
 
-    solve = functools.partial(solve_coupled, ctx1, ctx2, f.f1, f.f2, tol=_SOLUTION_TOL * 1e-2)
-    found = _multistart(seeds, solve, ctx1, ctx2)
+    solve = functools.partial(solve_coupled, *system.ctxs, f.f1, f.f2, tol=_SOLUTION_TOL * 1e-2)
+    found = _multistart(seeds, solve, system)
     solutions = [
         AnnulusSolution(
             u1=s.u1,

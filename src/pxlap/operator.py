@@ -10,7 +10,7 @@ unregularized flux.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -46,6 +46,10 @@ class OperatorContext:
             raise ValueError("eps_reg must be >= 0 and newton_tol > 0")
         if self.p.mesh is not self.mesh:
             raise MeshMismatchError("exponent field lives on a different mesh")
+
+    def on_mesh(self, mesh: Mesh) -> "OperatorContext":
+        """The same settings with the exponent rule re-bound to ``mesh``."""
+        return replace(self, mesh=mesh, p=self.p.on_mesh(mesh))
 
 
 @dataclass

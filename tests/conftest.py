@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from pxlap.eigen import first_eigenpair
+from pxlap.existence import System
 from pxlap.exponents import ExponentField
 from pxlap.mesh import build_interval_mesh, build_rectangle_mesh
 from pxlap.operator import OperatorContext
@@ -39,8 +39,13 @@ def ctxvar_64(mesh64, pvar_64):
 
 
 @pytest.fixture(scope="session")
-def eig2_64(ctx2_64):
-    return first_eigenpair(ctx2_64)
+def sys2_64(ctx2_64):
+    return System.build(ctx2_64, ctx2_64)
+
+
+@pytest.fixture(scope="session")
+def eig2_64(sys2_64):
+    return sys2_64.eigs[0]
 
 
 @pytest.fixture(scope="session")

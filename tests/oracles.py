@@ -5,9 +5,11 @@ antiderivatives, scipy adaptive quadrature with scalar root finding, and
 shooting integrations of the underlying ODEs.
 """
 
+import math
+
 import numpy as np
 from scipy.integrate import quad, solve_ivp
-from scipy.optimize import brentq
+from scipy.optimize import brentq, root
 
 
 def torsion_exact(p: float, x: np.ndarray) -> np.ndarray:
@@ -143,3 +145,53 @@ def luxemburg_by_bisection(values_qp, p_qp, weights, tol=1e-10):
         if abs(rm - 1.0) < res:
             tau, res = mid, abs(rm - 1.0)
     return tau, res
+
+
+def variable_p_eigenpair_by_shooting(p, a: float = 0.0, b: float = 1.0):
+    """First eigenpair of -(|u'|^(p(x)-2) u')' = lam |u|^(p(x)-2) u on (a, b),
+    u(a) = u(b) = 0, u > 0 inside, normalized by the modular int |u|^p = 1.
+
+    For variable p the eigenvalue depends on that normalization.  With the
+    flux w = |u'|^(p-2) u' the equation is the first-order system
+        u' = sgn(w) |w|^(1/(p-1)),  w' = -lam |u|^(p-2) u,
+    shot from u(a) = 0, w(a) = A with the modular m' = |u|^p alongside
+    (DOP853, rtol 1e-12).  (A, lam) solves u(b) = 0 and m(b) = 1, by
+    Powell's hybrid method from the constant-exponent pair at p((a + b) / 2);
+    a zero of u inside (a, b) is an error.  ``p`` is a callable of a scalar
+    x.  Returns lam and u as a callable of a point array.
+    """
+
+    def shoot(A, lam, dense=False):
+        def rhs(x, y):
+            u, w, _ = y
+            px = p(x)
+            return [
+                math.copysign(abs(w) ** (1.0 / (px - 1.0)), w),
+                -lam * math.copysign(abs(u) ** (px - 1.0), u),
+                abs(u) ** px,
+            ]
+
+        return solve_ivp(
+            rhs, (a, b), [0.0, A, 0.0], method="DOP853", rtol=1e-12, atol=1e-14,
+            dense_output=dense,
+        )
+
+    # the constant-exponent start: u scales as A^(1/(p-1)), its modular as
+    # A^(p/(p-1))
+    p_mid = p(0.5 * (a + b))
+    lam0 = constant_p_eigenvalue(p_mid, b - a)
+    A0 = shoot(1.0, lam0).y[2, -1] ** (-(p_mid - 1.0) / p_mid)
+
+    def ends(z):
+        u_b, _, m_b = shoot(z[0], z[1]).y[:, -1]
+        return [u_b, m_b - 1.0]
+
+    found = root(ends, [A0, lam0], method="hybr", options={"xtol": 1e-13})
+    if not np.max(np.abs(found.fun)) <= 1e-11:
+        raise RuntimeError(f"shooting did not converge: {found.message}")
+    A, lam = (float(z) for z in found.x)
+    sol = shoot(A, lam, dense=True)
+    inner = np.linspace(a, b, 2001)[1:-1]
+    if not np.all(sol.sol(inner)[0] > 0):
+        raise RuntimeError("the shot profile vanishes inside (a, b): not the first eigenpair")
+    return lam, lambda x: sol.sol(np.asarray(x, dtype=float))[0]

@@ -15,6 +15,7 @@ from pxlap.eigen import first_eigenpair
 from pxlap.existence import (
     Nonlinearity,
     OrderedBox,
+    System,
     benchmark_family,
     build_ordered_box,
     check_hypotheses,
@@ -53,20 +54,26 @@ def report(criterion: str, ok: bool, detail: str) -> bool:
 
 
 @pytest.fixture(scope="module")
-def bench256():
+def bench256_system():
     mesh = build_interval_mesh(0.0, 1.0, 256)
     ctx = OperatorContext(mesh, ExponentField(mesh, 2.0))
-    eig = first_eigenpair(ctx)
-    f = benchmark_family(ctx, ctx, eig, eig)
-    hyp = check_hypotheses(f, ctx, ctx, eig, eig)
-    return mesh, ctx, eig, f, hyp
+    return System.build(ctx, ctx)
 
 
 @pytest.fixture(scope="module")
-def bench256_solution(bench256):
+def bench256(bench256_system):
+    system = bench256_system
+    eig = system.eigs[0]
+    f = benchmark_family(system)
+    hyp = check_hypotheses(f, system)
+    return system.mesh, system.ctx1, eig, f, hyp
+
+
+@pytest.fixture(scope="module")
+def bench256_solution(bench256, bench256_system):
     mesh, ctx, eig, f, hyp = bench256
-    box = build_ordered_box(f, ctx, ctx, eig, eig, hyp=hyp)
-    pos = solve_in_box(box, f, ctx, ctx)
+    box = build_ordered_box(f, bench256_system, hyp=hyp)
+    pos = solve_in_box(box, f, bench256_system)
     return box, pos
 
 
@@ -210,11 +217,11 @@ def test_criterion_05_comparison_suite():
     assert ok
 
 
-def test_criterion_06_theorem1_pipeline(bench256, bench256_solution):
+def test_criterion_06_theorem1_pipeline(bench256, bench256_solution, bench256_system):
     mesh, ctx, eig, f, hyp = bench256
     box, pos = bench256_solution
     t0 = time.time()
-    neg = negative_solutions(box, f, ctx, ctx, hyp=hyp)
+    neg = negative_solutions(box, f, bench256_system, hyp=hyp)
     elapsed_neg = time.time() - t0
 
     c = box.constants
@@ -313,7 +320,7 @@ def test_criterion_07_nonexistence_probe(bench256):
     )
 
 
-def test_criterion_08_trivial_reference_family(bench256):
+def test_criterion_08_trivial_reference_family(bench256, bench256_system):
     mesh, ctx, eig, f, hyp = bench256
     cfg = HomotopyConfig()
     rng = np.random.default_rng(8)
@@ -327,7 +334,7 @@ def test_criterion_08_trivial_reference_family(bench256):
     worst = 0.0
     all_conv = True
     for s in seeds:
-        rep = solve_homotopy_system(cfg, 0.0, f, ctx, ctx, eig, eig, s, s)
+        rep = solve_homotopy_system(cfg, 0.0, f, bench256_system, s, s)
         all_conv &= rep.converged
         worst = max(
             worst,
@@ -342,15 +349,15 @@ def test_criterion_08_trivial_reference_family(bench256):
     assert ok
 
 
-def test_criterion_09_homotopy_trace(bench256, bench256_solution):
+def test_criterion_09_homotopy_trace(bench256, bench256_solution, bench256_system):
     mesh, ctx, eig, f, hyp = bench256
     box, pos = bench256_solution
     cfg = HomotopyConfig()
     assert len(cfg.t_grid) == 11
-    trace = continuation(cfg, f, ctx, ctx, eig, eig)
+    trace = continuation(cfg, f, bench256_system)
     bnd = boundedness_probe(trace)
     dists = [
-        pair_distance(pair, (pos.u1, pos.u2), ctx, ctx)
+        pair_distance(pair, (pos.u1, pos.u2), bench256_system)
         for pair in trace.steps[-1].solutions
     ]
     ok = (
@@ -372,7 +379,7 @@ def test_criterion_10_annulus_search():
 
     mesh = build_interval_mesh(0.0, 1.0, 96)
     ctx = OperatorContext(mesh, ExponentField(mesh, 2.0))
-    eig = first_eigenpair(ctx)
+    system = System.build(ctx, ctx)
     lam = 1.0
 
     def f_own(x, s_own, s_other):
@@ -390,22 +397,20 @@ def test_criterion_10_annulus_search():
     small = bratu_profile(lam, oracle[0][0], mesh.nodes[:, 0])
     sup = GridFunction(mesh, 1.05 * small)
     box = OrderedBox(GridFunction.zeros(mesh), GridFunction.zeros(mesh), sup, sup)
-    assert verify_ordered_box(box, f, ctx, ctx).passed
-    pos = solve_in_box(box, f, ctx, ctx)
+    assert verify_ordered_box(box, f, system).passed
+    pos = solve_in_box(box, f, system)
     assert pos.converged
 
     cfg = HomotopyConfig(R=50.0)
-    base = annulus_search(cfg, f, ctx, ctx, box, (pos.u1, pos.u2), eig, eig)
+    base = annulus_search(cfg, f, system, box, (pos.u1, pos.u2))
     inside = [s for s in base.solutions if s.inside_box]
     outside = [s for s in base.solutions if s.pair_norm > base.R_hat]
     distinct = bool(outside) and all(s.distance_to_known > 1e-3 for s in outside)
 
     perm = list(reversed(range(22)))
-    swapped = annulus_search(
-        cfg, f, ctx, ctx, box, (pos.u1, pos.u2), eig, eig, seed_order=perm
-    )
+    swapped = annulus_search(cfg, f, system, box, (pos.u1, pos.u2), seed_order=perm)
     same_set = len(base.solutions) == len(swapped.solutions) and all(
-        pair_distance((a.u1, a.u2), (b.u1, b.u2), ctx, ctx) < 1e-6
+        pair_distance((a.u1, a.u2), (b.u1, b.u2), system) < 1e-6
         for a, b in zip(base.solutions, swapped.solutions)
     )
     ok = (

@@ -770,3 +770,87 @@ def test_cli_huge_exponent_names_the_norm_not_a_zero_field(tmp_path, capsys):
 def test_default_config_validates():
     cfg = parse_config()
     assert cfg["mesh.kind"] == "interval"
+
+
+def _theorem_config(tmp_path, p2):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(
+        f"mesh.n = 32\np1.expr = 2 + 0.1*x\np2.expr = {p2}\nmargin = 0.25\n"
+        "homotopy.t_steps = 2\nhomotopy.seeds = 3\n"
+    )
+    return ["--config", str(cfg)]
+
+
+@pytest.mark.parametrize(
+    "command, p2, dilated_fields",
+    [
+        ("theorem1", "2 + 0.1*x", 1),  # one field serves both components
+        ("theorem1", "2.2 + 0.1*x", 2),
+        ("eig", None, 1),
+    ],
+    ids=["theorem1-equal", "theorem1-distinct", "eig-margin"],
+)
+def test_cli_builds_the_dilated_domain_once(tmp_path, monkeypatch, command, p2, dilated_fields):
+    # the pre-solve check and the enlarged eigenpair each built the dilated
+    # mesh and its exponent fields: 2 meshes and 2 fields (theorem1 with
+    # p1 = p2, eig --margin), 3 meshes and 4 fields (theorem1 with p1 != p2)
+    from pxlap import eigen
+    from pxlap.exponents import ExponentField
+
+    outer, field_meshes = [], []
+    dilate, init = eigen.dilate_domain, ExponentField.__init__
+
+    def counted_dilate(mesh, margin):
+        outer.append(dilate(mesh, margin))
+        return outer[-1]
+
+    def counted_init(self, mesh, rule):
+        field_meshes.append(mesh)
+        init(self, mesh, rule)
+
+    monkeypatch.setattr(eigen, "dilate_domain", counted_dilate)
+    monkeypatch.setattr(ExponentField, "__init__", counted_init)
+    if command == "eig":
+        args = ["--p", "2 + 0.1*x", "--mesh", "n=32", "--margin", "0.25"]
+    else:
+        args = _theorem_config(tmp_path, p2)
+    assert main([command, *args, "--output-dir", str(tmp_path), "--quiet"]) == 0
+    assert len(outer) == 1
+    assert sum(mesh is outer[0] for mesh in field_meshes) == dilated_fields
+
+
+@pytest.mark.parametrize("command", ["eig", "theorem1", "theorem2", "probe-L9"])
+def test_cli_builds_contexts_once_before_any_eigenpair(tmp_path, monkeypatch, command):
+    # the benchmark wraps cli.build_contexts(v) and stamps the end of set-up
+    # when it first returns its (mesh, ctx1, ctx2) tuple; the eigen solves
+    # must come after it
+    from pxlap import eigen, existence
+    from pxlap.mesh import Mesh
+    from pxlap.operator import OperatorContext
+
+    events = []
+    build = cli.build_contexts
+
+    def recorded_build(v):
+        built = build(v)
+        events.append(("build", built))
+        return built
+
+    monkeypatch.setattr(cli, "build_contexts", recorded_build)
+    for module in (cli, existence, eigen):
+        solve = module.first_eigenpair
+
+        def recorded_solve(*a, solve=solve, **kw):
+            events.append(("eig", None))
+            return solve(*a, **kw)
+
+        monkeypatch.setattr(module, "first_eigenpair", recorded_solve)
+    args = ["--mesh", "n=32"] if command == "eig" else _theorem_config(tmp_path, "2 + 0.1*x")
+    assert main([command, *args, "--output-dir", str(tmp_path), "--quiet"]) == 0
+    builds = [built for kind, built in events if kind == "build"]
+    assert len(builds) == 1 and events[0][0] == "build"
+    assert any(kind == "eig" for kind, _ in events)
+    mesh, ctx1, ctx2 = builds[0]
+    assert isinstance(mesh, Mesh)
+    assert isinstance(ctx1, OperatorContext) and isinstance(ctx2, OperatorContext)
+    assert ctx1.mesh is mesh and ctx2.mesh is mesh

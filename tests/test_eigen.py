@@ -3,7 +3,7 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import constant_p_eigenvalue
+from oracles import constant_p_eigenvalue, variable_p_eigenpair_by_shooting
 from pxlap import operator as operator_module
 from pxlap.errors import NumericalError
 from pxlap.eigen import (
@@ -17,6 +17,7 @@ from pxlap.eigen import (
     first_eigenpair,
     rayleigh_quotient,
 )
+from pxlap.existence import System
 from pxlap.exponents import ExponentField
 from pxlap.mesh import GridFunction, build_interval_mesh, build_rectangle_mesh, integrate
 from pxlap.operator import (
@@ -84,8 +85,14 @@ def test_boundary_adjacent_decay(eig2_64, mesh64):
     assert vals[2] > vals[1] and vals[-3] > vals[-2]
 
 
+def _enlarged(ctx, margin):
+    """:func:`enlarged_eigenpair` of ``ctx`` on its mesh dilated by ``margin``."""
+    outer, _ = dilated_mesh(ctx.mesh, margin)
+    return enlarged_eigenpair(ctx.on_mesh(outer), ctx.mesh)
+
+
 def test_enlarged_eigenpair(ctx2_64):
-    res = enlarged_eigenpair(ctx2_64, margin=0.25)
+    res = _enlarged(ctx2_64, margin=0.25)
     assert res.pair.lambda1 == pytest.approx(np.pi**2 / 1.5**2, rel=1e-2)
     assert res.tau > 0
     assert np.all(res.phi_restricted.values > res.tau)
@@ -105,16 +112,18 @@ def test_dilated_mesh_is_the_enlarged_domain(mesh, margin, want):
     assert snapped == want
     assert np.array_equal(outer.lo, mesh.lo - want) and np.array_equal(outer.hi, mesh.hi + want)
     assert np.allclose(outer.spacing, mesh.spacing, rtol=1e-12, atol=0.0)
-    res = enlarged_eigenpair(OperatorContext(mesh, ExponentField(mesh, 2.0)), margin)
+    ctx = OperatorContext(mesh, ExponentField(mesh, 2.0))
+    system = System.build(ctx, ctx, margin)
+    res = system.enlarged[0]
     used = res.pair.phi.mesh
-    assert res.margin == snapped
+    assert system.margin == snapped
     assert np.array_equal(used.lo, outer.lo) and np.array_equal(used.hi, outer.hi)
     assert np.array_equal(used.cells, outer.cells)
 
 
 def test_enlarged_domain_monotonicity(ctx2_64):
-    lam_small = enlarged_eigenpair(ctx2_64, margin=0.125).pair.lambda1
-    lam_big = enlarged_eigenpair(ctx2_64, margin=0.5).pair.lambda1
+    lam_small = _enlarged(ctx2_64, margin=0.125).pair.lambda1
+    lam_big = _enlarged(ctx2_64, margin=0.5).pair.lambda1
     assert lam_big < lam_small
 
 
@@ -285,3 +294,51 @@ def test_kept_factor_matches_reference_sweeps(case, factor_calls):
         # (the seed and one per Newton step) without the holder
         assert len(factor_calls) <= 4
         assert ref_factors == 24
+
+
+# relative lambda1 error and nodal max error of phi1 against the shooting
+# oracle, measured at n = 128, 256 and 512; each bound is 1.25 times the
+# measured value
+_ORACLE_BOUNDS = {
+    "2 + 0.1*x": ((6.5e-5, 9.8e-5), (1.7e-5, 2.6e-5), (4.1e-6, 6.5e-6)),
+    "2 + x": ((1.15e-4, 2.5e-4), (3.2e-5, 8.0e-5), (6.2e-6, 1.9e-5)),
+}
+
+
+@pytest.mark.parametrize(
+    "expr, p, mirror, want",
+    [
+        ("2 + 0.1*x", lambda x: 2.0 + 0.1 * x, lambda x: 2.1 - 0.1 * x, 10.4362893),
+        ("2 + x", lambda x: 2.0 + x, lambda x: 3.0 - x, 15.7536783),
+    ],
+    ids=["2+0.1x", "2+x"],
+)
+def test_first_eigenpair_converges_to_the_shooting_oracle(expr, p, mirror, want):
+    lam, phi = variable_p_eigenpair_by_shooting(p, 0.0, 1.0)
+    # the oracle checks itself: the mirrored exponent has the same eigenvalue
+    assert lam == pytest.approx(want, abs=5e-8)
+    assert variable_p_eigenpair_by_shooting(mirror, 0.0, 1.0)[0] == pytest.approx(lam, rel=1e-11)
+    errors = []
+    for n, (lam_bound, phi_bound) in zip((128, 256, 512), _ORACLE_BOUNDS[expr]):
+        mesh = build_interval_mesh(0.0, 1.0, n)
+        pair = first_eigenpair(OperatorContext(mesh, ExponentField(mesh, expr)))
+        errors.append(abs(pair.lambda1 - lam) / lam)
+        assert errors[-1] <= lam_bound
+        assert np.max(np.abs(pair.phi.values - phi(mesh.nodes[:, 0]))) <= phi_bound
+    orders = np.log2(np.array(errors[:-1]) / np.array(errors[1:]))
+    assert np.all(orders >= 1.8)
+
+
+def test_enlarged_eigenpair_matches_the_shooting_oracle():
+    # the README theorem1 config: n = 256, p = 2 + 0.1x, margin 0.25, so the
+    # dilated interval is (-0.25, 1.25); measured 5.8e-6 (lambda) and 7.5e-6
+    # (phi), bounded at 1.25 times that
+    mesh = build_interval_mesh(0.0, 1.0, 256)
+    ctx = OperatorContext(mesh, ExponentField(mesh, "2 + 0.1*x"))
+    system = System.build(ctx, ctx, 0.25)
+    lam, phi = variable_p_eigenpair_by_shooting(lambda x: 2.0 + 0.1 * x, -0.25, 1.25)
+    assert lam == pytest.approx(4.5418730, abs=5e-8)
+    pair = system.enlarged[0].pair
+    assert abs(pair.lambda1 - lam) / lam <= 7.3e-6
+    outer = pair.phi.mesh
+    assert np.max(np.abs(pair.phi.values - phi(outer.nodes[:, 0]))) <= 9.5e-6

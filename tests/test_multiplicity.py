@@ -10,6 +10,7 @@ from pxlap.eigen import first_eigenpair
 from pxlap.existence import (
     Nonlinearity,
     OrderedBox,
+    System,
     benchmark_family,
     build_ordered_box,
     check_hypotheses,
@@ -38,16 +39,16 @@ from pxlap.multiplicity import (
 
 
 @pytest.fixture(scope="module")
-def system(ctx2_64, eig2_64):
-    f = benchmark_family(ctx2_64, ctx2_64, eig2_64, eig2_64)
+def system(sys2_64):
+    f = benchmark_family(sys2_64)
     cfg = HomotopyConfig()
     return f, cfg
 
 
-def _loads(cfg, t, u, f, ctx, eig):
+def _loads(cfg, t, u, f, system):
     """The homotopy loads of the pair (u, u), denominators frozen from u."""
-    den = max(1.0, sobolev_norm(u, ctx.p))
-    return _homotopy_loads(cfg, t, (den, den), f, ctx, ctx, eig, eig)
+    den = max(1.0, sobolev_norm(u, system.ctx1.p))
+    return _homotopy_loads(cfg, t, (den, den), f, system)
 
 
 def test_config_gate_rejects_large_J(ctx2_64, eig2_64):
@@ -80,12 +81,12 @@ def test_config_t_grid_validation():
     assert all(type(t) is float for t in grid)
 
 
-def test_rhs_at_t0(system, ctx2_64, eig2_64):
+def test_rhs_at_t0(system, ctx2_64, sys2_64):
     f, cfg = system
     zero = GridFunction.zeros(ctx2_64.mesh)
     pts = ctx2_64.mesh.quad_points.reshape(-1, 1)
     s0 = np.zeros(len(pts))
-    g1, g2 = _loads(cfg, 0.0, zero, f, ctx2_64, eig2_64)
+    g1, g2 = _loads(cfg, 0.0, zero, f, sys2_64)
     assert np.max(np.abs(g1(pts, s0, s0))) == 0.0
 
 
@@ -134,19 +135,19 @@ def test_probe_load_adds_the_shift(ctx2_64, eig2_64, rng, monkeypatch):
         assert np.max(np.abs(core(np.zeros(len(pts))))) == 0.0
 
 
-def test_tilde_t0_trivial(system, ctx2_64, eig2_64):
+def test_tilde_t0_trivial(system, ctx2_64, eig2_64, sys2_64):
     f, cfg = system
     for scale in (0.0, 0.5, 3.0):
         seed = eig2_64.phi.with_values(scale * eig2_64.phi.values)
-        rep = solve_homotopy_system(cfg, 0.0, f, ctx2_64, ctx2_64, eig2_64, eig2_64, seed, seed)
+        rep = solve_homotopy_system(cfg, 0.0, f, sys2_64, seed, seed)
         assert rep.converged
         norm = sobolev_norm(rep.u1, ctx2_64.p) + sobolev_norm(rep.u2, ctx2_64.p)
         assert norm <= 1e-8
 
 
-def test_continuation_trace(system, ctx2_64, eig2_64):
+def test_continuation_trace(system, sys2_64):
     f, cfg = system
-    trace = continuation(cfg, f, ctx2_64, ctx2_64, eig2_64, eig2_64)
+    trace = continuation(cfg, f, sys2_64)
     assert [s.t for s in trace.steps] == list(cfg.t_grid)
     assert all(
         s.residual <= 1e-8 for step in trace.steps for s in step.solutions
@@ -158,22 +159,22 @@ def test_continuation_trace(system, ctx2_64, eig2_64):
     assert bnd.passed and bnd.suggested_radius > bnd.max_pair_norm
 
 
-def test_continuation_recovers_box_solution(system, ctx2_64, eig2_64):
+def test_continuation_recovers_box_solution(system, sys2_64):
     f, cfg = system
-    hyp = check_hypotheses(f, ctx2_64, ctx2_64, eig2_64, eig2_64)
-    box = build_ordered_box(f, ctx2_64, ctx2_64, eig2_64, eig2_64, hyp=hyp)
-    sol = solve_in_box(box, f, ctx2_64, ctx2_64)
-    trace = continuation(cfg, f, ctx2_64, ctx2_64, eig2_64, eig2_64)
+    hyp = check_hypotheses(f, sys2_64)
+    box = build_ordered_box(f, sys2_64, hyp=hyp)
+    sol = solve_in_box(box, f, sys2_64)
+    trace = continuation(cfg, f, sys2_64)
     dists = [
-        pair_distance(pair, (sol.u1, sol.u2), ctx2_64, ctx2_64)
+        pair_distance(pair, (sol.u1, sol.u2), sys2_64)
         for pair in trace.steps[-1].solutions
     ]
     assert min(dists) <= 1e-7
 
 
-def test_boundedness_probe_thresholds(system, ctx2_64, eig2_64):
+def test_boundedness_probe_thresholds(system, sys2_64):
     f, cfg = system
-    trace = continuation(cfg, f, ctx2_64, ctx2_64, eig2_64, eig2_64)
+    trace = continuation(cfg, f, sys2_64)
     m = trace.max_pair_norm()
     assert boundedness_probe(trace, R=2 * (m + 1)).passed
     bad = boundedness_probe(trace, R=0.5 * m)
@@ -290,7 +291,7 @@ def _ref_collect(seeds, solve, ctx1, ctx2):
 
 
 @pytest.mark.parametrize("search", ["trace", "annulus"])
-def test_multistart_matches_reference_collection(system, ctx2_64, eig2_64, search):
+def test_multistart_matches_reference_collection(system, ctx2_64, eig2_64, sys2_64, search):
     f, cfg = system
     phi = eig2_64.phi
     zero = GridFunction.zeros(ctx2_64.mesh)
@@ -316,13 +317,13 @@ def test_multistart_matches_reference_collection(system, ctx2_64, eig2_64, searc
             # ignored, this pair would be kept ahead of the "zero" one
             rep = dataclasses.replace(solve_coupled(ctx2_64, ctx2_64, f.f1, f.f2, s1, s2), converged=False)
         elif search == "trace":
-            rep = solve_homotopy_system(cfg, 0.6, f, ctx2_64, ctx2_64, eig2_64, eig2_64, s1, s2)
+            rep = solve_homotopy_system(cfg, 0.6, f, sys2_64, s1, s2)
         else:
             rep = solve_coupled(ctx2_64, ctx2_64, f.f1, f.f2, s1, s2, tol=_SOLUTION_TOL * 1e-2)
         outcomes.append(rep.converged)
         return rep
 
-    kept = _multistart(seeds, solve, ctx2_64, ctx2_64)
+    kept = _multistart(seeds, solve, sys2_64)
     n_seeds = len(outcomes)
     n_found, (pairs, norms, residuals, tags) = _ref_collect(seeds, solve, ctx2_64, ctx2_64)
     # the seed list exercises every branch: a raise, a non-converged solve
@@ -344,7 +345,7 @@ def test_multistart_matches_reference_collection(system, ctx2_64, eig2_64, searc
 def bratu_system():
     mesh = build_interval_mesh(0.0, 1.0, 96)
     ctx = OperatorContext(mesh, ExponentField(mesh, 2.0))
-    eig = first_eigenpair(ctx)
+    system = System.build(ctx, ctx)
     lam = 1.0
 
     def f_own(x, s_own, s_other):
@@ -358,11 +359,11 @@ def bratu_system():
         eta1=1.0,
         eta2=1.0,
     )
-    return mesh, ctx, eig, f, lam
+    return mesh, system, f, lam
 
 
 def test_bratu_oracle_enumeration(bratu_system):
-    mesh, ctx, eig, f, lam = bratu_system
+    mesh, system, f, lam = bratu_system
     sols = bratu_solutions_by_shooting(lam)
     assert len(sols) == 2
     small, large = sols
@@ -371,7 +372,7 @@ def test_bratu_oracle_enumeration(bratu_system):
 
 
 def test_annulus_search_two_solutions(bratu_system):
-    mesh, ctx, eig, f, lam = bratu_system
+    mesh, system, f, lam = bratu_system
     sols = bratu_solutions_by_shooting(lam)
     u_small_mid, u_large_mid = sols[0][1], sols[1][1]
 
@@ -380,14 +381,14 @@ def test_annulus_search_two_solutions(bratu_system):
     small_prof = bratu_profile(lam, sols[0][0], mesh.nodes[:, 0])
     sup = GridFunction(mesh, 1.05 * small_prof)
     box = OrderedBox(GridFunction.zeros(mesh), GridFunction.zeros(mesh), sup, sup)
-    rep = verify_ordered_box(box, f, ctx, ctx)
+    rep = verify_ordered_box(box, f, system)
     assert rep.passed
-    pos = solve_in_box(box, f, ctx, ctx)
+    pos = solve_in_box(box, f, system)
     assert pos.converged
     assert pos.u1.values[mesh.n_nodes // 2] == pytest.approx(u_small_mid, abs=1e-3)
 
     cfg = HomotopyConfig(R=50.0)
-    report = annulus_search(cfg, f, ctx, ctx, box, (pos.u1, pos.u2), eig, eig)
+    report = annulus_search(cfg, f, system, box, (pos.u1, pos.u2))
     assert report.second_solution_found
     assert len(report.solutions) >= 2
     mids = sorted(s.u1.values[mesh.n_nodes // 2] for s in report.solutions)
@@ -402,24 +403,22 @@ def test_annulus_search_two_solutions(bratu_system):
 
 
 def test_annulus_seed_permutation_invariance(bratu_system):
-    mesh, ctx, eig, f, lam = bratu_system
+    mesh, system, f, lam = bratu_system
     small_prof = bratu_profile(lam, bratu_solutions_by_shooting(lam)[0][0], mesh.nodes[:, 0])
     sup = GridFunction(mesh, 1.05 * small_prof)
     box = OrderedBox(GridFunction.zeros(mesh), GridFunction.zeros(mesh), sup, sup)
-    pos = solve_in_box(box, f, ctx, ctx)
+    pos = solve_in_box(box, f, system)
     cfg = HomotopyConfig(R=50.0)
-    base = annulus_search(cfg, f, ctx, ctx, box, (pos.u1, pos.u2), eig, eig)
+    base = annulus_search(cfg, f, system, box, (pos.u1, pos.u2))
     n_seeds = 12 + 8 + 2
     perm = list(reversed(range(n_seeds)))
-    swapped = annulus_search(
-        cfg, f, ctx, ctx, box, (pos.u1, pos.u2), eig, eig, seed_order=perm
-    )
+    swapped = annulus_search(cfg, f, system, box, (pos.u1, pos.u2), seed_order=perm)
     assert len(base.solutions) == len(swapped.solutions)
     for a, b in zip(base.solutions, swapped.solutions):
-        assert pair_distance((a.u1, a.u2), (b.u1, b.u2), ctx, ctx) < 1e-6
+        assert pair_distance((a.u1, a.u2), (b.u1, b.u2), system) < 1e-6
 
 
-def test_annulus_zero_nonlinearity(ctx2_64, eig2_64):
+def test_annulus_zero_nonlinearity(ctx2_64, sys2_64):
     mesh = ctx2_64.mesh
     f0 = Nonlinearity(
         f1=lambda x, s1, s2: np.zeros(len(np.atleast_2d(x))),
@@ -433,7 +432,7 @@ def test_annulus_zero_nonlinearity(ctx2_64, eig2_64):
     box = OrderedBox(GridFunction.zeros(mesh), GridFunction.zeros(mesh), bump, bump)
     zero = GridFunction.zeros(mesh)
     cfg = HomotopyConfig(R=10.0)
-    report = annulus_search(cfg, f0, ctx2_64, ctx2_64, box, (zero, zero), eig2_64, eig2_64)
+    report = annulus_search(cfg, f0, sys2_64, box, (zero, zero))
     assert not report.second_solution_found
     assert all(s.inside_box for s in report.solutions)
     assert all(s.pair_norm <= 1e-8 for s in report.solutions)

@@ -9,9 +9,8 @@ for bit-identical results.
 import numpy as np
 import pytest
 
-from pxlap.eigen import first_eigenpair
 from pxlap.exponents import ExponentField
-from pxlap.existence import benchmark_family
+from pxlap.existence import System, benchmark_family
 from pxlap.mesh import GridFunction, Mesh, build_interval_mesh, build_rectangle_mesh, dilate_domain
 import pxlap.multiplicity as multiplicity
 from pxlap.modular import sobolev_norm
@@ -109,7 +108,8 @@ def test_interleaved_block_counts_match_fresh_meshes():
 def var_problem():
     mesh = build_interval_mesh(0.0, 1.0, 64)
     ctx = OperatorContext(mesh, ExponentField(mesh, "2 + 0.1*x"))
-    return ctx, first_eigenpair(ctx)
+    system = System.build(ctx, ctx)
+    return ctx, system.eigs[0], system
 
 
 def _count_calls(monkeypatch, owner, name):
@@ -125,7 +125,7 @@ def _count_calls(monkeypatch, owner, name):
 
 
 def test_nonexistence_probe_locates_a_few_times(var_problem, monkeypatch):
-    ctx, eig = var_problem
+    ctx, eig, system = var_problem
     locates = _count_calls(monkeypatch, Mesh, "locate")
     report = nonexistence_probe(ctx, eig, J=0.3 * eig.lambda1, delta=1e-3, attempts=10)
     assert report.applicable and len(report.attempts) == 10
@@ -133,11 +133,11 @@ def test_nonexistence_probe_locates_a_few_times(var_problem, monkeypatch):
 
 
 def test_homotopy_system_reports_the_norms_of_its_solution(var_problem):
-    ctx, eig = var_problem
-    f = benchmark_family(ctx, ctx, eig, eig)
+    ctx, eig, system = var_problem
+    f = benchmark_family(system)
     cfg = HomotopyConfig()
     seed = eig.phi.with_values(2.0 * eig.phi.values)
-    rep = solve_homotopy_system(cfg, 0.5, f, ctx, ctx, eig, eig, seed, seed)
+    rep = solve_homotopy_system(cfg, 0.5, f, system, seed, seed)
     assert rep.picard_sweeps > 1
     assert rep.norms == (sobolev_norm(rep.u1, ctx.p), sobolev_norm(rep.u2, ctx.p))
 
@@ -146,13 +146,14 @@ def test_homotopy_system_reports_the_norms_of_its_solution(var_problem):
 # the two Picard loops that `multiplicity._picard` replaced
 
 
-def _ref_solve_homotopy_system(cfg, t, f, ctx1, ctx2, eig1, eig2, seed1, seed2, picard_max=20, picard_rtol=1e-8):
+def _ref_solve_homotopy_system(cfg, t, f, system, seed1, seed2, picard_max=20, picard_rtol=1e-8):
+    ctx1, ctx2 = system.ctxs
     u1, u2 = seed1, seed2
     rep = None
     prev = (sobolev_norm(u1, ctx1.p), sobolev_norm(u2, ctx2.p))
     for sweeps in range(1, picard_max + 1):
         dens = (max(1.0, prev[0]), max(1.0, prev[1]))
-        g1, g2 = _homotopy_loads(cfg, t, dens, f, ctx1, ctx2, eig1, eig2)
+        g1, g2 = _homotopy_loads(cfg, t, dens, f, system)
         rep = solve_coupled(ctx1, ctx2, g1, g2, u1, u2)
         u1, u2 = rep.u1, rep.u2
         cur = (sobolev_norm(u1, ctx1.p), sobolev_norm(u2, ctx2.p))
@@ -203,8 +204,8 @@ def _coupled_outcome(rep):
 
 
 def test_homotopy_system_matches_reference_loop(var_problem):
-    ctx, eig = var_problem
-    f = benchmark_family(ctx, ctx, eig, eig)
+    ctx, eig, system = var_problem
+    f = benchmark_family(system)
     cfg = HomotopyConfig()
     rng = np.random.default_rng(17)
     random = random_dirichlet_field(ctx.mesh, rng, scale=0.5)
@@ -212,8 +213,8 @@ def test_homotopy_system_matches_reference_loop(var_problem):
     sweeps = set()
     for t in (0.0, 0.5, 1.0):
         for seed in seeds:
-            got = solve_homotopy_system(cfg, t, f, ctx, ctx, eig, eig, seed, random)
-            want = _ref_solve_homotopy_system(cfg, t, f, ctx, ctx, eig, eig, seed, random)
+            got = solve_homotopy_system(cfg, t, f, system, seed, random)
+            want = _ref_solve_homotopy_system(cfg, t, f, system, seed, random)
             assert _coupled_outcome(got) == _coupled_outcome(want)
             sweeps.add(got.picard_sweeps)
     assert max(sweeps) > 1
@@ -223,7 +224,7 @@ def test_homotopy_system_matches_reference_loop(var_problem):
 # is active and the loop runs a dozen sweeps
 @pytest.mark.parametrize("delta", [1e-2, 0.5])
 def test_nonexistence_probe_attempts_match_reference_loop(var_problem, delta, monkeypatch):
-    ctx, eig = var_problem
+    ctx, eig, system = var_problem
     J = 0.3 * eig.lambda1
     runs = []
     picard = multiplicity._picard

@@ -15,13 +15,13 @@ import numpy as np
 import pytest
 
 from pxlap import existence
-from pxlap.eigen import first_eigenpair
 from pxlap.errors import ConstructionError
 from pxlap.existence import (
     _BATCH_POINTS,
     HypothesesReport,
     Nonlinearity,
     OrderedBox,
+    System,
     _f_on_states,
     _f_range,
     _states_between,
@@ -237,25 +237,34 @@ def _ref_partner_min(f, i, pts, own_qp, other_lo, other_hi):
 
 
 @pytest.fixture(scope="module")
-def eigvar_64(ctxvar_64):
-    return first_eigenpair(ctxvar_64)
+def sysvar_64(ctxvar_64):
+    return System.build(ctxvar_64, ctxvar_64)
 
 
-def _constant_f(ctx, eig):
+@pytest.fixture(scope="module")
+def eigvar_64(sysvar_64):
+    return sysvar_64.eigs[0]
+
+
+# each case builds an f from a system of two equal components
+
+
+def _constant_f(system):
+    ctx, eig = system.ctx1, system.eigs[0]
     eta = 2.0 * eta_threshold(eig, ctx.p)
     one = lambda x, s1, s2: np.ones(len(np.atleast_2d(x)))  # noqa: E731
     return Nonlinearity(f1=one, f2=one, eta1=eta, eta2=eta)
 
 
-def _eta_below(ctx, eig):
-    thr = eta_threshold(eig, ctx.p)
-    f = benchmark_family(ctx, ctx, eig, eig)
+def _eta_below(system):
+    thr = eta_threshold(system.eigs[0], system.ctx1.p)
+    f = benchmark_family(system)
     return Nonlinearity(f1=f.f1, f2=f.f2, eta1=0.9 * thr, eta2=0.9 * thr)
 
 
-def _sqrt_f(ctx, eig):
+def _sqrt_f(system):
     # NaN at every point of every negative own state
-    eta = 1.1 * eta_threshold(eig, ctx.p)
+    eta = 1.1 * eta_threshold(system.eigs[0], system.ctx1.p)
     return Nonlinearity(
         f1=state_expression("30*sqrt(s1)", 1),
         f2=state_expression("30*sqrt(s2) / (1 + s1**2)", 1),
@@ -264,16 +273,16 @@ def _sqrt_f(ctx, eig):
     )
 
 
-def _eta_above_amplitude(ctx, eig):
+def _eta_above_amplitude(system):
     # declared eta beats the amplitude, so the first rho_hat square fails
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(existence, "_ETA_FACTOR", 3.0)
-        return benchmark_family(ctx, ctx, eig, eig)
+        return benchmark_family(system)
 
 
-def _linear_f(ctx, eig):
+def _linear_f(system):
     # f_i / s_i = 30 >= eta_i on the whole rho_hat grid, and no tail exists
-    eta = 1.1 * eta_threshold(eig, ctx.p)
+    eta = 1.1 * eta_threshold(system.eigs[0], system.ctx1.p)
     return Nonlinearity(
         f1=state_expression("30*s1 + 0*s2", 1),
         f2=state_expression("30*s2 + 0*s1", 1),
@@ -282,10 +291,10 @@ def _linear_f(ctx, eig):
     )
 
 
-def _asymmetric_f(ctx, eig):
+def _asymmetric_f(system):
     # only f2 falls below its floor, and only where s1 < s2, so rho_hat is
     # set by the column of a border, never by its row or diagonal
-    eta = 1.1 * eta_threshold(eig, ctx.p)
+    eta = 1.1 * eta_threshold(system.eigs[0], system.ctx1.p)
     return Nonlinearity(
         f1=state_expression("30*s1 + 0*s2", 1),
         f2=state_expression("30*s2 * (1 + abs(s1)) / (1 + abs(s2))", 1),
@@ -296,7 +305,7 @@ def _asymmetric_f(ctx, eig):
 
 CASES = {
     "asymmetric": _asymmetric_f,
-    "benchmark": lambda ctx, eig: benchmark_family(ctx, ctx, eig, eig),
+    "benchmark": benchmark_family,
     "constant": _constant_f,
     "eta_below": _eta_below,
     "sqrt_nan": _sqrt_f,
@@ -306,16 +315,16 @@ CASES = {
 
 
 @pytest.fixture(scope="module")
-def eta_bar_64(ctx2_64, eig2_64):
-    f = benchmark_family(ctx2_64, ctx2_64, eig2_64, eig2_64)
-    return construct_supersolution(f, ctx2_64, ctx2_64).constants["eta_bar"]
+def eta_bar_64(sys2_64):
+    f = benchmark_family(sys2_64)
+    return construct_supersolution(f, sys2_64).constants["eta_bar"]
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_hypotheses_match_reference(case, ctx2_64, eig2_64):
-    f = CASES[case](ctx2_64, eig2_64)
-    got = check_hypotheses(f, ctx2_64, ctx2_64, eig2_64, eig2_64)
+def test_hypotheses_match_reference(case, ctx2_64, eig2_64, sys2_64):
+    f = CASES[case](sys2_64)
+    got = check_hypotheses(f, sys2_64)
     want = reference_check_hypotheses(f, ctx2_64, ctx2_64, eig2_64, eig2_64)
     if case == "sqrt_nan":
         # NaN at every negative own state: the reference skips it and passes
@@ -347,8 +356,8 @@ def test_hypotheses_match_reference(case, ctx2_64, eig2_64):
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
 @pytest.mark.parametrize("case", sorted(CASES))
-def test_tail_constants_match_reference(case, ctx2_64, eig2_64, eta_bar_64):
-    f = CASES[case](ctx2_64, eig2_64)
+def test_tail_constants_match_reference(case, ctx2_64, sys2_64, eta_bar_64):
+    f = CASES[case](sys2_64)
     x = _x_samples(ctx2_64, N_X_SAMPLES)
     pmin = (ctx2_64.p.p_min, ctx2_64.p.p_min)
     if case == "sqrt_nan":
@@ -369,10 +378,10 @@ def test_tail_constants_match_reference(case, ctx2_64, eig2_64, eta_bar_64):
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
-def test_nan_inside_the_tail_box_fails_the_supersolution(ctx2_64, eig2_64, eta_bar_64):
+def test_nan_inside_the_tail_box_fails_the_supersolution(ctx2_64, sys2_64, eta_bar_64):
     # c_rho skipped NaN values, so an f with a NaN state inside the box
     # |s| <= rho still got a finite bound and a supersolution
-    base = benchmark_family(ctx2_64, ctx2_64, eig2_64, eig2_64)
+    base = benchmark_family(sys2_64)
     f = Nonlinearity(
         f1=lambda x, s1, s2: np.where(np.asarray(s1) == 1.0, np.nan, base.f1(x, s1, s2)),
         f2=base.f2,
@@ -384,16 +393,16 @@ def test_nan_inside_the_tail_box_fails_the_supersolution(ctx2_64, eig2_64, eta_b
     rho, c_rho = _tail_constants(f, x, eta_bar_64, pmin)
     assert rho >= 1.0 and np.isnan(c_rho)
     with pytest.raises(ConstructionError, match="eps underflow"):
-        construct_supersolution(f, ctx2_64, ctx2_64)
+        construct_supersolution(f, sys2_64)
 
 
-def test_benchmark_on_variable_exponent_matches_reference(ctxvar_64, eigvar_64):
-    f = benchmark_family(ctxvar_64, ctxvar_64, eigvar_64, eigvar_64)
-    got = check_hypotheses(f, ctxvar_64, ctxvar_64, eigvar_64, eigvar_64)
+def test_benchmark_on_variable_exponent_matches_reference(ctxvar_64, eigvar_64, sysvar_64):
+    f = benchmark_family(sysvar_64)
+    got = check_hypotheses(f, sysvar_64)
     want = reference_check_hypotheses(f, ctxvar_64, ctxvar_64, eigvar_64, eigvar_64)
     assert repr(got) == repr(want)
 
-    sup = construct_supersolution(f, ctxvar_64, ctxvar_64)
+    sup = construct_supersolution(f, sysvar_64)
     x = _x_samples(ctxvar_64, N_X_SAMPLES)
     pmin = (ctxvar_64.p.p_min, ctxvar_64.p.p_min)
     rho, c_rho = reference_tail_constants(f, x, sup.constants["eta_bar"], pmin)
@@ -413,20 +422,20 @@ def _log_sizes(f, sizes):
     f.f1, f.f2 = counted(f.f1), counted(f.f2)
 
 
-def test_probe_call_count_and_batch_size(ctx2_64, eig2_64):
-    f = benchmark_family(ctx2_64, ctx2_64, eig2_64, eig2_64)
+def test_probe_call_count_and_batch_size(ctx2_64, sys2_64):
+    f = benchmark_family(sys2_64)
     sizes = []
     _log_sizes(f, sizes)
-    check_hypotheses(f, ctx2_64, ctx2_64, eig2_64, eig2_64)
-    construct_supersolution(f, ctx2_64, ctx2_64)
+    check_hypotheses(f, sys2_64)
+    construct_supersolution(f, sys2_64)
     n_x = len(_x_samples(ctx2_64, N_X_SAMPLES))
     # the per-state loops made tens of thousands of calls
     assert len(sizes) <= 1000
     assert max(sizes) <= 100 * n_x
 
 
-def test_f_on_states_rows_match_single_state_calls(ctx2_64, eig2_64):
-    f = benchmark_family(ctx2_64, ctx2_64, eig2_64, eig2_64)
+def test_f_on_states_rows_match_single_state_calls(ctx2_64, sys2_64):
+    f = benchmark_family(sys2_64)
     x = _x_samples(ctx2_64, N_X_SAMPLES)
     rng = np.random.default_rng(7)
     own = rng.standard_normal(250)
@@ -465,12 +474,12 @@ def _expression_f(dim):
 
 @pytest.mark.parametrize("which", ["benchmark", "expression"])
 @pytest.mark.parametrize("mesh_name", ["mesh64", "mesh2d"])
-def test_state_stacks_match_loops_bit_for_bit(which, mesh_name, request, ctx2_64, eig2_64):
+def test_state_stacks_match_loops_bit_for_bit(which, mesh_name, request, sys2_64):
     mesh = request.getfixturevalue(mesh_name)
     if which == "benchmark":
         # benchmark_family takes only constants from its contexts, so its f
         # serves any mesh
-        f = benchmark_family(ctx2_64, ctx2_64, eig2_64, eig2_64)
+        f = benchmark_family(sys2_64)
     else:
         f = _expression_f(mesh.dimension)
     box = _random_box(mesh, 3)
@@ -517,12 +526,12 @@ def test_state_stacks_match_loops_bit_for_bit(which, mesh_name, request, ctx2_64
     assert np.array_equal(hi[~mask], maxs[0].ravel()[~mask])
 
 
-def test_no_f_call_exceeds_the_point_cap(ctx2_64, eig2_64):
-    f = benchmark_family(ctx2_64, ctx2_64, eig2_64, eig2_64)
+def test_no_f_call_exceeds_the_point_cap(ctx2_64, sys2_64):
+    f = benchmark_family(sys2_64)
     sizes = []
     _log_sizes(f, sizes)
-    box = build_ordered_box(f, ctx2_64, ctx2_64, eig2_64, eig2_64)
-    solve_in_box(box, f, ctx2_64, ctx2_64)
+    box = build_ordered_box(f, sys2_64)
+    solve_in_box(box, f, sys2_64)
     n_qp = len(ctx2_64.mesh.quad_points_flat)
     assert sizes and max(sizes) <= max(_BATCH_POINTS, n_qp)
 

@@ -20,7 +20,7 @@ import numpy as np
 from .errors import DomainError, NumericalError
 from .exponents import ExponentField
 from .mesh import GridFunction, Mesh, dilate_domain, restrict, snap_margin
-from .modular import luxemburg_norm, modular, modular_of_qp
+from .modular import luxemburg_norm, modular_of_qp
 from .operator import (
     KeptFactor,
     OperatorContext,
@@ -47,10 +47,11 @@ def _signed_power(c, s: np.ndarray, p: np.ndarray) -> np.ndarray:
     return np.where(s == 0.0, 0.0, out)
 
 
-def rayleigh_quotient(ctx: OperatorContext, u: GridFunction) -> float:
-    """int |grad u|^p(x) / int |u|^p(x) with the unregularized gradient."""
+def rayleigh_quotient(ctx: OperatorContext, u: GridFunction, u_qp: np.ndarray) -> float:
+    """int |grad u|^p(x) / int |u|^p(x) with the unregularized gradient;
+    ``u_qp`` is ``u.at_qp()``."""
     num = modular_of_qp(u.grad_magnitude_qp(), ctx.p.qp, ctx.mesh)
-    den = modular_of_qp(u.at_qp(), ctx.p.qp, ctx.mesh)
+    den = modular_of_qp(u_qp, ctx.p.qp, ctx.mesh)
     if den == 0.0:
         raise NumericalError("Rayleigh quotient of the zero field")
     return num / den
@@ -75,12 +76,14 @@ class EigenPair(Report):
     consistent: bool
 
 
-def _normalize_modular(u: GridFunction, p: ExponentField) -> GridFunction:
+def _normalize_modular(u: GridFunction, p: ExponentField) -> tuple[GridFunction, np.ndarray]:
+    """u scaled to modular 1, and its values at the quadrature points."""
     # modular(u / c) = 1 exactly at c = Luxemburg norm of u
     c = luxemburg_norm(u, p).norm
     if c == 0.0:
         raise NumericalError("cannot normalize the zero field")
-    return u.with_values(u.values / c)
+    u = u.with_values(u.values / c)
+    return u, u.at_qp()
 
 
 def first_eigenpair(ctx: OperatorContext, initial: GridFunction | None = None) -> EigenPair:
@@ -95,33 +98,36 @@ def first_eigenpair(ctx: OperatorContext, initial: GridFunction | None = None) -
     u = GridFunction(mesh, vals)
     if not np.any(u.values > 0):
         raise NumericalError("initial field must be nonzero")
-    u = _normalize_modular(u, ctx.p)
+    # each normalized field is evaluated at the quadrature points once: u_qp
+    # serves its Rayleigh quotient, its equation residual, the next sweep's
+    # load and the final modular check
+    u, u_qp = _normalize_modular(u, ctx.p)
 
     p_qp = ctx.p.qp
     # one Jacobian factor serves every sweep's chord steps until one of them
     # stops contracting; late sweeps move u so little that it rarely does
     kept = KeptFactor()
 
-    def sweep(u, R):
+    def sweep(u, u_qp, R):
         """One inverse-power step: solve with the load R |u|^(p-2) u, restore
-        positivity, renormalize.  Returns (report, u_new, R_new), the last
-        two None when the inner solve fails."""
-        rep = dirichlet_solve(ctx, _signed_power(R, u.at_qp(), p_qp), initial=u, kept=kept)
+        positivity, renormalize.  Returns (report, u_new, u_new_qp, R_new),
+        the last three None when the inner solve fails."""
+        rep = dirichlet_solve(ctx, _signed_power(R, u_qp, p_qp), initial=u, kept=kept)
         if not rep.converged:
-            return rep, None, None
+            return rep, None, None, None
         v = rep.u
         if np.any(v.values[mesh.interior_nodes] <= 0):
             # positivity restart: the ground state is signless
             v = v.with_values(np.abs(v.values))
-        v = _normalize_modular(v, ctx.p)
-        return rep, v, rayleigh_quotient(ctx, v)
+        v, v_qp = _normalize_modular(v, ctx.p)
+        return rep, v, v_qp, rayleigh_quotient(ctx, v, v_qp)
 
-    R = rayleigh_quotient(ctx, u)
+    R = rayleigh_quotient(ctx, u, u_qp)
     converged = False
     stagnant = 0
     it = 0
     for it in range(1, _MAX_SWEEPS + 1):
-        rep, u, R_new = sweep(u, R)
+        rep, u, u_qp, R_new = sweep(u, u_qp, R)
         if u is None:
             raise NumericalError(
                 f"inner Dirichlet solve failed at outer sweep {it} "
@@ -146,27 +152,27 @@ def first_eigenpair(ctx: OperatorContext, initial: GridFunction | None = None) -
             f"eigen iteration did not settle within {_MAX_SWEEPS} sweeps"
         )
 
-    def equation_residual(field, value):
-        rhs = _signed_power(value, field.at_qp(), p_qp)
+    def equation_residual(field, field_qp, value):
+        rhs = _signed_power(value, field_qp, p_qp)
         return dual_norm(mesh, assemble_residual(ctx, field, rhs))
 
     # polish: the quotient settles before the equation residual does; keep
     # sweeping while the residual still improves (variable exponents plateau
     # at a nonzero value, which the consistency flag reports)
-    res = equation_residual(u, R)
+    res = equation_residual(u, u_qp, R)
     while res > 0.5 * EIGEN_RESIDUAL_TOL and it < _MAX_SWEEPS:
-        _, u_new, R_new = sweep(u, R)
+        _, u_new, u_new_qp, R_new = sweep(u, u_qp, R)
         if u_new is None:
             break
-        res_new = equation_residual(u_new, R_new)
+        res_new = equation_residual(u_new, u_new_qp, R_new)
         it += 1
         if res_new >= 0.9 * res:
             if res_new < res:
-                u, R, res = u_new, R_new, res_new
+                u, u_qp, R, res = u_new, u_new_qp, R_new, res_new
             break
-        u, R, res = u_new, R_new, res_new
+        u, u_qp, R, res = u_new, u_new_qp, R_new, res_new
 
-    mod_res = abs(modular(u, ctx.p) - 1.0)
+    mod_res = abs(modular_of_qp(u_qp, p_qp, mesh) - 1.0)
 
     pair = EigenPair(
         lambda1=R,

@@ -340,8 +340,10 @@ class GridFunction:
         cols = [self.mesh.nodes[:, d] for d in range(self.mesh.dimension)]
         cols.append(self.values)
         header = ",".join(["x", "y"][: self.mesh.dimension] + ["value"])
-        data = np.stack(cols, axis=1)
-        np.savetxt(path, data, delimiter=",", header=header, comments="", fmt="%.17g")
+        row = ",".join(["%.17g"] * len(cols)) + "\n"
+        rows = "".join(row % tuple(r) for r in np.stack(cols, axis=1).tolist())
+        with open(path, "w") as fh:
+            fh.write(header + "\n" + rows)
 
 
 def load_grid_function_csv(path, mesh: Mesh) -> GridFunction:

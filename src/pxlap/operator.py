@@ -102,8 +102,7 @@ class AssemblyPlan:
         # entry (a, b) sits at row a, column b; the key col * n + row sorts
         # the slots in CSC order
         key = (local[:, None, :] * n + local[:, :, None]).ravel()[keep]
-        slots = np.unique(key)
-        scatter = np.searchsorted(slots, key)
+        slots, scatter = np.unique(key, return_inverse=True)
         indptr = np.searchsorted(slots, n * np.arange(n + 1))  # first slot of each column
         grad_dots = np.einsum("ead,ebd->eab", mesh.basis_grads, mesh.basis_grads)
         arrays = (indptr.astype(np.int32), (slots % n).astype(np.int32), keep, scatter, grad_dots)
@@ -181,15 +180,27 @@ class KeptFactor:
 
 
 def _flux_factor(grad_sq: np.ndarray, p_qp: np.ndarray, eps: float) -> np.ndarray:
-    """(|grad u|^2 + eps^2)^((p-2)/2) per (element, qp); safe at grad u = 0."""
-    g = grad_sq[:, None] + eps * eps
+    """(|grad u|^2 + eps^2)^((p-2)/2) per (element, qp); 0 where eps = 0 and grad u = 0."""
+    base = grad_sq[:, None] + eps * eps
+    expo = (p_qp - 2.0) / 2.0
     if eps > 0.0:
-        return g ** ((p_qp - 2.0) / 2.0)
-    out = np.zeros_like(g + p_qp)
-    pos = np.broadcast_to(grad_sq[:, None] > 0.0, out.shape)
-    base = np.broadcast_to(g, out.shape)
-    expo = np.broadcast_to((p_qp - 2.0) / 2.0, out.shape)
-    out[pos] = base[pos] ** expo[pos]
+        return base**expo
+    # the power is taken only where the base is positive, so 0^(p-2) for
+    # p < 2 is never formed
+    out = np.zeros(np.broadcast_shapes(base.shape, expo.shape))
+    return np.power(base, expo, out=out, where=base > 0.0)
+
+
+def _qp_sum(a: np.ndarray) -> np.ndarray:
+    """Sum of an (n_elements, n_qp) array over its quadrature points.
+
+    The columns are added left to right, which for fewer than 8 columns is
+    the order of numpy's pairwise sum, so the result equals np.sum(a, axis=1)
+    bit for bit without one short reduction per element.
+    """
+    out = a[:, 0].copy()
+    for j in range(1, a.shape[1]):
+        out += a[:, j]
     return out
 
 
@@ -204,16 +215,24 @@ def _rhs_at_qp(mesh: Mesh, rhs) -> np.ndarray:
     return arr
 
 
-def _residual_full(ctx: OperatorContext, values: np.ndarray, rhs_qp: np.ndarray, eps: float) -> np.ndarray:
+def _load_elements(mesh: Mesh, rhs_qp: np.ndarray) -> np.ndarray:
+    """Load integrals of a per-quadrature-point rhs against each element's
+    basis functions, shape (n_elements, nloc)."""
+    return np.einsum("eq,qa->ea", mesh.quad_weights * rhs_qp, mesh.basis)
+
+
+def _residual_full(ctx: OperatorContext, values: np.ndarray, load_el: np.ndarray, eps: float) -> np.ndarray:
+    """Residual at every node: the flux integrals minus the element loads
+    ``load_el`` of :func:`_load_elements`."""
     mesh = ctx.mesh
     local = values[mesh.elements]
     grads = np.einsum("ead,ea->ed", mesh.basis_grads, local)
     grad_sq = np.einsum("ed,ed->e", grads, grads)
     a = _flux_factor(grad_sq, ctx.p.qp, eps)  # (n_el, n_qp)
-    awsum = np.sum(mesh.quad_weights * a, axis=1)  # (n_el,)
+    awsum = _qp_sum(mesh.quad_weights * a)  # (n_el,)
     d = np.einsum("ead,ed->ea", mesh.basis_grads, grads)  # grad u . grad phi_a
     r_el = awsum[:, None] * d
-    r_el -= np.einsum("eq,qa->ea", mesh.quad_weights * rhs_qp, mesh.basis)
+    r_el -= load_el
     return np.bincount(mesh.elements.ravel(), weights=r_el.ravel(), minlength=mesh.n_nodes)
 
 
@@ -225,8 +244,8 @@ def assemble_residual(ctx: OperatorContext, u: GridFunction, rhs) -> np.ndarray:
     """
     if u.mesh is not ctx.mesh:
         raise MeshMismatchError("field and context meshes differ")
-    rhs_qp = _rhs_at_qp(ctx.mesh, rhs)
-    return _residual_full(ctx, u.values, rhs_qp, 0.0)[ctx.mesh.interior_nodes]
+    load_el = _load_elements(ctx.mesh, _rhs_at_qp(ctx.mesh, rhs))
+    return _residual_full(ctx, u.values, load_el, 0.0)[ctx.mesh.interior_nodes]
 
 
 def _mass_block(mesh: Mesh, coeff_qp: np.ndarray) -> np.ndarray:
@@ -257,8 +276,8 @@ def assemble_jacobian(
     g = grad_sq[:, None] + eps * eps
     a = g ** ((p_qp - 2.0) / 2.0)
     b = (p_qp - 2.0) * g ** ((p_qp - 4.0) / 2.0)
-    aw = np.sum(mesh.quad_weights * a, axis=1)
-    bw = np.sum(mesh.quad_weights * b, axis=1)
+    aw = _qp_sum(mesh.quad_weights * a)
+    bw = _qp_sum(mesh.quad_weights * b)
     d = np.einsum("ead,ed->ea", mesh.basis_grads, grads)
     K = aw[:, None, None] * assembly_plan(mesh).grad_dots
     K += bw[:, None, None] * d[:, :, None] * d[:, None, :]
@@ -269,7 +288,7 @@ def assemble_jacobian(
 
 def load_vector(mesh: Mesh, rhs_qp: np.ndarray) -> np.ndarray:
     """Interior load vector of a per-quadrature-point rhs."""
-    l_el = np.einsum("eq,qa->ea", mesh.quad_weights * rhs_qp, mesh.basis)
+    l_el = _load_elements(mesh, rhs_qp)
     l = np.bincount(mesh.elements.ravel(), weights=l_el.ravel(), minlength=mesh.n_nodes)
     return l[mesh.interior_nodes]
 
@@ -354,7 +373,8 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float, kept: KeptFactor | None 
     released, the Jacobian at the current iterate is factored into ``kept``
     and the usual Armijo step follows.  Returns (values, residual,
     iterations, converged, history), the residual being the unregularized
-    one.
+    one.  A load that does not depend on u is integrated once per call;
+    otherwise each residual integrates the loads at its own iterate.
     """
     mesh = ctxs[0].mesh
     interior = mesh.interior_nodes
@@ -367,8 +387,11 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float, kept: KeptFactor | None 
     for v in values:
         v[mesh.boundary_nodes] = 0.0
 
+    fixed = [_load_elements(mesh, g) for g in rhs_fn(values)] if slope_fn is None else None
+
     def residual(vals, eps):
-        r = [_residual_full(ctx, v, g, eps)[interior] for ctx, v, g in zip(ctxs, vals, rhs_fn(vals))]
+        loads = fixed if fixed is not None else [_load_elements(mesh, g) for g in rhs_fn(vals)]
+        r = [_residual_full(ctx, v, l, eps)[interior] for ctx, v, l in zip(ctxs, vals, loads)]
         return r, float(np.hypot.reduce([dual_norm(mesh, ri) for ri in r]))
 
     def jacobian(vals, eps):

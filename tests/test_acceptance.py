@@ -434,9 +434,9 @@ def test_criterion_11_numerical_hygiene(tmp_path):
     mesh = build_interval_mesh(0.0, 1.0, 24)
     ctx = OperatorContext(mesh, ExponentField(mesh, "2 + x"), eps_reg=1e-6)
     rng = np.random.default_rng(11)
-    from pxlap.operator import _residual_full
+    from pxlap.operator import _load_elements, _residual_full
 
-    rhs_qp = np.zeros((mesh.n_elements, mesh.n_qp))
+    load_el = _load_elements(mesh, np.zeros((mesh.n_elements, mesh.n_qp)))
     interior = mesh.interior_nodes
     worst = 0.0
     for _ in range(20):
@@ -450,8 +450,8 @@ def test_criterion_11_numerical_hygiene(tmp_path):
             up[node] += h
             dn[node] -= h
             J_fd[:, col] = (
-                _residual_full(ctx, up, rhs_qp, 1e-6)[interior]
-                - _residual_full(ctx, dn, rhs_qp, 1e-6)[interior]
+                _residual_full(ctx, up, load_el, 1e-6)[interior]
+                - _residual_full(ctx, dn, load_el, 1e-6)[interior]
             ) / (2 * h)
         worst = max(worst, np.max(np.abs(J - J_fd)) / max(np.max(np.abs(J)), 1.0))
     jac_ok = worst <= 1e-5

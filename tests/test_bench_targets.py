@@ -10,7 +10,14 @@ import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
+
+from pxlap import operator
+from pxlap.eigen import first_eigenpair
+from pxlap.exponents import ExponentField
+from pxlap.mesh import GridFunction, build_rectangle_mesh
+from pxlap.multiplicity import solve_coupled
 
 _TRACER_PATH = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
 
@@ -31,3 +38,30 @@ def test_tracer_target_resolves(module_name, path):
     for part in path.split("."):
         owner = getattr(owner, part)
     assert callable(owner)
+
+
+def _coupled(ctx):
+    def load(points, s1, s2):
+        return 1.0 + 0.1 * np.sin(s1 + s2)
+
+    seed = GridFunction.zeros(ctx.mesh)
+    solve_coupled(ctx, ctx, load, load, seed, seed)
+
+
+@pytest.mark.parametrize("solve", [first_eigenpair, _coupled], ids=["first_eigenpair", "solve_coupled"])
+def test_solvers_call_the_residual_through_its_module(solve, monkeypatch):
+    # the tracer's operator.residual_calls counts calls of the module
+    # attribute pxlap.operator._residual_full; a solver holding its own
+    # reference to the function would leave that count at 0
+    mesh = build_rectangle_mesh(0.0, 0.0, 1.0, 1.0, 8, 8)
+    ctx = operator.OperatorContext(mesh, ExponentField(mesh, "2 + 0.1*x"))
+    calls = []
+    residual = operator._residual_full
+
+    def counted(*args):
+        calls.append(args)
+        return residual(*args)
+
+    monkeypatch.setattr(operator, "_residual_full", counted)
+    solve(ctx)
+    assert len(calls) >= 3

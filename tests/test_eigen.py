@@ -47,7 +47,7 @@ def test_eigen_invariants(eig2_64, ctx2_64, mesh64):
     assert eig2_64.lambda1 > 0
     assert np.all(eig2_64.phi.values[mesh64.interior_nodes] > 0)
     assert eig2_64.modular_residual <= 1e-10
-    assert abs(rayleigh_quotient(ctx2_64, eig2_64.phi) - eig2_64.lambda1) <= 1e-8 * eig2_64.lambda1
+    assert abs(rayleigh_quotient(ctx2_64, eig2_64.phi, eig2_64.phi.at_qp()) - eig2_64.lambda1) <= 1e-8 * eig2_64.lambda1
 
 
 def test_eigen_equation_residual(eig2_64, ctx2_64):
@@ -68,14 +68,14 @@ def test_scale_free_initial_guess(ctx2_64, eig2_64):
 def test_rayleigh_lower_bound(ctx2_64, eig2_64, rng):
     for _ in range(100):
         v = random_dirichlet_field(ctx2_64.mesh, rng)
-        assert rayleigh_quotient(ctx2_64, v) >= eig2_64.lambda1 - 1e-6
+        assert rayleigh_quotient(ctx2_64, v, v.at_qp()) >= eig2_64.lambda1 - 1e-6
 
 
 def test_rayleigh_lower_bound_variable(ctxvar_64, rng):
     pair = first_eigenpair(ctxvar_64)
     for _ in range(100):
         v = random_dirichlet_field(ctxvar_64.mesh, rng)
-        assert rayleigh_quotient(ctxvar_64, v) >= pair.lambda1 - 1e-6
+        assert rayleigh_quotient(ctxvar_64, v, v.at_qp()) >= pair.lambda1 - 1e-6
 
 
 def test_boundary_adjacent_decay(eig2_64, mesh64):
@@ -192,12 +192,13 @@ def test_rayleigh_quotient_is_the_ratio_of_modulars_bit_for_bit(mesh_args, p, rn
         u = random_dirichlet_field(mesh, rng, scale=10.0 ** rng.uniform(-2, 2))
         num = integrate(u.grad_magnitude_qp() ** ctx.p.qp, mesh)
         den = integrate(np.abs(u.at_qp()) ** ctx.p.qp, mesh)
-        assert rayleigh_quotient(ctx, u) == num / den
+        assert rayleigh_quotient(ctx, u, u.at_qp()) == num / den
 
 
 def test_rayleigh_quotient_of_zero_is_a_numerical_error(mesh64, ctx2_64):
+    zero = GridFunction.zeros(mesh64)
     with pytest.raises(NumericalError, match="zero field"):
-        rayleigh_quotient(ctx2_64, GridFunction.zeros(mesh64))
+        rayleigh_quotient(ctx2_64, zero, zero.at_qp())
 
 
 # -- the kept factor against the sweep loop it replaced ----------------------
@@ -210,7 +211,7 @@ def _ref_first_eigenpair(ctx):
     mesh = ctx.mesh
     vals = np.abs(linear_poisson_solve(mesh, 1.0).values)
     vals[mesh.boundary_nodes] = 0.0
-    u = _normalize_modular(GridFunction(mesh, vals), ctx.p)
+    u, _ = _normalize_modular(GridFunction(mesh, vals), ctx.p)
     p_qp = ctx.p.qp
 
     def sweep(u, R):
@@ -220,10 +221,10 @@ def _ref_first_eigenpair(ctx):
         v = rep.u
         if np.any(v.values[mesh.interior_nodes] <= 0):
             v = v.with_values(np.abs(v.values))
-        v = _normalize_modular(v, ctx.p)
-        return v, rayleigh_quotient(ctx, v)
+        v, _ = _normalize_modular(v, ctx.p)
+        return v, rayleigh_quotient(ctx, v, v.at_qp())
 
-    R = rayleigh_quotient(ctx, u)
+    R = rayleigh_quotient(ctx, u, u.at_qp())
     converged = False
     for it in range(1, _MAX_SWEEPS + 1):
         u, R_new = sweep(u, R)
@@ -294,6 +295,28 @@ def test_kept_factor_matches_reference_sweeps(case, factor_calls):
         # (the seed and one per Newton step) without the holder
         assert len(factor_calls) <= 4
         assert ref_factors == 24
+
+
+# p = 3 also runs polish sweeps after the quotient settles
+@pytest.mark.parametrize("p_expr", ["2 + 0.1*x", 3.0])
+def test_first_eigenpair_evaluates_each_field_at_qp_once(p_expr, monkeypatch):
+    # one evaluation of each sweep's solution for its Luxemburg norm and one
+    # of the normalized field for its quotient, its equation residual, the
+    # next sweep's load and the final modular check; the seed counts as a
+    # sweep's solution.  Evaluating each use anew took 3 per sweep + 4, and
+    # one more per polish sweep
+    mesh = build_rectangle_mesh(0.0, 0.0, 1.0, 1.0, 12, 12)
+    ctx = OperatorContext(mesh, ExponentField(mesh, p_expr))
+    calls = []
+    at_qp = GridFunction.at_qp
+
+    def counted(self):
+        calls.append(self)
+        return at_qp(self)
+
+    monkeypatch.setattr(GridFunction, "at_qp", counted)
+    pair = first_eigenpair(ctx)
+    assert len(calls) == 2 * pair.iterations + 2
 
 
 # relative lambda1 error and nodal max error of phi1 against the shooting

@@ -20,6 +20,7 @@ from pxlap.operator import (
     SolveReport,
     _factor,
     _flux_factor,
+    _load_elements,
     _mass_block,
     _residual_full,
     _solve,
@@ -193,8 +194,7 @@ def test_picone_rejects_vanishing_denominator(mesh64, pvar_64):
 
 def _dense_fd_jacobian(ctx, values, rhs_qp, eps, step=1e-6):
     interior = ctx.mesh.interior_nodes
-    from pxlap.operator import _residual_full
-
+    load_el = _load_elements(ctx.mesh, rhs_qp)
     n = len(interior)
     J = np.zeros((n, n))
     for col, node in enumerate(interior):
@@ -202,8 +202,8 @@ def _dense_fd_jacobian(ctx, values, rhs_qp, eps, step=1e-6):
         up[node] += step
         dn = values.copy()
         dn[node] -= step
-        ru = _residual_full(ctx, up, rhs_qp, eps)[interior]
-        rd = _residual_full(ctx, dn, rhs_qp, eps)[interior]
+        ru = _residual_full(ctx, up, load_el, eps)[interior]
+        rd = _residual_full(ctx, dn, load_el, eps)[interior]
         J[:, col] = (ru - rd) / (2.0 * step)
     return J
 
@@ -381,9 +381,87 @@ def test_bincount_scatter_is_bit_identical_to_add_at(mesh_name, eps):
     values = random_dirichlet_field(mesh, rng).values
     values[mesh.elements[0]] = 0.0  # one element with zero gradient
     rhs_qp = rng.standard_normal((mesh.n_elements, mesh.n_qp))
-    r = _residual_full(ctx, values, rhs_qp, eps)
+    r = _residual_full(ctx, values, _load_elements(mesh, rhs_qp), eps)
     assert np.array_equal(r, _reference_residual(ctx, values, rhs_qp, eps))
     assert np.array_equal(load_vector(mesh, rhs_qp), _reference_load(mesh, rhs_qp))
+
+
+def _masked_flux_factor(grad_sq, p_qp):
+    """The unregularized flux factor as boolean fancy indexing formed it."""
+    out = np.zeros_like(grad_sq[:, None] + p_qp)
+    pos = np.broadcast_to(grad_sq[:, None] > 0.0, out.shape)
+    base = np.broadcast_to(grad_sq[:, None], out.shape)
+    expo = np.broadcast_to((p_qp - 2.0) / 2.0, out.shape)
+    out[pos] = base[pos] ** expo[pos]
+    return out
+
+
+@pytest.mark.parametrize("mesh_name", list(_PLAN_MESHES))
+def test_quadrature_kernels_are_bit_identical_to_their_references(mesh_name):
+    mesh = _PLAN_MESHES[mesh_name]()
+    rng = np.random.default_rng(13)
+    shape = (mesh.n_elements, mesh.n_qp)
+    terms = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+    assert np.array_equal(operator_module._qp_sum(terms), np.sum(terms, axis=1))
+    # p < 2 on part of the domain, so 0^(p-2) would be inf at the element of
+    # zero gradient; pyproject makes any RuntimeWarning an error
+    p = ExponentField(mesh, "1.6 + 0.8*x")
+    values = random_dirichlet_field(mesh, rng).values
+    values[mesh.elements[0]] = 0.0
+    grads = np.einsum("ead,ea->ed", mesh.basis_grads, values[mesh.elements])
+    grad_sq = np.einsum("ed,ed->e", grads, grads)
+    assert grad_sq[0] == 0.0
+    a = _flux_factor(grad_sq, p.qp, 0.0)
+    assert np.array_equal(a, _masked_flux_factor(grad_sq, p.qp))
+    assert np.all(a[0] == 0.0)
+
+
+@pytest.mark.parametrize("mesh_name", list(_PLAN_MESHES))
+def test_plan_pattern_matches_unique_and_searchsorted(mesh_name):
+    mesh = _PLAN_MESHES[mesh_name]()
+    plan = assembly_plan(mesh)
+    n = len(mesh.interior_nodes)
+    dof = np.full(mesh.n_nodes, -1)
+    dof[mesh.interior_nodes] = np.arange(n)
+    local = dof[mesh.elements]
+    keep = np.flatnonzero((local[:, :, None] >= 0) & (local[:, None, :] >= 0))
+    key = (local[:, None, :] * n + local[:, :, None]).ravel()[keep]
+    slots = np.unique(key)
+    assert np.array_equal(plan.scatter, np.searchsorted(slots, key))
+    assert np.array_equal(plan.indptr, np.searchsorted(slots, n * np.arange(n + 1)))
+    assert np.array_equal(plan.indices, slots % n)
+
+
+@pytest.fixture
+def load_integrals(monkeypatch):
+    """Count the load integrals and the residual assemblies of the solvers."""
+    calls = Counter()
+    for name in ("_load_elements", "_residual_full"):
+        original = getattr(operator_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(operator_module, name, counted)
+    return calls
+
+
+def test_fixed_load_is_integrated_once_per_solve(ctxvar_64, mesh64, load_integrals):
+    # with no initial field the plain-Laplacian seed integrates the load as well
+    seed = linear_poisson_solve(mesh64, 1.0)
+    load_integrals.clear()
+    rep = dirichlet_solve(ctxvar_64, load_at_qp(mesh64, _dirichlet_rhs), initial=seed)
+    assert rep.converged
+    assert load_integrals["_load_elements"] == 1
+    assert load_integrals["_residual_full"] >= 3
+
+
+def test_state_load_is_integrated_once_per_residual(ctxvar_64, mesh64, load_integrals):
+    rep = semilinear_solve(ctxvar_64, lambda pts, s: 1.0 + 0.5 * np.sin(s), GridFunction.zeros(mesh64))
+    assert rep.converged
+    assert load_integrals["_residual_full"] >= 3
+    assert load_integrals["_load_elements"] == load_integrals["_residual_full"]
 
 
 def _coupled_jacobian(mesh, rng):
@@ -471,9 +549,9 @@ def _ref_newton_at_eps(ctx, rhs_fn, rhs_slope_fn, u, eps, tol, max_iter, stats):
     stats["rungs"] += 1
 
     def res_norm(vals):
-        return dual_norm(mesh, _residual_full(ctx, vals, rhs_fn(vals), eps)[interior])
+        return dual_norm(mesh, _residual_full(ctx, vals, _load_elements(mesh, rhs_fn(vals)), eps)[interior])
 
-    r = _residual_full(ctx, u, rhs_fn(u), eps)[interior]
+    r = _residual_full(ctx, u, _load_elements(mesh, rhs_fn(u)), eps)[interior]
     rn = dual_norm(mesh, r)
     history = [rn]
     converged = rn <= tol
@@ -499,7 +577,7 @@ def _ref_newton_at_eps(ctx, rhs_fn, rhs_slope_fn, u, eps, tol, max_iter, stats):
         history.append(rn)
         if not accepted:
             break
-        r = _residual_full(ctx, u, rhs_fn(u), eps)[interior]
+        r = _residual_full(ctx, u, _load_elements(mesh, rhs_fn(u)), eps)[interior]
         rn = dual_norm(mesh, r)
         if rn <= tol:
             converged = True
@@ -523,7 +601,7 @@ def _ref_newton(ctx, rhs_fn, rhs_slope_fn, initial_values, tol, max_iter, stats)
     )
     total_iters += it
     history.extend(hist)
-    rn0 = dual_norm(mesh, _residual_full(ctx, u, rhs_fn(u), 0.0)[mesh.interior_nodes])
+    rn0 = dual_norm(mesh, _residual_full(ctx, u, _load_elements(mesh, rhs_fn(u)), 0.0)[mesh.interior_nodes])
     return SolveReport(
         u=GridFunction(mesh, u),
         residual=rn0,
@@ -549,7 +627,7 @@ def _ref_dirichlet_solve(ctx, rhs, stats):
         ladder.iterations += it
         ladder.history[:0] = history
         return ladder
-    rn0 = dual_norm(mesh, _residual_full(ctx, u, rhs_qp, 0.0)[mesh.interior_nodes])
+    rn0 = dual_norm(mesh, _residual_full(ctx, u, _load_elements(mesh, rhs_qp), 0.0)[mesh.interior_nodes])
     return SolveReport(
         u=GridFunction(mesh, u),
         residual=rn0,
@@ -599,8 +677,8 @@ def _ref_coupled_newton_once(ctx1, ctx2, g1, g2, v1, v2, eps, tol, max_iter, sta
         s1, s2 = _ref_state_qp(mesh, a1), _ref_state_qp(mesh, a2)
         rhs1 = np.asarray(g1(pts, s1, s2)).reshape(shape)
         rhs2 = np.asarray(g2(pts, s1, s2)).reshape(shape)
-        r1 = _residual_full(ctx1, a1, rhs1, eps)[interior]
-        r2 = _residual_full(ctx2, a2, rhs2, eps)[interior]
+        r1 = _residual_full(ctx1, a1, _load_elements(mesh, rhs1), eps)[interior]
+        r2 = _residual_full(ctx2, a2, _load_elements(mesh, rhs2), eps)[interior]
         return r1, r2
 
     def combined_norm(r1, r2):
@@ -679,8 +757,8 @@ def _ref_solve_coupled(ctx1, ctx2, g1, g2, seed1, seed2, stats):
     pts = mesh.quad_points.reshape(-1, mesh.dimension)
     shape = (mesh.n_elements, mesh.n_qp)
     s1, s2 = _ref_state_qp(mesh, v1), _ref_state_qp(mesh, v2)
-    r1 = _residual_full(ctx1, v1, np.asarray(g1(pts, s1, s2)).reshape(shape), 0.0)
-    r2 = _residual_full(ctx2, v2, np.asarray(g2(pts, s1, s2)).reshape(shape), 0.0)
+    r1 = _residual_full(ctx1, v1, _load_elements(mesh, np.asarray(g1(pts, s1, s2)).reshape(shape)), 0.0)
+    r2 = _residual_full(ctx2, v2, _load_elements(mesh, np.asarray(g2(pts, s1, s2)).reshape(shape)), 0.0)
     interior = mesh.interior_nodes
     rn0 = float(np.hypot(dual_norm(mesh, r1[interior]), dual_norm(mesh, r2[interior])))
     return CoupledReport(

@@ -108,26 +108,27 @@ def first_eigenpair(ctx: OperatorContext, initial: GridFunction | None = None) -
     # stops contracting; late sweeps move u so little that it rarely does
     kept = KeptFactor()
 
-    def sweep(u, u_qp, R):
-        """One inverse-power step: solve with the load R |u|^(p-2) u, restore
-        positivity, renormalize.  Returns (report, u_new, u_new_qp, R_new),
-        the last three None when the inner solve fails."""
-        rep = dirichlet_solve(ctx, _signed_power(R, u_qp, p_qp), initial=u, kept=kept)
+    def renormalized(rep):
+        """One inverse-power step after its Dirichlet solve ``rep`` with the
+        load R |u|^(p-2) u: (v, v_qp, R(v)) for its solution v, made positive
+        and scaled to modular 1; all None when the solve failed."""
         if not rep.converged:
-            return rep, None, None, None
+            return None, None, None
         v = rep.u
         if np.any(v.values[mesh.interior_nodes] <= 0):
             # positivity restart: the ground state is signless
             v = v.with_values(np.abs(v.values))
         v, v_qp = _normalize_modular(v, ctx.p)
-        return rep, v, v_qp, rayleigh_quotient(ctx, v, v_qp)
+        return v, v_qp, rayleigh_quotient(ctx, v, v_qp)
 
     R = rayleigh_quotient(ctx, u, u_qp)
     converged = False
     stagnant = 0
     it = 0
     for it in range(1, _MAX_SWEEPS + 1):
-        rep, u, u_qp, R_new = sweep(u, u_qp, R)
+        # the load is freed when the solve returns, before renormalizing
+        rep = dirichlet_solve(ctx, _signed_power(R, u_qp, p_qp), initial=u, kept=kept)
+        u, u_qp, R_new = renormalized(rep)
         if u is None:
             raise NumericalError(
                 f"inner Dirichlet solve failed at outer sweep {it} "
@@ -152,19 +153,21 @@ def first_eigenpair(ctx: OperatorContext, initial: GridFunction | None = None) -
             f"eigen iteration did not settle within {_MAX_SWEEPS} sweeps"
         )
 
-    def equation_residual(field, field_qp, value):
-        rhs = _signed_power(value, field_qp, p_qp)
-        return dual_norm(mesh, assemble_residual(ctx, field, rhs))
+    def equation_residual(field, load):
+        return dual_norm(mesh, assemble_residual(ctx, field, load))
 
     # polish: the quotient settles before the equation residual does; keep
     # sweeping while the residual still improves (variable exponents plateau
-    # at a nonzero value, which the consistency flag reports)
-    res = equation_residual(u, u_qp, R)
+    # at a nonzero value, which the consistency flag reports).  A field's
+    # residual and the sweep from it share one load
+    load = _signed_power(R, u_qp, p_qp)
+    res = equation_residual(u, load)
     while res > 0.5 * EIGEN_RESIDUAL_TOL and it < _MAX_SWEEPS:
-        _, u_new, u_new_qp, R_new = sweep(u, u_qp, R)
+        u_new, u_new_qp, R_new = renormalized(dirichlet_solve(ctx, load, initial=u, kept=kept))
         if u_new is None:
             break
-        res_new = equation_residual(u_new, u_new_qp, R_new)
+        load = _signed_power(R_new, u_new_qp, p_qp)  # serves the next sweep when u_new is kept
+        res_new = equation_residual(u_new, load)
         it += 1
         if res_new >= 0.9 * res:
             if res_new < res:

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from .errors import HypothesisError, MeshMismatchError, NumericalError
 from .exponents import ExponentField
@@ -72,6 +73,20 @@ def dual_norm(mesh: Mesh, r: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
+class BandMatrix:
+    """A k-block matrix in LAPACK band storage, its unknowns node-interleaved.
+
+    Unknown (node i, block b) sits at k*i + b, so a matrix whose blocks are
+    tridiagonal has kl = ku = 2k - 1 off-diagonals.  ``ab`` has 3kl + 1 rows,
+    the top kl of them left for the fill-in of row pivoting, and holds entry
+    (r, c) at ``ab[2kl + r - c, c]``.
+    """
+
+    ab: np.ndarray
+    k: int
+
+
+@dataclass(frozen=True)
 class AssemblyPlan:
     """Interior CSC pattern of the P1 element matrices of one mesh.
 
@@ -80,7 +95,10 @@ class AssemblyPlan:
     ``scatter`` gives the slot in ``data`` that each of them adds into.
     ``grad_dots`` holds grad phi_a . grad phi_b per element, the stiffness
     part of every Jacobian.  ``matrix`` stacks k x k element arrays on this
-    pattern into one CSC matrix that the plan keeps per k.
+    pattern into one CSC matrix that the plan keeps per k.  ``tridiagonal``
+    says that the pattern couples only consecutive interior nodes, as on
+    every interval mesh; ``system`` then gives the band storage that
+    ``_factor`` factors with LAPACK, and the CSC matrix otherwise.
     """
 
     n: int
@@ -89,6 +107,7 @@ class AssemblyPlan:
     keep: np.ndarray
     scatter: np.ndarray
     grad_dots: np.ndarray
+    tridiagonal: bool
     _blocks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
@@ -105,12 +124,43 @@ class AssemblyPlan:
         slots, scatter = np.unique(key, return_inverse=True)
         indptr = np.searchsorted(slots, n * np.arange(n + 1))  # first slot of each column
         grad_dots = np.einsum("ead,ebd->eab", mesh.basis_grads, mesh.basis_grads)
+        tridiagonal = bool(np.all(np.abs(slots % n - slots // n) <= 1))
         arrays = (indptr.astype(np.int32), (slots % n).astype(np.int32), keep, scatter, grad_dots)
-        return cls(n, *map(_freeze, arrays))
+        return cls(n, *map(_freeze, arrays), tridiagonal)
 
     def data(self, K: np.ndarray) -> np.ndarray:
         """CSC data of the interior matrix of the element matrices ``K``."""
         return np.bincount(self.scatter, weights=K.ravel()[self.keep], minlength=len(self.indices))
+
+    def _layout(self, k: int):
+        """(matrix, order, band) of k x k blocks, built at the first call per k.
+
+        ``order`` permutes the row-major concatenation of the blocks' data to
+        CSC order; ``band``, on a tridiagonal plan only, gives each entry of
+        that concatenation its flat position in the Fortran-ordered band
+        storage of :class:`BandMatrix`.
+        """
+        if k not in self._blocks:
+            cols = np.repeat(np.arange(self.n), np.diff(self.indptr))
+            block_rows = np.concatenate([self.indices + i * self.n for i in range(k) for _ in range(k)])
+            block_cols = np.concatenate([cols + j * self.n for _ in range(k) for j in range(k)])
+            order = np.lexsort((block_rows, block_cols))  # by column, then row
+            indptr = np.searchsorted(block_cols[order], np.arange(k * self.n + 1)).astype(np.int32)
+            matrix = sp.csc_matrix(
+                (np.zeros(len(order)), block_rows[order].astype(np.int32), indptr),
+                shape=(k * self.n, k * self.n),
+            )
+            band = None
+            if self.tridiagonal:
+                kl = 2 * k - 1
+                r = k * (block_rows % self.n) + block_rows // self.n
+                c = k * (block_cols % self.n) + block_cols // self.n
+                band = _freeze(2 * kl + r - c + (3 * kl + 1) * c)
+            self._blocks[k] = (matrix, _freeze(order), band)
+        return self._blocks[k]
+
+    def _concat(self, blocks) -> np.ndarray:
+        return np.concatenate([self.data(K) for row in blocks for K in row])
 
     def matrix(self, blocks) -> sp.csc_matrix:
         """CSC matrix of the k x k grid ``blocks`` of element arrays.
@@ -122,21 +172,21 @@ class AssemblyPlan:
         CSC order, and overwrites its ``data``.  The result is valid until
         the next call with the same k.
         """
-        k = len(blocks)
-        if k not in self._blocks:
-            cols = np.repeat(np.arange(self.n), np.diff(self.indptr))
-            block_rows = np.concatenate([self.indices + i * self.n for i in range(k) for _ in range(k)])
-            block_cols = np.concatenate([cols + j * self.n for _ in range(k) for j in range(k)])
-            order = np.lexsort((block_rows, block_cols))  # by column, then row
-            indptr = np.searchsorted(block_cols[order], np.arange(k * self.n + 1)).astype(np.int32)
-            matrix = sp.csc_matrix(
-                (np.zeros(len(order)), block_rows[order].astype(np.int32), indptr),
-                shape=(k * self.n, k * self.n),
-            )
-            self._blocks[k] = (matrix, _freeze(order))
-        matrix, order = self._blocks[k]
-        matrix.data[:] = np.concatenate([self.data(K) for row in blocks for K in row])[order]
+        matrix, order, _ = self._layout(len(blocks))
+        matrix.data[:] = self._concat(blocks)[order]
         return matrix
+
+    def system(self, blocks):
+        """The matrix of ``blocks`` as ``_factor`` takes it: on a tridiagonal
+        plan a fresh :class:`BandMatrix`, otherwise ``matrix(blocks)``."""
+        if not self.tridiagonal:
+            return self.matrix(blocks)
+        k = len(blocks)
+        rows = 3 * (2 * k - 1) + 1
+        _, _, band = self._layout(k)
+        ab = np.zeros(rows * k * self.n)
+        ab[band] = self._concat(blocks)
+        return BandMatrix(ab.reshape((rows, k * self.n), order="F"), k)
 
 
 def assembly_plan(mesh: Mesh) -> AssemblyPlan:
@@ -147,11 +197,37 @@ def assembly_plan(mesh: Mesh) -> AssemblyPlan:
     return plan
 
 
-def _factor(A: sp.csc_matrix, what: str):
-    """SuperLU factor with minimum-degree ordering on A^T + A.
+@dataclass(frozen=True)
+class BandLU:
+    """LAPACK banded LU factor (dgbtrf) of a :class:`BandMatrix`.
 
-    A singular factor is a NumericalError.
+    ``solve`` takes and returns vectors in block order, as a SuperLU factor
+    of the plan's CSC matrix does, and interleaves them for LAPACK.
     """
+
+    lu: np.ndarray
+    ipiv: np.ndarray
+    k: int
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        kl = 2 * self.k - 1
+        x, _ = lapack.dgbtrs(self.lu, kl, kl, rhs.reshape(self.k, -1).T.ravel(), self.ipiv)
+        return x.reshape(-1, self.k).T.ravel()
+
+
+def _factor(A, what: str):
+    """LU factor of A, with a ``solve(rhs)`` method.
+
+    A :class:`BandMatrix` is factored by LAPACK's banded LU with partial
+    pivoting (dgbtrf), a CSC matrix by SuperLU with minimum-degree ordering
+    on A^T + A.  A singular factor is a NumericalError.
+    """
+    if isinstance(A, BandMatrix):
+        kl = 2 * A.k - 1
+        lu, ipiv, info = lapack.dgbtrf(A.ab, kl, kl)
+        if info != 0:
+            raise NumericalError(f"{what} linear solve failed: dgbtrf info {info}")
+        return BandLU(lu, ipiv, A.k)
     try:
         return spla.splu(A, permc_spec="MMD_AT_PLUS_A")
     except RuntimeError as exc:  # singular factorization
@@ -170,7 +246,7 @@ def _solve(lu, rhs: np.ndarray, what: str) -> np.ndarray:
 class KeptFactor:
     """A Jacobian factor that outlives one Newton solve.
 
-    ``lu`` is the SuperLU factor of a one-block Jacobian at regularization
+    ``lu`` is the ``_factor`` of a one-block Jacobian at regularization
     ``eps``, or None.  Passed to ``dirichlet_solve``, it lets Newton take
     chord steps with that factor instead of factoring every step.
     """
@@ -296,10 +372,13 @@ def load_vector(mesh: Mesh, rhs_qp: np.ndarray) -> np.ndarray:
 def linear_poisson_solve(mesh: Mesh, rhs) -> GridFunction:
     """P1 solve of the plain Laplacian Dirichlet problem (used for seeding)."""
     plan = assembly_plan(mesh)
-    # a one-off matrix, not the plan's kept one: allocating that before the
-    # seed's factor raises the peak memory of large meshes
-    K = plan.data(mesh.quad_weights.sum(axis=1)[:, None, None] * plan.grad_dots)
-    A = sp.csc_matrix((K, plan.indices, plan.indptr), shape=(plan.n, plan.n))
+    K = mesh.quad_weights.sum(axis=1)[:, None, None] * plan.grad_dots
+    if plan.tridiagonal:
+        A = plan.system([[K]])
+    else:
+        # a one-off matrix, not the plan's kept one: allocating that before
+        # the seed's factor raises the peak memory of large meshes
+        A = sp.csc_matrix((plan.data(K), plan.indices, plan.indptr), shape=(plan.n, plan.n))
     rhs_qp = _rhs_at_qp(mesh, rhs)
     sol = _solve(_factor(A, "Poisson"), load_vector(mesh, rhs_qp), "Poisson")
     vals = np.zeros(mesh.n_nodes)
@@ -363,7 +442,7 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float, kept: KeptFactor | None 
     along the eps ladder from the same initial values; with a slope_fn the
     ladder always runs.  Every setting other than the regularization comes
     from the first context.  Each step's Jacobian is the plan's block
-    matrix, refilled and factored at once.
+    system, filled and factored at once.
 
     ``kept``, allowed only for one block without a slope_fn, makes each
     iteration first try the full chord step with the kept factor (Kelley,
@@ -405,7 +484,7 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float, kept: KeptFactor | None 
             ]
             for i, (ctx, v) in enumerate(zip(ctxs, vals))
         ]
-        return assembly_plan(mesh).matrix(blocks)
+        return assembly_plan(mesh).system(blocks)
 
     def chord_step(values, r, rn, eps):
         """(values, r, rn) after the full step with the kept factor, or None

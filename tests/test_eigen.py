@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import constant_p_eigenvalue, variable_p_eigenpair_by_shooting
+from pxlap import eigen as eigen_module
 from pxlap import operator as operator_module
 from pxlap.errors import NumericalError
 from pxlap.eigen import (
@@ -317,6 +318,30 @@ def test_first_eigenpair_evaluates_each_field_at_qp_once(p_expr, monkeypatch):
     monkeypatch.setattr(GridFunction, "at_qp", counted)
     pair = first_eigenpair(ctx)
     assert len(calls) == 2 * pair.iterations + 2
+
+
+def test_each_sweep_load_is_formed_once(monkeypatch):
+    # p = 3 runs polish sweeps after the quotient settles.  One load per sweep
+    # and one for the settled field's equation residual: a polish sweep
+    # starts from the load that its field's residual formed.  Forming that
+    # load again took one more per polish sweep (14 calls against 11 here)
+    mesh = build_rectangle_mesh(0.0, 0.0, 1.0, 1.0, 12, 12)
+    ctx = OperatorContext(mesh, ExponentField(mesh, 3.0))
+    loads, residuals = [], []
+
+    def counting(calls, fn):
+        def counted(*args):
+            calls.append(args)
+            return fn(*args)
+
+        return counted
+
+    monkeypatch.setattr(eigen_module, "_signed_power", counting(loads, _signed_power))
+    monkeypatch.setattr(eigen_module, "assemble_residual", counting(residuals, assemble_residual))
+    pair = first_eigenpair(ctx)
+    polish_sweeps = len(residuals) - 1  # each polish sweep tests its field's residual
+    assert polish_sweeps == 3
+    assert len(loads) == pair.iterations + 1 == 11
 
 
 # relative lambda1 error and nodal max error of phi1 against the shooting

@@ -14,12 +14,15 @@ changed.  Regenerate them with
 
 import importlib.util
 import json
+import os
 import shutil
+import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import pxlap
 from pxlap.cli import main
 
 GOLDEN = Path(__file__).with_name("golden")
@@ -122,6 +125,28 @@ def test_golden_summary(case, tmp_path):
     assert sorted(got) == sorted(want)
     for name in want:
         assert got[name] == want[name], _describe(case, name, got[name], want[name])
+
+
+def test_theorem2_is_independent_of_the_blas_thread_count(tmp_path):
+    # OpenBLAS reads its thread count once per process, so each count runs
+    # the golden theorem2 case in a child of its own
+    text, args = CASES["theorem2"]
+    config = tmp_path / "run.cfg"
+    config.write_text(text)
+    argv = [a.format(config=config) for a in args]
+    inherited = [e for e in os.environ.get("PYTHONPATH", "").split(os.pathsep) if e]
+    path = os.pathsep.join([str(Path(pxlap.__file__).resolve().parents[1]), *inherited])
+    outputs = []
+    for threads in ("1", "2"):
+        outdir = tmp_path / f"threads-{threads}"
+        env = dict(os.environ, PYTHONPATH=path, OPENBLAS_NUM_THREADS=threads)
+        cmd = [sys.executable, "-m", "pxlap.cli", *argv, "--output-dir", str(outdir), "--quiet"]
+        subprocess.run(cmd, env=env, check=True, timeout=300)
+        outputs.append(
+            {p.name: p.read_bytes() for p in outdir.iterdir() if p.name == "summary.json" or p.suffix == ".csv"}
+        )
+    assert "summary.json" in outputs[0] and any(name.endswith(".csv") for name in outputs[0])
+    assert outputs[0] == outputs[1]
 
 
 def test_summary_diff_names_the_json_paths():

@@ -15,6 +15,7 @@ from pxlap import multiplicity
 from pxlap.multiplicity import CoupledReport, solve_coupled
 from pxlap import operator as operator_module
 from pxlap.operator import (
+    BandMatrix,
     KeptFactor,
     OperatorContext,
     SolveReport,
@@ -36,7 +37,7 @@ from pxlap.operator import (
     picone,
     semilinear_solve,
 )
-from conftest import _ref_matrix, load_at_qp, random_dirichlet_field
+from conftest import _ref_matrix, _ref_system, load_at_qp, random_dirichlet_field
 
 
 def test_residual_zero_state(ctx2_64, mesh64):
@@ -465,6 +466,7 @@ def test_state_load_is_integrated_once_per_residual(ctxvar_64, mesh64, load_inte
 
 
 def _coupled_jacobian(mesh, rng):
+    """The 2 x 2 grid of element arrays of a random coupled Jacobian."""
     ctx1 = OperatorContext(mesh, ExponentField(mesh, "2.5 + 0.5*x"))
     ctx2 = OperatorContext(mesh, ExponentField(mesh, "1.6 + 0.2*x"))
     shape = (mesh.n_elements, mesh.n_qp)
@@ -472,7 +474,7 @@ def _coupled_jacobian(mesh, rng):
     J22 = assemble_jacobian(ctx2, random_dirichlet_field(mesh, rng).values, 1e-2, rng.random(shape))
     J12 = -_mass_block(mesh, rng.random(shape))
     J21 = -_mass_block(mesh, 2.0 * rng.random(shape))
-    return _ref_matrix(mesh, [[J11, J12], [J21, J22]])
+    return [[J11, J12], [J21, J22]]
 
 
 @pytest.mark.parametrize(
@@ -492,22 +494,37 @@ def test_poisson_matrix_is_the_p2_jacobian_at_zero(build, monkeypatch):
     monkeypatch.setattr(operator_module, "_factor", lambda A, what: factored.append(A) or factor(A, what))
     linear_poisson_solve(mesh, 1.0)
     (A,) = factored
-    K = assembly_plan(mesh).matrix([[assemble_jacobian(ctx, np.zeros(mesh.n_nodes), eps=0.0)]])
+    plan = assembly_plan(mesh)
+    K = plan.system([[assemble_jacobian(ctx, np.zeros(mesh.n_nodes), eps=0.0)]])
     assert A is not K  # the seed factors a one-off matrix, not the kept one
-    assert A.data.tobytes() == K.data.tobytes()
-    assert np.array_equal(A.indices, K.indices) and np.array_equal(A.indptr, K.indptr)
+    if plan.tridiagonal:
+        assert A.k == K.k == 1 and A.ab.tobytes() == K.ab.tobytes()
+    else:
+        assert A.data.tobytes() == K.data.tobytes()
+        assert np.array_equal(A.indices, K.indices) and np.array_equal(A.indptr, K.indptr)
 
 
 def test_sparse_solve_matches_spsolve():
+    # the plan's system is the kept CSC matrix on the rectangle (SuperLU) and
+    # a band matrix on the intervals (LAPACK dgbtrf)
     rng = np.random.default_rng(5)
-    mesh = build_rectangle_mesh(0.0, 0.0, 1.0, 1.0, 24, 20)
-    ctx = OperatorContext(mesh, ExponentField(mesh, "2.5 + 0.5*x"))
-    scalar = assemble_jacobian(ctx, random_dirichlet_field(mesh, rng).values, eps=1e-4)
-    for A in (_ref_matrix(mesh, [[scalar]]), _coupled_jacobian(mesh, rng)):
-        b = rng.standard_normal(A.shape[0])
-        x = _solve(_factor(A, "test"), b, "test")
-        ref = spla.spsolve(A, b)
-        assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
+    meshes = (
+        build_rectangle_mesh(0.0, 0.0, 1.0, 1.0, 24, 20),
+        build_interval_mesh(0.0, 1.0, 32),
+        build_interval_mesh(0.0, 1.0, 256),
+    )
+    for mesh in meshes:
+        ctx = OperatorContext(mesh, ExponentField(mesh, "2.5 + 0.5*x"))
+        scalar = assemble_jacobian(ctx, random_dirichlet_field(mesh, rng).values, eps=1e-4)
+        plan = assembly_plan(mesh)
+        for blocks in ([[scalar]], _coupled_jacobian(mesh, rng)):
+            system = plan.system(blocks)
+            assert isinstance(system, BandMatrix) == (mesh.dimension == 1)
+            A = _ref_matrix(mesh, blocks)
+            b = rng.standard_normal(A.shape[0])
+            x = _solve(_factor(system, "test"), b, "test")
+            ref = spla.spsolve(A, b)
+            assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_sparse_solve_failures_are_numerical_errors():
@@ -516,6 +533,46 @@ def test_sparse_solve_failures_are_numerical_errors():
         _factor(singular, "test")
     with pytest.raises(NumericalError, match="non-finite"):
         _solve(_factor(sp.identity(2, format="csc"), "test"), np.array([1.0, np.nan]), "test")
+    # the band path: a coupled tridiagonal Jacobian whose second block row
+    # is zero has an exactly zero pivot, and a NaN load gives a NaN solution
+    mesh = build_interval_mesh(0.0, 1.0, 8)
+    K = assemble_jacobian(OperatorContext(mesh, ExponentField(mesh, 2.0)), np.zeros(mesh.n_nodes), eps=0.0)
+    zero = np.zeros_like(K)
+    plan = assembly_plan(mesh)
+    with pytest.raises(NumericalError, match="linear solve failed"):
+        _factor(plan.system([[K, zero], [zero, zero]]), "test")
+    rhs = np.ones(plan.n)
+    rhs[3] = np.nan
+    with pytest.raises(NumericalError, match="non-finite"):
+        _solve(_factor(plan.system([[K]]), "test"), rhs, "test")
+
+
+_PATTERN_CASES = {
+    "interval4": (lambda: build_interval_mesh(0.0, 1.0, 4), True),
+    "interval64": (lambda: build_interval_mesh(0.0, 1.0, 64), True),
+    "dilated-interval": (lambda: dilate_domain(build_interval_mesh(0.0, 1.0, 64), 0.25), True),
+    "rect3": (lambda: build_rectangle_mesh(0.0, 0.0, 1.0, 1.0, 3, 3), False),
+    "rect8": (lambda: build_rectangle_mesh(0.0, 0.0, 1.0, 1.0, 8, 8), False),
+    "rect16x12": (lambda: build_rectangle_mesh(0.0, 0.0, 1.0, 0.75, 16, 12), False),
+}
+
+
+@pytest.mark.parametrize("case", list(_PATTERN_CASES))
+def test_banded_lu_serves_tridiagonal_plans_only(case, monkeypatch):
+    build, tridiagonal = _PATTERN_CASES[case]
+    mesh = build()
+    assert assembly_plan(mesh).tridiagonal is tridiagonal
+    splu_calls = []
+    splu = spla.splu
+    monkeypatch.setattr(spla, "splu", lambda *a, **kw: splu_calls.append(a) or splu(*a, **kw))
+    ctx = OperatorContext(mesh, ExponentField(mesh, "2 + 0.1*x"))
+    assert dirichlet_solve(ctx, 1.0).converged  # the Poisson seed, then Newton
+    seed = random_dirichlet_field(mesh, np.random.default_rng(5), scale=0.05)
+    rep = solve_coupled(
+        ctx, ctx, lambda pts, s1, s2: 1.0 + 0.5 * np.tanh(s2), lambda pts, s1, s2: 2.0 + 0.3 * np.tanh(s1), seed, seed
+    )
+    assert rep.converged and rep.iterations > 0
+    assert (len(splu_calls) == 0) is tridiagonal
 
 
 def test_contexts_on_one_mesh_share_one_plan():
@@ -559,7 +616,7 @@ def _ref_newton_at_eps(ctx, rhs_fn, rhs_slope_fn, u, eps, tol, max_iter, stats):
     while not converged and it < max_iter:
         it += 1
         slope = rhs_slope_fn(u) if rhs_slope_fn is not None else None
-        J = _ref_matrix(mesh, [[assemble_jacobian(ctx, u, eps=max(eps, 1e-12), rhs_slope_qp=slope)]])
+        J = _ref_system(mesh, [[assemble_jacobian(ctx, u, eps=max(eps, 1e-12), rhs_slope_qp=slope)]])
         delta = _solve(_factor(J, "Newton"), -r, "Newton")
 
         step = 1.0
@@ -710,7 +767,7 @@ def _ref_coupled_newton_once(ctx1, ctx2, g1, g2, v1, v2, eps, tol, max_iter, sta
         J22 = assemble_jacobian(ctx2, v2, eps=max(eps, 1e-12), rhs_slope_qp=sl["22"])
         J12 = -_mass_block(mesh, sl["12"])
         J21 = -_mass_block(mesh, sl["21"])
-        J = _ref_matrix(mesh, [[J11, J12], [J21, J22]])
+        J = _ref_system(mesh, [[J11, J12], [J21, J22]])
         delta = _solve(_factor(J, "coupled Newton"), -np.concatenate([r1, r2]), "coupled Newton")
         d1, d2 = delta[:n_int], delta[n_int:]
 

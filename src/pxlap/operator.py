@@ -73,20 +73,6 @@ def dual_norm(mesh: Mesh, r: np.ndarray) -> float:
 
 
 @dataclass(frozen=True)
-class BandMatrix:
-    """A k-block matrix in LAPACK band storage, its unknowns node-interleaved.
-
-    Unknown (node i, block b) sits at k*i + b, so a matrix whose blocks are
-    tridiagonal has kl = ku = 2k - 1 off-diagonals.  ``ab`` has 3kl + 1 rows,
-    the top kl of them left for the fill-in of row pivoting, and holds entry
-    (r, c) at ``ab[2kl + r - c, c]``.
-    """
-
-    ab: np.ndarray
-    k: int
-
-
-@dataclass(frozen=True)
 class AssemblyPlan:
     """Interior CSC pattern of the P1 element matrices of one mesh.
 
@@ -95,10 +81,9 @@ class AssemblyPlan:
     ``scatter`` gives the slot in ``data`` that each of them adds into.
     ``grad_dots`` holds grad phi_a . grad phi_b per element, the stiffness
     part of every Jacobian.  ``matrix`` stacks k x k element arrays on this
-    pattern into one CSC matrix that the plan keeps per k.  ``tridiagonal``
-    says that the pattern couples only consecutive interior nodes, as on
-    every interval mesh; ``system`` then gives the band storage that
-    ``_factor`` factors with LAPACK, and the CSC matrix otherwise.
+    pattern into one CSC matrix, and ``factor`` factors them.
+    ``tridiagonal`` says that the pattern couples only consecutive interior
+    nodes, as on every interval mesh.
     """
 
     n: int
@@ -133,12 +118,16 @@ class AssemblyPlan:
         return np.bincount(self.scatter, weights=K.ravel()[self.keep], minlength=len(self.indices))
 
     def _layout(self, k: int):
-        """(matrix, order, band) of k x k blocks, built at the first call per k.
+        """(order, indices, indptr, band) of k x k blocks, built at the first
+        call per k.
 
         ``order`` permutes the row-major concatenation of the blocks' data to
-        CSC order; ``band``, on a tridiagonal plan only, gives each entry of
-        that concatenation its flat position in the Fortran-ordered band
-        storage of :class:`BandMatrix`.
+        CSC order, and ``indices``/``indptr`` are the int32 CSC pattern of
+        the k-block matrix.  ``band``, on a tridiagonal plan only, gives each
+        entry of the concatenation its flat position in the Fortran-ordered
+        LAPACK band storage of the node-interleaved matrix: 3kl + 1 rows,
+        the top kl of them left for the fill-in of row pivoting, entry
+        (r, c) at row 2kl + r - c of column c.
         """
         if k not in self._blocks:
             cols = np.repeat(np.arange(self.n), np.diff(self.indptr))
@@ -146,47 +135,57 @@ class AssemblyPlan:
             block_cols = np.concatenate([cols + j * self.n for _ in range(k) for j in range(k)])
             order = np.lexsort((block_rows, block_cols))  # by column, then row
             indptr = np.searchsorted(block_cols[order], np.arange(k * self.n + 1)).astype(np.int32)
-            matrix = sp.csc_matrix(
-                (np.zeros(len(order)), block_rows[order].astype(np.int32), indptr),
-                shape=(k * self.n, k * self.n),
-            )
             band = None
             if self.tridiagonal:
                 kl = 2 * k - 1
                 r = k * (block_rows % self.n) + block_rows // self.n
                 c = k * (block_cols % self.n) + block_cols // self.n
                 band = _freeze(2 * kl + r - c + (3 * kl + 1) * c)
-            self._blocks[k] = (matrix, _freeze(order), band)
+            self._blocks[k] = (_freeze(order), _freeze(block_rows[order].astype(np.int32)), _freeze(indptr), band)
         return self._blocks[k]
 
     def _concat(self, blocks) -> np.ndarray:
         return np.concatenate([self.data(K) for row in blocks for K in row])
 
     def matrix(self, blocks) -> sp.csc_matrix:
-        """CSC matrix of the k x k grid ``blocks`` of element arrays.
+        """A new CSC matrix of the k x k grid ``blocks`` of element arrays.
 
         Block (i, j) fills rows i*n.. and columns j*n.. on this pattern,
-        explicit zeros included.  No sparse constructor runs after the first
-        call: the plan keeps one matrix per k, with int32 indices and the
-        permutation from the row-major concatenation of the blocks' data to
-        CSC order, and overwrites its ``data``.  The result is valid until
-        the next call with the same k.
+        explicit zeros included, with int32 indices.  One block is already
+        in CSC order and takes the plan's own ``indices`` and ``indptr``.
         """
-        matrix, order, _ = self._layout(len(blocks))
-        matrix.data[:] = self._concat(blocks)[order]
-        return matrix
-
-    def system(self, blocks):
-        """The matrix of ``blocks`` as ``_factor`` takes it: on a tridiagonal
-        plan a fresh :class:`BandMatrix`, otherwise ``matrix(blocks)``."""
-        if not self.tridiagonal:
-            return self.matrix(blocks)
         k = len(blocks)
-        rows = 3 * (2 * k - 1) + 1
-        _, _, band = self._layout(k)
-        ab = np.zeros(rows * k * self.n)
+        if k == 1:
+            data, indices, indptr = self.data(blocks[0][0]), self.indices, self.indptr
+        else:
+            order, indices, indptr, _ = self._layout(k)
+            data = self._concat(blocks)[order]
+        return sp.csc_matrix((data, indices, indptr), shape=(k * self.n, k * self.n))
+
+    def factor(self, blocks, what: str):
+        """LU factor of the k x k grid ``blocks``, with a ``solve(rhs)`` method
+        in block order.
+
+        A tridiagonal plan fills the LAPACK band storage of ``_layout`` and
+        factors it by banded LU with partial pivoting (dgbtrf) into a
+        :class:`BandLU`; any other plan factors ``matrix(blocks)`` by SuperLU
+        with minimum-degree ordering on A^T + A.  A singular factor is a
+        NumericalError.
+        """
+        if not self.tridiagonal:
+            try:
+                return spla.splu(self.matrix(blocks), permc_spec="MMD_AT_PLUS_A")
+            except RuntimeError as exc:  # singular factorization
+                raise NumericalError(f"{what} linear solve failed: {exc}") from exc
+        k = len(blocks)
+        kl = 2 * k - 1
+        ab = np.zeros((3 * kl + 1) * k * self.n)
+        *_, band = self._layout(k)
         ab[band] = self._concat(blocks)
-        return BandMatrix(ab.reshape((rows, k * self.n), order="F"), k)
+        lu, ipiv, info = lapack.dgbtrf(ab.reshape((3 * kl + 1, k * self.n), order="F"), kl, kl)
+        if info != 0:
+            raise NumericalError(f"{what} linear solve failed: dgbtrf info {info}")
+        return BandLU(lu, ipiv, k)
 
 
 def assembly_plan(mesh: Mesh) -> AssemblyPlan:
@@ -199,10 +198,13 @@ def assembly_plan(mesh: Mesh) -> AssemblyPlan:
 
 @dataclass(frozen=True)
 class BandLU:
-    """LAPACK banded LU factor (dgbtrf) of a :class:`BandMatrix`.
+    """LAPACK banded LU factor (dgbtrf) of a k-block matrix whose blocks are
+    tridiagonal.
 
-    ``solve`` takes and returns vectors in block order, as a SuperLU factor
-    of the plan's CSC matrix does, and interleaves them for LAPACK.
+    The unknowns are node-interleaved, unknown (node i, block b) at k*i + b,
+    so the matrix has kl = ku = 2k - 1 off-diagonals.  ``solve`` takes and
+    returns vectors in block order, as a SuperLU factor does, and
+    interleaves them for LAPACK.
     """
 
     lu: np.ndarray
@@ -213,25 +215,6 @@ class BandLU:
         kl = 2 * self.k - 1
         x, _ = lapack.dgbtrs(self.lu, kl, kl, rhs.reshape(self.k, -1).T.ravel(), self.ipiv)
         return x.reshape(-1, self.k).T.ravel()
-
-
-def _factor(A, what: str):
-    """LU factor of A, with a ``solve(rhs)`` method.
-
-    A :class:`BandMatrix` is factored by LAPACK's banded LU with partial
-    pivoting (dgbtrf), a CSC matrix by SuperLU with minimum-degree ordering
-    on A^T + A.  A singular factor is a NumericalError.
-    """
-    if isinstance(A, BandMatrix):
-        kl = 2 * A.k - 1
-        lu, ipiv, info = lapack.dgbtrf(A.ab, kl, kl)
-        if info != 0:
-            raise NumericalError(f"{what} linear solve failed: dgbtrf info {info}")
-        return BandLU(lu, ipiv, A.k)
-    try:
-        return spla.splu(A, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:  # singular factorization
-        raise NumericalError(f"{what} linear solve failed: {exc}") from exc
 
 
 def _solve(lu, rhs: np.ndarray, what: str) -> np.ndarray:
@@ -246,9 +229,9 @@ def _solve(lu, rhs: np.ndarray, what: str) -> np.ndarray:
 class KeptFactor:
     """A Jacobian factor that outlives one Newton solve.
 
-    ``lu`` is the ``_factor`` of a one-block Jacobian at regularization
-    ``eps``, or None.  Passed to ``dirichlet_solve``, it lets Newton take
-    chord steps with that factor instead of factoring every step.
+    ``lu`` is the ``AssemblyPlan.factor`` of a one-block Jacobian at
+    regularization ``eps``, or None.  Passed to ``dirichlet_solve``, it lets
+    Newton take chord steps with that factor instead of factoring every step.
     """
 
     eps: float = 0.0
@@ -336,7 +319,7 @@ def assemble_jacobian(
     rhs_slope_qp: np.ndarray | None = None,
 ) -> np.ndarray:
     """Element matrices (n_elements, nloc, nloc) of the residual's Jacobian;
-    ``assembly_plan(mesh).matrix`` turns them into the interior matrix.
+    ``assembly_plan(mesh).factor`` factors the interior matrix they make.
 
     eps is floored at 1e-12, so the flux coefficients are finite where grad
     u = 0 for every p; a non-finite one is an overflow.  rhs_slope_qp, when
@@ -349,9 +332,8 @@ def assemble_jacobian(
     grads = np.einsum("ead,ea->ed", mesh.basis_grads, local)
     grad_sq = np.einsum("ed,ed->e", grads, grads)
     p_qp = ctx.p.qp
-    g = grad_sq[:, None] + eps * eps
-    a = g ** ((p_qp - 2.0) / 2.0)
-    b = (p_qp - 2.0) * g ** ((p_qp - 4.0) / 2.0)
+    a = _flux_factor(grad_sq, p_qp, eps)
+    b = (p_qp - 2.0) * (grad_sq[:, None] + eps * eps) ** ((p_qp - 4.0) / 2.0)
     aw = _qp_sum(mesh.quad_weights * a)
     bw = _qp_sum(mesh.quad_weights * b)
     d = np.einsum("ead,ed->ea", mesh.basis_grads, grads)
@@ -370,17 +352,15 @@ def load_vector(mesh: Mesh, rhs_qp: np.ndarray) -> np.ndarray:
 
 
 def linear_poisson_solve(mesh: Mesh, rhs) -> GridFunction:
-    """P1 solve of the plain Laplacian Dirichlet problem (used for seeding)."""
+    """P1 solve of the plain Laplacian Dirichlet problem (used for seeding).
+
+    Its matrix is the p = 2 Jacobian at u = 0, from the plan's gradient
+    products, factored by ``AssemblyPlan.factor``.
+    """
     plan = assembly_plan(mesh)
     K = mesh.quad_weights.sum(axis=1)[:, None, None] * plan.grad_dots
-    if plan.tridiagonal:
-        A = plan.system([[K]])
-    else:
-        # a one-off matrix, not the plan's kept one: allocating that before
-        # the seed's factor raises the peak memory of large meshes
-        A = sp.csc_matrix((plan.data(K), plan.indices, plan.indptr), shape=(plan.n, plan.n))
-    rhs_qp = _rhs_at_qp(mesh, rhs)
-    sol = _solve(_factor(A, "Poisson"), load_vector(mesh, rhs_qp), "Poisson")
+    lu = plan.factor([[K]], "Poisson")
+    sol = _solve(lu, load_vector(mesh, _rhs_at_qp(mesh, rhs)), "Poisson")
     vals = np.zeros(mesh.n_nodes)
     vals[mesh.interior_nodes] = sol
     return GridFunction(mesh, vals)
@@ -441,8 +421,8 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float, kept: KeptFactor | None 
     block is solved at the target eps_reg first and, only if that fails,
     along the eps ladder from the same initial values; with a slope_fn the
     ladder always runs.  Every setting other than the regularization comes
-    from the first context.  Each step's Jacobian is the plan's block
-    system, filled and factored at once.
+    from the first context.  Each step's Jacobian is factored by
+    ``AssemblyPlan.factor`` from its k x k grid of element arrays.
 
     ``kept``, allowed only for one block without a slope_fn, makes each
     iteration first try the full chord step with the kept factor (Kelley,
@@ -474,6 +454,7 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float, kept: KeptFactor | None 
         return r, float(np.hypot.reduce([dual_norm(mesh, ri) for ri in r]))
 
     def jacobian(vals, eps):
+        """The factor of the k-block Jacobian at ``vals``."""
         slopes = slope_fn(vals) if slope_fn is not None else [[None]]
         blocks = [
             [
@@ -484,7 +465,7 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float, kept: KeptFactor | None 
             ]
             for i, (ctx, v) in enumerate(zip(ctxs, vals))
         ]
-        return assembly_plan(mesh).system(blocks)
+        return assembly_plan(mesh).factor(blocks, "Newton")
 
     def chord_step(values, r, rn, eps):
         """(values, r, rn) after the full step with the kept factor, or None
@@ -507,10 +488,7 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float, kept: KeptFactor | None 
         it = 0
         while not converged and it < max_iter:
             it += 1
-            if kept is None:
-                J = jacobian(values, eps)
-                delta = np.split(_solve(_factor(J, "Newton"), -np.concatenate(r), "Newton"), k)
-            else:
+            if kept is not None:
                 chord = chord_step(values, r, rn, eps)
                 if chord is not None:
                     values, r, rn = chord
@@ -520,8 +498,10 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float, kept: KeptFactor | None 
                 # release the old factor before the new one is built, so
                 # that two never live at once
                 kept.lu = None
-                kept.eps, kept.lu = eps, _factor(jacobian(values, eps), "Newton")
-                delta = [_solve(kept.lu, -r[0], "Newton")]
+                kept.eps, kept.lu = eps, jacobian(values, eps)
+            lu = jacobian(values, eps) if kept is None else kept.lu
+            delta = np.split(_solve(lu, -np.concatenate(r), "Newton"), k)
+            del lu  # freed before the next factor is built, so two never live at once
             step = 1.0
             accepted = False
             for _ in range(_MAX_HALVINGS + 1):

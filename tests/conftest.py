@@ -5,7 +5,7 @@ import scipy.sparse as sp
 from pxlap.existence import System
 from pxlap.exponents import ExponentField
 from pxlap.mesh import build_interval_mesh, build_rectangle_mesh
-from pxlap.operator import BandMatrix, OperatorContext
+from pxlap.operator import OperatorContext
 
 
 @pytest.fixture(scope="session")
@@ -99,21 +99,3 @@ def _ref_matrix(mesh, blocks):
 
     return sp.bmat([[csr(K) for K in row] for row in blocks], format="csc")
 
-
-def _ref_system(mesh, blocks):
-    """``_ref_matrix`` in the form the solvers factor it: when every block is
-    tridiagonal, the LAPACK band storage of the node-interleaved matrix
-    (unknown (i, b) at k*i + b), built from the COO entries; otherwise the
-    CSC matrix itself."""
-    A = _ref_matrix(mesh, blocks)
-    k = len(blocks)
-    n = A.shape[0] // k
-    coo = A.tocoo()
-    if np.max(np.abs(coo.row % n - coo.col % n)) > 1:
-        return A
-    rows = k * (coo.row % n) + coo.row // n
-    cols = k * (coo.col % n) + coo.col // n
-    kl = 2 * k - 1
-    ab = np.zeros((3 * kl + 1, k * n), order="F")
-    ab[2 * kl + rows - cols, cols] = coo.data
-    return BandMatrix(ab, k)

@@ -5,7 +5,6 @@ import pytest
 
 from oracles import constant_p_eigenvalue, variable_p_eigenpair_by_shooting
 from pxlap import eigen as eigen_module
-from pxlap import operator as operator_module
 from pxlap.errors import NumericalError
 from pxlap.eigen import (
     EIGEN_RESIDUAL_TOL,
@@ -22,6 +21,7 @@ from pxlap.existence import System
 from pxlap.exponents import ExponentField
 from pxlap.mesh import GridFunction, build_interval_mesh, build_rectangle_mesh, integrate
 from pxlap.operator import (
+    AssemblyPlan,
     OperatorContext,
     assemble_residual,
     dirichlet_solve,
@@ -268,13 +268,13 @@ _KEPT_FACTOR_CASES = {
 @pytest.fixture
 def factor_calls(monkeypatch):
     calls = []
-    factor = operator_module._factor
+    factor = AssemblyPlan.factor
 
-    def counted(A, what):
+    def counted(plan, blocks, what):
         calls.append(what)
-        return factor(A, what)
+        return factor(plan, blocks, what)
 
-    monkeypatch.setattr(operator_module, "_factor", counted)
+    monkeypatch.setattr(AssemblyPlan, "factor", counted)
     return calls
 
 

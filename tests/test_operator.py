@@ -15,11 +15,11 @@ from pxlap import multiplicity
 from pxlap.multiplicity import CoupledReport, solve_coupled
 from pxlap import operator as operator_module
 from pxlap.operator import (
-    BandMatrix,
+    AssemblyPlan,
+    BandLU,
     KeptFactor,
     OperatorContext,
     SolveReport,
-    _factor,
     _flux_factor,
     _load_elements,
     _mass_block,
@@ -37,7 +37,7 @@ from pxlap.operator import (
     picone,
     semilinear_solve,
 )
-from conftest import _ref_matrix, _ref_system, load_at_qp, random_dirichlet_field
+from conftest import _ref_matrix, load_at_qp, random_dirichlet_field
 
 
 def test_residual_zero_state(ctx2_64, mesh64):
@@ -490,23 +490,19 @@ def test_poisson_matrix_is_the_p2_jacobian_at_zero(build, monkeypatch):
     mesh = build()
     ctx = OperatorContext(mesh, ExponentField(mesh, 2.0), eps_reg=0.0)
     factored = []
-    factor = operator_module._factor
-    monkeypatch.setattr(operator_module, "_factor", lambda A, what: factored.append(A) or factor(A, what))
+    factor = AssemblyPlan.factor
+    monkeypatch.setattr(
+        AssemblyPlan, "factor", lambda plan, blocks, what: factored.append(blocks) or factor(plan, blocks, what)
+    )
     linear_poisson_solve(mesh, 1.0)
-    (A,) = factored
-    plan = assembly_plan(mesh)
-    K = plan.system([[assemble_jacobian(ctx, np.zeros(mesh.n_nodes), eps=0.0)]])
-    assert A is not K  # the seed factors a one-off matrix, not the kept one
-    if plan.tridiagonal:
-        assert A.k == K.k == 1 and A.ab.tobytes() == K.ab.tobytes()
-    else:
-        assert A.data.tobytes() == K.data.tobytes()
-        assert np.array_equal(A.indices, K.indices) and np.array_equal(A.indptr, K.indptr)
+    (((A,),),) = factored
+    K = assemble_jacobian(ctx, np.zeros(mesh.n_nodes), eps=0.0)
+    assert A.tobytes() == K.tobytes()
 
 
 def test_sparse_solve_matches_spsolve():
-    # the plan's system is the kept CSC matrix on the rectangle (SuperLU) and
-    # a band matrix on the intervals (LAPACK dgbtrf)
+    # the plan factors by LAPACK dgbtrf on the intervals and by SuperLU on
+    # the rectangle
     rng = np.random.default_rng(5)
     meshes = (
         build_rectangle_mesh(0.0, 0.0, 1.0, 1.0, 24, 20),
@@ -518,33 +514,29 @@ def test_sparse_solve_matches_spsolve():
         scalar = assemble_jacobian(ctx, random_dirichlet_field(mesh, rng).values, eps=1e-4)
         plan = assembly_plan(mesh)
         for blocks in ([[scalar]], _coupled_jacobian(mesh, rng)):
-            system = plan.system(blocks)
-            assert isinstance(system, BandMatrix) == (mesh.dimension == 1)
+            lu = plan.factor(blocks, "test")
+            assert isinstance(lu, BandLU) == (mesh.dimension == 1)
             A = _ref_matrix(mesh, blocks)
             b = rng.standard_normal(A.shape[0])
-            x = _solve(_factor(system, "test"), b, "test")
+            x = _solve(lu, b, "test")
             ref = spla.spsolve(A, b)
             assert np.max(np.abs(x - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_sparse_solve_failures_are_numerical_errors():
-    singular = sp.csc_matrix(np.array([[1.0, 0.0], [0.0, 0.0]]))
-    with pytest.raises(NumericalError, match="linear solve failed"):
-        _factor(singular, "test")
-    with pytest.raises(NumericalError, match="non-finite"):
-        _solve(_factor(sp.identity(2, format="csc"), "test"), np.array([1.0, np.nan]), "test")
-    # the band path: a coupled tridiagonal Jacobian whose second block row
-    # is zero has an exactly zero pivot, and a NaN load gives a NaN solution
-    mesh = build_interval_mesh(0.0, 1.0, 8)
-    K = assemble_jacobian(OperatorContext(mesh, ExponentField(mesh, 2.0)), np.zeros(mesh.n_nodes), eps=0.0)
-    zero = np.zeros_like(K)
-    plan = assembly_plan(mesh)
-    with pytest.raises(NumericalError, match="linear solve failed"):
-        _factor(plan.system([[K, zero], [zero, zero]]), "test")
-    rhs = np.ones(plan.n)
-    rhs[3] = np.nan
-    with pytest.raises(NumericalError, match="non-finite"):
-        _solve(_factor(plan.system([[K]]), "test"), rhs, "test")
+    # on a rectangle plan (SuperLU) and an interval plan (dgbtrf) alike, a
+    # coupled Jacobian whose second block row is zero is exactly singular,
+    # and a NaN load gives a NaN solution
+    for mesh in (build_rectangle_mesh(0.0, 0.0, 1.0, 1.0, 4, 4), build_interval_mesh(0.0, 1.0, 8)):
+        K = assemble_jacobian(OperatorContext(mesh, ExponentField(mesh, 2.0)), np.zeros(mesh.n_nodes), eps=0.0)
+        zero = np.zeros_like(K)
+        plan = assembly_plan(mesh)
+        with pytest.raises(NumericalError, match="test linear solve failed"):
+            plan.factor([[K, zero], [zero, zero]], "test")
+        rhs = np.ones(plan.n)
+        rhs[3] = np.nan
+        with pytest.raises(NumericalError, match="non-finite"):
+            _solve(plan.factor([[K]], "test"), rhs, "test")
 
 
 _PATTERN_CASES = {
@@ -557,6 +549,17 @@ _PATTERN_CASES = {
 }
 
 
+def _seed_newton_and_coupled_solves(mesh):
+    """The Poisson seed and Newton of a dirichlet_solve, then a coupled solve."""
+    ctx = OperatorContext(mesh, ExponentField(mesh, "2 + 0.1*x"))
+    assert dirichlet_solve(ctx, 1.0).converged
+    seed = random_dirichlet_field(mesh, np.random.default_rng(5), scale=0.05)
+    rep = solve_coupled(
+        ctx, ctx, lambda pts, s1, s2: 1.0 + 0.5 * np.tanh(s2), lambda pts, s1, s2: 2.0 + 0.3 * np.tanh(s1), seed, seed
+    )
+    assert rep.converged and rep.iterations > 0
+
+
 @pytest.mark.parametrize("case", list(_PATTERN_CASES))
 def test_banded_lu_serves_tridiagonal_plans_only(case, monkeypatch):
     build, tridiagonal = _PATTERN_CASES[case]
@@ -565,14 +568,17 @@ def test_banded_lu_serves_tridiagonal_plans_only(case, monkeypatch):
     splu_calls = []
     splu = spla.splu
     monkeypatch.setattr(spla, "splu", lambda *a, **kw: splu_calls.append(a) or splu(*a, **kw))
-    ctx = OperatorContext(mesh, ExponentField(mesh, "2 + 0.1*x"))
-    assert dirichlet_solve(ctx, 1.0).converged  # the Poisson seed, then Newton
-    seed = random_dirichlet_field(mesh, np.random.default_rng(5), scale=0.05)
-    rep = solve_coupled(
-        ctx, ctx, lambda pts, s1, s2: 1.0 + 0.5 * np.tanh(s2), lambda pts, s1, s2: 2.0 + 0.3 * np.tanh(s1), seed, seed
-    )
-    assert rep.converged and rep.iterations > 0
+    _seed_newton_and_coupled_solves(mesh)
     assert (len(splu_calls) == 0) is tridiagonal
+
+
+def test_interval_solves_build_no_sparse_matrix(monkeypatch):
+    # an interval plan keeps index arrays only and factors band storage
+    built = []
+    csc_matrix = sp.csc_matrix
+    monkeypatch.setattr(sp, "csc_matrix", lambda *a, **kw: built.append(a) or csc_matrix(*a, **kw))
+    _seed_newton_and_coupled_solves(build_interval_mesh(0.0, 1.0, 64))
+    assert built == []
 
 
 def test_contexts_on_one_mesh_share_one_plan():
@@ -616,8 +622,8 @@ def _ref_newton_at_eps(ctx, rhs_fn, rhs_slope_fn, u, eps, tol, max_iter, stats):
     while not converged and it < max_iter:
         it += 1
         slope = rhs_slope_fn(u) if rhs_slope_fn is not None else None
-        J = _ref_system(mesh, [[assemble_jacobian(ctx, u, eps=max(eps, 1e-12), rhs_slope_qp=slope)]])
-        delta = _solve(_factor(J, "Newton"), -r, "Newton")
+        J = assemble_jacobian(ctx, u, eps=max(eps, 1e-12), rhs_slope_qp=slope)
+        delta = _solve(assembly_plan(mesh).factor([[J]], "Newton"), -r, "Newton")
 
         step = 1.0
         accepted = False
@@ -767,8 +773,8 @@ def _ref_coupled_newton_once(ctx1, ctx2, g1, g2, v1, v2, eps, tol, max_iter, sta
         J22 = assemble_jacobian(ctx2, v2, eps=max(eps, 1e-12), rhs_slope_qp=sl["22"])
         J12 = -_mass_block(mesh, sl["12"])
         J21 = -_mass_block(mesh, sl["21"])
-        J = _ref_system(mesh, [[J11, J12], [J21, J22]])
-        delta = _solve(_factor(J, "coupled Newton"), -np.concatenate([r1, r2]), "coupled Newton")
+        lu = assembly_plan(mesh).factor([[J11, J12], [J21, J22]], "coupled Newton")
+        delta = _solve(lu, -np.concatenate([r1, r2]), "coupled Newton")
         d1, d2 = delta[:n_int], delta[n_int:]
 
         step, accepted = 1.0, False
@@ -1043,7 +1049,7 @@ def test_kept_factor_at_another_eps_is_never_solved_with():
 def test_kept_factor_from_a_distant_state_is_replaced():
     ctx = _kept_factor_ctx()
     plain = dirichlet_solve(ctx, load_at_qp(ctx.mesh, _dirichlet_rhs))
-    distant = _factor(_ref_matrix(ctx.mesh, [[assemble_jacobian(ctx, 10.0 * plain.u.values, ctx.eps_reg)]]), "test")
+    distant = assembly_plan(ctx.mesh).factor([[assemble_jacobian(ctx, 10.0 * plain.u.values, ctx.eps_reg)]], "test")
     kept = KeptFactor(eps=ctx.eps_reg, lu=distant)
     rep = dirichlet_solve(ctx, load_at_qp(ctx.mesh, _dirichlet_rhs), kept=kept)
     _assert_converged(rep, ctx)
@@ -1066,15 +1072,15 @@ def test_non_finite_chord_step_is_rejected(value):
 def test_old_factor_is_released_before_each_factorization(monkeypatch):
     ctx = _kept_factor_ctx()
     kept = KeptFactor()
-    factor = operator_module._factor
+    factor = AssemblyPlan.factor
     entries = []
 
-    def checked(A, what):
+    def checked(plan, blocks, what):
         assert kept.lu is None
         entries.append(what)
-        return factor(A, what)
+        return factor(plan, blocks, what)
 
-    monkeypatch.setattr(operator_module, "_factor", checked)
+    monkeypatch.setattr(AssemblyPlan, "factor", checked)
     u = linear_poisson_solve(ctx.mesh, 1.0)
     entries.clear()
     # loads far apart, so that the kept factor stops contracting

@@ -480,6 +480,8 @@ def cmd_theorem2(v: dict, args):
         return {"error": "base solution did not converge"}, {}, 2
 
     hcfg = build_homotopy(v)
+    # first, so that radii with R <= R_hat fail before the trace runs
+    ann = annulus_search(hcfg, f, system, box, (pos.u1, pos.u2))
     trace = continuation(hcfg, f, system)
     bnd = boundedness_probe(trace, R=v["homotopy.R_tilde"] or None)
     ctx1, eig1 = system.ctx1, system.eigs[0]
@@ -487,7 +489,6 @@ def cmd_theorem2(v: dict, args):
         ctx1, eig1, hcfg.J(ctx1, eig1), hcfg.delta, v["homotopy.seeds"], rng_seed=hcfg.rng_seed
     )
     triviality = all(s.pair_norm <= 1e-8 for s in trace.steps[0].solutions)
-    ann = annulus_search(hcfg, f, system, box, (pos.u1, pos.u2))
 
     payload = {
         "trace": trace.summary(),

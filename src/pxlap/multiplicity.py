@@ -25,7 +25,7 @@ from .existence import Nonlinearity, OrderedBox, System
 from .mesh import GridFunction
 from .modular import luxemburg_norm_of_qp, sobolev_norm
 from .operator import OperatorContext, semilinear_solve
-from .operator import _newton, _state_loads  # the damped-Newton driver shared with the scalar solves
+from .operator import _newton  # the damped-Newton driver, the only evaluator of a load
 from .report import HIDDEN, Report
 
 DEDUP_DISTANCE = 1e-4
@@ -89,7 +89,7 @@ def _reference_load(ctx, J, den):
     """The reference load s -> J (s+)^(p-1) / den^(p-1).
 
     Defined at the quadrature points ``ctx.mesh.quad_points_flat`` only,
-    where :func:`pxlap.operator._state_loads` evaluates every load: p is
+    where :func:`pxlap.operator._newton` evaluates every load: p is
     ``ctx.p.qp`` and ``s`` is the flat state at those points.
     """
     pm1 = ctx.p.qp.ravel() - 1.0
@@ -148,7 +148,7 @@ def solve_coupled(
     mesh = ctx1.mesh
     tol = tol if tol is not None else max(ctx1.newton_tol, ctx2.newton_tol)
     (v1, v2), residual, iterations, converged, _ = _newton(
-        [ctx1, ctx2], *_state_loads(mesh, [g1, g2]), [seed1.values, seed2.values], tol
+        [ctx1, ctx2], [g1, g2], [seed1.values, seed2.values], tol
     )
     return CoupledReport(
         u1=GridFunction(mesh, v1),

@@ -312,19 +312,13 @@ def _mass_block(mesh: Mesh, coeff_qp: np.ndarray) -> np.ndarray:
     return np.einsum("eq,qa,qb->eab", mesh.quad_weights * coeff_qp, mesh.basis, mesh.basis)
 
 
-def assemble_jacobian(
-    ctx: OperatorContext,
-    values: np.ndarray,
-    eps: float,
-    rhs_slope_qp: np.ndarray | None = None,
-) -> np.ndarray:
-    """Element matrices (n_elements, nloc, nloc) of the residual's Jacobian;
+def assemble_jacobian(ctx: OperatorContext, values: np.ndarray, eps: float) -> np.ndarray:
+    """Element matrices (n_elements, nloc, nloc) of the flux Jacobian;
     ``assembly_plan(mesh).factor`` factors the interior matrix they make.
 
     eps is floored at 1e-12, so the flux coefficients are finite where grad
-    u = 0 for every p; a non-finite one is an overflow.  rhs_slope_qp, when
-    given, holds d(rhs)/d(u) at each quadrature point and contributes the
-    mass-weighted semilinear block.
+    u = 0 for every p; a non-finite one is an overflow.  The semilinear
+    term of a state-dependent load is the driver's (see ``_newton``).
     """
     mesh = ctx.mesh
     eps = max(eps, 1e-12)
@@ -339,8 +333,6 @@ def assemble_jacobian(
     d = np.einsum("ead,ed->ea", mesh.basis_grads, grads)
     K = aw[:, None, None] * assembly_plan(mesh).grad_dots
     K += bw[:, None, None] * d[:, :, None] * d[:, None, :]
-    if rhs_slope_qp is not None:
-        K -= _mass_block(mesh, rhs_slope_qp)
     return K
 
 
@@ -377,93 +369,88 @@ _FD_STEP = 1e-6
 _CHORD_RATE = 0.1
 
 
-def _state_loads(mesh: Mesh, loads):
-    """(rhs_fn, slope_fn) of state-dependent loads g_i(points, *states).
+def _load_at_qp(mesh: Mesh, g, states) -> np.ndarray:
+    """g(points, *states) at ``mesh.quad_points_flat``, shape (n_elements, n_qp)."""
+    return np.asarray(g(mesh.quad_points_flat, *states), dtype=float).reshape(mesh.n_elements, mesh.n_qp)
 
-    This is the only evaluator of a load: it calls each g_i at
-    ``mesh.quad_points_flat`` with the states there, so a load need be
-    defined at those points only.  rhs_fn maps the nodal values of every
-    block to the loads at the quadrature points; slope_fn gives the grid
-    d g_i / d s_j by central differences.
+
+def _load_slopes(mesh: Mesh, loads, states) -> list:
+    """The k x k grid d g_i / d s_j of loads g_i(points, *states) by central
+    differences with steps h = _FD_STEP * (1 + |s_j|).
+
+    The load calls run g_0 first and each g_i's arguments in order, up
+    before down.
     """
-    pts = mesh.quad_points_flat
-    shape = (mesh.n_elements, mesh.n_qp)
+    steps = [_FD_STEP * (1.0 + np.abs(s)) for s in states]
 
-    def states(values):
-        return [np.einsum("qa,ea->eq", mesh.basis, v[mesh.elements]).ravel() for v in values]
+    def slope(g, j, h):
+        up = _load_at_qp(mesh, g, [*states[:j], states[j] + h, *states[j + 1:]])
+        dn = _load_at_qp(mesh, g, [*states[:j], states[j] - h, *states[j + 1:]])
+        return (up - dn) / (2.0 * h.reshape(up.shape))
 
-    def rhs_fn(values):
-        s = states(values)
-        return [np.asarray(g(pts, *s), dtype=float).reshape(shape) for g in loads]
-
-    def slope_fn(values):
-        s = states(values)
-        steps = [_FD_STEP * (1.0 + np.abs(sj)) for sj in s]
-
-        def slope(g, j, h):
-            up = np.asarray(g(pts, *s[:j], s[j] + h, *s[j + 1:]), dtype=float)
-            dn = np.asarray(g(pts, *s[:j], s[j] - h, *s[j + 1:]), dtype=float)
-            return ((up - dn) / (2.0 * h)).reshape(shape)
-
-        # the load calls run g_0 first and each g_i's arguments in order,
-        # up before down, as the solvers this replaced did
-        return [[slope(g, j, h) for j, h in enumerate(steps)] for g in loads]
-
-    return rhs_fn, slope_fn
+    return [[slope(g, j, h) for j, h in enumerate(steps)] for g in loads]
 
 
-def _newton(ctxs, rhs_fn, slope_fn, values, tol: float, kept: KeptFactor | None = None):
+def _newton(ctxs, loads, values, tol: float, kept: KeptFactor | None = None):
     """Damped Newton with eps continuation on k Dirichlet problems on one mesh.
 
-    rhs_fn maps the nodal values of every block to their rhs at the
-    quadrature points; slope_fn returns the k x k grid of d rhs_i / d u_j
-    there, or is None for one block whose rhs does not depend on u.  Such a
-    block is solved at the target eps_reg first and, only if that fails,
-    along the eps ladder from the same initial values; with a slope_fn the
-    ladder always runs.  Every setting other than the regularization comes
-    from the first context.  Each step's Jacobian is factored by
-    ``AssemblyPlan.factor`` from its k x k grid of element arrays.
+    ``loads`` is either one (n_elements, n_qp) array, the load of one block
+    that does not depend on u, or k callables g_i(points, *states).  The
+    driver evaluates the callables at ``mesh.quad_points_flat`` with every
+    block's state there, so a load need be defined at those points only,
+    and differentiates them by ``_load_slopes``.  An array load is
+    integrated once per call and solved at the target eps_reg first and,
+    only if that fails, along the eps ladder from the same initial values;
+    with callables the ladder always runs.  Every setting other than the
+    regularization comes from the first context.  Each step's Jacobian is
+    factored by ``AssemblyPlan.factor`` from its k x k grid of element
+    arrays, block (i, j) being delta_ij A_i - M(d g_i / d s_j): the flux
+    Jacobian of block i less the mass matrix weighted by the load's slope.
 
-    ``kept``, allowed only for one block without a slope_fn, makes each
-    iteration first try the full chord step with the kept factor (Kelley,
-    Iterative Methods for Linear and Nonlinear Equations, 1995, sec. 5.4).
-    The step counts as the iteration when it is finite and cuts the residual
-    to at most _CHORD_RATE times its value; otherwise the old factor is
-    released, the Jacobian at the current iterate is factored into ``kept``
-    and the usual Armijo step follows.  Returns (values, residual,
-    iterations, converged, history), the residual being the unregularized
-    one.  A load that does not depend on u is integrated once per call;
-    otherwise each residual integrates the loads at its own iterate.
+    ``kept``, allowed only with an array load, makes each iteration first
+    try the full chord step with the kept factor (Kelley, Iterative Methods
+    for Linear and Nonlinear Equations, 1995, sec. 5.4).  The step counts as
+    the iteration when it is finite and cuts the residual to at most
+    _CHORD_RATE times its value; otherwise the old factor is released, the
+    Jacobian at the current iterate is factored into ``kept`` and the usual
+    Armijo step follows.  Returns (values, residual, iterations, converged,
+    history), the residual being the unregularized one.
     """
     mesh = ctxs[0].mesh
     interior = mesh.interior_nodes
     k = len(ctxs)
-    if kept is not None and (k != 1 or slope_fn is not None):
-        raise ValueError("a kept factor serves one block whose load does not depend on u")
+    fixed = [_load_elements(mesh, loads)] if isinstance(loads, np.ndarray) else None
+    if fixed is not None and k != 1:
+        raise ValueError("a load that does not depend on u serves one block")
+    if kept is not None and fixed is None:
+        raise ValueError("a kept factor needs a load that does not depend on u")
     eps_reg = max(ctx.eps_reg for ctx in ctxs)
     max_iter = ctxs[0].newton_max_iter
     values = [v.copy() for v in values]
     for v in values:
         v[mesh.boundary_nodes] = 0.0
 
-    fixed = [_load_elements(mesh, g) for g in rhs_fn(values)] if slope_fn is None else None
+    def states(vals):
+        return [GridFunction(mesh, v).at_qp().ravel() for v in vals]
 
     def residual(vals, eps):
-        loads = fixed if fixed is not None else [_load_elements(mesh, g) for g in rhs_fn(vals)]
-        r = [_residual_full(ctx, v, l, eps)[interior] for ctx, v, l in zip(ctxs, vals, loads)]
+        if fixed is None:
+            s = states(vals)
+            load_el = [_load_elements(mesh, _load_at_qp(mesh, g, s)) for g in loads]
+        else:
+            load_el = fixed
+        r = [_residual_full(ctx, v, l, eps)[interior] for ctx, v, l in zip(ctxs, vals, load_el)]
         return r, float(np.hypot.reduce([dual_norm(mesh, ri) for ri in r]))
 
     def jacobian(vals, eps):
         """The factor of the k-block Jacobian at ``vals``."""
-        slopes = slope_fn(vals) if slope_fn is not None else [[None]]
+        flux = [assemble_jacobian(ctx, v, eps) for ctx, v in zip(ctxs, vals)]
+        if fixed is not None:
+            return assembly_plan(mesh).factor([flux], "Newton")
+        slopes = _load_slopes(mesh, loads, states(vals))
         blocks = [
-            [
-                assemble_jacobian(ctx, v, eps, rhs_slope_qp=slopes[i][i])
-                if i == j
-                else -_mass_block(mesh, slopes[i][j])
-                for j in range(k)
-            ]
-            for i, (ctx, v) in enumerate(zip(ctxs, vals))
+            [(flux[i] if i == j else 0.0) - _mass_block(mesh, slopes[i][j]) for j in range(k)]
+            for i in range(k)
         ]
         return assembly_plan(mesh).factor(blocks, "Newton")
 
@@ -527,7 +514,7 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float, kept: KeptFactor | None 
     # being strictly monotone, so the ladder can only lengthen the path to
     # it; with a load that does, the ladder decides which of several
     # solutions Newton finds
-    attempts = [ladder[-1:], ladder] if slope_fn is None and len(ladder) > 1 else [ladder]
+    attempts = [ladder[-1:], ladder] if fixed is not None and len(ladder) > 1 else [ladder]
     start = values
     for rungs in attempts:
         values = start
@@ -543,8 +530,8 @@ def _newton(ctxs, rhs_fn, slope_fn, values, tol: float, kept: KeptFactor | None 
     return values, rn0, total_iters, bool(converged and rn0 <= tol), history
 
 
-def _scalar_report(ctx: OperatorContext, rhs_fn, slope_fn, initial: GridFunction, kept=None) -> SolveReport:
-    (u,), *outcome = _newton([ctx], rhs_fn, slope_fn, [initial.values], ctx.newton_tol, kept)
+def _scalar_report(ctx: OperatorContext, loads, initial: GridFunction, kept=None) -> SolveReport:
+    (u,), *outcome = _newton([ctx], loads, [initial.values], ctx.newton_tol, kept)
     return SolveReport(GridFunction(ctx.mesh, u), *outcome)
 
 
@@ -566,7 +553,7 @@ def dirichlet_solve(
     rhs_qp = _rhs_at_qp(ctx.mesh, rhs)
     if initial is None:
         initial = linear_poisson_solve(ctx.mesh, rhs_qp)
-    return _scalar_report(ctx, lambda values: [rhs_qp], None, initial, kept)
+    return _scalar_report(ctx, rhs_qp, initial, kept)
 
 
 def semilinear_solve(ctx: OperatorContext, rhs_state, initial: GridFunction) -> SolveReport:
@@ -574,7 +561,7 @@ def semilinear_solve(ctx: OperatorContext, rhs_state, initial: GridFunction) -> 
 
     rhs_state(points, s) evaluates g at flat coordinate/state arrays.
     """
-    return _scalar_report(ctx, *_state_loads(ctx.mesh, [rhs_state]), initial)
+    return _scalar_report(ctx, [rhs_state], initial)
 
 
 @dataclass

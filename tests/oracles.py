@@ -22,6 +22,26 @@ def torsion_exact(p: float, x: np.ndarray) -> np.ndarray:
     return (p - 1.0) / p * (0.5**q - np.abs(x - 0.5) ** q)
 
 
+def variable_p_torsion(p, x: np.ndarray) -> np.ndarray:
+    """Solution of -(|u'|^(p(x)-2) u')' = 1 on (0,1), zero boundary, for a
+    scalar exponent rule p.
+
+    The flux is c - x, so u' = sgn(c - x) |c - x|^(1/(p(x)-1)); brentq picks
+    c so that u' integrates to u(1) = 0, and quad integrates u' from 0 to
+    each x, split at the kink c.
+    """
+
+    def du(t, c):
+        return math.copysign(abs(c - t) ** (1.0 / (p(t) - 1.0)), c - t)
+
+    def u(xi, c):
+        pieces = [(0.0, min(xi, c))] + ([(c, xi)] if xi > c else [])
+        return sum(quad(du, a, b, args=(c,), epsabs=1e-15, epsrel=1e-13, limit=200)[0] for a, b in pieces)
+
+    c = brentq(lambda c: u(1.0, c), 0.0, 1.0, xtol=1e-15)
+    return np.array([u(float(xi), c) for xi in x])
+
+
 def constant_p_eigenvalue(p: float, length: float = 1.0) -> float:
     """First eigenvalue of the constant-p 1D problem on an interval."""
     pi_p = 2.0 * np.pi / (p * np.sin(np.pi / p))

@@ -294,6 +294,21 @@ def test_cli_reports_homotopy_errors_with_the_others(tmp_path, monkeypatch, caps
     assert not (tmp_path / "summary.json").exists()
 
 
+def test_cli_theorem2_checks_the_annulus_radii_before_the_trace(tmp_path, monkeypatch, capsys):
+    # R = 1 lies below the automatic R_hat, which only the annulus search
+    # knows; it runs before the continuation, so the run stops untraced
+    def no_trace(*args, **kwargs):
+        raise AssertionError("the continuation ran before the radii were checked")
+
+    monkeypatch.setattr(cli, "continuation", no_trace)
+    cfg = tmp_path / "r.cfg"
+    cfg.write_text("mesh.n = 32\nhomotopy.R = 1\n")
+    rc = main(["theorem2", "--config", str(cfg), "--output-dir", str(tmp_path), "--quiet"])
+    assert rc == 3
+    assert "radii must satisfy R_hat < R" in capsys.readouterr().err
+    assert not (tmp_path / "summary.json").exists()
+
+
 # exponents admissible on [0, 1] that fail on the domain dilated by 0.25
 _DILATED_FAULTS = {
     "1.2 + x": "exponent must satisfy p_min > 1, sampled minimum 0.95",

@@ -6,7 +6,7 @@ import pytest
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
-from oracles import torsion_exact
+from oracles import torsion_exact, variable_p_torsion
 from pxlap.errors import HypothesisError, NumericalError
 from pxlap.exponents import ExponentField
 from pxlap.existence import System, benchmark_family
@@ -89,6 +89,34 @@ def test_dirichlet_solve_sublinear_exponent():
     assert rep.converged
     exact = torsion_exact(1.5, mesh.nodes[:, 0])
     assert np.max(np.abs(rep.u.values - exact)) < 1e-3
+
+
+def test_variable_p_torsion_oracle_has_the_constant_p_closed_form():
+    x = np.linspace(0.0, 1.0, 11)
+    for p in (1.5, 3.0):
+        assert np.max(np.abs(variable_p_torsion(lambda t: p, x) - torsion_exact(p, x))) < 1e-14
+
+
+# nodal max error bounds at n = 128 and 256, about twice the errors measured
+# there (9.1e-7/2.6e-7, 1.7e-6/3.0e-7 and 2.3e-5/7.5e-6)
+@pytest.mark.parametrize(
+    "expr, p, bounds",
+    [
+        ("2 + 0.1*x", lambda t: 2.0 + 0.1 * t, (2e-6, 6e-7)),
+        ("1.5 + x", lambda t: 1.5 + t, (4e-6, 7e-7)),
+        ("3 - x", lambda t: 3.0 - t, (5e-5, 1.5e-5)),
+    ],
+    ids=["2 + 0.1x", "1.5 + x", "3 - x"],
+)
+def test_dirichlet_solve_variable_p_torsion(expr, p, bounds):
+    errors = []
+    for n in (128, 256):
+        mesh = build_interval_mesh(0.0, 1.0, n)
+        rep = dirichlet_solve(OperatorContext(mesh, ExponentField(mesh, expr)), 1.0)
+        assert rep.converged
+        errors.append(np.max(np.abs(rep.u.values - variable_p_torsion(p, mesh.nodes[:, 0]))))
+    assert errors[0] < bounds[0] and errors[1] < bounds[1]
+    assert errors[1] < errors[0]
 
 
 def test_nonconvergence_is_reported_not_raised(mesh64, p2_64):
@@ -344,7 +372,9 @@ def test_plan_jacobian_matches_coo_reference(mesh_name, p_expr, eps, with_slope)
     rng = np.random.default_rng(7)
     values = random_dirichlet_field(mesh, rng).values
     slope = rng.standard_normal((mesh.n_elements, mesh.n_qp)) if with_slope else None
-    K = assemble_jacobian(ctx, values, eps=eps, rhs_slope_qp=slope)
+    K = assemble_jacobian(ctx, values, eps=eps)
+    if with_slope:
+        K = K - _mass_block(mesh, slope)
     nloc = mesh.elements.shape[1]
     assert K.shape == (mesh.n_elements, nloc, nloc)
     J = assembly_plan(mesh).matrix([[K]])
@@ -470,8 +500,10 @@ def _coupled_jacobian(mesh, rng):
     ctx1 = OperatorContext(mesh, ExponentField(mesh, "2.5 + 0.5*x"))
     ctx2 = OperatorContext(mesh, ExponentField(mesh, "1.6 + 0.2*x"))
     shape = (mesh.n_elements, mesh.n_qp)
-    J11 = assemble_jacobian(ctx1, random_dirichlet_field(mesh, rng).values, 1e-2, rng.random(shape))
-    J22 = assemble_jacobian(ctx2, random_dirichlet_field(mesh, rng).values, 1e-2, rng.random(shape))
+    J11 = assemble_jacobian(ctx1, random_dirichlet_field(mesh, rng).values, 1e-2)
+    J11 = J11 - _mass_block(mesh, rng.random(shape))
+    J22 = assemble_jacobian(ctx2, random_dirichlet_field(mesh, rng).values, 1e-2)
+    J22 = J22 - _mass_block(mesh, rng.random(shape))
     J12 = -_mass_block(mesh, rng.random(shape))
     J21 = -_mass_block(mesh, 2.0 * rng.random(shape))
     return [[J11, J12], [J21, J22]]
@@ -622,7 +654,9 @@ def _ref_newton_at_eps(ctx, rhs_fn, rhs_slope_fn, u, eps, tol, max_iter, stats):
     while not converged and it < max_iter:
         it += 1
         slope = rhs_slope_fn(u) if rhs_slope_fn is not None else None
-        J = assemble_jacobian(ctx, u, eps=max(eps, 1e-12), rhs_slope_qp=slope)
+        J = assemble_jacobian(ctx, u, eps=max(eps, 1e-12))
+        if slope is not None:
+            J = J - _mass_block(mesh, slope)
         delta = _solve(assembly_plan(mesh).factor([[J]], "Newton"), -r, "Newton")
 
         step = 1.0
@@ -769,8 +803,8 @@ def _ref_coupled_newton_once(ctx1, ctx2, g1, g2, v1, v2, eps, tol, max_iter, sta
     while not converged and it < max_iter:
         it += 1
         sl = slopes(v1, v2)
-        J11 = assemble_jacobian(ctx1, v1, eps=max(eps, 1e-12), rhs_slope_qp=sl["11"])
-        J22 = assemble_jacobian(ctx2, v2, eps=max(eps, 1e-12), rhs_slope_qp=sl["22"])
+        J11 = assemble_jacobian(ctx1, v1, eps=max(eps, 1e-12)) - _mass_block(mesh, sl["11"])
+        J22 = assemble_jacobian(ctx2, v2, eps=max(eps, 1e-12)) - _mass_block(mesh, sl["22"])
         J12 = -_mass_block(mesh, sl["12"])
         J21 = -_mass_block(mesh, sl["21"])
         lu = assembly_plan(mesh).factor([[J11, J12], [J21, J22]], "coupled Newton")
@@ -997,17 +1031,17 @@ def test_block_norm_is_numpy_hypot(monkeypatch, mesh64, ctx2_64):
     zeros = np.zeros(mesh64.n_nodes)
     rhs = np.zeros((mesh64.n_elements, mesh64.n_qp))
     # no iterations: four rungs (eps 1e-2, 1e-4, 1e-6, 1e-10) and the recheck;
-    # a slope_fn, as every coupled solve has, keeps the ladder (it is never
-    # called without a Newton step)
-    _, residual, _, _, history = operator_module._newton(
-        [ctx, ctx], lambda values: [rhs, rhs], lambda values: None, [zeros, zeros], 1e-10
-    )
+    # callable loads, as every coupled solve has, keep the ladder
+    def load(points, s1, s2):
+        return np.zeros(len(points))
+
+    _, residual, _, _, history = operator_module._newton([ctx, ctx], [load, load], [zeros, zeros], 1e-10)
     assert history == [float(target[k]) for k in odd[:4]]
     assert residual == float(target[odd[4]])
-    # one block: the norm is the block's dual norm itself; a load without
-    # slope_fn tries eps 1e-10 first, then the four rungs, then the recheck
+    # one block: the norm is the block's dual norm itself; an array load
+    # tries eps 1e-10 first, then the four rungs, then the recheck
     norms = iter(a[:6])
-    _, residual, _, _, history = operator_module._newton([ctx], lambda values: [rhs], None, [zeros], 1e-10)
+    _, residual, _, _, history = operator_module._newton([ctx], rhs, [zeros], 1e-10)
     assert history == [float(x) for x in a[:5]]
     assert residual == float(a[5])
 
@@ -1094,11 +1128,24 @@ def test_old_factor_is_released_before_each_factorization(monkeypatch):
 def test_kept_factor_needs_one_block_without_slope(mesh64, ctx2_64):
     zeros = np.zeros(mesh64.n_nodes)
     rhs = np.zeros((mesh64.n_elements, mesh64.n_qp))
-    with pytest.raises(ValueError, match="kept factor"):
-        operator_module._newton(
-            [ctx2_64], lambda values: [rhs], lambda values: [[None]], [zeros], 1e-10, KeptFactor()
-        )
-    with pytest.raises(ValueError, match="kept factor"):
-        operator_module._newton(
-            [ctx2_64, ctx2_64], lambda values: [rhs, rhs], None, [zeros, zeros], 1e-10, KeptFactor()
-        )
+
+    def load(points, s):
+        return np.zeros(len(points))
+
+    with pytest.raises(ValueError, match="kept factor needs a load that does not depend on u"):
+        operator_module._newton([ctx2_64], [load], [zeros], 1e-10, KeptFactor())
+    with pytest.raises(ValueError, match="serves one block"):
+        operator_module._newton([ctx2_64, ctx2_64], rhs, [zeros, zeros], 1e-10, KeptFactor())
+
+
+def test_array_load_for_two_blocks_is_rejected_up_front(mesh64, ctx2_64, monkeypatch):
+    # such a load once passed the guard and crashed in the first Jacobian
+    zeros = np.zeros(mesh64.n_nodes)
+    rhs = np.ones((mesh64.n_elements, mesh64.n_qp))
+
+    def no_assembly(*args):
+        raise AssertionError("a residual was assembled")
+
+    monkeypatch.setattr(operator_module, "_residual_full", no_assembly)
+    with pytest.raises(ValueError, match="a load that does not depend on u serves one block"):
+        operator_module._newton([ctx2_64, ctx2_64], rhs, [zeros, zeros], 1e-10)

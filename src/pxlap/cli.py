@@ -567,12 +567,10 @@ def cmd_verify(v: dict, args):
     for k in range(max(10, n // 10)):
         nodal = 1.0 + 1e-6 + 0.97 * rng.random(mesh.n_nodes)
         kfun = GridFunction(mesh, nodal)
+        # mean_value_constant raises when k_hat leaves (1, 2)
         try:
-            khat = mean_value_constant(ctx1, kfun.at_qp(), 1.0, 2.0, h=1.0, phi=phi)
+            mean_value_constant(ctx1, kfun.at_qp(), 1.0, 2.0, h=1.0, phi=phi)
         except PxlapError:
-            fail_m += 1
-            continue
-        if not 1.0 < khat < 2.0:
             fail_m += 1
     results["mean_value"] = {"samples": max(10, n // 10), "failures": fail_m}
 

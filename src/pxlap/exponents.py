@@ -14,7 +14,7 @@ import numpy as np
 
 from .errors import DomainError, HypothesisError
 from .expressions import coordinate_expression
-from .mesh import GridFunction, Mesh, _freeze
+from .mesh import GridFunction, Mesh, _freeze, as_points
 
 _SAMPLES_PER_LINE = 64  # points on each sampled line of the monotonicity checks
 _MONOTONE_TOL = 1e-12  # a step of p against the trend up to this still counts as monotone
@@ -44,20 +44,17 @@ class ExponentField:
                     box = f"{rule.mesh.lo.tolist()} to {rule.mesh.hi.tolist()}"
                     raise DomainError(f"a nodal-table exponent is defined on its mesh, {box}, only")
                 rule = GridFunction(mesh, rule.eval(mesh.nodes))
-            self._evaluate = rule.eval
+            self._rule_fn = rule.eval
             self.description = "nodal table"
         elif isinstance(rule, str):
-            self._evaluate = coordinate_expression(rule, mesh.dimension)
+            self._rule_fn = coordinate_expression(rule, mesh.dimension)
             self.description = rule
         elif callable(rule):
-            self._evaluate = lambda pts: np.broadcast_to(
-                np.asarray(rule(np.atleast_2d(pts)), dtype=float),
-                (len(np.atleast_2d(pts)),),
-            )
+            self._rule_fn = rule
             self.description = getattr(rule, "expression", "callable")
         else:
             value = float(rule)
-            self._evaluate = lambda pts: np.full(len(np.atleast_2d(pts)), value)
+            self._rule_fn = lambda points: value
             self.description = repr(value)
         self._rule = rule
 
@@ -85,7 +82,9 @@ class ExponentField:
             )
 
     def evaluate(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self._evaluate(points), dtype=float)
+        """p at each point of an (n, dimension) array, shape (n,)."""
+        points = as_points(points, self.mesh.dimension)
+        return np.broadcast_to(np.asarray(self._rule_fn(points), dtype=float), (len(points),))
 
     def on_mesh(self, mesh: Mesh) -> "ExponentField":
         """Re-bind the same rule to another mesh (e.g. the enlarged domain); a
@@ -94,10 +93,9 @@ class ExponentField:
 
     def conjugate(self) -> "ExponentField":
         """Pointwise Holder conjugate p/(p - 1)."""
-        inner = self._evaluate
 
         def conj(points):
-            p = np.asarray(inner(points), dtype=float)
+            p = self.evaluate(points)
             return p / (p - 1.0)
 
         out = ExponentField(self.mesh, conj)
@@ -112,66 +110,52 @@ class ExponentField:
 
 
 @dataclass
-class LineCheck:
-    passed: bool
-    witness: dict | None = None
-
-
-@dataclass
 class HpReport:
     """Result of the direction-monotonicity check.
 
-    ``passed`` is true when some direction has every sampled line restriction
-    monotone.  A failing report is a legitimate outcome, not an error.
+    ``witnesses`` holds one entry per family of sampled lines: None when p is
+    monotone on every line of the family, else the first turn of p on the
+    first line where it turns (its base point, three parameters t and the
+    values of p there).  ``passed`` is true when some family has no turn.  A
+    failing report is a legitimate outcome, not an error.
     """
 
-    checks: list
+    witnesses: list
     passed: bool
 
 
-def _line_monotone(p, mesh, x0, direction):
-    """Sample p along the in-box segment through x0; None if degenerate."""
+def _first_turn(p, mesh, x0, direction) -> dict | None:
+    """Witness of the first line ``x0[i] + t*direction[i]`` (rows of two
+    (lines, dimension) arrays) on which p, sampled inside the box, is not
+    monotone; None if there is none.  Lines that miss the box interior are
+    skipped; p is evaluated once, on every sample of every line."""
     lo, hi = mesh.lo, mesh.hi
-    tmin, tmax = -np.inf, np.inf
-    for d in range(mesh.dimension):
-        if abs(direction[d]) < 1e-15:
-            continue
-        t1 = (lo[d] - x0[d]) / direction[d]
-        t2 = (hi[d] - x0[d]) / direction[d]
-        tmin = max(tmin, min(t1, t2))
-        tmax = min(tmax, max(t1, t2))
-    if not tmax > tmin:
+    along = np.abs(direction) >= 1e-15
+    step = np.where(along, direction, 1.0)
+    t1, t2 = (lo - x0) / step, (hi - x0) / step
+    tmin = np.max(np.where(along, np.minimum(t1, t2), -np.inf), axis=1)
+    tmax = np.min(np.where(along, np.maximum(t1, t2), np.inf), axis=1)
+    keep = tmax > tmin
+    x0, direction = x0[keep], direction[keep]
+    ts = np.linspace(tmin[keep], tmax[keep], _SAMPLES_PER_LINE, axis=1)
+    pts = np.clip(x0[:, None, :] + ts[:, :, None] * direction[:, None, :], lo, hi)
+    vals = p.evaluate(pts.reshape(-1, mesh.dimension)).reshape(ts.shape)
+    diffs = np.diff(vals, axis=1)
+    monotone = np.all(diffs >= -_MONOTONE_TOL, axis=1) | np.all(diffs <= _MONOTONE_TOL, axis=1)
+    if monotone.all():
         return None
-    ts = np.linspace(tmin, tmax, _SAMPLES_PER_LINE)
-    pts = x0[None, :] + ts[:, None] * direction[None, :]
-    pts = np.clip(pts, lo[None, :], hi[None, :])
-    vals = p.evaluate(pts)
-    diffs = np.diff(vals)
-    monotone = bool(np.all(diffs >= -_MONOTONE_TOL) or np.all(diffs <= _MONOTONE_TOL))
-    witness = None
-    if not monotone:
-        k = int(np.argmax(np.abs(np.diff(np.sign(diffs)))))
-        witness = {
-            "base_point": x0.tolist(),
-            "t": ts[k : k + 3].tolist(),
-            "p": vals[k : k + 3].tolist(),
-        }
-    return monotone, witness
+    i = int(np.argmin(monotone))
+    k = int(np.argmax(np.abs(np.diff(np.sign(diffs[i])))))
+    return {
+        "base_point": x0[i].tolist(),
+        "t": ts[i, k : k + 3].tolist(),
+        "p": vals[i, k : k + 3].tolist(),
+    }
 
 
 def _base_points(mesh) -> np.ndarray:
     step = max(1, mesh.n_nodes // 33)
     return mesh.nodes[::step]
-
-
-def _check_lines(p, mesh, lines) -> LineCheck:
-    """Test p along every ``(x0, unit direction)`` line; degenerate lines are
-    skipped and the first non-monotone one is the witness."""
-    for x0, direction in lines:
-        result = _line_monotone(p, mesh, x0, direction)
-        if result is not None and not result[0]:
-            return LineCheck(False, result[1])
-    return LineCheck(True)
 
 
 def check_Hp(p: ExponentField, mesh: Mesh) -> HpReport:
@@ -182,20 +166,21 @@ def check_Hp(p: ExponentField, mesh: Mesh) -> HpReport:
     sampled restriction is monotone (non-increasing or non-decreasing up to
     _MONOTONE_TOL).
     """
-    checks = [
-        _check_lines(p, mesh, ((x0, l) for x0 in _base_points(mesh)))
-        for l in np.eye(mesh.dimension)
+    x0 = _base_points(mesh)
+    witnesses = [
+        _first_turn(p, mesh, x0, np.broadcast_to(l, x0.shape)) for l in np.eye(mesh.dimension)
     ]
-    return HpReport(checks, any(c.passed for c in checks))
+    return HpReport(witnesses, any(w is None for w in witnesses))
 
 
 def check_Hp_rays(p: ExponentField, mesh: Mesh, exterior_point) -> HpReport:
     """Ray variant: monotonicity along every sampled ray from an exterior
     point through the domain.  All rays must be monotone for a pass."""
-    x_ext = np.asarray(exterior_point, dtype=float)
-    if mesh.contains(x_ext[None, :]):
+    x_ext = as_points(exterior_point, mesh.dimension)
+    if mesh.contains(x_ext):
         raise ValueError("ray base point must lie outside the closed domain")
-    rays = (target - x_ext for target in _base_points(mesh))
-    lines = ((x_ext, w / n) for w in rays if (n := np.linalg.norm(w)) != 0)
-    check = _check_lines(p, mesh, lines)
-    return HpReport([check], check.passed)
+    rays = _base_points(mesh) - x_ext
+    # lengths as dot products, bit for bit np.linalg.norm of each ray
+    unit = rays / np.sqrt(rays[:, None, :] @ rays[:, :, None])[:, 0]
+    witness = _first_turn(p, mesh, np.broadcast_to(x_ext, rays.shape), unit)
+    return HpReport([witness], witness is None)

@@ -16,6 +16,7 @@ import ast
 import numpy as np
 
 from .errors import ConfigError
+from .mesh import as_points
 
 _FUNCS = {
     "sin": np.sin,
@@ -105,36 +106,35 @@ def compile_expression(expr: str, variables: tuple[str, ...]):
     return fn
 
 
-def coordinate_expression(expr: str, dimension: int):
-    """Callable of a point array (n, dim) from an expression in x[, y]."""
-    names = ("x", "y")[:dimension]
-    fn = compile_expression(expr, names)
+def _pointwise(expr: str, dimension: int, states: tuple[str, ...]):
+    """Callable ``(points, *states)`` of an expression in x[, y] and the named
+    states, one value per point of the (n, dim) array.
 
-    def evaluate(points):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        return np.broadcast_to(fn(*(points[:, d] for d in range(dimension))), (len(points),))
+    An expression with states is evaluated with floating-point warnings off:
+    a NaN or inf value of f is an outcome the callers report (see
+    :mod:`pxlap.existence`).
+    """
+    fn = compile_expression(expr, ("x", "y")[:dimension] + states)
+    quiet = {"all": "ignore"} if states else {}
+
+    def evaluate(points, *values):
+        points = as_points(points, dimension)
+        n = len(points)
+        coords = (points[:, d] for d in range(dimension))
+        values = (np.broadcast_to(np.asarray(s, dtype=float), (n,)) for s in values)
+        with np.errstate(**quiet):
+            out = fn(*coords, *values)
+        return np.broadcast_to(out, (n,))
 
     evaluate.expression = expr
     return evaluate
+
+
+def coordinate_expression(expr: str, dimension: int):
+    """Callable of a point array (n, dim) from an expression in x[, y]."""
+    return _pointwise(expr, dimension, ())
 
 
 def state_expression(expr: str, dimension: int):
-    """Callable f(points, s1, s2) from an expression in x[, y], s1, s2.
-
-    Evaluated with floating-point warnings off: a NaN or inf value of f is
-    an outcome the callers report (see :mod:`pxlap.existence`).
-    """
-    names = ("x", "y")[:dimension] + ("s1", "s2")
-    fn = compile_expression(expr, names)
-
-    def evaluate(points, s1, s2):
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        s1 = np.broadcast_to(np.asarray(s1, dtype=float), (len(points),))
-        s2 = np.broadcast_to(np.asarray(s2, dtype=float), (len(points),))
-        coords = tuple(points[:, d] for d in range(dimension))
-        with np.errstate(all="ignore"):
-            out = fn(*coords, s1, s2)
-        return np.broadcast_to(out, (len(points),))
-
-    evaluate.expression = expr
-    return evaluate
+    """Callable f(points, s1, s2) from an expression in x[, y], s1, s2."""
+    return _pointwise(expr, dimension, ("s1", "s2"))

@@ -63,6 +63,17 @@ _TRI7_W = np.array(
 _RULES = {1: (np.stack([1.0 - _GL3_X, _GL3_X], axis=1), _GL3_W), 2: (_TRI7_BARY, _TRI7_W)}
 
 
+def as_points(points, dimension: int) -> np.ndarray:
+    """``points`` as a float array of shape (n, dimension); one point may be a
+    flat sequence.  Any other number of coordinates is a MeshMismatchError."""
+    points = np.atleast_2d(np.asarray(points, dtype=float))
+    if points.ndim != 2 or points.shape[1] != dimension:
+        raise MeshMismatchError(
+            f"points of shape {points.shape} do not have {dimension} coordinate(s) each"
+        )
+    return points
+
+
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
@@ -177,7 +188,7 @@ class Mesh:
         return float(np.sqrt((self.hi - self.lo) @ (self.hi - self.lo)))
 
     def contains(self, points: np.ndarray) -> bool:
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = as_points(points, self.dimension)
         pad = _CONTAINS_TOL * max(self.diameter, 1.0)
         return bool(np.all(points >= self.lo - pad) and np.all(points <= self.hi + pad))
 
@@ -187,12 +198,14 @@ class Mesh:
         Points are clipped to the box to absorb boundary round-off; the cell
         index and the fraction across it come per axis from the spacing.
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = as_points(points, self.dimension)
         h = self.spacing
         x = np.clip(points, self.lo, self.hi)
         k = np.clip(((x - self.lo) / h).astype(int), 0, self.cells - 1)
         frac = (x - (self.lo + k * h)) / h
         cell = k @ np.cumprod(np.r_[1, self.cells[:-1]])
+        # a 1D fraction can round above 1 (1.0000000000000004 at n = 12), so
+        # the triangle test r + t <= 1 below would misplace it
         if self.dimension == 1:
             return cell, np.stack([1.0 - frac[:, 0], frac[:, 0]], axis=1)
         r, t = frac.T
@@ -325,7 +338,7 @@ class GridFunction:
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         """P1 interpolation at arbitrary points inside the domain."""
-        points = np.atleast_2d(np.asarray(points, dtype=float))
+        points = as_points(points, self.mesh.dimension)
         if not self.mesh.contains(points):
             raise DomainError("evaluation points outside the mesh domain")
         e, w = self.mesh.locate(points)

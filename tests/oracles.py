@@ -42,6 +42,23 @@ def variable_p_torsion(p, x: np.ndarray) -> np.ndarray:
     return np.array([u(float(xi), c) for xi in x])
 
 
+def manufactured_load(u: str, p: str):
+    """The load -div(|grad u|^(p-2) grad u) of the p(x)-Laplacian in 2D, for
+    expressions u and p in x and y, as a numpy callable of (x, y).
+
+    sympy differentiates the flux exactly and lambdify compiles the result;
+    the load is finite wherever grad u is nonzero.
+    """
+    import sympy
+
+    x, y = sympy.symbols("x y")
+    u, p = sympy.sympify(u), sympy.sympify(p)
+    grad = [sympy.diff(u, v) for v in (x, y)]
+    flux = (grad[0] ** 2 + grad[1] ** 2) ** ((p - 2) / 2)
+    load = -sum(sympy.diff(flux * g, v) for g, v in zip(grad, (x, y)))
+    return sympy.lambdify((x, y), load, "numpy")
+
+
 def constant_p_eigenvalue(p: float, length: float = 1.0) -> float:
     """First eigenvalue of the constant-p 1D problem on an interval."""
     pi_p = 2.0 * np.pi / (p * np.sin(np.pi / p))

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from pxlap.eigen import first_eigenpair
-from pxlap.errors import DomainError, HypothesisError
-from pxlap.exponents import ExponentField, check_Hp
+from pxlap.errors import DomainError, HypothesisError, MeshMismatchError
+from pxlap.exponents import ExponentField, check_Hp, check_Hp_rays
 from pxlap.mesh import GridFunction, build_interval_mesh, build_rectangle_mesh, dilate_domain
 from pxlap.modular import luxemburg_norm, sobolev_norm
 from pxlap.operator import OperatorContext, dirichlet_solve
@@ -62,7 +62,7 @@ def test_check_hp_sine_fails(mesh64):
     p = ExponentField(mesh64, "2 + 0.5*sin(4*pi*x)")
     report = check_Hp(p, mesh64)
     assert not report.passed
-    assert report.checks[0].witness is not None
+    assert report.witnesses[0] is not None
 
 
 def test_check_hp_refinement_invariant():
@@ -83,8 +83,6 @@ def test_check_hp_2d_directions():
 
 
 def test_check_hp_rays_from_exterior_point(mesh64):
-    from pxlap.exponents import check_Hp_rays
-
     # rays from a point left of (0,1) run in the +x direction
     p = ExponentField(mesh64, "2 + x")
     assert check_Hp_rays(p, mesh64, exterior_point=(-2.0,)).passed
@@ -95,12 +93,94 @@ def test_check_hp_rays_from_exterior_point(mesh64):
 
 
 def test_check_hp_rays_2d():
-    from pxlap.exponents import check_Hp_rays
-
     m = build_rectangle_mesh(0, 0, 1, 1, 6, 6)
     # distance-like exponent decreases along every ray from the far corner
     p = ExponentField(m, "2 + 0.4*exp(-((x+3)**2 + (y+3)**2)/20)")
     assert check_Hp_rays(p, m, exterior_point=(-3.0, -3.0)).passed
+
+
+def _count_evaluations(monkeypatch):
+    calls = []
+    evaluate = ExponentField.evaluate
+
+    def counted(self, points):
+        calls.append(len(points))
+        return evaluate(self, points)
+
+    monkeypatch.setattr(ExponentField, "evaluate", counted)
+    return calls
+
+
+def test_check_hp_evaluates_p_once_per_family_of_lines(monkeypatch):
+    m = build_rectangle_mesh(0, 0, 1, 1, 12, 12)
+    p = ExponentField(m, "2 + 0.4*sin(3*pi*x)*sin(3*pi*y)")
+    calls = _count_evaluations(monkeypatch)
+    report = check_Hp(p, m)
+    assert len(calls) == 2 and len(report.witnesses) == 2
+    assert not report.passed
+    calls.clear()
+    report = check_Hp_rays(p, m, exterior_point=(-3.0, -3.0))
+    assert len(calls) == 1 and len(report.witnesses) == 1
+
+
+def _ref_first_turn(p, mesh, lines):
+    """The sampler's reference: one line at a time, scalar clipping of t."""
+    for x0, direction in lines:
+        tmin, tmax = -np.inf, np.inf
+        for d in range(mesh.dimension):
+            if abs(direction[d]) >= 1e-15:
+                t1 = (mesh.lo[d] - x0[d]) / direction[d]
+                t2 = (mesh.hi[d] - x0[d]) / direction[d]
+                tmin, tmax = max(tmin, min(t1, t2)), min(tmax, max(t1, t2))
+        if not tmax > tmin:
+            continue
+        ts = np.linspace(tmin, tmax, 64)
+        pts = np.clip(x0[None, :] + ts[:, None] * direction[None, :], mesh.lo, mesh.hi)
+        vals = p.evaluate(pts)
+        diffs = np.diff(vals)
+        if not (np.all(diffs >= -1e-12) or np.all(diffs <= 1e-12)):
+            k = int(np.argmax(np.abs(np.diff(np.sign(diffs)))))
+            return {"base_point": x0.tolist(), "t": ts[k : k + 3].tolist(), "p": vals[k : k + 3].tolist()}
+    return None
+
+
+@pytest.mark.parametrize(
+    "cells, rule, exterior",
+    [
+        ((12,), "2 + 0.3*cos(7*x)", (3.5,)),
+        ((64,), "2 + 0.5*sin(4*pi*x)", (-2.0,)),
+        ((6, 6), "2 + 0.4*sin(3*pi*x)*sin(3*pi*y)", (-3.0, -3.0)),
+        ((12, 9), "2 + 0.2*x*y + 0.1*sin(5*y)", (0.5, 5.0)),
+        ((8, 8), "2.5 + 0.1*x + 0.05*y", (-3.0, -3.0)),
+    ],
+)
+def test_line_families_match_the_line_by_line_reference(cells, rule, exterior):
+    if len(cells) == 1:
+        m = build_interval_mesh(-0.3, 2.7, cells[0])
+    else:
+        m = build_rectangle_mesh(-1.0, 0.0, 2.0, 0.7, *cells)
+    p = ExponentField(m, rule)
+    base = m.nodes[:: max(1, m.n_nodes // 33)]
+    want = [_ref_first_turn(p, m, ((x0, l) for x0 in base)) for l in np.eye(m.dimension)]
+    assert check_Hp(p, m).witnesses == want
+    x_ext = np.array(exterior)
+    rays = ((x_ext, (b - x_ext) / np.linalg.norm(b - x_ext)) for b in base)
+    assert check_Hp_rays(p, m, exterior).witnesses == [_ref_first_turn(p, m, rays)]
+
+
+def test_wrong_coordinate_counts_raise_mesh_mismatch():
+    line = build_interval_mesh(0.0, 1.0, 8)
+    rect = build_rectangle_mesh(0, 0, 1, 1, 6, 6)
+    # a rectangle's table on an interval once built, with bounds (2, 4)
+    table = GridFunction.from_callable(rect, lambda pts: 2.0 + pts[:, 0] + pts[:, 1])
+    with pytest.raises(MeshMismatchError):
+        ExponentField(line, table)
+    p = ExponentField(rect, "2 + x")
+    with pytest.raises(MeshMismatchError):
+        p.evaluate([[0.5], [0.2]])
+    # a one-coordinate exterior point on a rectangle was a bare IndexError
+    with pytest.raises(MeshMismatchError):
+        check_Hp_rays(p, rect, exterior_point=(-2.0,))
 
 
 def test_embedding_warning_recorded(mesh64):

@@ -143,6 +143,20 @@ def test_gridfunction_eval_2d_linears():
     assert np.allclose(u.eval(pts), pts[:, 0] + 2.0 * pts[:, 1], atol=1e-13)
 
 
+def test_points_with_the_wrong_coordinate_count_are_rejected():
+    m = build_rectangle_mesh(0, 0, 1, 1, 6, 6)
+    u = GridFunction.from_callable(m, lambda pts: pts[:, 0] + 10.0 * pts[:, 1])
+    # one-column points on a rectangle were read as the diagonal (5.5, 2.2)
+    with pytest.raises(MeshMismatchError):
+        u.eval([[0.5], [0.2]])
+    with pytest.raises(MeshMismatchError):
+        m.locate(np.zeros((3, 3)))
+    assert mesh_module.as_points((0.5, 0.2), 2).shape == (1, 2)
+    line = build_interval_mesh(0.0, 1.0, 8)
+    with pytest.raises(MeshMismatchError):
+        line.contains(np.array([0.5, 0.2]))
+
+
 def test_restrict_constants_and_linears():
     fine = build_interval_mesh(-0.25, 1.25, 24)
     coarse = build_interval_mesh(0.0, 1.0, 16)
